@@ -65,6 +65,7 @@ import numpy as np
 from . import telemetry as _telemetry
 from .analysis import diagnose
 from .core import Program, SimConfig
+from .frontend.errors import FrontendError
 from .frontend.pragmas import eval_int_expr
 from .hls.report import compile_report
 from .ir.types import PointerType
@@ -347,8 +348,17 @@ def _parse_kv(pairs: list[str], what: str) -> dict[str, object]:
 
 def _load_program(args: argparse.Namespace,
                   profiling_off: bool = False) -> Program:
-    with open(args.source) as handle:
-        source = handle.read()
+    """Compile ``args.source``; unreadable or invalid source exits cleanly."""
+
+    try:
+        with open(args.source) as handle:
+            source = handle.read()
+    except OSError as exc:
+        raise SystemExit(f"cannot read source {args.source!r}: "
+                         f"{exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SystemExit(f"{args.source!r} is not a text file: {exc}") \
+            from exc
     defines = _parse_kv(args.define, "--define")
     const_env = {k: int(v) for k, v in _parse_kv(args.const, "--const").items()}
     options = None
@@ -358,10 +368,13 @@ def _load_program(args: argparse.Namespace,
         options = HLSOptions(profiling=ProfilingConfig.disabled())
     start = getattr(args, "start_interval", 2000)
     attribution = getattr(args, "attribution", False)
-    return Program(source, defines=defines, const_env=const_env,
-                   options=options, filename=args.source,
-                   sim_config=SimConfig(thread_start_interval=start,
-                                        attribution=attribution))
+    try:
+        return Program(source, defines=defines, const_env=const_env,
+                       options=options, filename=args.source,
+                       sim_config=SimConfig(thread_start_interval=start,
+                                            attribution=attribution))
+    except FrontendError as exc:
+        raise SystemExit(f"error: {exc}") from exc
 
 
 def _synthesize_args(program: Program, scalars: dict[str, object],

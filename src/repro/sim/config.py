@@ -67,11 +67,12 @@ class SimConfig:
     max_cycles: int = 4_000_000_000
     #: extra cycles for kernel start (context load) per launch
     launch_overhead: int = 200
-    #: pipelined-loop execution strategy: ``"auto"``/``"vectorized"``
-    #: use the trip-batched numpy fast path (falling back to the scalar
-    #: interpreter per loop when a segment is not vectorizable),
-    #: ``"reference"`` forces the scalar oracle everywhere.  All modes
-    #: produce bit-identical cycles, traces, stalls and DRAM counters.
+    #: pipelined-loop execution strategy: ``"auto"`` runs every loop
+    #: with a plan through the codegen'd nest driver (numpy value kernel
+    #: + generated timing generator) and the rest on the scalar
+    #: interpreter; ``"reference"`` forces the scalar oracle everywhere.
+    #: Both produce bit-identical cycles, traces, stalls, DRAM counters
+    #: and attribution tables.
     exec_mode: str = "auto"
     #: cycle accounting: attribute every non-useful cycle of every
     #: thread to a cause (II limit, BRAM port conflict, DRAM latency /

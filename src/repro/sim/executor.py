@@ -50,10 +50,7 @@ from ..profiling.config import EventKind, ProfilingConfig, ThreadState
 from ..profiling.recorder import ProfilingRecorder, RunTrace
 from .config import SimConfig
 from .engine import Engine, Subrun, Event
-from .fastpath import (
-    ChunkAttr, LoopPlan, NestPlan, build_nest_plan, build_plan, prepare_nest,
-    run_fast_chunk,
-)
+from .fastpath import NestPlan, build_nest_plan, prepare_nest
 from .interp import (
     CompiledSegment, KernelFunctionalContext, ThreadMemView, compile_segment,
 )
@@ -190,13 +187,12 @@ class Simulation:
                  config: Optional[SimConfig] = None):
         self.acc = accelerator
         self.config = config or SimConfig()
-        if self.config.exec_mode not in ("auto", "vectorized", "reference"):
+        if self.config.exec_mode not in ("auto", "reference"):
             raise ValueError(
                 f"unknown exec_mode {self.config.exec_mode!r}: expected "
-                f"'auto', 'vectorized' or 'reference'")
+                f"'auto' or 'reference'")
         self.kernel: Kernel = accelerator.kernel
         self._compiled: dict[int, CompiledSegment] = {}
-        self._plans: dict[int, Optional[LoopPlan]] = {}
         self._nest_plans: dict[int, Optional[NestPlan]] = {}
         self._external_uses = self._compute_external_uses()
 
@@ -231,28 +227,14 @@ class Simulation:
             self._compiled[segment.uid] = cs
         return cs
 
-    def _get_loop_plan(self, item: LoopNode) -> Optional[LoopPlan]:
-        if item.uid < 0:  # hand-built schedule: no stable cache key
-            return None
-        if item.uid not in self._plans:
-            segment = item.body.items[0] if item.body.items else None
-            has_group = isinstance(segment, Segment) and \
-                self.acc.schedule.local_groups.get(segment.uid) is not None
-            self._plans[item.uid] = build_plan(item, self._external_uses,
-                                               has_group,
-                                               self.config.attribution)
-        return self._plans[item.uid]
-
     def _get_nest_plan(self, item: LoopNode) -> Optional[NestPlan]:
-        """Flattenable-nest plan for a sequential loop (None if not one).
+        """Nest-driver plan for a loop (None: run the scalar reference).
 
-        Nests never dispatch with attribution on — the per-chunk
-        ``ChunkAttr`` accounting is not modelled by the generated
-        driver, and the reference plus the per-entry fast path already
-        cover that mode bit-identically.
+        A pipelined loop is planned as a depth-0 nest, a sequential loop
+        as a flattened nest around its pipelined leaf.
         """
 
-        if item.uid < 0 or self.config.attribution:
+        if item.uid < 0:  # hand-built schedule: no stable cache key
             return None
         if item.uid not in self._nest_plans:
             self._nest_plans[item.uid] = build_nest_plan(
@@ -456,10 +438,8 @@ class _Runtime:
         self.nests_flattened = 0
         self.entries_batched = 0
         self.nest_fallbacks = 0
-        #: loop uid -> static argument tail for the plan's timing loop
-        self.tl_static: dict[int, tuple] = {}
-        #: per-thread (read, write) port history lists, hoisted out of
-        #: the per-chunk path
+        #: per-thread (read, write) port history lists, hoisted for the
+        #: nest drivers
         self.port_hists = [
             (ports._history[(t, False)], ports._history[(t, True)])
             for t in range(len(stalls))]
@@ -754,25 +734,34 @@ class _Runtime:
         yield duration
 
     # ------------------------------------------------------------------
+    def _nest_driver(self, item: LoopNode, tid: int,
+                     ctx: KernelFunctionalContext, acct):
+        """The generated driver for this dispatch of ``item``, or None.
+
+        None means the loop has no plan or its value kernel fell back;
+        the caller then runs the scalar reference.
+        """
+
+        nplan = self.sim._get_nest_plan(item)
+        if nplan is None:
+            return None
+        state = self.loop_states.setdefault(id(nplan.pipe), _LoopState())
+        group = None
+        if nplan.group_id is not None:
+            group = self.group_states.setdefault(nplan.group_id,
+                                                 _LoopState())
+        return prepare_nest(self, nplan, tid, ctx, state, group, acct)
+
     def run_sequential_loop(self, item: LoopNode, tid: int,
                             ctx: KernelFunctionalContext, acct=None):
-        if acct is None and self.fast_enabled and item.uid >= 0:
-            nplan = self.sim._get_nest_plan(item)
-            if nplan is not None:
-                state = self.loop_states.setdefault(id(nplan.pipe),
-                                                    _LoopState())
-                group = None
-                if nplan.group_id is not None:
-                    group = self.group_states.setdefault(nplan.group_id,
-                                                         _LoopState())
-                gen = prepare_nest(self, nplan, tid, ctx, state, group)
-                if gen is not None:
-                    self.nests_flattened += 1
-                    # Subrun instead of `yield from`: the driver resumes
-                    # ~6x per entry, and the engine steps it directly
-                    # rather than walking this delegation chain
-                    yield Subrun(gen)
-                    return
+        if self.fast_enabled:
+            gen = self._nest_driver(item, tid, ctx, acct)
+            if gen is not None:
+                # Subrun instead of `yield from`: the driver resumes ~6x
+                # per entry, and the engine steps it directly rather
+                # than walking this delegation chain
+                yield Subrun(gen)
+                return
         op = item.op
         lower = ctx.values[op.operands[0].id]
         upper = ctx.values[op.operands[1].id]
@@ -818,7 +807,6 @@ class _Runtime:
         segment = item.body.items[0]
         assert isinstance(segment, Segment)
         compiled = self.sim._get_compiled(segment)
-        plan = self.sim._get_loop_plan(item) if self.fast_enabled else None
         state = self.loop_states.setdefault(id(item), _LoopState())
         schedule = self.sim.acc.schedule
         group_id = schedule.local_groups.get(segment.uid)
@@ -827,7 +815,7 @@ class _Runtime:
         if group_id is not None:
             group = self.group_states.setdefault(group_id, _LoopState())
             group_cost = max(1, schedule.local_costs.get(segment.uid, 1))
-        return (segment, compiled, plan, state, group, group_cost,
+        return (segment, compiled, state, group, group_cost,
                 item.op.defined[0].id, max(1, self.sim.config.loop_chunk),
                 max(1, self.sim.config.pipeline_window), item.ii,
                 item.rec_ii, item.depth)
@@ -850,24 +838,30 @@ class _Runtime:
                               item.depth, 0))
             yield trips * item.ii + item.depth
             return
+        if self.fast_enabled:
+            gen = self._nest_driver(item, tid, ctx, acct)
+            if gen is not None:
+                yield Subrun(gen)
+                return
 
+        # the scalar reference: one iteration at a time, in chunks of
+        # ``loop_chunk`` trips between re-synchronizations
         rt = self.loop_rts.get(id(item))
         if rt is None:
             rt = self._make_loop_rt(item)
             self.loop_rts[id(item)] = rt
-        (segment, compiled, plan, state, group, group_cost, iv_id, chunk,
+        (segment, compiled, state, group, group_cost, iv_id, chunk,
          window, ii, rec_ii, depth) = rt
         recorder = self.recorder
         mem = ctx.mem
 
-        attr = None
-        region = 0
-        parts = None
+        attr = acct is not None
+        region = loop_region(item.uid) if attr else 0
+        # per in-flight iteration, the (row, arb, latency) split of its
+        # late-response ``extra``, mirroring ``inflight`` one-for-one so
+        # backpressure and the drain tail peel into the same DRAM causes
+        parts: deque[tuple[int, int, int]] = deque()
         last_parts = (0, 0, 0)
-        if acct is not None:
-            attr = ChunkAttr()
-            parts = attr.parts
-            region = loop_region(item.uid)
 
         cursor = self.engine.now  # this thread's next possible issue
         last_retire = cursor
@@ -878,110 +872,79 @@ class _Runtime:
         while remaining > 0:
             batch = min(chunk, remaining)
             chunk_start = cursor
-            fast = None
-            if plan is not None:
-                fast = run_fast_chunk(self, plan, item, tid, ctx, state,
-                                      group, group_cost, window, inflight,
-                                      iv, step, batch, cursor, attr)
-            if fast is not None:
-                cursor, retire_hi, chunk_stall = fast
-                self.fp_batches += 1
-                self.fp_iters += batch
-                chunk_flops = segment.flops * batch
-                chunk_intops = segment.intops * batch
-                chunk_rbytes = plan.rbytes_iter * batch
-                chunk_wbytes = plan.wbytes_iter * batch
-                if retire_hi > last_retire:
-                    last_retire = retire_hi
-                    if attr is not None:
-                        last_parts = attr.rm_parts
-                if attr is not None:
-                    c_ii, c_port = attr.aii, attr.aport
-                    c_row, c_arb, c_lat = (attr.bp_row, attr.bp_arb,
-                                           attr.bp_lat)
-                iv += step * batch
-                remaining -= batch
-            else:
-                if self.fast_enabled:
-                    self.fp_fallbacks += 1
-                chunk_flops = 0
-                chunk_intops = 0
-                chunk_rbytes = 0
-                chunk_wbytes = 0
-                chunk_stall = 0
-                c_ii = c_port = c_row = c_arb = c_lat = 0
-                for _ in range(batch):
-                    issue = state.book(cursor, ii)
-                    if attr is not None:
-                        c_ii += issue - cursor
-                    if group is not None:
-                        if attr is None:
-                            issue = group.book(issue, group_cost)
-                        else:
-                            booked = group.book(issue, group_cost)
-                            c_port += booked - issue
-                            issue = booked
-                    if len(inflight) >= window:
-                        # stage buffers full: a late memory response now
-                        # stalls this thread's pipeline (backpressure)
-                        oldest = inflight.popleft()
-                        oldest_parts = parts.popleft() \
-                            if attr is not None else None
-                        if oldest - depth > issue:
-                            bp = oldest - depth - issue
-                            chunk_stall += bp
-                            issue = oldest - depth
-                            if attr is not None:
-                                row, arb_part, latency = self._peel(
-                                    bp, oldest_parts[0], oldest_parts[1])
-                                c_row += row
-                                c_arb += arb_part
-                                c_lat += latency
-                    ctx.values[iv_id] = iv
-                    mem.trace.clear()
-                    self._call_segment(compiled, ctx)
-                    extra = 0
-                    iter_parts = (0, 0, 0)
-                    if segment.mem_ops:
-                        if attr is None:
-                            extra = self._issue_mem(segment, tid, mem.trace,
-                                                    issue)
-                        else:
-                            extra, penalty, arb = self._issue_mem_attr(
-                                segment, tid, mem.trace, issue)
-                        if extra < 0:
-                            extra = 0
-                        elif attr is not None and extra:
+            if self.fast_enabled:
+                self.fp_fallbacks += 1
+            chunk_flops = 0
+            chunk_intops = 0
+            chunk_rbytes = 0
+            chunk_wbytes = 0
+            chunk_stall = 0
+            c_ii = c_port = c_row = c_arb = c_lat = 0
+            for _ in range(batch):
+                issue = state.book(cursor, ii)
+                if attr:
+                    c_ii += issue - cursor
+                if group is not None:
+                    booked = group.book(issue, group_cost)
+                    c_port += booked - issue
+                    issue = booked
+                if len(inflight) >= window:
+                    # stage buffers full: a late memory response now
+                    # stalls this thread's pipeline (backpressure)
+                    oldest = inflight.popleft()
+                    oldest_parts = parts.popleft() if attr else None
+                    if oldest - depth > issue:
+                        bp = oldest - depth - issue
+                        chunk_stall += bp
+                        issue = oldest - depth
+                        if attr:
+                            row, arb_part, latency = self._peel(
+                                bp, oldest_parts[0], oldest_parts[1])
+                            c_row += row
+                            c_arb += arb_part
+                            c_lat += latency
+                ctx.values[iv_id] = iv
+                mem.trace.clear()
+                self._call_segment(compiled, ctx)
+                extra = 0
+                iter_parts = (0, 0, 0)
+                if segment.mem_ops:
+                    if attr:
+                        extra, penalty, arb = self._issue_mem_attr(
+                            segment, tid, mem.trace, issue)
+                        if extra:
                             iter_parts = self._peel(extra, penalty, arb)
-                        for _, nbytes, is_write, _name in mem.trace:
-                            if is_write:
-                                chunk_wbytes += nbytes
-                            else:
-                                chunk_rbytes += nbytes
-                    retire = issue + depth + extra
-                    inflight.append(retire)
-                    if attr is not None:
-                        parts.append(iter_parts)
-                    cursor = issue + rec_ii
-                    # a late response suspends the consuming stage for
-                    # `extra` cycles (§IV-B.2a) even when reordering hides
-                    # it globally
-                    chunk_stall += extra
-                    chunk_flops += segment.flops
-                    chunk_intops += segment.intops
-                    if retire > last_retire:
-                        last_retire = retire
-                        if attr is not None:
-                            last_parts = iter_parts
-                    iv += step
-                remaining -= batch
+                    else:
+                        extra = self._issue_mem(segment, tid, mem.trace,
+                                                issue)
+                    for _, nbytes, is_write, _name in mem.trace:
+                        if is_write:
+                            chunk_wbytes += nbytes
+                        else:
+                            chunk_rbytes += nbytes
+                retire = issue + depth + extra
+                inflight.append(retire)
+                if attr:
+                    parts.append(iter_parts)
+                cursor = issue + rec_ii
+                # a late response suspends the consuming stage for
+                # `extra` cycles (§IV-B.2a) even when reordering hides
+                # it globally
+                chunk_stall += extra
+                chunk_flops += segment.flops
+                chunk_intops += segment.intops
+                if retire > last_retire:
+                    last_retire = retire
+                    last_parts = iter_parts
+                iv += step
+            remaining -= batch
             recorder.add_many(chunk_start, last_retire, tid, (
                 (EventKind.FLOPS, chunk_flops),
                 (EventKind.INTOPS, chunk_intops),
                 (EventKind.MEM_READ_BYTES, chunk_rbytes),
                 (EventKind.MEM_WRITE_BYTES, chunk_wbytes),
                 (EventKind.STALLS, chunk_stall)))
-            if acct is not None:
+            if attr:
                 # the chunk's wall-clock advance (cursor - chunk_start)
                 # decomposes exactly: rec_ii per trip is useful issue
                 # spacing, the rest is what delayed each issue
@@ -997,7 +960,7 @@ class _Runtime:
                 cursor = self.engine.now
         tail = last_retire - self.engine.now
         if tail > 0:
-            if acct is not None:
+            if attr:
                 # pipeline drain after the last issue; whatever exceeds
                 # the drain depth is the binding iteration's late
                 # memory response, peeled into its stored DRAM parts

@@ -1,30 +1,31 @@
-"""Trip-batched execution of pipelined leaf loops.
+"""The fast path for pipelined loops: one codegen'd driver per loop nest.
 
 The scalar reference in :mod:`repro.sim.executor` walks a pipelined
 loop one iteration at a time: functional evaluation through the
 compiled segment, then leaky-bucket issue booking, window backpressure
-and per-access DRAM booking.  This module executes the same loop one
-*chunk* (``SimConfig.loop_chunk`` trips) at a time:
+and per-access DRAM booking.  This module runs a pipelined loop — alone,
+or as the leaf of a nest of sequential loops — in two halves:
 
-* the functional work runs once per chunk through a
-  :class:`~repro.sim.interp.VectorizedSegment` (numpy over the trip
-  axis), which also yields the external-access element indices the
-  timing model needs;
-* for loops without external *reads* the leaky-bucket issue recurrence
-  ``issue_k = max(earliest_k, issue_{k-1} + rec_ii)`` is solved in
-  closed form with a cumulative maximum (window backpressure cannot
-  bind because retire times are monotone when ``extra`` is zero — the
-  executor still re-checks the precondition against the in-flight
-  window before trusting this);
-* loops with reads keep the exact per-trip recurrence — a late DRAM
-  response feeds back into the next issue — but run it as a tight
-  local loop over precomputed address lists, reusing the *same*
-  ``PortSet.request`` state machine as the reference.
+* the *value kernel*: the functional work of every ``entries x trips``
+  iteration runs as one :func:`compile_segment_vectorized` numpy call
+  (entry boundaries become reset points of the accumulator scan), which
+  also yields the external-access element indices the timing model
+  needs;
+* the *driver*: one codegen'd generator walks the nest's control
+  skeleton — loop bubbles, leading segments, the per-entry pipelined
+  recurrence over precomputed bank/row lists, trailing segments and
+  critical sections — with the exact yield sequence and mutation order
+  of the reference executor.
 
-Every decision point falls back to replaying the batch through the
-reference scalar machinery (:class:`~repro.sim.interp.VectorFallback`
-is raised before any functional side effect), so all modes produce
-bit-identical cycles, traces, stalls and DRAM counters.
+A lone pipelined loop is a depth-0 nest: no sequential levels, one
+entry.  Profiling and cycle-accounting deposits are made eagerly at the
+reference deposit points — any deferral would reorder same-bin float
+accumulation against concurrently-running loops (double buffering) and
+drift the binned series by an ulp.  A loop without a plan, or whose
+value kernel raises :class:`~repro.sim.interp.VectorFallback` (always
+before any functional side effect), runs on the scalar reference, so
+both exec modes produce bit-identical cycles, traces, stalls, DRAM
+counters and attribution tables.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import numpy as np
 from ..hls.schedule import CriticalNode, LoopNode, Segment
 from ..ir.ops import Opcode
 from ..ir.types import MemorySpace
+from ..profiling.attribution import REGION_SYNC, loop_region, segment_region
 from ..profiling.config import EventKind, ThreadState
 from .engine import Event
 from .interp import (
@@ -44,33 +46,7 @@ from .interp import (
     compile_segment_vectorized,
 )
 
-__all__ = ["ChunkAttr", "LoopPlan", "NestPlan", "build_plan",
-           "build_nest_plan", "prepare_nest", "run_fast_chunk"]
-
-
-class ChunkAttr:
-    """Per-chunk cycle-accounting scratch shared with the executor.
-
-    ``parts`` mirrors the in-flight retire deque one-for-one: for each
-    in-flight iteration it stores the ``(row, arb, latency)`` split of
-    that iteration's late-response ``extra``, so backpressure and the
-    final drain tail can be peeled into the same DRAM sub-causes that
-    produced them.  The scalar fallback in the executor reads and
-    maintains the same deque, keeping the decomposition bit-identical
-    across chunk strategies.
-    """
-
-    __slots__ = ("parts", "aii", "aport", "bp_row", "bp_arb", "bp_lat",
-                 "rm_parts")
-
-    def __init__(self) -> None:
-        self.parts: deque[tuple[int, int, int]] = deque()
-        self.aii = 0
-        self.aport = 0
-        self.bp_row = 0
-        self.bp_arb = 0
-        self.bp_lat = 0
-        self.rm_parts = (0, 0, 0)
+__all__ = ["NestPlan", "build_nest_plan", "prepare_nest"]
 
 
 _IOTA = np.arange(64, dtype=np.int64)
@@ -84,428 +60,6 @@ def _iota(n: int) -> np.ndarray:
         _IOTA = np.arange(n, dtype=np.int64)
     return _IOTA[:n]
 
-
-@dataclass
-class LoopPlan:
-    """Everything the fast path needs about one pipelined loop."""
-
-    vseg: VectorizedSegment
-    iv_id: int
-    #: per external access, in segment order: (stage offset, stage
-    #: offset + scheduled latency, bytes moved, is_write, buffer name)
-    mem: list[tuple[int, int, int, bool, str]]
-    has_reads: bool
-    rbytes_iter: int
-    wbytes_iter: int
-    #: exec-compiled per-trip timing recurrence (see
-    #: :func:`_compile_timing_loop`)
-    tfn: object
-
-
-def build_plan(item: LoopNode, external_uses: set[int], has_group: bool,
-               attribution: bool = False):
-    """Compile the loop's body for batched execution (None if unsupported)."""
-
-    if len(item.body.items) != 1:
-        return None
-    segment = item.body.items[0]
-    if not isinstance(segment, Segment) or segment.uid < 0:
-        return None
-    iv_id = item.op.defined[0].id
-    try:
-        vseg = compile_segment_vectorized(segment, external_uses, iv_id)
-    except VectorizeError:
-        return None
-    mem: list[tuple[int, int, int, bool, str]] = []
-    rbytes = wbytes = 0
-    for memop in segment.mem_ops:
-        op = memop.op
-        base = op.operands[0]
-        # byte counts exactly as ThreadMemView traces them
-        if op.opcode is Opcode.LOAD:
-            nbytes = _lanes(op.result.type) * _elem_bytes(base.type.elem)
-        else:
-            nbytes = _lanes(op.operands[2].type) * _elem_bytes(base.type.elem)
-        mem.append((memop.start, memop.start + memop.sched_latency, nbytes,
-                    memop.is_write, base.name))
-        if memop.is_write:
-            wbytes += nbytes
-        else:
-            rbytes += nbytes
-    tfn = _compile_timing_loop(mem, has_group, item.uid, attribution)
-    return LoopPlan(vseg, iv_id, mem, any(not m[3] for m in mem),
-                    rbytes, wbytes, tfn)
-
-
-def run_fast_chunk(runtime, plan: LoopPlan, item: LoopNode, tid: int, ctx,
-                   state, group, group_cost: int, window: int, inflight,
-                   iv: int, step: int, batch: int, cursor: int, attr=None):
-    """Execute one chunk of ``batch`` trips; ``None`` requests a scalar redo.
-
-    On success returns ``(cursor, retire_max, stall)`` with all shared
-    state (values/vars/buffers, bucket states, in-flight window, ports,
-    DRAM) advanced exactly as ``batch`` reference iterations would have
-    left it.
-    """
-
-    vseg = plan.vseg
-    values = ctx.values
-    ivs = iv + step * _iota(batch)
-    try:
-        outs, idxs = vseg.fn(ctx, ctx.vars, ctx.mem, ivs, batch,
-                             *[values[vid] for vid in vseg.inputs])
-    except VectorFallback:
-        return None
-    for vid, value in zip(vseg.outputs, outs):
-        values[vid] = value
-    values[plan.iv_id] = int(ivs[-1])
-
-    buffers = runtime.buffers
-    depth, ii, rec_ii = item.depth, item.ii, item.rec_ii
-    if plan.has_reads or (inflight and max(inflight) - depth > cursor):
-        # DRAM lateness feeds back into the issue recurrence (or an
-        # earlier scalar chunk left a non-monotone window): replay the
-        # exact per-trip machinery over the precomputed addresses.
-        return _run_timing_loop(runtime, plan, item, tid, state, group,
-                                group_cost, window, inflight, batch, cursor,
-                                idxs, attr)
-    issue = _closed_form_issue(state, group, group_cost, ii, rec_ii, batch,
-                               cursor, attr)
-    if issue is None:  # an epoch reset inside the batch: replay exactly
-        return _run_timing_loop(runtime, plan, item, tid, state, group,
-                                group_cost, window, inflight, batch, cursor,
-                                idxs, attr)
-    if len(plan.mem) == 1:
-        start, _off, nbytes, is_write, name = plan.mem[0]
-        buf = buffers[name]
-        addrs = (buf.base_addr + idxs[0] * buf.elem_bytes).tolist()
-        runtime.ports.request_many(tid, (issue + start).tolist(), addrs,
-                                   nbytes, is_write)
-    elif plan.mem:
-        request = runtime.ports.request
-        mems = []
-        for (start, _off, nbytes, is_write, name), idx in zip(plan.mem,
-                                                              idxs):
-            buf = buffers[name]
-            mems.append((start, nbytes, is_write,
-                         (buf.base_addr + idx * buf.elem_bytes).tolist()))
-        ilist = issue.tolist()
-        for k in range(batch):
-            at = ilist[k]
-            for start, nbytes, is_write, addrs in mems:
-                request(tid, at + start, addrs[k], nbytes, is_write)
-    retires = issue + depth
-    inflight.extend(retires.tolist())
-    while len(inflight) > window:
-        inflight.popleft()
-    if attr is not None:
-        # no reads and a monotone window: extra is zero for every trip,
-        # so backpressure contributes nothing and the split parts of
-        # each in-flight iteration are all zero
-        attr.bp_row = attr.bp_arb = attr.bp_lat = 0
-        attr.rm_parts = (0, 0, 0)
-        parts = attr.parts
-        parts.extend(((0, 0, 0),) * batch)
-        while len(parts) > window:
-            parts.popleft()
-    return int(issue[-1]) + rec_ii, int(retires[-1]), 0
-
-
-def _closed_form_issue(state, group, group_cost: int, ii: int, rec_ii: int,
-                       batch: int, cursor: int, attr=None):
-    """Solve the leaky-bucket issue recurrence for a whole batch.
-
-    Valid when per-trip ``extra`` is zero (no external reads) and the
-    in-flight window cannot bind.  Epoch resets are decided once at
-    batch entry; if the issue times reveal that a reset would have
-    fired *inside* the batch, no state is committed and ``None`` tells
-    the caller to replay per-trip.
-    """
-
-    gap = state._GAP
-    ks = _iota(batch)
-    reset1 = state.first < 0 or cursor > state.first + state.count * ii + gap
-    f1, n1 = (cursor, 0) if reset1 else (state.first, state.count)
-    e1 = f1 + (n1 + ks) * ii
-    head = int(e1[0])
-    i1_0 = head if head > cursor else cursor
-    if group is not None:
-        reset2 = group.first < 0 or \
-            i1_0 > group.first + group.count * group_cost + gap
-        f2, n2 = (i1_0, 0) if reset2 else (group.first, group.count)
-        e2 = f2 + (n2 + ks) * group_cost
-        earliest = np.maximum(e1, e2)
-    else:
-        e2 = None
-        earliest = e1
-    base = earliest - ks * rec_ii
-    if cursor > earliest[0]:
-        base[0] = cursor
-    np.maximum.accumulate(base, out=base)
-    issue = base + ks * rec_ii
-    if batch > 1:
-        arrivals = issue[:-1] + rec_ii  # bucket arrival times, trips 1..n-1
-        if np.any(arrivals > e1[1:] + gap):
-            return None
-        if e2 is not None and \
-                np.any(np.maximum(e1[1:], arrivals) > e2[1:] + gap):
-            return None
-    state.first = f1
-    state.count = n1 + batch
-    if group is not None:
-        group.first = f2
-        group.count = n2 + batch
-    if attr is not None:
-        # issue_k = max(cur_k, e1_k, e2_k) with cur_k the thread's own
-        # arrival (previous issue + rec_ii): the II share is what the
-        # shared-datapath bucket adds over the arrival, the port share
-        # is what the BRAM group adds on top — exactly the scalar
-        # per-trip ``issue - cursor`` / ``booked - issue`` deltas
-        cur = np.empty_like(issue)
-        cur[0] = cursor
-        if batch > 1:
-            np.add(issue[:-1], rec_ii, out=cur[1:])
-        m1 = np.maximum(cur, e1)
-        attr.aii = int((m1 - cur).sum())
-        attr.aport = int((issue - m1).sum())
-    return issue
-
-
-def _run_timing_loop(runtime, plan: LoopPlan, item, tid: int, state, group,
-                     group_cost: int, window: int, inflight, batch: int,
-                     cursor: int, idxs, attr=None):
-    """Drive the plan's compiled timing loop and commit port/DRAM state."""
-
-    ports = runtime.ports
-    memory = ports.memory
-    tail = runtime.tl_static.get(item.uid)
-    if tail is None:
-        cfg = memory.config
-        buffers = runtime.buffers
-        parts = [item.ii, item.rec_ii, item.depth, group_cost, window,
-                 ports.outstanding_limit, cfg.row_miss_penalty,
-                 cfg.base_latency, cfg.interleave_bytes, cfg.channels,
-                 cfg.row_bytes, cfg.banks_per_channel,
-                 cfg.row_bytes * cfg.banks_per_channel * cfg.channels,
-                 memory._bank_row, memory._bank_ready, memory._bus_busy]
-        for _start, _off, nbytes, _is_write, name in plan.mem:
-            buf = buffers[name]
-            parts += [cfg.request_overhead
-                      + max(1, -(-nbytes // cfg.width_bytes)),
-                      buf.base_addr, buf.elem_bytes]
-        tail = tuple(parts)
-        runtime.tl_static[item.uid] = tail
-    last_completion = ports._last_completion
-    hist_r, hist_w = runtime.port_hists[tid]
-    if attr is None:
-        cursor, retire_max, stall, last_r, last_w, row_misses, arb = plan.tfn(
-            batch, cursor, state, group, inflight,
-            hist_r, last_completion.get((tid, False), 0),
-            hist_w, last_completion.get((tid, True), 0),
-            *[idx.tolist() for idx in idxs], *tail)
-    else:
-        (cursor, retire_max, stall, last_r, last_w, row_misses, arb,
-         attr.aii, attr.aport, attr.bp_row, attr.bp_arb, attr.bp_lat,
-         rm_r, rm_a, rm_l) = plan.tfn(
-            batch, cursor, state, group, inflight, attr.parts,
-            hist_r, last_completion.get((tid, False), 0),
-            hist_w, last_completion.get((tid, True), 0),
-            *[idx.tolist() for idx in idxs], *tail)
-        attr.rm_parts = (rm_r, rm_a, rm_l)
-    last_completion[(tid, False)] = last_r
-    last_completion[(tid, True)] = last_w
-    memory.requests += batch * len(plan.mem)
-    memory.bytes_read += batch * plan.rbytes_iter
-    memory.bytes_written += batch * plan.wbytes_iter
-    memory.row_misses += row_misses
-    memory.arbitration_wait_cycles += arb
-    return cursor, retire_max, stall
-
-
-def _compile_timing_loop(mem, has_group: bool, uid: int,
-                         attribution: bool = False):
-    """exec-compile the reference per-trip timing recurrence for one loop.
-
-    The leaky-bucket booking, Avalon port limit and DRAM channel/bank
-    model are emitted inline — same arithmetic, same mutation order as
-    ``_LoopState.book`` / ``PortSet.request`` /
-    ``ExternalMemory.access_time`` — with the loop's memop structure
-    (count, order, read/write direction, stage offsets) folded into the
-    generated source.  This runs once per *trip*; the attribute,
-    dictionary and tuple-unpack traffic a generic interpreter-style
-    loop would pay per access is what this codegen removes.
-
-    The generated function returns
-    ``(cursor, retire_max, stall, last_r, last_w, row_misses, arb)``;
-    the caller commits the port/DRAM aggregate counters.  With
-    ``attribution`` the signature gains the ``parts`` deque (mirroring
-    ``inflight``) and the return tuple grows the cycle-accounting
-    accumulators — the timing arithmetic itself is unchanged.
-    """
-
-    args = ["batch", "cursor", "state", "group", "inflight"]
-    if attribution:
-        args += ["parts"]
-    args += ["hist_r", "last_r", "hist_w", "last_w"]
-    args += [f"a{i}" for i in range(len(mem))]
-    args += ["ii", "rec_ii", "depth", "group_cost", "window", "limit",
-             "rmp", "base_latency", "interleave", "channels", "row_bytes",
-             "banks_per_channel", "row_span", "brow", "brdy", "bus_busy"]
-    args += [x for i in range(len(mem)) for x in (f"t{i}", f"b{i}", f"e{i}")]
-    lines = [f"def _tloop({', '.join(args)}):"]
-    w = lines.append
-    w("    pop = inflight.popleft")
-    w("    push = inflight.append")
-    if attribution:
-        w("    parts_pop = parts.popleft")
-        w("    parts_push = parts.append")
-    w("    gap = state._GAP")
-    w("    s_first = state.first; s_count = state.count")
-    if has_group:
-        w("    g_first = group.first; g_count = group.count")
-    w("    stall = 0; retire_max = 0; rm = 0; arb = 0")
-    if attribution:
-        w("    aii = 0; aport = 0; bp_row = 0; bp_arb = 0; bp_lat = 0")
-        w("    rm_r = 0; rm_a = 0; rm_l = 0")
-    w("    for k in range(batch):")
-    w("        # _LoopState.book(cursor, ii)")
-    w("        if s_first < 0 or cursor > s_first + s_count * ii + gap:")
-    w("            s_first = cursor; s_count = 1; issue = cursor")
-    w("        else:")
-    w("            earliest = s_first + s_count * ii")
-    w("            issue = cursor if cursor > earliest else earliest")
-    w("            s_count += 1")
-    if attribution:
-        w("        aii += issue - cursor")
-    if has_group:
-        if attribution:
-            w("        g_at = issue")
-        w("        if g_first < 0 or issue > g_first + g_count * group_cost"
-          " + gap:")
-        w("            g_first = issue; g_count = 1")
-        w("        else:")
-        w("            earliest = g_first + g_count * group_cost")
-        w("            if earliest > issue: issue = earliest")
-        w("            g_count += 1")
-        if attribution:
-            w("        aport += issue - g_at")
-    w("        if len(inflight) >= window:")
-    w("            head = pop() - depth")
-    if attribution:
-        w("            op_r, op_a, op_l = parts_pop()")
-        w("            if head > issue:")
-        w("                bp = head - issue")
-        w("                stall += bp; issue = head")
-        w("                x = op_r if op_r < bp else bp")
-        w("                rest = bp - x")
-        w("                y = op_a if op_a < rest else rest")
-        w("                bp_row += x; bp_arb += y; bp_lat += rest - y")
-    else:
-        w("            if head > issue:")
-        w("                stall += head - issue; issue = head")
-    w("        extra = 0")
-    if attribution:
-        w("        e_pen = 0; e_arb = 0")
-    for i, (start, off, _nbytes, is_write, _name) in enumerate(mem):
-        hist = "hist_w" if is_write else "hist_r"
-        last = "last_w" if is_write else "last_r"
-        w(f"        # memop {i}: PortSet.request + ExternalMemory"
-          ".access_time")
-        w(f"        at = issue + {start}" if start else "        at = issue")
-        w(f"        if len({hist}) >= limit:")
-        w(f"            head = {hist}[0]")
-        w("            if head > at: at = head")
-        w(f"            del {hist}[:1]")
-        w(f"        addr = b{i} + a{i}[k] * e{i}")
-        w("        channel = (addr // interleave) % channels")
-        w("        row = addr // row_span")
-        w("        bi = channel * banks_per_channel"
-          " + (addr // row_bytes) % banks_per_channel")
-        w("        bank_ready = brdy[bi]")
-        w("        open_row = brow[bi]")
-        w("        begin = at if at > bank_ready else bank_ready")
-        w("        if open_row != row:")
-        w("            begin += rmp; rm += 1; penalty = rmp")
-        w("        else:")
-        w("            penalty = 0")
-        w("        busy = bus_busy[channel]")
-        w("        if busy > begin: begin = busy")
-        if attribution and not is_write:
-            w("        arbv = begin - at - penalty")
-            w("        arb += arbv")
-        else:
-            w("        arb += begin - at - penalty")
-        w(f"        done = begin + t{i}")
-        w("        bus_busy[channel] = done")
-        w("        brow[bi] = row")
-        w("        brdy[bi] = done")
-        w("        completion = done + base_latency")
-        w("        # in-order responses per port")
-        w(f"        if completion < {last}: completion = {last}")
-        w(f"        else: {last} = completion")
-        w(f"        {hist}.append(completion)")
-        if not is_write:
-            w(f"        late = completion - issue - {off}")
-            if attribution:
-                w("        if late > extra:")
-                w("            extra = late; e_pen = penalty; e_arb = arbv")
-            else:
-                w("        if late > extra: extra = late")
-    if attribution:
-        w("        if extra > 0:")
-        w("            i_r = e_pen if e_pen < extra else extra")
-        w("            rest = extra - i_r")
-        w("            i_a = e_arb if e_arb < rest else rest")
-        w("            i_l = rest - i_a")
-        w("        else:")
-        w("            i_r = 0; i_a = 0; i_l = 0")
-        w("        parts_push((i_r, i_a, i_l))")
-    w("        retire = issue + depth + extra")
-    w("        push(retire)")
-    w("        cursor = issue + rec_ii")
-    w("        stall += extra")
-    if attribution:
-        w("        if retire > retire_max:")
-        w("            retire_max = retire")
-        w("            rm_r = i_r; rm_a = i_a; rm_l = i_l")
-    else:
-        w("        if retire > retire_max: retire_max = retire")
-    w("    state.first = s_first; state.count = s_count")
-    if has_group:
-        w("    group.first = g_first; group.count = g_count")
-    if attribution:
-        w("    return (cursor, retire_max, stall, last_r, last_w, rm, arb,")
-        w("            aii, aport, bp_row, bp_arb, bp_lat, rm_r, rm_a, rm_l)")
-    else:
-        w("    return cursor, retire_max, stall, last_r, last_w, rm, arb")
-    source = "\n".join(lines)
-    namespace = {}
-    code = compile(source, f"<tloop:{uid}>", "exec")
-    exec(code, namespace)
-    fn = namespace["_tloop"]
-    fn.__source__ = source
-    return fn
-
-
-# ----------------------------------------------------------------------
-# cross-entry batched loop nests
-# ----------------------------------------------------------------------
-#
-# A sequential loop (or a nest of sequential loops) that wraps a
-# pipelined leaf re-enters the fast path above once per *entry*.  When
-# the pipelined loop's trip count and access pattern are invariant
-# across entries, the whole nest can instead run as one mega-batch:
-# the functional work of all ``entries x trips`` iterations is a single
-# nest-mode :func:`compile_segment_vectorized` call (entry boundaries
-# become reset points of the accumulator scan), and the timing replay
-# is one codegen'd generator that walks the nest's control skeleton —
-# loop bubbles, leading segments, the per-entry pipelined recurrence
-# over precomputed bank/row lists, trailing segments and critical
-# sections — with the exact yield sequence and mutation order of the
-# reference executor.  Profiling deposits are made eagerly at the
-# reference deposit points — any deferral would reorder same-bin float
-# accumulation against concurrently-running loops (double buffering)
-# and drift the binned series by an ulp.
 
 #: value-producing opcodes whose result is entry-invariant when all
 #: operands are (used to prove loop bounds and kernel inputs constant
@@ -544,8 +98,9 @@ class NestLevel:
     """One sequential loop of a flattenable nest."""
 
     iv_id: int
+    uid: int
     bounds: tuple           # (lower, upper, step) value ids
-    #: (compiled segment, depth, flops, intops) per leading segment
+    #: (segment, compiled segment) per leading segment
     leading: tuple
     #: indices into NestPlan.trails
     trailing: tuple
@@ -553,7 +108,11 @@ class NestLevel:
 
 @dataclass
 class NestPlan:
-    """Everything needed to run a sequential x pipelined nest batched."""
+    """Everything needed to run a sequential x pipelined nest batched.
+
+    A lone pipelined loop is the depth-0 case: ``levels`` is empty and
+    every dispatch is one entry.
+    """
 
     levels: tuple
     pipe: LoopNode
@@ -561,10 +120,10 @@ class NestPlan:
     p_iv: int
     pseg: Segment
     vseg: VectorizedSegment
-    #: as LoopPlan.mem, for the pipelined segment
+    #: per external access of the pipelined segment, in segment order:
+    #: (stage offset, stage offset + scheduled latency, bytes moved,
+    #: is_write, buffer name)
     mem: list
-    rbytes_iter: int
-    wbytes_iter: int
     group_id: object
     group_cost: int
     trails: tuple
@@ -579,7 +138,6 @@ class NestPlan:
     #: trip-specialized compiled drivers, keyed by trip count (0 = the
     #: general chunked body); filled lazily by :func:`_nest_driver_for`
     drivers: dict = field(default_factory=dict)
-    driver_srcs: dict = field(default_factory=dict)
 
 
 def _seq_items(body):
@@ -641,10 +199,13 @@ def _memop_bytes(memop):
 
 def build_nest_plan(item: LoopNode, schedule, external_uses: set[int],
                     config, get_compiled):
-    """Analyze a sequential loop as a flattenable nest (None if not).
+    """Analyze a loop as a flattenable nest (None if not).
 
-    Flattenability criteria (checked statically; anything outside them
-    keeps the reference per-entry path):
+    A pipelined ``item`` is a depth-0 nest: the checks below reduce to
+    "single-segment body, vectorizable segment".  For a sequential
+    ``item`` the flattenability criteria are (checked statically;
+    anything outside them keeps the reference per-entry path, whose
+    pipelined leaf is again a depth-0 nest):
 
     * every level is a sequential loop whose body is leading mem-free
       segments, exactly one inner loop, then trailing segments (plain
@@ -664,8 +225,8 @@ def build_nest_plan(item: LoopNode, schedule, external_uses: set[int],
 
     levels_raw = []
     node = item
-    pipe = None
-    while True:
+    pipe = item if item.pipelined else None
+    while pipe is None:
         if node.uid < 0:
             return None
         items = _seq_items(node.body)
@@ -702,7 +263,6 @@ def build_nest_plan(item: LoopNode, schedule, external_uses: set[int],
         levels_raw.append((node, leading, trail_units))
         if inner.pipelined:
             pipe = inner
-            break
         node = inner
     if pipe.uid < 0 or len(pipe.body.items) != 1:
         return None
@@ -751,9 +311,8 @@ def build_nest_plan(item: LoopNode, schedule, external_uses: set[int],
     entry_vars = tuple(sorted(
         vid for vid, kind in p_kind.items()
         if kind == "carried" and vid in lead_vw))
-    continuous = {vid for vid, kind in p_kind.items()
-                  if kind == "carried" and vid not in lead_vw}
-    innermost_leads = {id(seg) for seg in levels_raw[-1][1]}
+    innermost_leads = {id(seg) for seg in levels_raw[-1][1]} \
+        if levels_raw else set()
     for vid in entry_vars:
         writers = lead_vw[vid]
         # reset exactly once per innermost entry, by a first-touch
@@ -850,11 +409,10 @@ def build_nest_plan(item: LoopNode, schedule, external_uses: set[int],
     if l_loads & (p_stores | t_stores):
         return None
 
-    # -- compile the pipelined segment in nest mode --------------------
+    # -- compile the pipelined segment's value kernel -----------------
     entry_inputs = iv_set | {vid for vid in lead_def if not inv(vid)}
     try:
         vseg = compile_segment_vectorized(pseg, external_uses, p_iv,
-                                          nest=True,
                                           entry_inputs=entry_inputs,
                                           entry_vars=entry_vars)
     except VectorizeError:
@@ -871,16 +429,9 @@ def build_nest_plan(item: LoopNode, schedule, external_uses: set[int],
         else:  # pragma: no cover - classified carried, so a read exists
             return None
 
-    mem: list[tuple[int, int, int, bool, str]] = []
-    rbytes = wbytes = 0
-    for memop in pseg.mem_ops:
-        nbytes = _memop_bytes(memop)
-        mem.append((memop.start, memop.start + memop.sched_latency, nbytes,
-                    memop.is_write, memop.op.operands[0].name))
-        if memop.is_write:
-            wbytes += nbytes
-        else:
-            rbytes += nbytes
+    mem = [(memop.start, memop.start + memop.sched_latency,
+            _memop_bytes(memop), memop.is_write, memop.op.operands[0].name)
+           for memop in pseg.mem_ops]
 
     # -- leading / trailing compilation --------------------------------
     trails: list[_Trail] = []
@@ -893,7 +444,7 @@ def build_nest_plan(item: LoopNode, schedule, external_uses: set[int],
             if any(vid in p_def or vid in trail_def or vid in deeper
                    for vid in compiled.inputs):
                 return None  # pre-pass would read a stale value
-            lead_list.append((compiled, seg.depth, seg.flops, seg.intops))
+            lead_list.append((seg, compiled))
         t_idx = []
         for seg, lock in tunits:
             compiled = get_compiled(seg)
@@ -929,7 +480,7 @@ def build_nest_plan(item: LoopNode, schedule, external_uses: set[int],
                                  tuple(snap_ids), tuple(restores),
                                  tuple(snap_var_ids), tuple(mems)))
         levels.append(NestLevel(
-            iv_id=lnode.op.defined[0].id,
+            iv_id=lnode.op.defined[0].id, uid=lnode.uid,
             bounds=tuple(operand.id for operand in lnode.op.operands[:3]),
             leading=tuple(lead_list), trailing=tuple(t_idx)))
 
@@ -941,8 +492,8 @@ def build_nest_plan(item: LoopNode, schedule, external_uses: set[int],
     return NestPlan(
         levels=tuple(levels), pipe=pipe,
         pipe_bounds=tuple(operand.id for operand in pipe.op.operands[:3]),
-        p_iv=p_iv, pseg=pseg, vseg=vseg, mem=mem, rbytes_iter=rbytes,
-        wbytes_iter=wbytes, group_id=group_id, group_cost=group_cost,
+        p_iv=p_iv, pseg=pseg, vseg=vseg, mem=mem,
+        group_id=group_id, group_cost=group_cost,
         trails=tuple(trails), input_plan=input_plan, entry_vars=entry_vars,
         entry_var_float=tuple(ev_float), chunk=chunk, window=window,
         dram=config.dram, uid=item.uid)
@@ -958,7 +509,8 @@ def _amt(value: int, factor: str = "") -> str:
 
 def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
                          group_cost, chunk, window, dram, uid, limit,
-                         grant, trips, period, enabled, record_on, sbits):
+                         grant, trips, period, enabled, record_on, sbits,
+                         attr):
     """exec-compile the whole-nest timing generator.
 
     The generated function replays the reference executor's exact
@@ -983,6 +535,17 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
     — is hoisted into locals for the whole nest and written back once;
     DRAM bank/bus bookings and the FIFO lock handshake are inlined so
     no foreign Python frame is entered between yields.
+
+    With ``attr`` the driver also makes the reference's cycle-accounting
+    deposits into its ``acct`` sink, over the same ``[start, end)``
+    ranges with the same amounts: per chunk the useful ``batch*rec_ii``
+    plus the II, BRAM-port and backpressure (row/arb/latency peel)
+    shares; the drain tail; one loop-bubble deposit per sequential-loop
+    invocation; leading and trailing segments with the binding read's
+    peel; and SYNC_WAIT for contended critical acquires.  The per-trip
+    ``(row, arb, latency)`` split of each late response rides in a
+    ``parts`` deque mirroring the in-flight window, exactly as in the
+    reference.
     """
 
     k = len(levels)
@@ -1003,8 +566,11 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
         if tr.lock is not None and tr.lock not in locks:
             locks.append(tr.lock)
     lock_ix = {lock: j for j, lock in enumerate(locks)}
-    unroll = (trips is not None and trips <= 16 and trips <= chunk
-              and trips * max(1, len(mem)) <= 48)
+    unroll = (not attr and trips is not None and trips <= 16
+              and trips <= chunk and trips * max(1, len(mem)) <= 48)
+    p_parts = attr and p_reads  # per-trip DRAM splits can be non-zero
+    drain = max(0, depth - rec_ii)
+    p_reg = loop_region(pipe.uid)
     single = not unroll and trips is not None and trips <= chunk
     rmp = dram.row_miss_penalty
     base = dram.base_latency
@@ -1019,7 +585,7 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
 
     lines = ["def _ndrive(rt, tid, ctx, state, group, T, ns, "
              "limit, brow, brdy, bus_busy, hist_r, hist_w, fins, tins, "
-             "bkrw, tbufs):"]
+             "bkrw, tbufs, acct):"]
 
     def w(indent: int, text: str) -> None:
         lines.append("    " * indent + text)
@@ -1034,6 +600,13 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
         w(1, "ipop = inflight.popleft")
         w(1, "ipush = inflight.append")
         w(1, "iclear = inflight.clear")
+    if attr:
+        w(1, "_ad = acct.deposit")
+    if p_parts:
+        w(1, "parts = _deque()")
+        w(1, "ppop = parts.popleft")
+        w(1, "ppush = parts.append")
+        w(1, "pclear = parts.clear")
     w(1, "gap = state._GAP")
     if any_mem:
         w(1, "lc = rt.ports._last_completion")
@@ -1104,9 +677,12 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
     def transfer_of(nbytes: int) -> int:
         return dram.request_overhead + max(1, -(-nbytes // dram.width_bytes))
 
-    def emit_booking(ind: int, is_write: bool, transfer: int) -> None:
+    def emit_booking(ind: int, is_write: bool, transfer: int,
+                     track: bool = False) -> None:
         # PortSet.request + ExternalMemory.access_time, inlined over the
-        # hoisted deque/clamp locals; expects `at`, `bi`, `row`, `ch`
+        # hoisted deque/clamp locals; expects `at`, `bi`, `row`, `ch`.
+        # `track` keeps this request's row penalty and arbitration wait
+        # in `_pen` / `_av` for the binding-read peel
         h = "w" if is_write else "r"
         last = "last_w" if is_write else "last_r"
         w(ind, f"if hl{h} >= {limit}:")
@@ -1121,10 +697,20 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
         w(ind + 1, f"begin += {rmp}")
         w(ind + 1, "rm += 1")
         w(ind + 1, "if busy > begin: begin = busy")
-        w(ind + 1, f"arb += begin - at - {rmp}")
+        if track:
+            w(ind + 1, f"_pen = {rmp}")
+            w(ind + 1, f"_av = begin - at - {rmp}")
+            w(ind + 1, "arb += _av")
+        else:
+            w(ind + 1, f"arb += begin - at - {rmp}")
         w(ind, "else:")
         w(ind + 1, "if busy > begin: begin = busy")
-        w(ind + 1, "arb += begin - at")
+        if track:
+            w(ind + 1, "_pen = 0")
+            w(ind + 1, "_av = begin - at")
+            w(ind + 1, "arb += _av")
+        else:
+            w(ind + 1, "arb += begin - at")
         w(ind, f"done = begin + {transfer}")
         w(ind, "bus_busy[ch] = done")
         w(ind, "brow[bi] = row")
@@ -1140,10 +726,11 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
         w(ind, f"bi = bk{i}[{pidx}]")
         w(ind, f"row = rw{i}[{pidx}]")
         w(ind, f"ch = cn{i}[{pidx}]")
-        emit_booking(ind, is_write, transfer_of(nbytes))
+        emit_booking(ind, is_write, transfer_of(nbytes),
+                     attr and not is_write)
         if not is_write:
             w(ind, f"late = completion - issue - {off}")
-            w(ind, "if late > extra: extra = late")
+            emit_bind(ind)
 
     def emit_t_memop(ind: int, u: int, q: int, start: int, slat: int,
                      nbytes: int, is_write: bool) -> None:
@@ -1153,10 +740,29 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
         w(ind, f"bi = ch * {dram.banks_per_channel} + "
                f"addr // {dram.row_bytes} % {dram.banks_per_channel}")
         w(ind, f"row = addr // {row_span}")
-        emit_booking(ind, is_write, transfer_of(nbytes))
+        emit_booking(ind, is_write, transfer_of(nbytes),
+                     attr and not is_write)
         if not is_write:
             w(ind, f"late = completion - now - {start + slat}")
+            emit_bind(ind)
+
+    def emit_bind(ind: int) -> None:
+        # the latest response binds `extra` (first maximum wins)
+        if attr:
+            w(ind, "if late > extra:")
+            w(ind + 1, "extra = late; e_pen = _pen; e_arb = _av")
+        else:
             w(ind, "if late > extra: extra = late")
+
+    def emit_extra_init(ind: int) -> None:
+        w(ind, "extra = 0; e_pen = 0; e_arb = 0" if attr else "extra = 0")
+
+    def emit_peel(ind: int, amount: str, pen: str, arbv: str) -> None:
+        # executor._peel: (row, arb, latency) priority split of `amount`
+        w(ind, f"_r = {pen} if {pen} < {amount} else {amount}")
+        w(ind, f"_rest = {amount} - _r")
+        w(ind, f"_a = {arbv} if {arbv} < _rest else _rest")
+        w(ind, "_l = _rest - _a")
 
     def emit_bucket_load(ind: int) -> None:
         w(ind, "s_first = state.first")
@@ -1174,11 +780,17 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
         w(ind, "else:")
         w(ind + 1, "issue = cursor if cursor > e_next else e_next")
         w(ind + 1, f"e_next += {ii}")
+        if attr:
+            w(ind + 1, "c_ii += issue - cursor")
         if has_group:
             w(ind, "if g_first < 0 or issue > ge_next + gap:")
             w(ind + 1, f"g_first = issue; ge_next = issue + {group_cost}")
             w(ind, "else:")
-            w(ind + 1, "if ge_next > issue: issue = ge_next")
+            if attr:
+                w(ind + 1, "if ge_next > issue:")
+                w(ind + 2, "c_port += ge_next - issue; issue = ge_next")
+            else:
+                w(ind + 1, "if ge_next > issue: issue = ge_next")
             w(ind + 1, f"ge_next += {group_cost}")
 
     def emit_bucket_commit(ind: int) -> None:
@@ -1253,10 +865,20 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
         emit_bucket(b)
         w(b, f"if len(inflight) >= {window}:")
         w(b + 1, f"head = ipop() - {depth}")
+        if p_parts:
+            w(b + 1, "_op = ppop()")
         w(b + 1, "if head > issue:")
+        if attr:
+            # backpressure, peeled against the popped iteration's split
+            w(b + 2, "_bp = head - issue")
+            if p_parts:
+                emit_peel(b + 2, "_bp", "_op[0]", "_op[1]")
+                w(b + 2, "c_row += _r; c_arb += _a; c_lat += _l")
+            else:
+                w(b + 2, "c_lat += _bp")
         w(b + 2, "stall += head - issue; issue = head")
         if p_reads:
-            w(b, "extra = 0")
+            emit_extra_init(b)
         for i, (start, off, nbytes, is_write, _name) in enumerate(mem):
             emit_p_memop(b, i, start, off, nbytes, is_write, "p")
         if p_reads:
@@ -1264,10 +886,55 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
             w(b, "stall += extra")
         else:
             w(b, f"retire = issue + {depth}")
+        if p_parts:
+            w(b, "if extra:")
+            emit_peel(b + 1, "extra", "e_pen", "e_arb")
+            w(b + 1, "_ip = (_r, _a, _l)")
+            w(b, "else:")
+            w(b + 1, "_ip = _Z")
+            w(b, "ppush(_ip)")
         w(b, "ipush(retire)")
         w(b, f"cursor = issue + {rec_ii}")
-        w(b, "if retire > last_retire: last_retire = retire")
+        if p_parts:
+            w(b, "if retire > last_retire:")
+            w(b + 1, "last_retire = retire; lp = _ip")
+        else:
+            w(b, "if retire > last_retire: last_retire = retire")
         w(b, "p += 1")
+
+    def emit_chunk_start(ind: int) -> None:
+        w(ind, "stall = 0")
+        if attr:
+            w(ind, "c_ii = 0; c_port = 0; c_row = 0; c_arb = 0; c_lat = 0")
+
+    def emit_chunk_acct(ind: int, useful: str) -> None:
+        if attr:
+            w(ind, f"_ad(cs, last_retire, {p_reg}, ({useful}, c_ii, c_port, "
+                   "c_lat, c_arb, c_row, 0, 0, 0))")
+
+    def emit_entry_start(ind: int) -> None:
+        w(ind, "iclear()")
+        if attr:
+            w(ind, "lp = _Z")
+        if p_parts:
+            w(ind, "pclear()")
+
+    def emit_tail(ind: int) -> None:
+        w(ind, "tail = last_retire - now")
+        w(ind, "if tail > 0:")
+        if attr:
+            # pipeline drain after the last issue; the excess is the
+            # binding iteration's late response, peeled into its split
+            if drain:
+                w(ind + 1, f"_dr = {drain} if {drain} < tail else tail")
+                emit_peel(ind + 1, "tail - _dr", "lp[0]", "lp[1]")
+            else:
+                w(ind + 1, "_dr = 0")
+                emit_peel(ind + 1, "tail", "lp[0]", "lp[1]")
+            w(ind + 1, f"_ad(now, last_retire, {p_reg}, "
+                       "(0, 0, 0, _l, _a, _r, 0, _dr, 0))")
+        w(ind + 1, "yield tail")
+        w(ind + 1, "now = last_retire")
 
     def emit_pipe_end(ind: int) -> None:
         w(ind, "if stall:")
@@ -1276,10 +943,7 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
         w(ind, "if advance > 0:")
         w(ind + 1, "yield advance")
         w(ind + 1, "now = cursor")
-        w(ind, "tail = last_retire - now")
-        w(ind, "if tail > 0:")
-        w(ind + 1, "yield tail")
-        w(ind + 1, "now = last_retire")
+        emit_tail(ind)
 
     def emit_pipe_unrolled(ind: int) -> None:
         w(ind, "cs = now")
@@ -1318,12 +982,12 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
         emit_pipe_end(ind)
 
     def emit_pipe_single(ind: int) -> None:
-        w(ind, "iclear()")
+        emit_entry_start(ind)
         w(ind, "cs = now")
         w(ind, "cursor = now")
         w(ind, "last_retire = cursor")
         emit_bucket_load(ind)
-        w(ind, "stall = 0")
+        emit_chunk_start(ind)
         w(ind, f"_pe = p + {trips}")
         w(ind, "while p < _pe:")
         emit_trip_loop(ind + 1)
@@ -1333,10 +997,11 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
                       ("R", prb * trips), ("W", pwb * trips)],
                      [("S", "stall", True)],
                      "(_PP0, _PP1, _PP2, _PP3, (_STALLS, stall))")
+        emit_chunk_acct(ind, str(rec_ii * trips))
         emit_pipe_end(ind)
 
     def emit_pipe_big(ind: int) -> None:
-        w(ind, "iclear()")
+        emit_entry_start(ind)
         w(ind, "cursor = now")
         w(ind, "last_retire = cursor")
         w(ind, "remaining = T")
@@ -1345,7 +1010,7 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
         w(c, f"batch = {chunk} if remaining > {chunk} else remaining")
         w(c, "cs = cursor")
         emit_bucket_load(c)
-        w(c, "stall = 0")
+        emit_chunk_start(c)
         w(c, "_pe = p + batch")
         w(c, "while p < _pe:")
         emit_trip_loop(c + 1)
@@ -1360,24 +1025,39 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
                      f"(_INTOPS, {_amt(pseg.intops, 'batch')}), "
                      f"(_MRB, {_amt(prb, 'batch')}), "
                      f"(_MWB, {_amt(pwb, 'batch')}), (_STALLS, stall))")
+        emit_chunk_acct(c, f"{rec_ii} * batch")
         w(c, "if stall:")
         w(c + 1, "stall_acc += stall")
         w(c, "advance = cursor - now")
         w(c, "if advance > 0:")
         w(c + 1, "yield advance")
         w(c + 1, "now = cursor")
-        w(ind, "tail = last_retire - now")
-        w(ind, "if tail > 0:")
-        w(ind + 1, "yield tail")
-        w(ind + 1, "now = last_retire")
+        emit_tail(ind)
+
+    def emit_pipe(ind: int) -> None:
+        if unroll:
+            emit_pipe_unrolled(ind)
+        elif single:
+            emit_pipe_single(ind)
+        else:
+            emit_pipe_big(ind)
+
+    def emit_seg_acct(ind: int, seg) -> None:
+        # a segment whose duration is its constant depth
+        if attr:
+            w(ind, f"_ad(now, now + {seg.depth}, {segment_region(seg.uid)}, "
+                   f"({seg.depth}, 0, 0, 0, 0, 0, 0, 0, 0))")
 
     def emit_trail(u: int, tr, ind: int, idx: str, fin_idx: str) -> None:
         seg = tr.segment
+        s_reg = segment_region(seg.uid)
         if tr.lock is not None:
             # HardwareSemaphore.acquire inlined: same yield sequence,
             # same shared holder/queue mutations at the same times
             j = lock_ix[tr.lock]
             emit_set_state(ind, "_SPIN")
+            if attr:
+                w(ind, "_as = now")
             w(ind, f"_an{j} += 1")
             w(ind, f"yield {grant}")
             w(ind, f"now += {grant}")
@@ -1389,6 +1069,10 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
             w(ind + 1, f"_lqa{j}((tid, _ev))")
             w(ind + 1, "yield _ev")
             w(ind + 1, "now = engine.now")
+            if attr:
+                w(ind, "if now > _as:")
+                w(ind + 1, f"_ad(_as, now, {REGION_SYNC}, "
+                           "(0, 0, 0, 0, 0, 0, now - _as, 0, 0))")
             emit_set_state(ind, "_CRIT")
         if tr.snap_ids or tr.snap_var_ids:
             w(ind, f"_t = tin{u}[{idx}]")
@@ -1412,7 +1096,7 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
                 w(ind, f"_values[{vid}] = outs[{j2}]")
             any_tread = any(not m[3] for m in tr.mems)
             if any_tread:
-                w(ind, "extra = 0")
+                emit_extra_init(ind)
             trb = twb = 0
             for q, (start, slat, nbytes, is_write, _name) in \
                     enumerate(tr.mems):
@@ -1431,6 +1115,10 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
                     f"((_FLOPS, {_amt(seg.flops)}), (_INTOPS, "
                     f"{_amt(seg.intops)}), (_MRB, {_amt(trb)}), "
                     f"(_MWB, {_amt(twb)}), (_STALLS, extra))")
+                if attr:
+                    emit_peel(ind, "extra", "e_pen", "e_arb")
+                    w(ind, f"_ad(now, now + duration, {s_reg}, ({seg.depth}, "
+                           "0, 0, _l, _a, _r, 0, 0, 0))")
                 w(ind, "if extra:")
                 w(ind + 1, "stall_acc += extra")
                 w(ind, "yield duration")
@@ -1443,6 +1131,7 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
                         f"now + {seg.depth}",
                         [("F", seg.flops), ("I", seg.intops), ("W", twb)],
                         [], f"_PTM{u}")
+                emit_seg_acct(ind, seg)
                 w(ind, f"yield {seg.depth}")
                 w(ind, f"now += {seg.depth}")
         else:
@@ -1457,6 +1146,7 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
                              f"now + {seg.depth}",
                              [("F", seg.flops), ("I", seg.intops)],
                              [], f"_PT{u}")
+            emit_seg_acct(ind, seg)
             w(ind, f"yield {seg.depth}")
             w(ind, f"now += {seg.depth}")
         if tr.lock is not None:
@@ -1473,23 +1163,23 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
 
     def emit_level(li: int, ind: int) -> None:
         lvl = levels[li]
+        if attr:
+            w(ind, f"_ls{li} = now")
         w(ind, f"for _x{li} in range(n{li}):")
         b = ind + 1
         w(b, "yield 1")  # loop-control bubble between iterations
         w(b, "now += 1")
-        for si, (_compiled, d, lf, lio) in enumerate(lvl.leading):
+        for si, (seg, _compiled) in enumerate(lvl.leading):
+            d = seg.depth
             if d > 0:
                 emit_deposit(b, "now", f"now + {d - 1}", f"now + {d}",
-                             [("F", lf), ("I", lio)], [], f"_PL{li}_{si}")
+                             [("F", seg.flops), ("I", seg.intops)], [],
+                             f"_PL{li}_{si}")
+            emit_seg_acct(b, seg)
             w(b, f"yield {d}")
             w(b, f"now += {d}")
         if li == k - 1:
-            if unroll:
-                emit_pipe_unrolled(b)
-            elif single:
-                emit_pipe_single(b)
-            else:
-                emit_pipe_big(b)
+            emit_pipe(b)
         else:
             emit_level(li + 1, b)
         idx = "_e" if li == k - 1 else f"_q{li}"
@@ -1500,8 +1190,15 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
             w(b, "_e += 1")
         elif lvl.trailing:
             w(b, f"_q{li} += 1")
+        if attr:
+            # the level's per-trip control bubbles, as one deposit
+            w(ind, f"_ad(_ls{li}, now, {loop_region(lvl.uid)}, "
+                   f"(0, 0, 0, 0, 0, 0, 0, 0, n{li}))")
 
-    emit_level(0, 1)
+    if k:
+        emit_level(0, 1)
+    else:
+        emit_pipe(1)
     w(1, "if stall_acc:")
     w(2, "rt.stalls[tid] += stall_acc")
     if used_r:
@@ -1551,7 +1248,7 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
             w(2, f"_C[_LK{j}] = _C.get(_LK{j}, 0) + _cn{j}")
 
     namespace = {
-        "_deque": deque,
+        "_deque": deque, "_Z": (0, 0, 0),
         "_FLOPS": EventKind.FLOPS, "_INTOPS": EventKind.INTOPS,
         "_MRB": EventKind.MEM_READ_BYTES,
         "_MWB": EventKind.MEM_WRITE_BYTES,
@@ -1570,9 +1267,9 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
         namespace["_PP2"] = (EventKind.MEM_READ_BYTES, prb * trips)
         namespace["_PP3"] = (EventKind.MEM_WRITE_BYTES, pwb * trips)
     for li, lvl in enumerate(levels):
-        for si, (_compiled, _d, flops, intops) in enumerate(lvl.leading):
-            namespace[f"_PL{li}_{si}"] = ((EventKind.FLOPS, flops),
-                                          (EventKind.INTOPS, intops))
+        for si, (seg, _compiled) in enumerate(lvl.leading):
+            namespace[f"_PL{li}_{si}"] = ((EventKind.FLOPS, seg.flops),
+                                          (EventKind.INTOPS, seg.intops))
     for u, tr in enumerate(trails):
         namespace[f"_tf{u}"] = tr.compiled.fn
         if not tr.mems:
@@ -1599,7 +1296,9 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
     code = compile(source, f"<ndrive:{uid}:{trips if trips else 'N'}>",
                    "exec")
     exec(code, namespace)
-    return namespace["_ndrive"], source
+    driver = namespace["_ndrive"]
+    driver.__source__ = source
+    return driver
 
 
 def _nest_driver_for(nplan, runtime, trips: int):
@@ -1614,7 +1313,7 @@ def _nest_driver_for(nplan, runtime, trips: int):
     driver = nplan.drivers.get(key)
     if driver is None:
         rec = runtime.recorder
-        driver, source = _compile_nest_driver(
+        driver = _compile_nest_driver(
             nplan.levels, nplan.trails, nplan.pipe, nplan.pseg, nplan.mem,
             nplan.group_id is not None, nplan.group_cost, nplan.chunk,
             nplan.window, nplan.dram, nplan.uid,
@@ -1622,36 +1321,33 @@ def _nest_driver_for(nplan, runtime, trips: int):
             runtime.semaphore.grant_latency, trips if key else None,
             rec.config.sampling_period, frozenset(rec._enabled_kinds),
             rec.config.record_states and rec.config.enabled,
-            rec.config.state_record_bits(rec.num_threads))
+            rec.config.state_record_bits(rec.num_threads),
+            runtime.attribution)
         nplan.drivers[key] = driver
-        nplan.driver_srcs[key] = source
     return driver
 
 
-def prepare_nest(runtime, nplan: NestPlan, tid: int, ctx, state, group):
+def prepare_nest(runtime, nplan: NestPlan, tid: int, ctx, state, group,
+                 acct):
     """Functional pre-pass + mega-batch; returns the nest's timing driver.
 
     Walks the nest's sequential skeleton once, running leading segments
     in exact reference order to resolve loop bounds, collect per-entry
     accumulator seeds, entry-varying kernel inputs and trailing-segment
     snapshots; then evaluates all ``entries x trips`` pipelined
-    iterations in one nest-mode vector call.  Returns ``None`` to fall
-    back to the reference per-entry path — the pre-pass only re-executes
-    leading segments, which the reference then repeats identically, so
-    bailing at any point (empty loops, :class:`VectorFallback`) is
-    side-effect free.
+    iterations in one vector call.  Returns ``None`` to fall back to the
+    reference path — the pre-pass only re-executes leading segments,
+    which the reference then repeats identically, so bailing at any
+    point (empty loops, :class:`VectorFallback`) is side-effect free.
+    ``acct`` is the caller's cycle-accounting sink (``None`` with
+    attribution off).
     """
 
     values = ctx.values
     vars_ = ctx.vars
     levels = nplan.levels
     k = len(levels)
-    b0 = levels[0].bounds
-    n0 = len(range(values[b0[0]], values[b0[1]], values[b0[2]]))
-    if n0 <= 0:
-        return None
     bounds_resolved: list = [None] * k
-    bounds_resolved[0] = (values[b0[0]], values[b0[2]], n0)
     entry_vars = nplan.entry_vars
     seeds: list[list] = [[] for _ in entry_vars]
     einp: dict[int, list] = {vid: [] for vid, is_entry in nplan.input_plan
@@ -1661,8 +1357,16 @@ def prepare_nest(runtime, nplan: NestPlan, tid: int, ctx, state, group):
     pb: list = []
     mem_view = ctx.mem
     lead_fns = [[(compiled.fn, compiled.inputs, compiled.outputs)
-                 for compiled, _d, _f, _io in lvl.leading]
+                 for _seg, compiled in lvl.leading]
                 for lvl in levels]
+
+    def resolve_pipe() -> bool:
+        bp = nplan.pipe_bounds
+        plo, pup, pst = values[bp[0]], values[bp[1]], values[bp[2]]
+        if pup <= plo:
+            return False
+        pb.append((plo, pst, len(range(plo, pup, pst))))
+        return True
 
     def walk(li: int) -> bool:
         lo, st, n = bounds_resolved[li]
@@ -1677,13 +1381,8 @@ def prepare_nest(runtime, nplan: NestPlan, tid: int, ctx, state, group):
                 for vid, value in zip(outputs, outs):
                     values[vid] = value
             if li == k - 1:
-                if not pb:
-                    bp = nplan.pipe_bounds
-                    plo, pup, pst = (values[bp[0]], values[bp[1]],
-                                     values[bp[2]])
-                    if pup <= plo:
-                        return False
-                    pb.append((plo, pst, len(range(plo, pup, pst))))
+                if not pb and not resolve_pipe():
+                    return False
                 for slot, vid in enumerate(entry_vars):
                     seeds[slot].append(vars_[vid])
                 for vid, lst in einp.items():
@@ -1708,8 +1407,17 @@ def prepare_nest(runtime, nplan: NestPlan, tid: int, ctx, state, group):
             iv += st
         return True
 
-    if not walk(0):
-        return None
+    if not k:
+        if not resolve_pipe():
+            return None
+    else:
+        b0 = levels[0].bounds
+        n0 = len(range(values[b0[0]], values[b0[1]], values[b0[2]]))
+        if n0 <= 0:
+            return None
+        bounds_resolved[0] = (values[b0[0]], values[b0[2]], n0)
+        if not walk(0):
+            return None
     plo, pst, trips = pb[0]
     entries = 1
     for _lo, _st, n in bounds_resolved:
@@ -1730,7 +1438,8 @@ def prepare_nest(runtime, nplan: NestPlan, tid: int, ctx, state, group):
         outs, idxs, fin_arrs = vseg.fn(ctx, vars_, ctx.mem, ivs, total,
                                        entries, *args, *seed_arrs)
     except VectorFallback:
-        runtime.nest_fallbacks += 1
+        if k:
+            runtime.nest_fallbacks += 1
         return None
     for vid, value in zip(vseg.outputs, outs):
         values[vid] = value
@@ -1764,8 +1473,10 @@ def prepare_nest(runtime, nplan: NestPlan, tid: int, ctx, state, group):
                  tuple(n for _lo, _st, n in bounds_resolved),
                  runtime.ports.outstanding_limit, memory._bank_row,
                  memory._bank_ready, memory._bus_busy, hist_r, hist_w,
-                 fins, tins, tuple(bkrw), tuple(tbufs))
-    runtime.entries_batched += entries
+                 fins, tins, tuple(bkrw), tuple(tbufs), acct)
+    if k:
+        runtime.nests_flattened += 1
+        runtime.entries_batched += entries
     runtime.fp_iters += total
     runtime.fp_batches += entries * ((trips + nplan.chunk - 1)
                                      // nplan.chunk)

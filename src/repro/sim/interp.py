@@ -30,7 +30,7 @@ scalar interpreter.  Segments with unsupported shapes (data-dependent
 lanes, multiplicative recurrences, preloader DMA, overlapping
 scatter/gather) raise :class:`VectorizeError` at compile time; runtime
 aliasing guards raise :class:`VectorFallback` *before any side effect*
-so the executor can redo the chunk through the scalar oracle.
+so the executor can redo the loop through the scalar oracle.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class VectorizeError(Exception):
 
 
 class VectorFallback(Exception):
-    """A runtime guard failed before any side effect; run the chunk scalar."""
+    """A runtime guard failed before any side effect; run the loop scalar."""
 
 
 class ThreadMemView:
@@ -365,12 +365,14 @@ def _emit_op(op: Operation, operand) -> str:
 class VectorizedSegment:
     """A segment compiled to a batched numpy function.
 
-    ``fn(ctx, vars, mem, ivs, n, *inputs)`` evaluates ``n`` loop trips
-    at once (``ivs`` is the int64 induction-variable vector) and returns
-    ``(outputs, mem_indices)``: the per-id output values as seen after
-    the *last* trip (plain Python numbers/tuples, exactly like the
-    scalar interpreter would leave them) and one int64 element-index
-    array per entry of ``segment.mem_ops`` for the timing model.
+    ``fn(ctx, vars, mem, ivs, n, e, *inputs, *seeds)`` evaluates ``n``
+    loop trips at once (``ivs`` is the int64 induction-variable vector)
+    as ``e`` entries (see :func:`compile_segment_vectorized`) and returns
+    ``(outputs, mem_indices, entry_finals)``: the per-id output values
+    as seen after the *last* trip (plain Python numbers/tuples, exactly
+    like the scalar interpreter would leave them) and one int64
+    element-index array per entry of ``segment.mem_ops`` for the timing
+    model.
     Functional side effects (buffer/local stores, ``vars`` updates) are
     committed only after every aliasing guard has passed, so a
     :class:`VectorFallback` leaves all state untouched.
@@ -381,9 +383,9 @@ class VectorizedSegment:
     inputs: list[int]
     outputs: list[int]
     source: str = ""
-    #: nest mode only — carried vars reset at every entry boundary, in
-    #: the order their per-entry finals are returned (third element of
-    #: the fn result); empty for plain single-entry compilation
+    #: carried vars reset at every entry boundary, in the order their
+    #: per-entry finals are returned (third element of the fn result);
+    #: empty for a lone loop
     entry_vars: tuple = ()
 
 
@@ -408,7 +410,7 @@ def _chk_store(idx, lanes, loads, n):
     """Scatter guard: distinct per-trip targets, loads match the store.
 
     Raised *before* any functional side effect, so the executor can
-    redo the whole chunk through the scalar interpreter.
+    redo the whole loop through the scalar interpreter.
     """
 
     if n <= 1:
@@ -451,13 +453,11 @@ class _VectorCodegen:
     """Generates the batched numpy source for one segment."""
 
     def __init__(self, segment: Segment, external_uses: set[int],
-                 iv_id: int, nest: bool = False, entry_inputs=(),
-                 entry_vars=()):
+                 iv_id: int, entry_inputs=(), entry_vars=()):
         self.segment = segment
         self.ops = segment.ops
         self.external_uses = external_uses
         self.iv_id = iv_id
-        self.nest = nest
         self.entry_inputs = frozenset(entry_inputs)
         self.entry_vars = tuple(entry_vars)
         self.defidx: dict[int, int] = {}
@@ -1192,13 +1192,10 @@ class _VectorCodegen:
         nmem = len(self.segment.mem_ops)
         ret = (f"return ({outs}{',' if len(outputs) == 1 else ''}), "
                f"({idxs}{',' if nmem == 1 else ''})")
-        if self.nest:
-            seeds = "".join(f", _es{vid}" for vid in self.entry_vars)
-            fins = ", ".join(f"_fn{vid}" for vid in self.entry_vars)
-            ret += (f", ({fins}{',' if len(self.entry_vars) == 1 else ''})")
-            head = f"def _vsegment(ctx, vars, mem, _ivs, _n, _E{args}{seeds}):"
-        else:
-            head = f"def _vsegment(ctx, vars, mem, _ivs, _n{args}):"
+        seeds = "".join(f", _es{vid}" for vid in self.entry_vars)
+        fins = ", ".join(f"_fn{vid}" for vid in self.entry_vars)
+        ret += f", ({fins}{',' if len(self.entry_vars) == 1 else ''})"
+        head = f"def _vsegment(ctx, vars, mem, _ivs, _n, _E{args}{seeds}):"
         source = (f"{head}\n"
                   f"    _bufs = mem.buffers\n"
                   f"    {body}\n"
@@ -1207,8 +1204,7 @@ class _VectorCodegen:
 
 
 def compile_segment_vectorized(segment: Segment, external_uses: set[int],
-                               iv_id: int, nest: bool = False,
-                               entry_inputs=(),
+                               iv_id: int, entry_inputs=(),
                                entry_vars=()) -> VectorizedSegment:
     """Compile ``segment`` to the trip-batched numpy form.
 
@@ -1216,17 +1212,17 @@ def compile_segment_vectorized(segment: Segment, external_uses: set[int],
     supported; the caller then keeps the scalar interpreter for the
     whole loop.
 
-    With ``nest=True`` the generated function evaluates a flattened
-    loop *nest*: ``fn(ctx, vars, mem, ivs, n, e, *inputs, *seeds)``
-    runs ``e`` entries of ``n // e`` trips each.  ``entry_inputs`` are
-    value ids whose per-trip values vary across entries (the caller
-    passes length-``n`` arrays for those inputs); ``entry_vars`` are
-    carried vars reset at every entry boundary, seeded from the
-    matching per-entry ``seeds`` array.  The return value grows a third
-    tuple with each entry var's per-entry final values.
+    The generated function evaluates a flattened loop *nest*:
+    ``fn(ctx, vars, mem, ivs, n, e, *inputs, *seeds)`` runs ``e``
+    entries of ``n // e`` trips each (a lone loop is one entry).
+    ``entry_inputs`` are value ids whose per-trip values vary across
+    entries (the caller passes length-``n`` arrays for those inputs);
+    ``entry_vars`` are carried vars reset at every entry boundary,
+    seeded from the matching per-entry ``seeds`` array.  The third
+    element of the result holds each entry var's per-entry final values.
     """
 
-    codegen = _VectorCodegen(segment, external_uses, iv_id, nest=nest,
+    codegen = _VectorCodegen(segment, external_uses, iv_id,
                              entry_inputs=entry_inputs,
                              entry_vars=entry_vars)
     source, inputs, outputs = codegen.generate()

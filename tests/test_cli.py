@@ -41,6 +41,52 @@ class TestCompile:
         out = capsys.readouterr().out
         assert "profiling unit: disabled" in out
 
+    def test_missing_source_clean_error(self):
+        with pytest.raises(SystemExit, match="cannot read source"):
+            main(["compile", "/nonexistent/kernel.c"])
+
+    def test_syntax_error_clean_error(self, tmp_path):
+        path = tmp_path / "syn.c"
+        path.write_text("void f(float* a) { int x = ; }\n")
+        with pytest.raises(SystemExit, match=r"syn\.c:1:\d+: unexpected"):
+            main(["compile", str(path)])
+
+    def test_binary_source_clean_error(self, tmp_path):
+        path = tmp_path / "blob.c"
+        path.write_bytes(b"\xff\xfe\x00binary")
+        with pytest.raises(SystemExit, match="not a text file"):
+            main(["compile", str(path)])
+
+    def test_empty_source_clean_error(self):
+        with pytest.raises(SystemExit, match="no function contains"):
+            main(["compile", "/dev/null"])
+
+    @pytest.mark.parametrize("command", ["run", "trace"])
+    def test_run_and_trace_bad_source_clean_error(self, command, tmp_path):
+        path = tmp_path / "syn.c"
+        path.write_text("void f( {\n")
+        with pytest.raises(SystemExit, match=r"syn\.c:\d+:\d+: "):
+            main([command, str(path)])
+
+    def test_bad_source_exits_with_one_line(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        path = tmp_path / "syn.c"
+        path.write_text("void f(float* a) { int x = ; }\n")
+        for argv in (["compile", str(path)], ["compile", "/dev/null"],
+                     ["run", str(tmp_path / "missing.c")]):
+            proc = subprocess.run([sys.executable, "-m", "repro", *argv],
+                                  capture_output=True, text=True, env=env,
+                                  cwd=tmp_path)
+            assert proc.returncode != 0
+            assert "Traceback" not in proc.stderr
+            assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+
     def test_defines_forwarded(self, tmp_path, capsys):
         path = tmp_path / "k.c"
         path.write_text("""

@@ -1,7 +1,7 @@
 """Differential tests for the vectorized pipelined-loop fast path.
 
 The fast path (:mod:`repro.sim.fastpath`) is a pure performance
-optimization: ``exec_mode="auto"``/``"vectorized"`` must produce
+optimization: ``exec_mode="auto"`` must produce
 **bit-identical** simulated state to the scalar reference interpreter
 (``exec_mode="reference"``) — cycles, stalls, DRAM counters, every
 profiling event series, and every output buffer.  These tests pin that
@@ -67,7 +67,7 @@ class TestGemmDifferential:
                         sim_config=_config("auto")).result
         _assert_identical(ref, fast)
 
-    @pytest.mark.parametrize("mode", ["auto", "vectorized"])
+    @pytest.mark.parametrize("mode", ["auto"])
     def test_bit_identical_naive_dim32(self, mode):
         ref = run_gemm("naive", dim=32, num_threads=4,
                        sim_config=_config("reference")).result
@@ -160,6 +160,7 @@ class TestForcedFallback:
 # configuration validation
 # ----------------------------------------------------------------------
 def test_unknown_exec_mode_rejected():
-    with pytest.raises(ValueError, match="exec_mode"):
-        run_gemm("naive", dim=16, num_threads=4,
-                 sim_config=SimConfig(exec_mode="turbo"))
+    for mode in ("turbo", "vectorized"):
+        with pytest.raises(ValueError, match="exec_mode"):
+            run_gemm("naive", dim=16, num_threads=4,
+                     sim_config=SimConfig(exec_mode=mode))
