@@ -20,15 +20,16 @@ from repro.apps import GemmRun, PiRun
 from repro.apps.gemm import GEMM_VERSIONS
 from repro.hls.cache import CompileCache
 from repro.sweep import JobSpec, execute_job
+from repro.sweep.spec import PI_DEFAULT_START_INTERVAL, PI_DEFAULT_STEPS
 
 #: DIM used for the GEMM experiments (the paper uses 512; DESIGN.md §2
 #: explains the scaling and the matching DRAM geometry).
 GEMM_DIM = 64
-#: scaled counterparts of the paper's 1M/4M/10M-iteration π runs
-PI_SWEEP = (32_000, 128_000, 320_000)
-PI_PAPER_POINTS = {32_000: ("1M", 0.146), 128_000: ("4M", 0.556),
-                   320_000: ("10M", 1.507)}
-PI_START_INTERVAL = 12_000
+#: the paper's 1M/4M/10M-iteration π runs and their GFLOP/s
+PI_SWEEP = PI_DEFAULT_STEPS
+PI_PAPER_POINTS = {1_000_000: ("1M", 0.146), 4_000_000: ("4M", 0.556),
+                   10_000_000: ("10M", 1.507)}
+PI_START_INTERVAL = PI_DEFAULT_START_INTERVAL
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 

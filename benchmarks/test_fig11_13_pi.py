@@ -6,7 +6,7 @@ small workloads; at 1M iterations the earliest threads finish before the
 last ones start.  Ignoring f32 instability, 15e9 iterations would reach
 36.84 GFLOP/s (startup fully amortized).
 
-We sweep scaled sizes with a proportionally scaled start interval.  The
+We sweep the paper's own sizes with a calibrated start interval.  The
 shape to reproduce: near-linear GFLOP/s growth while startup dominates
 (paper: 3.8x from point 1 to 2), then saturation at the pipeline rate.
 """

@@ -4,7 +4,7 @@
 Sweeps the iteration count of the π series and shows how the software
 overhead of starting the hardware threads dominates small workloads —
 the Figs. 11-13 state views and their 0.146/0.556/1.507 GFLOP/s series
-(scaled sizes here; the shape is what reproduces).
+at the paper's own 1M/4M/10M iterations (the shape is what reproduces).
 
 Run:  python examples/pi_scaling.py [--jobs N]
 
@@ -55,7 +55,7 @@ def main(jobs: int = 1) -> None:
 
     # the paper extrapolates to 15e9 iterations (36.84 GFLOP/s): at large
     # sizes the startup cost vanishes and the pipeline rate is the limit
-    result = execute_job(JobSpec(app="pi", steps=2_560_000,
+    result = execute_job(JobSpec(app="pi", steps=16 * SWEEP[-1],
                                  start_interval=START_INTERVAL),
                          keep_run=True)
     if result.status != "ok":

@@ -529,7 +529,9 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
     (the per-entry trip count, or ``None`` when it must stay a runtime
     value): a fully unrolled straight-line body for small trip counts,
     a single-chunk loop when the entry fits one chunk, and the general
-    chunked loop otherwise.  All per-request protocol state that is
+    chunked loop otherwise.  A body without external accesses or a BRAM
+    port group issues all but each chunk's first trip in closed form.
+    All per-request protocol state that is
     private to this thread — the Avalon port in-flight windows and
     in-order completion clamps, and the semaphore acquisition counters
     — is hoisted into locals for the whole nest and written back once;
@@ -572,6 +574,11 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
     drain = max(0, depth - rec_ii)
     p_reg = loop_region(pipe.uid)
     single = not unroll and trips is not None and trips <= chunk
+    # a body that touches neither external memory nor a BRAM port group,
+    # and whose recurrence spacing covers its II, issues every trip after
+    # a chunk's first one exactly rec_ii after the previous: the trips
+    # in between are summed in closed form (π's series loop)
+    closed = not mem and not has_group and rec_ii >= ii
     rmp = dram.row_miss_penalty
     base = dram.base_latency
     row_span = dram.row_bytes * dram.banks_per_channel * dram.channels
@@ -595,7 +602,7 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
     w(1, "_am = rec.add_many")
     for li in range(k):
         w(1, f"n{li} = ns[{li}]")
-    if not unroll:
+    if not unroll and p_reads:
         w(1, "inflight = _deque()")
         w(1, "ipop = inflight.popleft")
         w(1, "ipush = inflight.append")
@@ -608,6 +615,8 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
         w(1, "ppush = parts.append")
         w(1, "pclear = parts.clear")
     w(1, "gap = state._GAP")
+    if closed and rec_ii > ii:
+        w(1, f"_cp = gap // {rec_ii - ii} + 1")
     if any_mem:
         w(1, "lc = rt.ports._last_completion")
     if used_r:
@@ -862,30 +871,32 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
             w(ind + 1, f"_tb += {sbits}")
 
     def emit_trip_loop(b: int) -> None:
+        # without pipelined reads every retire is issue + depth and issue
+        # never decreases, so the window cannot stall: the in-flight queue
+        # is not kept and the last trip's retire is the latest
         emit_bucket(b)
+        if not p_reads:
+            for i, (start, off, nbytes, is_write, _name) in enumerate(mem):
+                emit_p_memop(b, i, start, off, nbytes, is_write, "p")
+            w(b, f"cursor = issue + {rec_ii}")
+            w(b, "p += 1")
+            return
         w(b, f"if len(inflight) >= {window}:")
         w(b + 1, f"head = ipop() - {depth}")
         if p_parts:
             w(b + 1, "_op = ppop()")
         w(b + 1, "if head > issue:")
-        if attr:
+        if p_parts:
             # backpressure, peeled against the popped iteration's split
             w(b + 2, "_bp = head - issue")
-            if p_parts:
-                emit_peel(b + 2, "_bp", "_op[0]", "_op[1]")
-                w(b + 2, "c_row += _r; c_arb += _a; c_lat += _l")
-            else:
-                w(b + 2, "c_lat += _bp")
+            emit_peel(b + 2, "_bp", "_op[0]", "_op[1]")
+            w(b + 2, "c_row += _r; c_arb += _a; c_lat += _l")
         w(b + 2, "stall += head - issue; issue = head")
-        if p_reads:
-            emit_extra_init(b)
+        emit_extra_init(b)
         for i, (start, off, nbytes, is_write, _name) in enumerate(mem):
             emit_p_memop(b, i, start, off, nbytes, is_write, "p")
-        if p_reads:
-            w(b, f"retire = issue + {depth} + extra")
-            w(b, "stall += extra")
-        else:
-            w(b, f"retire = issue + {depth}")
+        w(b, f"retire = issue + {depth} + extra")
+        w(b, "stall += extra")
         if p_parts:
             w(b, "if extra:")
             emit_peel(b + 1, "extra", "e_pen", "e_arb")
@@ -902,6 +913,46 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
             w(b, "if retire > last_retire: last_retire = retire")
         w(b, "p += 1")
 
+    def emit_closed_trips(ind: int, n: str) -> None:
+        # trip 0 books the bucket; each later trip finds the bucket's
+        # next slot at or behind its cursor, so issues it on time and
+        # only advances e_next by ii -- unless the cursor has drifted
+        # past e_next + gap (drift grows by rec_ii - ii per trip), which
+        # restarts the epoch; after a restart the drift starts again
+        # from rec_ii - ii, so restarts recur every `_cp` trips
+        emit_bucket(ind)
+        w(ind, f"cursor = issue + {rec_ii}")
+        w(ind, f"_cm = {n} - 1")
+        w(ind, "if _cm:")
+        b = ind + 1
+        w(b, "_cd = cursor - e_next")
+        if rec_ii == ii:
+            w(b, "if _cd > gap:")
+            w(b + 1, f"s_first = cursor; e_next = cursor + {ii} * _cm")
+            w(b, "else:")
+            w(b + 1, f"e_next += {ii} * _cm")
+        else:
+            w(b, f"_cj = 1 if _cd > gap else (gap - _cd) // {rec_ii - ii} + 2")
+            w(b, "if _cj > _cm:")
+            w(b + 1, f"e_next += {ii} * _cm")
+            w(b, "else:")
+            w(b + 1, "_cj += (_cm - _cj) // _cp * _cp")
+            w(b + 1, f"s_first = cursor + (_cj - 1) * {rec_ii}")
+            w(b + 1, f"e_next = s_first + {ii} * (_cm - _cj + 1)")
+        w(b, f"cursor += {rec_ii} * _cm")
+        w(ind, f"p += {n}")
+        w(ind, f"last_retire = cursor + {depth - rec_ii}")
+
+    def emit_trips(ind: int, n: str) -> None:
+        if closed:
+            emit_closed_trips(ind, n)
+            return
+        w(ind, f"_pe = p + {n}")
+        w(ind, "while p < _pe:")
+        emit_trip_loop(ind + 1)
+        if not p_reads:
+            w(ind, f"last_retire = issue + {depth}")
+
     def emit_chunk_start(ind: int) -> None:
         w(ind, "stall = 0")
         if attr:
@@ -913,7 +964,8 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
                    "c_lat, c_arb, c_row, 0, 0, 0))")
 
     def emit_entry_start(ind: int) -> None:
-        w(ind, "iclear()")
+        if p_reads:
+            w(ind, "iclear()")
         if attr:
             w(ind, "lp = _Z")
         if p_parts:
@@ -952,7 +1004,7 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
         w(ind, "stall = 0")
         for t in range(trips):
             emit_bucket(ind)
-            if t >= window:
+            if p_reads and t >= window:
                 w(ind, f"head = r{t - window} - {depth}")
                 w(ind, "if head > issue:")
                 w(ind + 1, "stall += head - issue; issue = head")
@@ -964,10 +1016,10 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
             if p_reads:
                 w(ind, f"r{t} = issue + {depth} + extra")
                 w(ind, "stall += extra")
-            else:
-                w(ind, f"r{t} = issue + {depth}")
             w(ind, f"cursor = issue + {rec_ii}")
-        if trips == 1:
+        if not p_reads:
+            w(ind, f"last_retire = issue + {depth}")
+        elif trips == 1:
             w(ind, "last_retire = r0")
         else:
             w(ind, "last_retire = max(%s)"
@@ -988,9 +1040,7 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
         w(ind, "last_retire = cursor")
         emit_bucket_load(ind)
         emit_chunk_start(ind)
-        w(ind, f"_pe = p + {trips}")
-        w(ind, "while p < _pe:")
-        emit_trip_loop(ind + 1)
+        emit_trips(ind, str(trips))
         emit_bucket_commit(ind)
         emit_deposit(ind, "cs", "last_retire - 1", "last_retire",
                      [("F", pseg.flops * trips), ("I", pseg.intops * trips),
@@ -1011,9 +1061,7 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
         w(c, "cs = cursor")
         emit_bucket_load(c)
         emit_chunk_start(c)
-        w(c, "_pe = p + batch")
-        w(c, "while p < _pe:")
-        emit_trip_loop(c + 1)
+        emit_trips(c, "batch")
         emit_bucket_commit(c)
         w(c, "remaining -= batch")
         big_rt = [(t, f"{v} * batch", False)

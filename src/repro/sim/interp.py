@@ -35,6 +35,7 @@ so the executor can redo the loop through the scalar oracle.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -391,6 +392,8 @@ class VectorizedSegment:
 
 _F64 = np.float64
 _I64 = np.int64
+#: a value name in generated source (``v<id>``)
+_VREF = re.compile(r"\bv(\d+)\b")
 
 
 def _vinsert(a, lane, x, n):
@@ -487,6 +490,8 @@ class _VectorCodegen:
         #: var id -> (expr, is_array, value type) for 'local' vars
         self.cur_var: dict[int, tuple[str, bool, Any]] = {}
         self.carried: dict[int, dict] = {}
+        #: batched value name -> line taking its last trip's scalar
+        self.lasts: dict[str, str] = {}
 
     # -- helpers -------------------------------------------------------
     def ref(self, value) -> str:
@@ -599,14 +604,18 @@ class _VectorCodegen:
         consumed = set(reads) | set(writes[:-1])
         info: dict = {"read": reads[0], "write": writes[-1], "rres": rres}
         if isinstance(rres.type, VectorType):
-            if len(writes) != 1:
-                raise VectorizeError("unsupported carried-variable shape")
+            # an unrolled per-lane accumulator (`sum[j] += ...` under
+            # `#pragma unroll`) re-writes the var after every lane's
+            # insert; those writes are the only other use a link may have
             lane_deltas: dict[int, tuple] = {}
+            write_set = set(writes)
             cur = write_op.operands[1]
+            consumer = writes[-1]
             while cur.id != rres.id:
                 index = self.defidx.get(cur.id)
-                if index is None or self._use_count(cur.id) != 1 \
-                        or cur.id in self.external_uses:
+                if index is None or cur.id in self.external_uses or any(
+                        u != consumer and u not in write_set
+                        for u in self.uses.get(cur.id, ())):
                     raise VectorizeError("carried chain escapes")
                 ins = self.ops[index]
                 if ins.opcode is not Opcode.INSERT:
@@ -640,6 +649,7 @@ class _VectorCodegen:
                 else:
                     raise VectorizeError("non-additive lane recurrence")
                 consumed.update((index, uidx, eidx))
+                consumer = index
                 cur = ins.operands[0]
             info["lane_deltas"] = lane_deltas
         else:
@@ -1146,6 +1156,53 @@ class _VectorCodegen:
         raise VectorizeError(f"cannot vectorize {code}")
 
     # -- driver --------------------------------------------------------
+    def _last(self, expr: str, is_array: bool, ty) -> str:
+        """The last trip's scalar of ``expr``, for a commit or the return.
+
+        A batched value's scalar is taken right after the value is
+        defined (see :meth:`_release_dead`), so the array itself need not
+        outlive the compute phase.
+        """
+
+        if not is_array:
+            return expr
+        name = "_l" + expr
+        self.lasts[expr] = f"{name} = {self._final_expr(expr, True, ty)}"
+        return name
+
+    def _release_dead(self, tail: str) -> list[str]:
+        """``compute`` with each batched value deleted after its last use.
+
+        Every op allocates a fresh ``_n``-element array.  Left alive until
+        the return, a wide unrolled body (π's eight lanes) holds dozens of
+        them at once, and the allocator page-faults that working set back
+        in on every call.  Values the checks or return still read stay;
+        last-trip scalars (:meth:`_last`) are taken at the definition.
+        """
+
+        keep = {int(m) for m in _VREF.findall(tail)}
+        live = self.defined | self._seen_inputs
+        last: dict[int, int] = {}
+        for pos, line in enumerate(self.compute):
+            for m in _VREF.findall(line):
+                last[int(m)] = pos
+        after: dict[int, list[str]] = {}
+        for name, line in self.lasts.items():
+            vid = int(name[1:])
+            # a parameter has no defining line: take it up front
+            pos = next((i for i, text in enumerate(self.compute)
+                        if text.startswith(name + " = ")), -1)
+            after.setdefault(pos, []).append(line)
+            last[vid] = max(last.get(vid, pos), pos)
+        for vid, pos in last.items():
+            if vid in self.arrays and vid in live and vid not in keep:
+                after.setdefault(pos, []).append(f"del v{vid}")
+        compute = list(after.get(-1, ()))
+        for pos, line in enumerate(self.compute):
+            compute.append(line)
+            compute.extend(after.get(pos, ()))
+        return compute
+
     def generate(self) -> tuple[str, list[int], list[int]]:
         self._classify_vars()
         for vid in self.entry_vars:
@@ -1177,24 +1234,25 @@ class _VectorCodegen:
                     f"_chk_store_multi([{idxs}], {lanes}, _n)")
         for vid, (expr, is_arr, ty) in self.cur_var.items():
             self.commits.append(
-                f"vars[{vid}] = {self._final_expr(expr, is_arr, ty)}")
+                f"vars[{vid}] = {self._last(expr, is_arr, ty)}")
         outputs = [vid for vid in sorted(self.defined)
                    if vid in self.external_uses and vid != self.iv_id]
         outs = ", ".join(
-            self._final_expr(f"v{vid}", vid in self.arrays,
-                             self.val_type.get(vid))
+            self._last(f"v{vid}", vid in self.arrays, self.val_type.get(vid))
             for vid in outputs)
         idxs = ", ".join(f"_as_idx({self.mem_idx[p]}, _n)"
                          for p in range(len(self.segment.mem_ops)))
         args = "".join(f", v{vid}" for vid in self.inputs)
-        lines = (self.compute + self.checks + self.commits) or ["pass"]
-        body = "\n    ".join(lines)
         nmem = len(self.segment.mem_ops)
         ret = (f"return ({outs}{',' if len(outputs) == 1 else ''}), "
                f"({idxs}{',' if nmem == 1 else ''})")
         seeds = "".join(f", _es{vid}" for vid in self.entry_vars)
         fins = ", ".join(f"_fn{vid}" for vid in self.entry_vars)
         ret += f", ({fins}{',' if len(self.entry_vars) == 1 else ''})"
+        compute = self._release_dead("\n".join(self.checks + self.commits
+                                                + [ret]))
+        lines = (compute + self.checks + self.commits) or ["pass"]
+        body = "\n    ".join(lines)
         head = f"def _vsegment(ctx, vars, mem, _ivs, _n, _E{args}{seeds}):"
         source = (f"{head}\n"
                   f"    _bufs = mem.buffers\n"

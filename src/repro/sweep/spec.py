@@ -28,10 +28,11 @@ from ..apps.gemm import EXTRA_VERSIONS, GEMM_VERSIONS
 __all__ = ["JobSpec", "SweepSpec", "expand_jobs", "gemm_sweep", "pi_sweep",
            "load_spec"]
 
-#: scaled counterparts of the paper's 1M/4M/10M-iteration π runs
-PI_DEFAULT_STEPS = (32_000, 128_000, 320_000)
-#: thread-start stagger used by the π case study (§V-D, scaled)
-PI_DEFAULT_START_INTERVAL = 12_000
+#: the paper's 1M/4M/10M-iteration π runs (Figs. 11-13)
+PI_DEFAULT_STEPS = (1_000_000, 4_000_000, 10_000_000)
+#: thread-start stagger used by the π case study (§V-D): calibrated so
+#: the sweep reproduces the paper's staggering and GFLOP/s growth
+PI_DEFAULT_START_INTERVAL = 375_000
 
 
 @dataclass(frozen=True)

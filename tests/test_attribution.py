@@ -96,6 +96,14 @@ class TestDifferential:
             blobs.append(open(files.prv, "rb").read())
         assert blobs[0] == blobs[1]
 
+    def test_pi_prv_bytes_identical_across_modes(self, tmp_path):
+        blobs = []
+        for mode in MODES:
+            files = write_trace(pi(mode).result.trace,
+                                str(tmp_path / f"pi_{mode}"))
+            blobs.append(open(files.prv, "rb").read())
+        assert blobs[0] == blobs[1]
+
 
 class TestZeroCostWhenOff:
     @pytest.mark.parametrize("version", ("naive", "blocked"))

@@ -5,8 +5,9 @@ optimization: ``exec_mode="auto"`` must produce
 **bit-identical** simulated state to the scalar reference interpreter
 (``exec_mode="reference"``) — cycles, stalls, DRAM counters, every
 profiling event series, and every output buffer.  These tests pin that
-contract over the bundled applications plus a synthetic kernel that is
-deliberately not vectorizable (exercising the scalar fallback), and
+contract over the bundled applications plus synthetic kernels — one
+deliberately not vectorizable (exercising the scalar fallback), unrolled
+per-lane vector accumulators, and a loop without memory accesses — and
 assert the ``sim.fastpath.*`` telemetry counters.
 """
 
@@ -84,6 +85,40 @@ class TestPiDifferential:
                       sim_config=_config("auto")).result
         _assert_identical(ref, fast)
 
+    # 8 and 32 trips per thread take the driver's unrolled and
+    # single-chunk bodies, the rest its chunked body
+    @pytest.mark.parametrize("steps, bs_compute", [
+        (256, 8), (1024, 8), (6400, 2), (6400, 4), (6400, 16)])
+    @pytest.mark.parametrize("attribution", [False, True])
+    def test_bit_identical_across_sizes_and_unroll_widths(
+            self, steps, bs_compute, attribution):
+        runs = [run_pi(steps, num_threads=4, bs_compute=bs_compute,
+                       sim_config=_config(mode),
+                       attribution=attribution).result
+                for mode in ("reference", "auto")]
+        _assert_identical(*runs)
+        assert runs[0].attribution == runs[1].attribution
+
+    def test_bit_identical_across_issue_epoch_restarts(self):
+        # a lone thread issues rec_ii - ii cycles later than the issue
+        # bucket's next slot each trip and restarts the bucket's epoch
+        # about every 2k trips: 5000-trip chunks cross three restarts
+        runs = [run_pi(65536, num_threads=1,
+                       sim_config=SimConfig(exec_mode=mode,
+                                            loop_chunk=5000)).result
+                for mode in ("reference", "auto")]
+        _assert_identical(*runs)
+
+    def test_series_loop_runs_in_the_value_kernel(self):
+        session = telemetry.configure(enabled=True)
+        run_pi(8192, num_threads=4, sim_config=_config("auto"))
+        counters = session.counters
+        # every trip of the unrolled series loop is batched; only the
+        # 8-trip critical lane reduction (a read-modify-write of one
+        # final_sum cell) stays scalar, one chunk per thread
+        assert counters.get("sim.fastpath.iters_vectorized", 0) == 8192 // 8
+        assert counters.get("sim.fastpath.fallbacks", 0) == 4
+
 
 # ----------------------------------------------------------------------
 # telemetry counters
@@ -154,6 +189,112 @@ class TestForcedFallback:
         counters = session.counters
         assert counters.get("sim.fastpath.fallbacks", 0) > 0
         assert counters.get("sim.fastpath.batches", 0) == 0
+
+
+# ----------------------------------------------------------------------
+# unrolled per-lane vector accumulators (the π kernel's shape): one
+# `acc[j] += ...` per lane runs in the value kernel; a lane updated twice
+# per trip, or an accumulator read back mid-loop, stays scalar
+# ----------------------------------------------------------------------
+LANES_SRC = """
+void lanes(float* a, float* out, int n) {
+  #pragma omp target parallel map(to:a[0:n]) map(from:out[0:8]) \\
+      num_threads(2)
+  {
+    int t = omp_get_thread_num();
+    float4 acc = {0.0f};
+    float tail = 0.0f;
+    for (int i = t * 4; i < n; i += 8) {
+      #pragma unroll 4
+      for (int j = 0; j < 4; j++) {
+        BODY
+      }
+      AFTER
+    }
+    out[t * 4] = acc[0] + tail;
+    out[t * 4 + 1] = acc[1];
+    out[t * 4 + 2] = acc[2];
+    out[t * 4 + 3] = acc[3];
+  }
+}
+"""
+
+#: name -> (unrolled body, statement after it, runs in the value kernel)
+LANE_SHAPES = {
+    "per_lane": ("acc[j] += a[i + j] * a[i + j];", "", True),
+    "lane_twice": ("acc[j] += a[i + j]; acc[j] += 1.0f;", "", False),
+    "read_back": ("acc[j] += a[i + j];", "tail += acc[3];", False),
+}
+
+
+def _run_lanes(name: str, mode: str):
+    body, after, _ = LANE_SHAPES[name]
+    src = LANES_SRC.replace("BODY", body).replace("AFTER", after)
+    a = np.arange(64, dtype=np.float32) / 7
+    out = np.zeros(8, dtype=np.float32)
+    result = Program(src, sim_config=SimConfig(exec_mode=mode)).run(
+        a=a, out=out, n=64)
+    return result.sim, out
+
+
+class TestLaneAccumulators:
+    @pytest.mark.parametrize("name", sorted(LANE_SHAPES))
+    def test_bit_identical(self, name):
+        ref, out_ref = _run_lanes(name, "reference")
+        fast, out_fast = _run_lanes(name, "auto")
+        _assert_identical(ref, fast)
+        assert np.array_equal(out_ref, out_fast)
+
+    def test_per_lane_sums(self):
+        _result, out = _run_lanes("per_lane", "auto")
+        sq = (np.arange(64, dtype=np.float32) / 7) ** 2
+        expected = [sq[t * 4 + j::8].sum() for t in range(2) for j in range(4)]
+        np.testing.assert_allclose(out, expected, rtol=1e-6)
+
+    @pytest.mark.parametrize("name", sorted(LANE_SHAPES))
+    def test_which_shapes_vectorize(self, name):
+        session = telemetry.configure(enabled=True)
+        _run_lanes(name, "auto")
+        counters = session.counters
+        vectorized = LANE_SHAPES[name][2]
+        assert (counters.get("sim.fastpath.iters_vectorized", 0) > 0) \
+            == vectorized
+        assert (counters.get("sim.fastpath.fallbacks", 0) == 0) == vectorized
+
+
+# ----------------------------------------------------------------------
+# a loop without memory accesses whose recurrence spacing equals its II
+# (integer accumulator: rec_ii == ii == 1): the driver issues its trips
+# in closed form; long chunks must still match the reference exactly
+# ----------------------------------------------------------------------
+COUNT_SRC = """
+void count(int* out, int n) {
+  #pragma omp target parallel map(from:out[0:4]) num_threads(4)
+  {
+    int t = omp_get_thread_num();
+    int s = 0;
+    for (int i = 0; i < n; i++) { s += i * t + 1; }
+    out[t] = s;
+  }
+}
+"""
+
+
+class TestClosedFormTrips:
+    @pytest.mark.parametrize("n, chunk", [(100, 32), (9000, 5000)])
+    @pytest.mark.parametrize("attribution", [False, True])
+    def test_bit_identical(self, n, chunk, attribution):
+        runs = []
+        for mode in ("reference", "auto"):
+            out = np.zeros(4, dtype=np.int32)
+            cfg = SimConfig(exec_mode=mode, loop_chunk=chunk,
+                            attribution=attribution)
+            result = Program(COUNT_SRC, sim_config=cfg).run(out=out, n=n)
+            runs.append((result.sim, out))
+        _assert_identical(runs[0][0], runs[1][0])
+        assert runs[0][0].attribution == runs[1][0].attribution
+        assert runs[1][1].tolist() == [n + t * n * (n - 1) // 2
+                                       for t in range(4)]
 
 
 # ----------------------------------------------------------------------

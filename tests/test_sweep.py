@@ -100,8 +100,9 @@ class TestSweepSpecs:
 
     def test_pi_shorthand_scales_steps(self):
         spec = pi_sweep(threads=8)
-        assert [job.steps for job in spec.jobs] == [32_000, 128_000, 320_000]
-        assert all(job.start_interval == 12_000 for job in spec.jobs)
+        assert [job.steps for job in spec.jobs] == [1_000_000, 4_000_000,
+                                                    10_000_000]
+        assert all(job.start_interval == 375_000 for job in spec.jobs)
 
     def test_spec_file_with_defaults_and_repeat(self, tmp_path):
         doc = {"name": "mine", "repeat": 2,
