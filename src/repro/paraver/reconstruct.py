@@ -23,11 +23,9 @@ Two things the ``.prv`` body does not carry are recovered separately:
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -39,13 +37,20 @@ from .format import (
     ATTR_EVENT_BASE, ATTR_EVENT_LIMIT, ATTR_EVENT_STRIDE, EVENT_TYPE_IDS,
 )
 from .metadata import PcfInfo, RowInfo, companion_paths, parse_pcf, parse_row
-from .parser import ParsedEvent, ParsedState, ParsedTrace, stream_prv
+from .parser import (
+    EVENT, STATE, ParsedTrace, PrvBlock, PrvHeader, stream_prv,
+)
 
 __all__ = ["ReconstructedRun", "reconstruct_trace", "reconstruct_run",
            "recover_sampling_period"]
 
 #: inverse of the writer's event-type table
 _EVENT_KINDS = {type_id: kind for kind, type_id in EVENT_TYPE_IDS.items()}
+_KNOWN_TYPES = np.array(sorted(_EVENT_KINDS))
+#: state id -> ThreadState, as an object array for a vectorized lookup
+_STATE_OF = np.empty(max(ThreadState) + 1, dtype=object)
+for _state in ThreadState:
+    _STATE_OF[_state] = _state
 
 _DEFAULT_CLOCK_MHZ = 140.0
 
@@ -78,6 +83,18 @@ class ReconstructedRun:
         return self.result.trace
 
 
+def _blocks(source: Union[str, ParsedTrace]
+            ) -> tuple[PrvHeader, Iterator[PrvBlock]]:
+    """The header and the record blocks of a ``.prv`` path (streamed)
+    or of an in-memory :class:`ParsedTrace` (one block)."""
+
+    if isinstance(source, str):
+        records = stream_prv(source)
+        return next(records), records
+    return (PrvHeader(source.end_time, source.num_tasks),
+            iter([source.records]))
+
+
 def recover_sampling_period(
         parsed: Union[str, ParsedTrace]) -> Optional[int]:
     """Infer the sampling period from event-record cadence.
@@ -89,48 +106,139 @@ def recover_sampling_period(
     event records (the cadence is then unknowable).
 
     ``parsed`` may also be a ``.prv`` path, in which case the file is
-    streamed and only the distinct flush times are held in memory.
+    streamed block by block.
     """
 
-    if isinstance(parsed, str):
-        records = stream_prv(parsed)
-        end_time = next(records).end_time
-        event_times = (r.time for r in records if type(r) is ParsedEvent)
-    else:
-        end_time = parsed.end_time
-        event_times = (e.time for e in parsed.events)
+    header, blocks = _blocks(parsed)
     # an event exactly at end_time is unclamped only if it is also the
     # window boundary; including it can only leave the GCD unchanged or
     # wrong, so prefer interior times and fall back to the end time.
-    interior: set[int] = set()
-    positive: set[int] = set()
-    for time in event_times:
-        if time > 0:
-            positive.add(time)
-            if time < end_time:
-                interior.add(time)
-    times = interior or positive
-    if not times:
-        return None
-    return math.gcd(*times) if len(times) > 1 else times.pop()
+    interior = positive = 0
+    for block in blocks:
+        times = block.time[(block.kind == EVENT) & (block.time > 0)]
+        if times.size:
+            positive = np.gcd(positive, np.gcd.reduce(times))
+            inside = np.unique(times[times < header.end_time])
+            if inside.size:
+                interior = np.gcd(interior, np.gcd.reduce(inside))
+    return int(interior or positive) or None
 
 
-def _fill_idle_gaps(thread: int, intervals: list[StateInterval],
-                    end_cycle: int) -> list[StateInterval]:
-    """Cover [0, end_cycle] completely, padding gaps with IDLE."""
+def _add_intervals(out: list[StateInterval], thread: int,
+                   state: np.ndarray, start: np.ndarray, end: np.ndarray,
+                   cursor: int) -> int:
+    """Append one thread's next intervals, sorted by (start, end), to
+    ``out``, padding every gap after ``cursor`` (the furthest end
+    reached so far) with IDLE; returns the new cursor."""
 
-    covered: list[StateInterval] = []
-    cursor = 0
-    for interval in intervals:
-        if interval.start > cursor:
-            covered.append(StateInterval(thread, ThreadState.IDLE,
-                                         cursor, interval.start))
-        covered.append(interval)
-        cursor = max(cursor, interval.end)
-    if cursor < end_cycle:
-        covered.append(StateInterval(thread, ThreadState.IDLE,
-                                     cursor, end_cycle))
-    return covered
+    reach = np.maximum(np.maximum.accumulate(end), cursor)
+    before = np.empty_like(start)
+    before[0] = cursor
+    before[1:] = reach[:-1]
+    gap = start > before
+    # interval i lands after the gaps up to and including its own
+    at = np.arange(start.size) + np.cumsum(gap)
+    size = start.size + int(np.count_nonzero(gap))
+    ids = np.full(size, int(ThreadState.IDLE), dtype=np.int64)
+    begins = np.empty(size, dtype=np.int64)
+    ends = np.empty(size, dtype=np.int64)
+    ids[at], begins[at], ends[at] = state, start, end
+    begins[at[gap] - 1], ends[at[gap] - 1] = before[gap], start[gap]
+    out.extend(map(StateInterval, [thread] * size, _STATE_OF[ids].tolist(),
+                   begins.tolist(), ends.tolist()))
+    return int(reach[-1])
+
+
+class _OutOfOrder(Exception):
+    """A thread's state records arrived out of (start, end) order
+    across blocks."""
+
+
+def _fold(header: PrvHeader, blocks: Iterator[PrvBlock], period: int,
+          pcf: Optional[PcfInfo]
+          ) -> tuple[RunTrace, dict[int, int]]:
+    """Fold record blocks into a :class:`RunTrace` one block at a time;
+    also returns the unknown event types with their record counts.
+
+    Raises :class:`_OutOfOrder` when a block's states of a thread sort
+    before states of an earlier block.
+    """
+
+    end_cycle, num_threads = header.end_time, header.num_tasks
+    states: list[list[StateInterval]] = [[] for _ in range(num_threads)]
+    # per thread: the furthest end reached, and the last (start, end)
+    cursor = [0] * num_threads
+    last = [(-np.inf, -np.inf)] * num_threads
+    # events: flush times map back to bins; the final window absorbs
+    # clamped stamps exactly as ProfilingRecorder.finalize did
+    n_bins = max(1, -(-max(1, end_cycle) // period))
+    events: dict[EventKind, np.ndarray] = {}
+    unknown: dict[int, int] = {}
+    attribution: Optional[AttributionTable] = None
+    for block in blocks:
+        # tasks are 1-based in the .prv, threads 0-based here
+        thread = block.task - 1
+        on_thread = (thread >= 0) & (thread < num_threads)
+        rows = (block.kind == STATE) & on_thread
+        for t in np.unique(thread[rows]).tolist():
+            mine = rows & (thread == t)
+            start, end = block.time[mine], block.end[mine]
+            order = np.lexsort((end, start))  # stable: file order on ties
+            start, end = start[order], end[order]
+            if (start[0], end[0]) < last[t]:
+                raise _OutOfOrder
+            last[t] = (start[-1], end[-1])
+            cursor[t] = _add_intervals(states[t], t,
+                                       block.value[mine][order], start,
+                                       end, cursor[t])
+
+        event = block.kind == EVENT
+        if not event.any():
+            continue
+        thread, on_thread = thread[event], on_thread[event]
+        type_, time, value = (block.type[event], block.time[event],
+                              block.value[event])
+        types, first, of_type, counts = np.unique(
+            type_, return_index=True, return_inverse=True,
+            return_counts=True)
+        known = np.isin(types, _KNOWN_TYPES)
+        attr = (types >= ATTR_EVENT_BASE) & (types < ATTR_EVENT_LIMIT)
+        attr &= (types - ATTR_EVENT_BASE) % ATTR_EVENT_STRIDE < N_SLOTS
+        # each type in order of first appearance, as a record-by-record
+        # fold would meet it
+        for u in np.argsort(first, kind="stable"):
+            type_id = int(types[u])
+            if attr[u]:
+                continue
+            if not known[u]:
+                unknown[type_id] = unknown.get(type_id, 0) + int(counts[u])
+                continue
+            kind = _EVENT_KINDS[type_id]
+            series = events.get(kind)
+            if series is None:
+                series = events[kind] = np.zeros((n_bins, num_threads))
+            rows = (of_type == u) & on_thread
+            at = time[rows]
+            bins = at // period - ((at > 0) & (at % period == 0))
+            np.add.at(series, (np.clip(bins, 0, n_bins - 1), thread[rows]),
+                      value[rows].astype(np.float64))
+        if attr.any():
+            if attribution is None:
+                attribution = AttributionTable(num_threads)
+                if pcf is not None:
+                    attribution.regions.update(
+                        {key: label
+                         for key, label in pcf.attr_regions.values()})
+            _fold_attribution(attribution, pcf, num_threads, type_, thread,
+                              value, attr[of_type] & on_thread)
+
+    for t, reach in enumerate(cursor):
+        if reach < end_cycle:
+            states[t].append(StateInterval(t, ThreadState.IDLE, reach,
+                                           end_cycle))
+    trace = RunTrace(num_threads, end_cycle, period, states, events,
+                     attribution=attribution)
+    return trace, unknown
 
 
 def reconstruct_trace(parsed: Union[str, ParsedTrace],
@@ -140,25 +248,19 @@ def reconstruct_trace(parsed: Union[str, ParsedTrace],
     """Rebuild a :class:`RunTrace` from parsed ``.prv`` records.
 
     ``parsed`` may be an in-memory :class:`ParsedTrace` or a ``.prv``
-    path.  The path form streams the file and folds each record into
-    the output structures as it arrives, so only the reconstructed
-    trace (state intervals + ``[bins, threads]`` arrays) is ever held
-    in memory — never the flat record list.  When the sampling period
-    must be recovered from cadence that costs one extra streaming pass
-    over the file.
+    path.  Either way the record blocks are folded into the output
+    structures one block at a time; the path form streams the file, so
+    only one block of records and the reconstructed trace are ever held
+    in memory.  When the sampling period must be recovered from cadence
+    that costs one extra streaming pass over the file, and so does a
+    file whose states of a thread are out of order across blocks: it is
+    folded again as one block.
 
     Returns ``(trace, period_source, unknown_event_types)``; see
     :class:`ReconstructedRun` for the source vocabulary.
     """
 
-    streaming = isinstance(parsed, str)
-    if streaming:
-        records = stream_prv(parsed)
-        header = next(records)
-        end_cycle, num_threads = header.end_time, header.num_tasks
-    else:
-        end_cycle, num_threads = parsed.end_time, parsed.num_tasks
-
+    header, blocks = _blocks(parsed)
     if sampling_period is not None:
         period, period_source = sampling_period, "explicit"
     elif pcf is not None and pcf.sampling_period:
@@ -170,81 +272,39 @@ def reconstruct_trace(parsed: Union[str, ParsedTrace],
         else:
             period, period_source = ProfilingConfig().sampling_period, \
                 "default"
-
-    if streaming:
-        record_iter = records
-    else:
-        record_iter = chain(parsed.states, parsed.events)
-
-    # -- states: tasks are 1-based in the .prv, threads 0-based here
-    per_thread: list[list[StateInterval]] = [[] for _ in range(num_threads)]
-    # -- events: flush times map back to bins; the final window absorbs
-    #    clamped stamps exactly as ProfilingRecorder.finalize did
-    n_bins = max(1, -(-max(1, end_cycle) // period))
-    events: dict[EventKind, np.ndarray] = {}
-    unknown: dict[int, int] = {}
-    attribution: Optional[AttributionTable] = None
-    for record in record_iter:
-        if type(record) is ParsedState:
-            thread = record.task - 1
-            if not 0 <= thread < num_threads:
-                continue
-            per_thread[thread].append(StateInterval(
-                thread, ThreadState(record.state), record.begin, record.end))
-            continue
-        if type(record) is not ParsedEvent:
-            continue  # comm records carry nothing we reconstruct
-        if ATTR_EVENT_BASE <= record.type < ATTR_EVENT_LIMIT:
-            # per-(region, thread, cause) cycle-accounting totals
-            index, slot = divmod(record.type - ATTR_EVENT_BASE,
-                                 ATTR_EVENT_STRIDE)
-            if slot >= N_SLOTS:
-                unknown[record.type] = unknown.get(record.type, 0) + 1
-                continue
-            if attribution is None:
-                attribution = AttributionTable(num_threads)
-                if pcf is not None:
-                    attribution.regions.update(
-                        {key: label
-                         for key, label in pcf.attr_regions.values()})
-            if pcf is not None and index in pcf.attr_regions:
-                region = pcf.attr_regions[index][0]
-            else:
-                # no .pcf map: keep the family index as the region key
-                region = index
-            thread = record.task - 1
-            if 0 <= thread < num_threads:
-                cell = attribution.cells.get((region, thread))
-                if cell is None:
-                    cell = attribution.cells[(region, thread)] = \
-                        [0] * N_SLOTS
-                cell[slot] += int(record.value)
-            continue
-        kind = _EVENT_KINDS.get(record.type)
-        if kind is None:
-            unknown[record.type] = unknown.get(record.type, 0) + 1
-            continue
-        series = events.get(kind)
-        if series is None:
-            series = events[kind] = np.zeros((n_bins, num_threads))
-        if record.time > 0 and record.time % period == 0:
-            b = record.time // period - 1
-        else:
-            b = record.time // period
-        b = min(max(b, 0), n_bins - 1)
-        thread = record.task - 1
-        if 0 <= thread < num_threads:
-            series[b, thread] += record.value
-
-    states = []
-    for thread in range(num_threads):
-        intervals = sorted(per_thread[thread],
-                           key=lambda iv: (iv.start, iv.end))
-        states.append(_fill_idle_gaps(thread, intervals, end_cycle))
-
-    trace = RunTrace(num_threads, end_cycle, period, states, events,
-                     attribution=attribution)
+    try:
+        trace, unknown = _fold(header, blocks, period, pcf)
+    except _OutOfOrder:
+        header, blocks = _blocks(parsed)
+        whole = PrvBlock.concat(list(blocks))
+        trace, unknown = _fold(header, iter([whole]), period, pcf)
     return trace, period_source, unknown
+
+
+def _fold_attribution(table: AttributionTable, pcf: Optional[PcfInfo],
+                      num_threads: int, types: np.ndarray,
+                      thread: np.ndarray, value: np.ndarray,
+                      rows: np.ndarray) -> None:
+    """Add one block's per-(region, thread, cause) totals to ``table``,
+    creating cells in order of first appearance."""
+
+    index, slot = np.divmod(types[rows] - ATTR_EVENT_BASE, ATTR_EVENT_STRIDE)
+    keys, first, of_key = np.unique(index * num_threads + thread[rows],
+                                    return_index=True, return_inverse=True)
+    sums = np.zeros((keys.size, N_SLOTS), dtype=np.int64)
+    np.add.at(sums, (of_key, slot), value[rows])
+    for u in np.argsort(first, kind="stable"):
+        family, t = divmod(int(keys[u]), num_threads)
+        if pcf is not None and family in pcf.attr_regions:
+            region = pcf.attr_regions[family][0]
+        else:
+            # no .pcf map: keep the family index as the region key
+            region = family
+        cell = table.cells.get((region, t))
+        if cell is None:
+            cell = table.cells[(region, t)] = [0] * N_SLOTS
+        for s, amount in enumerate(sums[u].tolist()):
+            cell[s] += amount
 
 
 def reconstruct_run(source: Union[str, ParsedTrace],
@@ -254,10 +314,9 @@ def reconstruct_run(source: Union[str, ParsedTrace],
     """Load a ``.prv`` (with its companions, when present) end to end.
 
     ``source`` is a ``.prv`` path or an already-parsed trace.  Paths
-    are streamed record by record (see :func:`reconstruct_trace`), so
-    loading never materializes the flat record list.  The per-thread
-    stall totals of the returned ``SimResult`` come from the ``STALLS``
-    event series; DRAM byte totals from the memory counters.
+    are streamed block by block (see :func:`reconstruct_trace`).  The
+    per-thread stall totals of the returned ``SimResult`` come from the
+    ``STALLS`` event series; DRAM byte totals from the memory counters.
     """
 
     pcf = row = None

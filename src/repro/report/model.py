@@ -164,18 +164,17 @@ class TraceReport:
         return self.gflops / self.peaks.gflops
 
 
-def _efficiency(trace: RunTrace, stall_total: float) -> EfficiencyHierarchy:
-    if trace.num_threads <= 0:
+def _efficiency(thread_states: list[dict[ThreadState, int]], end_cycle: int,
+                stall_total: float) -> EfficiencyHierarchy:
+    if not thread_states:
         # a degenerate trace (no threads) has no efficiency to speak of
         return EfficiencyHierarchy(0.0, 1.0, 1.0, 0.0, 1.0)
-    end = max(1, trace.end_cycle)
-    useful = np.zeros(trace.num_threads)
-    active = np.zeros(trace.num_threads)
-    for thread in range(trace.num_threads):
-        totals = trace.state_durations(thread)
-        useful[thread] = totals[ThreadState.RUNNING] \
-            + totals[ThreadState.CRITICAL]
-        active[thread] = useful[thread] + totals[ThreadState.SPINNING]
+    end = max(1, end_cycle)
+    useful = np.array([totals[ThreadState.RUNNING]
+                       + totals[ThreadState.CRITICAL]
+                       for totals in thread_states], dtype=float)
+    active = useful + [totals[ThreadState.SPINNING]
+                       for totals in thread_states]
     max_useful = useful.max()
     max_active = active.max()
     balance = float(useful.mean() / max_useful) if max_useful else 1.0
@@ -186,6 +185,16 @@ def _efficiency(trace: RunTrace, stall_total: float) -> EfficiencyHierarchy:
     exposed = total_useful + stall_total
     pipeline = total_useful / exposed if exposed else 1.0
     return EfficiencyHierarchy(parallel, balance, sync, transfer, pipeline)
+
+
+def _state_fractions(thread_states: list[dict[ThreadState, int]]
+                     ) -> dict[ThreadState, float]:
+    """:meth:`RunTrace.state_fractions` from per-thread state totals."""
+
+    totals = {state: sum(thread[state] for thread in thread_states)
+              for state in ThreadState}
+    denom = max(1, sum(totals.values()))
+    return {state: value / denom for state, value in totals.items()}
 
 
 def build_report(result, label: str = "run", source: str = "",
@@ -247,9 +256,9 @@ def build_report(result, label: str = "run", source: str = "",
         label=label, source=source, cycles=trace.end_cycle,
         clock_mhz=clock, num_threads=trace.num_threads,
         sampling_period=trace.sampling_period,
-        state_fractions=trace.state_fractions(),
+        state_fractions=_state_fractions(thread_states),
         thread_states=thread_states,
-        efficiency=_efficiency(trace, stall_total),
+        efficiency=_efficiency(thread_states, trace.end_cycle, stall_total),
         stall_fraction=stall_fraction,
         phases=phases, missing_counters=missing,
         bandwidth_gbs=moved / 1e9 / seconds,

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from repro.paraver import (
-    EVENT_TYPE_IDS, STATE_IDS, ParaverParseError, bandwidth_series_gbs,
-    gflops_series, load_balance, parse_prv, phase_overlap, render_series,
-    render_state_timeline, state_fractions, thread_activity_windows,
-    total_gflops, write_trace,
+    EVENT_TYPE_IDS, STATE_IDS, CommRecord, ParaverParseError,
+    bandwidth_series_gbs, gflops_series, load_balance, parse_prv,
+    phase_overlap, render_series, render_state_timeline, state_fractions,
+    thread_activity_windows, total_gflops, write_trace,
 )
+from repro.paraver import parser as prv_parser
 from repro.profiling import (
     EventKind, ProfilingConfig, ProfilingRecorder, ThreadState,
 )
@@ -32,6 +33,31 @@ def make_trace(threads: int = 2, period: int = 100, end: int = 1000):
     recorder.add(130, 0, EventKind.MEM_WRITE_BYTES, 256)
     recorder.add(140, 0, EventKind.INTOPS, 10)
     return recorder.finalize(end)
+
+
+def mangle_prv(path: str) -> None:
+    """Rewrite a written ``.prv`` into an equivalent one that uses the
+    format's other spellings: ``c:``/``#`` comment and blank lines
+    between records, event lines of one object and time merged into one
+    multi-pair line, and no newline after the last line."""
+
+    with open(path) as handle:
+        header, *lines = handle.read().splitlines()
+    out = [header]
+    merged = 0
+    for i, line in enumerate(lines):
+        fields = line.split(":")
+        if fields[0] == "2" and out[-1].startswith("2:") \
+                and out[-1].split(":")[:6] == fields[:6]:
+            out[-1] += ":" + ":".join(fields[6:])
+            merged += 1
+            continue
+        if i % 5 == 2:
+            out.append(("c:note", "# note", "")[i % 3])
+        out.append(line)
+    with open(path, "w") as handle:
+        handle.write("\n".join(out))
+    assert merged, "no event lines to merge: the rewrite tests nothing"
 
 
 class TestWriter:
@@ -124,6 +150,112 @@ class TestRoundTrip:
         path.write_text(content)
         with pytest.raises(ParaverParseError):
             parse_prv(str(path))
+
+
+def _insert_line(tmp_path, line: str, at: int = 6) -> str:
+    """A written trace with ``line`` inserted as line ``at``."""
+
+    files = write_trace(make_trace(), str(tmp_path / "run"))
+    lines = open(files.prv).read().splitlines()
+    lines.insert(at - 1, line)
+    path = tmp_path / "bad.prv"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.fixture(params=[prv_parser.BLOCK_BYTES, 5], ids=["block", "5B"])
+def block_bytes(request, monkeypatch):
+    """Run a test at the reader's block size and at one so small that
+    every record straddles block boundaries."""
+
+    monkeypatch.setattr(prv_parser, "BLOCK_BYTES", request.param)
+    return request.param
+
+
+class TestMalformedRecords:
+    """Every malformed record raises ParaverParseError naming path:line."""
+
+    @pytest.mark.parametrize("line,message", [
+        ("2:1:1:1:1:2048", "event record has no type:value pair"),
+        ("1:1:1:1:1:0:50:1:9:9", "state record has 10 fields, expected 8"),
+        ("3:1:1:1:1:100:105:2:1:2:1:300:310:4096:1:7",
+         "communication record has 16 fields, expected 15"),
+        ("1:1:1:1:1:0:50:7", "unknown state id 7"),
+        ("1:1:1:1:1:500:100:1",
+         r"state record ends before it begins \(100 < 500\)"),
+        ("2:1:1:1:1:10:99", "odd type:value list"),
+        ("2:1:1:1:1:10:99:1:98", "odd type:value list"),
+        ("9:1:1", "unknown record type 9"),
+        ("1:1:1:1:1:0:5x:1", "field is not an integer"),
+        ("2:1:1:1:1: :42000002:5", "field is not an integer"),
+        ("2:1:1:1:1:-:42000002:5", "field is not an integer"),
+        ("2:1:1:1:1:10:42000002:", "field is not an integer"),
+        ("2:1:1:1:1:10:42000002:99999999999999999999",
+         "field is not an integer"),
+    ])
+    def test_reports_path_and_line(self, tmp_path, block_bytes, line,
+                                   message):
+        path = _insert_line(tmp_path, line)
+        with pytest.raises(ParaverParseError,
+                           match=rf"bad\.prv:6: {message}"):
+            parse_prv(path)
+
+    def test_earlier_error_reported_before_unparsable_line(
+            self, tmp_path, block_bytes):
+        files = write_trace(make_trace(), str(tmp_path / "run"))
+        lines = open(files.prv).read().splitlines()
+        lines[3:3] = ["2:1:1:1:1:2048", "1:1:1:1:1:x:50:1"]
+        path = tmp_path / "bad.prv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParaverParseError,
+                           match=r"bad\.prv:4: event record has no"):
+            parse_prv(str(path))
+
+    def test_last_line_without_newline(self, tmp_path, block_bytes):
+        files = write_trace(make_trace(), str(tmp_path / "run"))
+        lines = open(files.prv).read().splitlines()
+        path = tmp_path / "bad.prv"
+        path.write_text("\n".join(lines) + "\n1:1:1:1:1:0")
+        with pytest.raises(ParaverParseError,
+                           match=rf"bad\.prv:{len(lines) + 1}: state record "
+                                 r"has 6 fields"):
+            parse_prv(str(path))
+
+
+class TestBlockBoundaries:
+    """Records straddling the reader's blocks parse as if read whole."""
+
+    def _records(self, parsed):
+        return (parsed.end_time, parsed.num_tasks, parsed.states,
+                parsed.events, parsed.comms)
+
+    def test_mangled_trace_parses_identically(self, tmp_path, monkeypatch):
+        comms = [CommRecord(0, 1, 100, 105, 300, 310, 4096, tag=1),
+                 CommRecord(1, 0, 400, 402, 500, 501, 64)]
+        files = write_trace(make_trace(), str(tmp_path / "run"),
+                            comms=comms)
+        expected = self._records(parse_prv(files.prv))
+        mangle_prv(files.prv)
+        for size in (1, 2, 3, 7, 16, 61, prv_parser.BLOCK_BYTES):
+            monkeypatch.setattr(prv_parser, "BLOCK_BYTES", size)
+            assert self._records(parse_prv(files.prv)) == expected, size
+        assert len(expected[4]) == 2
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_other_newlines_and_indented_lines(self, tmp_path, block_bytes,
+                                               newline):
+        files = write_trace(make_trace(), str(tmp_path / "run"))
+        expected = self._records(parse_prv(files.prv))
+        header, *lines = open(files.prv).read().splitlines()
+        body = [header, "  # indented comment", "\t", " c:x"]
+        body += ["  " + line for line in lines] + ["2:1:1:1:1:x:1:1"]
+        path = tmp_path / "newlines.prv"
+        path.write_bytes(newline.join(body).encode())
+        with pytest.raises(ParaverParseError,
+                           match=rf"newlines\.prv:{len(body)}: field is not"):
+            parse_prv(str(path))
+        path.write_bytes(newline.join(body[:-1]).encode() + newline.encode())
+        assert self._records(parse_prv(str(path))) == expected
 
 
 class TestAnalysis:

@@ -5,21 +5,25 @@ rebuilds into a :class:`RunTrace` on which every existing metric and
 ``diagnose()`` produce the same answers as the live in-memory run.
 """
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.analysis import diagnose
 from repro.apps import run_gemm, run_pi
+from repro.apps.gemm import GEMM_VERSIONS
 from repro.core import SimConfig
 from repro.paraver import (
-    parse_pcf, parse_prv, parse_row, reconstruct_run, reconstruct_trace,
-    recover_sampling_period, write_trace,
+    CommRecord, ParaverParseError, parse_pcf, parse_prv, parse_row,
+    reconstruct_run, reconstruct_trace, recover_sampling_period, write_trace,
 )
+from repro.paraver import parser as prv_parser
 from repro.profiling import (
     EventKind, ProfilingConfig, ProfilingRecorder, ThreadState,
 )
 
-from .test_paraver import make_trace
+from .test_paraver import make_trace, mangle_prv
 
 
 @pytest.fixture(scope="module")
@@ -192,3 +196,110 @@ class TestDemoRoundTrip:
         _, rec = _write_and_reconstruct(pi_run.result, tmp_path, "pi")
         assert rec.trace.state_durations() == \
             pi_run.result.trace.state_durations()
+
+
+LIVE_RUNS = [(version, attribution) for version in GEMM_VERSIONS
+             for attribution in (False, True)] + [("pi", False)]
+
+
+@pytest.fixture(scope="module")
+def live_runs():
+    runs = {}
+    for version, attribution in LIVE_RUNS:
+        if version == "pi":
+            run = run_pi(6400,
+                         sim_config=SimConfig(thread_start_interval=5000))
+        else:
+            run = run_gemm(version, dim=16,
+                           sim_config=SimConfig(attribution=attribution))
+        runs[version, attribution] = run.result
+    return runs
+
+
+class TestBlockFold:
+    """The block reader and fold rebuild a live trace exactly, however
+    the records fall across blocks and whichever spelling the file
+    uses."""
+
+    @pytest.mark.parametrize("with_pcf", [True, False],
+                             ids=["pcf", "cadence"])
+    @pytest.mark.parametrize("run_key", LIVE_RUNS,
+                             ids=[f"{v}-attr" if a else v
+                                  for v, a in LIVE_RUNS])
+    def test_rebuilds_live_trace(self, live_runs, run_key, with_pcf,
+                                 tmp_path, monkeypatch):
+        result = live_runs[run_key]
+        live = result.trace
+        files = write_trace(live, str(tmp_path / "run"),
+                            clock_mhz=result.clock_mhz,
+                            comms=[CommRecord(0, 1, 100, 105, 300, 310, 64)])
+        mangle_prv(files.prv)
+        if not with_pcf:
+            os.remove(files.pcf)
+        # 509 bytes: a block holds ~20 records and cuts one at each end
+        monkeypatch.setattr(prv_parser, "BLOCK_BYTES", 509)
+        rec = reconstruct_run(files.prv)
+        rebuilt = rec.trace
+
+        assert rec.period_source == ("pcf" if with_pcf else "cadence")
+        assert (rebuilt.num_threads, rebuilt.end_cycle,
+                rebuilt.sampling_period) == \
+            (live.num_threads, live.end_cycle, live.sampling_period)
+        assert rebuilt.states == live.states
+        # the writer stores each window's sum truncated to an integer
+        expected = {kind: np.trunc(series)
+                    for kind, series in live.events.items()
+                    if np.trunc(series).any()}
+        assert rebuilt.events.keys() == expected.keys()
+        for kind, series in expected.items():
+            assert np.array_equal(rebuilt.events[kind], series), kind
+        if live.attribution is None:
+            assert rebuilt.attribution is None
+        elif with_pcf:
+            assert rebuilt.attribution == live.attribution
+        else:
+            # without the .pcf map regions keep their family index
+            assert rebuilt.attribution.thread_totals() == \
+                live.attribution.thread_totals()
+            assert len(rebuilt.attribution.cells) == len(
+                [cell for cell in live.attribution.cells.values()
+                 if any(cell)])
+        assert rec.unknown_event_types == {}
+
+    def test_states_out_of_order_across_blocks(self, tmp_path,
+                                               monkeypatch):
+        """A file whose state records are not in time order still
+        rebuilds the sorted, gap-filled timeline."""
+
+        trace = make_trace()
+        files = write_trace(trace, str(tmp_path / "t"))
+        header, *lines = open(files.prv).read().splitlines()
+        states = [line for line in lines if line.startswith("1:")]
+        others = [line for line in lines if not line.startswith("1:")]
+        path = tmp_path / "shuffled.prv"
+        path.write_text("\n".join([header] + states[::-1] + others) + "\n")
+        monkeypatch.setattr(prv_parser, "BLOCK_BYTES", 40)
+        rebuilt, _, _ = reconstruct_trace(str(path))
+        assert rebuilt.states == trace.states
+
+    def test_path_and_parsed_forms_agree(self, live_runs, tmp_path):
+        result = live_runs["naive", True]
+        files = write_trace(result.trace, str(tmp_path / "run"))
+        from_path = reconstruct_trace(files.prv)
+        from_parsed = reconstruct_trace(parse_prv(files.prv))
+        assert from_path[1:] == from_parsed[1:] == ("cadence", {})
+        assert from_path[0].states == from_parsed[0].states
+        for kind, series in from_path[0].events.items():
+            assert np.array_equal(from_parsed[0].events[kind], series)
+        assert from_path[0].attribution == from_parsed[0].attribution
+
+    def test_unknown_state_id_names_line(self, tmp_path):
+        path = tmp_path / "bad.prv"
+        path.write_text(
+            "#Paraver (01/01/2020 at 00:00):1000:1(1):1:1(1:1)\n"
+            "c:app\n"
+            "1:1:1:1:1:0:200:1\n"
+            "1:1:1:1:1:200:600:7\n")
+        with pytest.raises(ParaverParseError,
+                           match=r"bad\.prv:4: unknown state id 7"):
+            reconstruct_run(str(path))
