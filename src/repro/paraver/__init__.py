@@ -23,7 +23,9 @@ from .reconstruct import (
     ReconstructedRun, reconstruct_run, reconstruct_trace,
     recover_sampling_period,
 )
-from .render import STATE_GLYPHS, render_series, render_state_timeline
+from .render import (
+    STATE_GLYPHS, render_series, render_state_timeline, state_occupancy,
+)
 
 __all__ = [
     "PhaseStats", "bandwidth_series_gbs", "gflops_series", "load_balance",
@@ -37,4 +39,5 @@ __all__ = [
     "ReconstructedRun", "reconstruct_run", "reconstruct_trace",
     "recover_sampling_period",
     "STATE_GLYPHS", "render_series", "render_state_timeline",
+    "state_occupancy",
 ]

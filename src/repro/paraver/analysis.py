@@ -80,12 +80,9 @@ def load_balance(trace: RunTrace) -> float:
     down, Figs. 11-13).
     """
 
-    running = []
-    for thread in range(trace.num_threads):
-        totals = trace.state_durations(thread)
-        running.append(totals[ThreadState.RUNNING]
-                       + totals[ThreadState.CRITICAL])
-    peak = max(running, default=0)
+    totals = trace.state_totals()
+    running = totals[:, ThreadState.RUNNING] + totals[:, ThreadState.CRITICAL]
+    peak = int(running.max(initial=0))
     if peak == 0:
         return 1.0
     return float(np.mean(running)) / peak
@@ -166,9 +163,8 @@ def thread_activity_windows(trace: RunTrace) -> np.ndarray:
     """
 
     spans = np.zeros((trace.num_threads, 2), dtype=np.int64)
-    for thread in range(trace.num_threads):
-        active = [iv for iv in trace.states[thread]
-                  if iv.state is not ThreadState.IDLE]
-        if active:
-            spans[thread] = (active[0].start, active[-1].end)
+    for thread, cols in enumerate(trace.timeline):
+        active = np.flatnonzero(cols.state != ThreadState.IDLE)
+        if active.size:
+            spans[thread] = (cols.start[active[0]], cols.end[active[-1]])
     return spans

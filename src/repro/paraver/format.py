@@ -160,13 +160,11 @@ def _write_prv(trace: RunTrace, path: str, application: str,
         out.write(_header(trace) + "\n")
         out.write(f"c:{application}\n")
         records: list[tuple[int, int, str]] = []  # (time, order, line)
-        for thread_intervals in trace.states:
-            for interval in thread_intervals:
-                cpu = interval.thread + 1
-                line = (f"1:{cpu}:1:{interval.thread + 1}:1:"
-                        f"{interval.start}:{interval.end}:"
-                        f"{STATE_IDS[interval.state]}")
-                records.append((interval.start, 0, line))
+        for thread, cols in enumerate(trace.timeline):
+            head = f"1:{thread + 1}:1:{thread + 1}:1:"
+            records.extend((start, 0, f"{head}{start}:{end}:{state}")
+                           for start, end, state
+                           in zip(*(col.tolist() for col in cols)))
         period = trace.sampling_period
         for kind, series in trace.events.items():
             type_id = EVENT_TYPE_IDS[kind]

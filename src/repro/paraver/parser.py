@@ -41,6 +41,7 @@ from typing import Iterator, Optional, Union
 import numpy as np
 
 from ..profiling.config import ThreadState
+from ..profiling.recorder import state_totals
 
 __all__ = ["ParsedState", "ParsedEvent", "ParsedComm", "ParsedTrace",
            "PrvBlock", "PrvHeader", "parse_prv", "stream_prv"]
@@ -163,11 +164,13 @@ class ParsedTrace:
         return [e for e in self.events if e.type == type_id]
 
     def state_durations(self) -> dict[int, int]:
-        states, begin, end = self._rows(STATE, "value", "time", "end")
-        totals: dict[int, int] = {}
-        for state, duration in zip(states, np.subtract(end, begin).tolist()):
-            totals[state] = totals.get(state, 0) + duration
-        return totals
+        """Total cycles per state id, for the ids the file holds."""
+
+        rows = self.records.kind == STATE
+        state = self.records.value[rows]
+        totals = state_totals(state, self.records.end[rows]
+                              - self.records.time[rows])
+        return {s: int(totals[s]) for s in np.unique(state).tolist()}
 
 
 class ParaverParseError(Exception):

@@ -3,7 +3,7 @@
 The inverse of :mod:`repro.paraver.format`: where the writer flattens
 the recorder's in-memory :class:`~repro.profiling.recorder.RunTrace`
 into ``.prv`` records, this module folds parsed records back into the
-same structure — per-thread state intervals covering ``[0, end_cycle]``
+same structure — per-thread state columns tiling ``[0, end_cycle]``
 and ``[bins, threads]`` event arrays — so *every* metric in
 :mod:`repro.paraver.analysis` and the bottleneck classifier in
 :mod:`repro.analysis.bottlenecks` runs on a trace file exactly as it
@@ -31,7 +31,7 @@ import numpy as np
 
 from ..profiling.attribution import AttributionTable, N_SLOTS
 from ..profiling.config import EventKind, ProfilingConfig, ThreadState
-from ..profiling.recorder import RunTrace, StateInterval
+from ..profiling.recorder import RunTrace, StateColumns
 from ..sim.executor import SimResult
 from .format import (
     ATTR_EVENT_BASE, ATTR_EVENT_LIMIT, ATTR_EVENT_STRIDE, EVENT_TYPE_IDS,
@@ -47,10 +47,7 @@ __all__ = ["ReconstructedRun", "reconstruct_trace", "reconstruct_run",
 #: inverse of the writer's event-type table
 _EVENT_KINDS = {type_id: kind for kind, type_id in EVENT_TYPE_IDS.items()}
 _KNOWN_TYPES = np.array(sorted(_EVENT_KINDS))
-#: state id -> ThreadState, as an object array for a vectorized lookup
-_STATE_OF = np.empty(max(ThreadState) + 1, dtype=object)
-for _state in ThreadState:
-    _STATE_OF[_state] = _state
+_NO_STATES = StateColumns(*np.zeros((3, 0), dtype=np.int64))
 
 _DEFAULT_CLOCK_MHZ = 140.0
 
@@ -124,9 +121,8 @@ def recover_sampling_period(
     return int(interior or positive) or None
 
 
-def _add_intervals(out: list[StateInterval], thread: int,
-                   state: np.ndarray, start: np.ndarray, end: np.ndarray,
-                   cursor: int) -> int:
+def _add_intervals(out: list[StateColumns], state: np.ndarray,
+                   start: np.ndarray, end: np.ndarray, cursor: int) -> int:
     """Append one thread's next intervals, sorted by (start, end), to
     ``out``, padding every gap after ``cursor`` (the furthest end
     reached so far) with IDLE; returns the new cursor."""
@@ -144,8 +140,7 @@ def _add_intervals(out: list[StateInterval], thread: int,
     ends = np.empty(size, dtype=np.int64)
     ids[at], begins[at], ends[at] = state, start, end
     begins[at[gap] - 1], ends[at[gap] - 1] = before[gap], start[gap]
-    out.extend(map(StateInterval, [thread] * size, _STATE_OF[ids].tolist(),
-                   begins.tolist(), ends.tolist()))
+    out.append(StateColumns(begins, ends, ids))
     return int(reach[-1])
 
 
@@ -165,7 +160,8 @@ def _fold(header: PrvHeader, blocks: Iterator[PrvBlock], period: int,
     """
 
     end_cycle, num_threads = header.end_time, header.num_tasks
-    states: list[list[StateInterval]] = [[] for _ in range(num_threads)]
+    pieces: list[list[StateColumns]] = [[_NO_STATES]
+                                        for _ in range(num_threads)]
     # per thread: the furthest end reached, and the last (start, end)
     cursor = [0] * num_threads
     last = [(-np.inf, -np.inf)] * num_threads
@@ -188,9 +184,8 @@ def _fold(header: PrvHeader, blocks: Iterator[PrvBlock], period: int,
             if (start[0], end[0]) < last[t]:
                 raise _OutOfOrder
             last[t] = (start[-1], end[-1])
-            cursor[t] = _add_intervals(states[t], t,
-                                       block.value[mine][order], start,
-                                       end, cursor[t])
+            cursor[t] = _add_intervals(pieces[t], block.value[mine][order],
+                                       start, end, cursor[t])
 
         event = block.kind == EVENT
         if not event.any():
@@ -234,9 +229,11 @@ def _fold(header: PrvHeader, blocks: Iterator[PrvBlock], period: int,
 
     for t, reach in enumerate(cursor):
         if reach < end_cycle:
-            states[t].append(StateInterval(t, ThreadState.IDLE, reach,
-                                           end_cycle))
-    trace = RunTrace(num_threads, end_cycle, period, states, events,
+            pieces[t].append(StateColumns(*np.array(
+                [[reach], [end_cycle], [ThreadState.IDLE]], dtype=np.int64)))
+    timeline = [StateColumns(*map(np.concatenate, zip(*thread)))
+                for thread in pieces]
+    trace = RunTrace(num_threads, end_cycle, period, timeline, events,
                      attribution=attribution)
     return trace, unknown
 

@@ -3,7 +3,9 @@
 :func:`render_state_timeline` draws the state view (Fig. 6/11-13 style):
 one row per hardware thread, one character per time bucket, using the
 paper's color legend as letters ('.' Idle, '#' Running — green in the
-paper, 'C' Critical — blue, 's' Spinning — red).
+paper, 'C' Critical — blue, 's' Spinning — red).  The buckets come
+from :func:`state_occupancy`, the one state rasterizer, which the HTML
+report's Gantt uses too.
 
 :func:`render_series` draws an event series (bandwidth, GFLOP/s) as a
 fixed-height bar chart, the equivalent of the throughput panes in
@@ -19,7 +21,8 @@ import numpy as np
 from ..profiling.config import ThreadState
 from ..profiling.recorder import RunTrace
 
-__all__ = ["STATE_GLYPHS", "render_state_timeline", "render_series"]
+__all__ = ["STATE_GLYPHS", "render_state_timeline", "render_series",
+           "state_occupancy"]
 
 STATE_GLYPHS = {
     ThreadState.IDLE: ".",
@@ -29,45 +32,62 @@ STATE_GLYPHS = {
 }
 
 
+def _cycles_before(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """``sum(max(0, edge - p) for p in points)`` for each edge."""
+
+    points = np.sort(points)
+    count = np.searchsorted(points, edges)
+    prefix = np.concatenate(([0], np.cumsum(points)))
+    return count * edges - prefix[count]
+
+
+def state_occupancy(trace: RunTrace, thread: int, start: int, end: int,
+                    buckets: int) -> np.ndarray:
+    """[buckets, states] int64 cycles each state occupies per bucket.
+
+    ``[start, end)`` splits into ``buckets`` integer buckets, bucket
+    ``b`` covering ``[start + b*span//buckets, start + (b+1)*span//buckets)``
+    (empty when there are more buckets than cycles).  An interval
+    ``[lo, hi)`` puts ``|[lo, hi) ∩ bucket|`` cycles into its state's
+    column; a state's cycles before cycle ``x`` are the ramp sum
+    ``Σ max(0, x - lo) - max(0, x - hi)``, so each column is a
+    difference of ramp sums at the bucket edges.
+    """
+
+    cols = trace.timeline[thread]
+    edges = start + np.arange(buckets + 1, dtype=np.int64) \
+        * (end - start) // buckets
+    occupancy = np.zeros((buckets, len(ThreadState)), dtype=np.int64)
+    for state in np.unique(cols.state).tolist():
+        mine = cols.state == state
+        before = (_cycles_before(cols.start[mine], edges)
+                  - _cycles_before(cols.end[mine], edges))
+        occupancy[:, state] = np.diff(before)
+    return occupancy
+
+
 def render_state_timeline(trace: RunTrace, width: int = 100,
                           start: int = 0, end: Optional[int] = None) -> str:
     """Render per-thread states over [start, end) into ``width`` buckets.
 
-    Each bucket shows the state that occupied most of its cycles; zooming
-    (the paper zooms into Fig. 6 to show thread 7 spinning on thread 6's
-    critical section) is done by narrowing [start, end).
+    Each bucket shows the state that occupied most of its cycles (the
+    lowest state id on a tie, Idle for an empty bucket; see
+    :func:`state_occupancy`); zooming (the paper zooms into Fig. 6 to
+    show thread 7 spinning on thread 6's critical section) is done by
+    narrowing [start, end).
     """
 
     if end is None:
         end = trace.end_cycle
     if end <= start:
         raise ValueError(f"empty render window [{start}, {end})")
-    span = end - start
+    glyphs = np.array([STATE_GLYPHS[state] for state in ThreadState])
     lines = []
     for thread in range(trace.num_threads):
-        # accumulate per-bucket occupancy per state
-        occupancy = np.zeros((width, len(ThreadState)))
-        for interval in trace.states[thread]:
-            lo = max(interval.start, start)
-            hi = min(interval.end, end)
-            if hi <= lo:
-                continue
-            first = (lo - start) * width // span
-            last = min(width - 1, ((hi - start) * width - 1) // span)
-            for bucket in range(first, last + 1):
-                b_lo = start + bucket * span // width
-                b_hi = start + (bucket + 1) * span // width
-                overlap = min(hi, b_hi) - max(lo, b_lo)
-                if overlap > 0:
-                    occupancy[bucket, int(interval.state)] += overlap
-        row = []
-        for bucket in range(width):
-            if occupancy[bucket].sum() == 0:
-                row.append(STATE_GLYPHS[ThreadState.IDLE])
-            else:
-                dominant = ThreadState(int(occupancy[bucket].argmax()))
-                row.append(STATE_GLYPHS[dominant])
-        lines.append(f"t{thread}: " + "".join(row))
+        occupancy = state_occupancy(trace, thread, start, end, width)
+        # Idle is state 0, so argmax also maps an empty bucket to it
+        lines.append(f"t{thread}: "
+                     + "".join(glyphs[occupancy.argmax(axis=1)]))
     legend = "   [" + " ".join(f"{g}={s.name.title()}"
                                for s, g in STATE_GLYPHS.items()) + "]"
     return "\n".join(lines) + "\n" + legend

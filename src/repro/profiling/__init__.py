@@ -4,9 +4,9 @@ See §IV of the paper and DESIGN.md §3/§5.
 """
 
 from .config import EventKind, ProfilingConfig, STATE_ENCODING, ThreadState
-from .recorder import ProfilingRecorder, RunTrace, StateInterval
+from .recorder import ProfilingRecorder, RunTrace, StateColumns, StateInterval
 
 __all__ = [
     "EventKind", "ProfilingConfig", "STATE_ENCODING", "ThreadState",
-    "ProfilingRecorder", "RunTrace", "StateInterval",
+    "ProfilingRecorder", "RunTrace", "StateColumns", "StateInterval",
 ]

@@ -16,8 +16,8 @@ can book the corresponding external-memory writes — the source of the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -27,7 +27,17 @@ from .config import (
     ATTRIBUTION_EVENTS, EventKind, ProfilingConfig, ThreadState,
 )
 
-__all__ = ["StateInterval", "RunTrace", "ProfilingRecorder"]
+__all__ = ["StateColumns", "StateInterval", "RunTrace", "ProfilingRecorder",
+           "state_totals"]
+
+
+class StateColumns(NamedTuple):
+    """One thread's state timeline as int64 columns: interval ``i`` is
+    ``[start[i], end[i])`` spent in state ``state[i]`` (a ThreadState id)."""
+
+    start: np.ndarray
+    end: np.ndarray
+    state: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -44,6 +54,18 @@ class StateInterval:
         return self.end - self.start
 
 
+def state_totals(state: np.ndarray, duration: np.ndarray) -> np.ndarray:
+    """Cycles per state id (int64, indexed by ThreadState) of intervals
+    with these states and durations.
+
+    The float64 bincount is exact while every total stays below 2**53
+    cycles.
+    """
+
+    return np.bincount(state, weights=duration,
+                       minlength=len(ThreadState)).astype(np.int64)
+
+
 @dataclass
 class RunTrace:
     """Everything the profiling unit captured during one run."""
@@ -51,8 +73,8 @@ class RunTrace:
     num_threads: int
     end_cycle: int
     sampling_period: int
-    #: per-thread list of state intervals covering [0, end_cycle]
-    states: list[list[StateInterval]]
+    #: per-thread state columns, sorted by start, tiling [0, end_cycle]
+    timeline: list[StateColumns]
     #: EventKind -> array[bins, threads] of per-window sums
     events: dict[EventKind, np.ndarray]
     #: bits of trace data produced (states + event flushes)
@@ -62,16 +84,31 @@ class RunTrace:
     #: per-(region, thread) cycle accounting (SimConfig.attribution)
     attribution: Optional[AttributionTable] = None
 
+    @property
+    def states(self) -> list[list[StateInterval]]:
+        """Per-thread :class:`StateInterval` lists derived from
+        :attr:`timeline` on each access (a convenience view; the
+        toolchain itself reads the columns)."""
+
+        return [[StateInterval(thread, ThreadState(state), start, end)
+                 for start, end, state in zip(*(col.tolist() for col in cols))]
+                for thread, cols in enumerate(self.timeline)]
+
+    def state_totals(self) -> np.ndarray:
+        """[threads, states] int64 array of cycles per state."""
+
+        totals = np.zeros((self.num_threads, len(ThreadState)), np.int64)
+        for thread, cols in enumerate(self.timeline):
+            totals[thread] = state_totals(cols.state, cols.end - cols.start)
+        return totals
+
     def state_durations(self, thread: Optional[int] = None
                         ) -> dict[ThreadState, int]:
         """Total cycles per state, for one thread or all threads."""
 
-        totals = {state: 0 for state in ThreadState}
-        threads = range(self.num_threads) if thread is None else [thread]
-        for t in threads:
-            for interval in self.states[t]:
-                totals[interval.state] += interval.duration
-        return totals
+        totals = self.state_totals()
+        row = totals.sum(axis=0) if thread is None else totals[thread]
+        return dict(zip(ThreadState, row.tolist()))
 
     def state_fractions(self) -> dict[ThreadState, float]:
         """Fraction of total thread-time spent in each state."""
@@ -108,32 +145,23 @@ class RunTrace:
 class ProfilingRecorder:
     """Collects states and events during a simulation run."""
 
-    #: initial per-kind bin capacity; grows geometrically as needed
-    _INITIAL_BINS = 64
-
     def __init__(self, config: ProfilingConfig, num_threads: int,
                  attribution: bool = False):
         self.config = config
         self.num_threads = num_threads
         self._state_log: list[list[tuple[int, ThreadState]]] = [
             [(0, ThreadState.IDLE)] for _ in range(num_threads)]
-        # one preallocated [capacity, threads] array per counter kind;
-        # deposits first accumulate in per-kind dicts ((bin, thread) ->
-        # running sum, in deposit order, so the floating-point result
-        # is bit-identical to adding into the array cell directly) and
-        # are flushed into the arrays once at finalize — a dict upsert
-        # is several times cheaper than a numpy scalar indexed add
+        # per counter kind, (bin, thread) -> running sum of the deposits
+        # in deposit order (a dict upsert is several times cheaper than
+        # a numpy scalar indexed add); finalize scatters each dict into
+        # the kind's [bins, threads] array once
         kinds = tuple(config.events)
         if attribution:
             # virtual counters: binned for visualization, but never part
             # of config.events, so the flush cost model (and therefore
             # the simulated cycles) is unchanged by attribution
             kinds += ATTRIBUTION_EVENTS
-        self._series: dict[EventKind, np.ndarray] = {
-            kind: np.zeros((self._INITIAL_BINS, num_threads))
-            for kind in kinds}
         self._accum: dict[EventKind, dict] = {kind: {} for kind in kinds}
-        self._used_bins: dict[EventKind, int] = {kind: 0 for kind in kinds}
         self._enabled_kinds = set(config.events)
         self.attribution: Optional[AttributionTable] = (
             AttributionTable(num_threads) if attribution else None)
@@ -148,13 +176,11 @@ class ProfilingRecorder:
         log = self._state_log[thread]
         if log[-1][1] is state:
             return
-        if not self.config.record_states or not self.config.enabled:
-            log.append((cycle, state))
-            return
         log.append((cycle, state))
-        bits = self.config.state_record_bits(self.num_threads)
-        self.pending_bits += bits
-        self.total_bits += bits
+        if self.config.record_states and self.config.enabled:
+            bits = self.config.state_record_bits(self.num_threads)
+            self.pending_bits += bits
+            self.total_bits += bits
 
     # ------------------------------------------------------------------
     # events
@@ -285,21 +311,6 @@ class ProfilingRecorder:
                 key = (last_bin, thread)
                 bucket[key] = bucket.get(key, 0.0) + (amount - prev)
 
-    def _rows(self, kind: EventKind, index: int) -> np.ndarray:
-        """The kind's [capacity, threads] array, grown to hold ``index``."""
-
-        series = self._series[kind]
-        capacity = series.shape[0]
-        if index >= capacity:
-            while capacity <= index:
-                capacity *= 2
-            grown = np.zeros((capacity, self.num_threads))
-            grown[:series.shape[0]] = series
-            self._series[kind] = series = grown
-        if index >= self._used_bins[kind]:
-            self._used_bins[kind] = index + 1
-        return series
-
     # ------------------------------------------------------------------
     # trace-buffer cost model
     # ------------------------------------------------------------------
@@ -330,46 +341,30 @@ class ProfilingRecorder:
         return trace
 
     def _finalize(self, end_cycle: int) -> RunTrace:
-        states: list[list[StateInterval]] = []
-        for thread in range(self.num_threads):
-            log = self._state_log[thread]
+        timeline: list[StateColumns] = []
+        for log in self._state_log:
+            cycles, states = np.array(log, dtype=np.int64).T
             # each record runs until the next record's cycle (the last
             # until end_cycle); empty intervals (same-cycle
             # re-transitions) are dropped
-            ends = [cycle for cycle, _ in log]
-            del ends[0]
-            ends.append(end_cycle)
-            states.append([StateInterval(thread, st, s, e)
-                           for (s, st), e in zip(log, ends) if e > s])
+            ends = np.append(cycles[1:], end_cycle)
+            keep = ends > cycles
+            timeline.append(StateColumns(cycles[keep], ends[keep],
+                                         states[keep]))
 
-        # drain the deposit accumulators into the per-kind arrays (each
-        # cell receives the sum of its deposits, accumulated in deposit
-        # order — bit-identical to per-deposit array adds; cells are
-        # unique dict keys, so the scatter-add touches each exactly once)
-        for kind, bucket in self._accum.items():
-            if not bucket:
-                continue
-            n = len(bucket)
-            idx = np.fromiter((k[0] for k in bucket), dtype=np.intp,
-                              count=n)
-            thr = np.fromiter((k[1] for k in bucket), dtype=np.intp,
-                              count=n)
-            vals = np.fromiter(bucket.values(), dtype=np.float64, count=n)
-            series = self._rows(kind, int(idx.max()))
-            np.add.at(series, (idx, thr), vals)
-            bucket.clear()
-
+        # each cell receives the sum of its deposits, accumulated in
+        # deposit order — bit-identical to per-deposit array adds
         period = self.config.sampling_period
         n_bins = max(1, -(-max(1, end_cycle) // period))
         events: dict[EventKind, np.ndarray] = {}
-        for kind, series in self._series.items():
-            used = self._used_bins[kind]
-            arr = np.zeros((n_bins, self.num_threads))
-            take = min(used, n_bins)
-            arr[:take] = series[:take]
+        for kind, bucket in self._accum.items():
+            cells = np.array(list(bucket), dtype=np.intp).reshape(-1, 2)
+            used = int(cells[:, 0].max(initial=-1)) + 1
+            series = np.zeros((max(used, n_bins), self.num_threads))
+            series[cells[:, 0], cells[:, 1]] = list(bucket.values())
+            events[kind] = arr = series[:n_bins].copy()
             if used > n_bins:  # clamp stragglers into the final window
                 arr[-1] += series[n_bins:used].sum(axis=0)
-            events[kind] = arr
-        return RunTrace(self.num_threads, end_cycle, period, states, events,
-                        trace_bits=self.total_bits, flushes=self.flushes,
-                        attribution=self.attribution)
+        return RunTrace(self.num_threads, end_cycle, period, timeline,
+                        events, trace_bits=self.total_bits,
+                        flushes=self.flushes, attribution=self.attribution)

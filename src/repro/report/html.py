@@ -7,8 +7,10 @@ regenerable equivalents of the paper's Paraver screenshots:
 
 * a per-thread state Gantt (Fig. 6 / 11-13) in the paper's state
   palette — Running green, Critical blue, Spinning red — with Idle as
-  the neutral track, rasterized to screen buckets so even
-  million-interval traces stay a few hundred kilobytes;
+  the neutral track, rasterized to screen buckets by
+  :func:`~repro.paraver.render.state_occupancy` (which also draws the
+  ASCII view) so even million-interval traces stay a few hundred
+  kilobytes;
 * bandwidth and GFLOP/s over time (Figs. 7-9) with the configured
   platform peak drawn as a reference line;
 * the efficiency hierarchy and state attribution as labeled bars, and
@@ -25,6 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ..paraver.render import state_occupancy
 from ..profiling.config import ThreadState
 from ..profiling.recorder import RunTrace
 from .model import TraceReport, comparison_rows
@@ -130,43 +133,22 @@ def _state_runs(trace: RunTrace, thread: int,
                 buckets: int) -> list[tuple[int, int, ThreadState]]:
     """Merged (first_bucket, last_bucket_exclusive, state) non-idle runs.
 
-    Each bucket takes the state occupying most of its cycles — the same
-    dominant-state rasterization as the ASCII view — then adjacent
-    equal-state buckets merge into one rect, which bounds the SVG size
-    regardless of how many raw intervals the trace holds.
+    Each bucket takes the non-idle state occupying most of its cycles
+    (:func:`~repro.paraver.render.state_occupancy` with the Idle column
+    zeroed), then adjacent equal-state buckets merge into one rect,
+    which bounds the SVG size regardless of how many raw intervals the
+    trace holds.
     """
 
-    span = max(1, trace.end_cycle)
-    occupancy = np.zeros((buckets, len(ThreadState)))
-    for interval in trace.states[thread]:
-        if interval.state is ThreadState.IDLE:
-            continue
-        lo, hi = interval.start, min(interval.end, span)
-        if hi <= lo:
-            continue
-        first = lo * buckets // span
-        last = min(buckets - 1, (hi * buckets - 1) // span)
-        for bucket in range(first, last + 1):
-            b_lo = bucket * span // buckets
-            b_hi = (bucket + 1) * span // buckets
-            overlap = min(hi, b_hi) - max(lo, b_lo)
-            if overlap > 0:
-                occupancy[bucket, int(interval.state)] += overlap
-    runs: list[tuple[int, int, ThreadState]] = []
-    current: Optional[ThreadState] = None
-    start = 0
-    for bucket in range(buckets):
-        if occupancy[bucket].sum() == 0:
-            state = None
-        else:
-            state = ThreadState(int(occupancy[bucket].argmax()))
-        if state is not current:
-            if current is not None:
-                runs.append((start, bucket, current))
-            current, start = state, bucket
-    if current is not None:
-        runs.append((start, buckets, current))
-    return runs
+    occupancy = state_occupancy(trace, thread, 0, max(1, trace.end_cycle),
+                                buckets)
+    occupancy[:, ThreadState.IDLE] = 0
+    code = np.where(occupancy.any(axis=1), occupancy.argmax(axis=1), -1)
+    firsts = np.flatnonzero(np.diff(code, prepend=-2))
+    lasts = np.append(firsts[1:], buckets)
+    return [(first, last, ThreadState(state)) for first, last, state
+            in zip(firsts.tolist(), lasts.tolist(), code[firsts].tolist())
+            if state >= 0]
 
 
 def _gantt_svg(report: TraceReport, width: int = 960,

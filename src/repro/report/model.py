@@ -164,17 +164,17 @@ class TraceReport:
         return self.gflops / self.peaks.gflops
 
 
-def _efficiency(thread_states: list[dict[ThreadState, int]], end_cycle: int,
+def _efficiency(totals: np.ndarray, end_cycle: int,
                 stall_total: float) -> EfficiencyHierarchy:
-    if not thread_states:
+    """The hierarchy from [threads, states] cycle totals."""
+
+    if not len(totals):
         # a degenerate trace (no threads) has no efficiency to speak of
         return EfficiencyHierarchy(0.0, 1.0, 1.0, 0.0, 1.0)
     end = max(1, end_cycle)
-    useful = np.array([totals[ThreadState.RUNNING]
-                       + totals[ThreadState.CRITICAL]
-                       for totals in thread_states], dtype=float)
-    active = useful + [totals[ThreadState.SPINNING]
-                       for totals in thread_states]
+    useful = (totals[:, ThreadState.RUNNING]
+              + totals[:, ThreadState.CRITICAL]).astype(float)
+    active = useful + totals[:, ThreadState.SPINNING]
     max_useful = useful.max()
     max_active = active.max()
     balance = float(useful.mean() / max_useful) if max_useful else 1.0
@@ -185,16 +185,6 @@ def _efficiency(thread_states: list[dict[ThreadState, int]], end_cycle: int,
     exposed = total_useful + stall_total
     pipeline = total_useful / exposed if exposed else 1.0
     return EfficiencyHierarchy(parallel, balance, sync, transfer, pipeline)
-
-
-def _state_fractions(thread_states: list[dict[ThreadState, int]]
-                     ) -> dict[ThreadState, float]:
-    """:meth:`RunTrace.state_fractions` from per-thread state totals."""
-
-    totals = {state: sum(thread[state] for thread in thread_states)
-              for state in ThreadState}
-    denom = max(1, sum(totals.values()))
-    return {state: value / denom for state, value in totals.items()}
 
 
 def build_report(result, label: str = "run", source: str = "",
@@ -227,8 +217,7 @@ def build_report(result, label: str = "run", source: str = "",
     if not missing:
         phases = phase_overlap(trace, clock)
 
-    thread_states = [trace.state_durations(t)
-                     for t in range(trace.num_threads)]
+    totals = trace.state_totals()
     stall_total = float(sum(result.stalls))
     end = max(1, trace.end_cycle)
     if trace.end_cycle <= 0 or trace.num_threads <= 0:
@@ -256,9 +245,10 @@ def build_report(result, label: str = "run", source: str = "",
         label=label, source=source, cycles=trace.end_cycle,
         clock_mhz=clock, num_threads=trace.num_threads,
         sampling_period=trace.sampling_period,
-        state_fractions=_state_fractions(thread_states),
-        thread_states=thread_states,
-        efficiency=_efficiency(thread_states, trace.end_cycle, stall_total),
+        state_fractions=trace.state_fractions(),
+        thread_states=[dict(zip(ThreadState, row))
+                       for row in totals.tolist()],
+        efficiency=_efficiency(totals, trace.end_cycle, stall_total),
         stall_fraction=stall_fraction,
         phases=phases, missing_counters=missing,
         bandwidth_gbs=moved / 1e9 / seconds,

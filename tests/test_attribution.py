@@ -263,7 +263,7 @@ class TestSatelliteRegressions:
 
         class FakeResult:
             trace = RunTrace(num_threads=0, end_cycle=0,
-                             sampling_period=100, states=[], events={})
+                             sampling_period=100, timeline=[], events={})
             clock_mhz = 100.0
             stalls = ()
 

@@ -2,17 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.paraver import (
-    EVENT_TYPE_IDS, STATE_IDS, CommRecord, ParaverParseError,
+    EVENT_TYPE_IDS, STATE_GLYPHS, STATE_IDS, CommRecord, ParaverParseError,
     bandwidth_series_gbs, gflops_series, load_balance, parse_prv,
     phase_overlap, render_series, render_state_timeline, state_fractions,
-    thread_activity_windows, total_gflops, write_trace,
+    state_occupancy, thread_activity_windows, total_gflops, write_trace,
 )
 from repro.paraver import parser as prv_parser
 from repro.profiling import (
-    EventKind, ProfilingConfig, ProfilingRecorder, ThreadState,
+    EventKind, ProfilingConfig, ProfilingRecorder, RunTrace, StateColumns,
+    ThreadState,
 )
+from repro.report.html import _state_runs
 
 
 def make_trace(threads: int = 2, period: int = 100, end: int = 1000):
@@ -322,6 +325,85 @@ class TestRender:
         trace = make_trace()
         with pytest.raises(ValueError):
             render_state_timeline(trace, start=100, end=100)
+
+    def test_tie_goes_to_lowest_state_id(self):
+        # one 4-cycle bucket, two cycles each of Spinning then Running
+        trace = RunTrace(1, 4, 100, [StateColumns(
+            np.array([0, 2]), np.array([2, 4]),
+            np.array([ThreadState.SPINNING, ThreadState.RUNNING]))], {})
+        assert render_state_timeline(trace, width=1).splitlines()[0] == \
+            "t0: #"
+        assert _state_runs(trace, 0, 1) == [(0, 1, ThreadState.RUNNING)]
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_rasterizer_matches_per_cycle_oracle(self, data):
+        """state_occupancy, the ASCII glyphs and the HTML runs against a
+        brute-force per-cycle count, on random tilings of [0, end)."""
+
+        end = data.draw(st.integers(1, 120), label="end_cycle")
+        timeline, per_cycle = [], []
+        for _ in range(data.draw(st.integers(1, 3), label="threads")):
+            cuts = sorted(data.draw(st.sets(st.integers(1, end - 1),
+                                            max_size=12), label="cuts")) \
+                if end > 1 else []
+            bounds = [0] + cuts + [end]
+            states = data.draw(st.lists(st.sampled_from(list(ThreadState)),
+                                        min_size=len(bounds) - 1,
+                                        max_size=len(bounds) - 1),
+                               label="states")
+            timeline.append(StateColumns(*np.array(
+                [bounds[:-1], bounds[1:], states], dtype=np.int64)))
+            per_cycle.append([state for state, lo, hi
+                              in zip(states, bounds, bounds[1:])
+                              for _ in range(lo, hi)])
+        trace = RunTrace(len(timeline), end, 100, timeline, {})
+        # windows may run past end_cycle; widths reach above the span
+        start = data.draw(st.integers(0, end - 1), label="start")
+        stop = data.draw(st.integers(start + 1, end + 30), label="stop")
+        width = data.draw(st.integers(1, stop - start + 8), label="width")
+
+        def oracle(thread, lo, hi, buckets):
+            occupancy = np.zeros((buckets, len(ThreadState)), np.int64)
+            edges = [lo + b * (hi - lo) // buckets
+                     for b in range(buckets + 1)]
+            for cycle in range(lo, min(hi, end)):
+                for b in range(buckets):
+                    if edges[b] <= cycle < edges[b + 1]:
+                        occupancy[b, per_cycle[thread][cycle]] += 1
+            return occupancy
+
+        def dominant(row):
+            # the first (lowest-id) maximum; None for an empty bucket
+            best = None
+            for state in ThreadState:
+                if row[state] and (best is None or row[state] > row[best]):
+                    best = state
+            return best
+
+        lines = render_state_timeline(trace, width, start, stop).splitlines()
+        for thread in range(trace.num_threads):
+            expected = oracle(thread, start, stop, width)
+            got = state_occupancy(trace, thread, start, stop, width)
+            assert np.array_equal(got, expected)
+            glyphs = "".join(STATE_GLYPHS[dominant(row) or ThreadState.IDLE]
+                             for row in expected)
+            assert lines[thread] == f"t{thread}: {glyphs}"
+
+            buckets = data.draw(st.integers(1, end + 8), label="buckets")
+            codes = []
+            for row in oracle(thread, 0, end, buckets):
+                row[ThreadState.IDLE] = 0
+                codes.append(dominant(row))
+            runs = []
+            for b, state in enumerate(codes):
+                if b and codes[b - 1] == state:
+                    runs[-1][1] = b + 1
+                else:
+                    runs.append([b, b + 1, state])
+            assert _state_runs(trace, thread, buckets) == \
+                [tuple(run) for run in runs if run[2] is not None]
 
     def test_render_series(self):
         text = render_series([0, 1, 2, 3, 4], width=5, height=3, label="x")

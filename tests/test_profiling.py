@@ -126,7 +126,7 @@ class TestEventBinning:
 
     def test_binning_grows_beyond_initial_capacity(self):
         recorder = make_recorder(period=10)
-        last_bin = 4 * recorder._INITIAL_BINS + 3
+        last_bin = 259  # hundreds of windows, deposited out of order
         recorder.add(last_bin * 10 + 5, 1, EventKind.FLOPS, 2)
         recorder.add_range(0, (last_bin + 1) * 10, 0, EventKind.INTOPS,
                            float(last_bin + 1))

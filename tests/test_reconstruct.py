@@ -198,8 +198,22 @@ class TestDemoRoundTrip:
             pi_run.result.trace.state_durations()
 
 
-LIVE_RUNS = [(version, attribution) for version in GEMM_VERSIONS
-             for attribution in (False, True)] + [("pi", False)]
+LIVE_RUNS = [(version, attribution)
+             for version in [*GEMM_VERSIONS, "pi"]
+             for attribution in (False, True)]
+LIVE_IDS = [f"{v}-attr" if a else v for v, a in LIVE_RUNS]
+
+
+def assert_tiles(trace):
+    """Each thread's int64 columns tile [0, end_cycle] with no gap, no
+    overlap and no empty interval."""
+
+    assert len(trace.timeline) == trace.num_threads
+    for cols in trace.timeline:
+        assert [col.dtype for col in cols] == [np.int64] * 3
+        assert cols.start[0] == 0 and cols.end[-1] == trace.end_cycle
+        assert np.array_equal(cols.start[1:], cols.end[:-1])
+        assert (cols.end > cols.start).all()
 
 
 @pytest.fixture(scope="module")
@@ -207,8 +221,8 @@ def live_runs():
     runs = {}
     for version, attribution in LIVE_RUNS:
         if version == "pi":
-            run = run_pi(6400,
-                         sim_config=SimConfig(thread_start_interval=5000))
+            run = run_pi(6400, sim_config=SimConfig(
+                thread_start_interval=5000, attribution=attribution))
         else:
             run = run_gemm(version, dim=16,
                            sim_config=SimConfig(attribution=attribution))
@@ -223,9 +237,7 @@ class TestBlockFold:
 
     @pytest.mark.parametrize("with_pcf", [True, False],
                              ids=["pcf", "cadence"])
-    @pytest.mark.parametrize("run_key", LIVE_RUNS,
-                             ids=[f"{v}-attr" if a else v
-                                  for v, a in LIVE_RUNS])
+    @pytest.mark.parametrize("run_key", LIVE_RUNS, ids=LIVE_IDS)
     def test_rebuilds_live_trace(self, live_runs, run_key, with_pcf,
                                  tmp_path, monkeypatch):
         result = live_runs[run_key]
@@ -245,6 +257,12 @@ class TestBlockFold:
         assert (rebuilt.num_threads, rebuilt.end_cycle,
                 rebuilt.sampling_period) == \
             (live.num_threads, live.end_cycle, live.sampling_period)
+        assert_tiles(live)
+        assert_tiles(rebuilt)
+        for got, want in zip(rebuilt.timeline, live.timeline):
+            for column, got_col, want_col in zip(want._fields, got, want):
+                assert np.array_equal(got_col, want_col), column
+        assert np.array_equal(rebuilt.state_totals(), live.state_totals())
         assert rebuilt.states == live.states
         # the writer stores each window's sum truncated to an integer
         expected = {kind: np.trunc(series)
