@@ -185,51 +185,18 @@ class ProfilingRecorder:
     # ------------------------------------------------------------------
     # events
     # ------------------------------------------------------------------
-    def add(self, cycle: int, thread: int, kind: EventKind,
-            amount: float) -> None:
-        if kind not in self._enabled_kinds or amount == 0:
-            return
-        index = cycle // self.config.sampling_period
-        bucket = self._accum[kind]
-        key = (index, thread)
-        bucket[key] = bucket.get(key, 0.0) + amount
-
-    def add_range(self, start: int, end: int, thread: int, kind: EventKind,
-                  amount: float) -> None:
-        """Distribute ``amount`` uniformly over cycles [start, end).
-
-        A zero-length range (``end <= start``) covers no cycles and
-        deposits nothing: the executor emits such ranges for zero-trip
-        loops, and depositing the full amount would double-count work
-        already booked by the surrounding real ranges.
-        """
-
-        if kind not in self._enabled_kinds or amount == 0 or end <= start:
-            return
-        period = self.config.sampling_period
-        first_bin = start // period
-        last_bin = (end - 1) // period
-        bucket = self._accum[kind]
-        if first_bin == last_bin:
-            key = (first_bin, thread)
-            bucket[key] = bucket.get(key, 0.0) + amount
-            return
-        # per-bin overlap with [start, end) as a weight vector
-        edges = np.arange(first_bin, last_bin + 2, dtype=np.int64) * period
-        lo = np.maximum(edges[:-1], start)
-        hi = np.minimum(edges[1:], end)
-        shares = (hi - lo) * (amount / (end - start))
-        for index, share in enumerate(shares.tolist(), first_bin):
-            key = (index, thread)
-            bucket[key] = bucket.get(key, 0.0) + share
-
     def add_many(self, start: int, end: int, thread: int, pairs) -> None:
-        """Deposit several event kinds over one shared [start, end) range.
+        """Deposit ``(kind, amount)`` pairs uniformly over cycles [start, end).
 
-        Semantically identical to calling :meth:`add_range` once per
-        ``(kind, amount)`` pair — including bit-exact floating-point
-        results, the per-bin weights are computed with the same
-        expressions — but the bin arithmetic is shared across the pairs.
+        Each amount is spread over the sampling windows the range
+        overlaps, in proportion to the cycles it covers in each; a range
+        inside one window deposits the amount whole.  Zero amounts and
+        disabled kinds are skipped.  A zero-length range (``end <=
+        start``) covers no cycles and deposits nothing: the executor
+        emits such ranges for zero-trip loops, and depositing the full
+        amount would double-count work already booked by the surrounding
+        real ranges.  A single-cycle event at ``c`` is the range
+        ``[c, c + 1)``.
         """
 
         if end <= start:

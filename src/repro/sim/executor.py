@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Union
 
 import numpy as np
@@ -46,7 +46,7 @@ from ..profiling.attribution import (
     REGION_CONTROL, REGION_JOIN, REGION_LAUNCH, REGION_OTHER, REGION_SYNC,
     AttributionTable, loop_region, segment_region,
 )
-from ..profiling.config import EventKind, ProfilingConfig, ThreadState
+from ..profiling.config import EventKind, ThreadState
 from ..profiling.recorder import ProfilingRecorder, RunTrace
 from .config import SimConfig
 from .engine import Engine, Subrun, Event
@@ -613,35 +613,14 @@ class _Runtime:
             values[vid] = value
 
     def _issue_mem(self, segment: Segment, tid: int,
-                   mem_trace, issue: int) -> int:
-        """Book the segment's external accesses; returns extra stall cycles."""
+                   mem_trace, issue: int) -> tuple[int, int, int]:
+        """Book the segment's external accesses.
 
-        extra = 0
-        buffers = self.buffers
-        for memop, (index, nbytes, is_write, name) in zip(segment.mem_ops,
-                                                          mem_trace):
-            buf = buffers[name]
-            addr = buf.base_addr + index * buf.elem_bytes
-            completion = self.ports.request(tid, issue + memop.start, addr,
-                                            nbytes, is_write)
-            if is_write:
-                # posted write: the pipeline proceeds once the request is on
-                # the bus; ordering is the interconnect's responsibility
-                continue
-            lateness = completion - (issue + memop.start + memop.sched_latency)
-            if lateness > extra:
-                extra = lateness
-        return extra
-
-    def _issue_mem_attr(self, segment: Segment, tid: int,
-                        mem_trace, issue: int) -> tuple[int, int, int]:
-        """:meth:`_issue_mem` plus the binding read's stall decomposition.
-
-        Issues the exact same port requests; additionally snapshots the
-        DRAM model's row-miss and arbitration counters around each read
-        so the request that *binds* ``extra`` (the latest response,
-        first maximum) carries its row-activation penalty and
-        arbitration wait out.  Returns ``(extra, penalty, arb)``.
+        Returns ``(extra, penalty, arb)``: the extra stall cycles of the
+        latest read response, and the row-activation penalty and
+        arbitration wait of the request that *binds* ``extra`` (first
+        maximum), read off the DRAM model's counters around each
+        request.  Callers without attribution use ``extra`` alone.
         """
 
         extra = 0
@@ -659,6 +638,8 @@ class _Runtime:
             completion = self.ports.request(tid, issue + memop.start, addr,
                                             nbytes, is_write)
             if is_write:
+                # posted write: the pipeline proceeds once the request is on
+                # the bus; ordering is the interconnect's responsibility
                 continue
             lateness = completion - (issue + memop.start + memop.sched_latency)
             if lateness > extra:
@@ -705,11 +686,7 @@ class _Runtime:
         mem.trace.clear()
         self._call_segment(compiled, ctx)
         now = self.engine.now
-        if acct is None:
-            extra = self._issue_mem(segment, tid, mem.trace, now)
-        else:
-            extra, penalty, arb = self._issue_mem_attr(segment, tid,
-                                                       mem.trace, now)
+        extra, penalty, arb = self._issue_mem(segment, tid, mem.trace, now)
         duration = segment.depth + extra
         end = now + duration
         rbytes = wbytes = 0
@@ -909,14 +886,10 @@ class _Runtime:
                 extra = 0
                 iter_parts = (0, 0, 0)
                 if segment.mem_ops:
-                    if attr:
-                        extra, penalty, arb = self._issue_mem_attr(
-                            segment, tid, mem.trace, issue)
-                        if extra:
-                            iter_parts = self._peel(extra, penalty, arb)
-                    else:
-                        extra = self._issue_mem(segment, tid, mem.trace,
-                                                issue)
+                    extra, penalty, arb = self._issue_mem(
+                        segment, tid, mem.trace, issue)
+                    if attr and extra:
+                        iter_parts = self._peel(extra, penalty, arb)
                     for _, nbytes, is_write, _name in mem.trace:
                         if is_write:
                             chunk_wbytes += nbytes

@@ -31,7 +31,7 @@ counters and attribution tables.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,9 +135,9 @@ class NestPlan:
     window: int
     dram: object
     uid: int
-    #: trip-specialized compiled drivers, keyed by trip count (0 = the
-    #: general chunked body); filled lazily by :func:`_nest_driver_for`
-    drivers: dict = field(default_factory=dict)
+    #: the compiled timing generator; set on the plan's first dispatch
+    #: by :func:`_nest_driver_for`
+    driver: object = None
 
 
 def _seq_items(body):
@@ -509,8 +509,7 @@ def _amt(value: int, factor: str = "") -> str:
 
 def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
                          group_cost, chunk, window, dram, uid, limit,
-                         grant, trips, period, enabled, record_on, sbits,
-                         attr):
+                         grant, period, enabled, record_on, sbits, attr):
     """exec-compile the whole-nest timing generator.
 
     The generated function replays the reference executor's exact
@@ -525,13 +524,12 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
     the reference deposit points so same-bin float accumulation keeps
     the reference order even against concurrently-running loops.
 
-    Three pipelined-entry bodies are emitted depending on ``trips``
-    (the per-entry trip count, or ``None`` when it must stay a runtime
-    value): a fully unrolled straight-line body for small trip counts,
-    a single-chunk loop when the entry fits one chunk, and the general
-    chunked loop otherwise.  A body without external accesses or a BRAM
-    port group issues all but each chunk's first trip in closed form.
-    All per-request protocol state that is
+    Each pipelined entry runs one body: its trip count ``T`` is a
+    runtime argument, issued in chunks of ``chunk`` trips, so one driver
+    serves every dispatch of the plan.  A body without external accesses
+    or a BRAM port group issues all but each chunk's first trip in
+    closed form.  The outstanding-request ``limit`` is folded in as a
+    literal.  All per-request protocol state that is
     private to this thread — the Avalon port in-flight windows and
     in-order completion clamps, and the semaphore acquisition counters
     — is hoisted into locals for the whole nest and written back once;
@@ -568,12 +566,9 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
         if tr.lock is not None and tr.lock not in locks:
             locks.append(tr.lock)
     lock_ix = {lock: j for j, lock in enumerate(locks)}
-    unroll = (not attr and trips is not None and trips <= 16
-              and trips <= chunk and trips * max(1, len(mem)) <= 48)
     p_parts = attr and p_reads  # per-trip DRAM splits can be non-zero
     drain = max(0, depth - rec_ii)
     p_reg = loop_region(pipe.uid)
-    single = not unroll and trips is not None and trips <= chunk
     # a body that touches neither external memory nor a BRAM port group,
     # and whose recurrence spacing covers its II, issues every trip after
     # a chunk's first one exactly rec_ii after the previous: the trips
@@ -591,7 +586,7 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
     used_tags: set = set()
 
     lines = ["def _ndrive(rt, tid, ctx, state, group, T, ns, "
-             "limit, brow, brdy, bus_busy, hist_r, hist_w, fins, tins, "
+             "brow, brdy, bus_busy, hist_r, hist_w, fins, tins, "
              "bkrw, tbufs, acct):"]
 
     def w(indent: int, text: str) -> None:
@@ -602,7 +597,7 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
     w(1, "_am = rec.add_many")
     for li in range(k):
         w(1, f"n{li} = ns[{li}]")
-    if not unroll and p_reads:
+    if p_reads:
         w(1, "inflight = _deque()")
         w(1, "ipop = inflight.popleft")
         w(1, "ipush = inflight.append")
@@ -773,13 +768,6 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
         w(ind, f"_a = {arbv} if {arbv} < _rest else _rest")
         w(ind, "_l = _rest - _a")
 
-    def emit_bucket_load(ind: int) -> None:
-        w(ind, "s_first = state.first")
-        w(ind, f"e_next = s_first + state.count * {ii}")
-        if has_group:
-            w(ind, "g_first = group.first")
-            w(ind, f"ge_next = g_first + group.count * {group_cost}")
-
     def emit_bucket(ind: int) -> None:
         # leaky-bucket issue recurrence, strength-reduced: e_next tracks
         # first + count * ii so the earliest-issue slot is one add
@@ -801,13 +789,6 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
             else:
                 w(ind + 1, "if ge_next > issue: issue = ge_next")
             w(ind + 1, f"ge_next += {group_cost}")
-
-    def emit_bucket_commit(ind: int) -> None:
-        w(ind, "state.first = s_first")
-        w(ind, f"state.count = (e_next - s_first) // {ii}")
-        if has_group:
-            w(ind, "group.first = g_first")
-            w(ind, f"group.count = (ge_next - g_first) // {group_cost}")
 
     def emit_deposit(ind, start_expr, endm1_expr, end_expr,
                      const_pairs, rt_pairs, fallback) -> None:
@@ -913,7 +894,7 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
             w(b, "if retire > last_retire: last_retire = retire")
         w(b, "p += 1")
 
-    def emit_closed_trips(ind: int, n: str) -> None:
+    def emit_closed_trips(ind: int) -> None:
         # trip 0 books the bucket; each later trip finds the bucket's
         # next slot at or behind its cursor, so issues it on time and
         # only advances e_next by ii -- unless the cursor has drifted
@@ -922,7 +903,7 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
         # from rec_ii - ii, so restarts recur every `_cp` trips
         emit_bucket(ind)
         w(ind, f"cursor = issue + {rec_ii}")
-        w(ind, f"_cm = {n} - 1")
+        w(ind, "_cm = batch - 1")
         w(ind, "if _cm:")
         b = ind + 1
         w(b, "_cd = cursor - e_next")
@@ -940,38 +921,65 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
             w(b + 1, f"s_first = cursor + (_cj - 1) * {rec_ii}")
             w(b + 1, f"e_next = s_first + {ii} * (_cm - _cj + 1)")
         w(b, f"cursor += {rec_ii} * _cm")
-        w(ind, f"p += {n}")
+        w(ind, "p += batch")
         w(ind, f"last_retire = cursor + {depth - rec_ii}")
 
-    def emit_trips(ind: int, n: str) -> None:
-        if closed:
-            emit_closed_trips(ind, n)
-            return
-        w(ind, f"_pe = p + {n}")
-        w(ind, "while p < _pe:")
-        emit_trip_loop(ind + 1)
-        if not p_reads:
-            w(ind, f"last_retire = issue + {depth}")
-
-    def emit_chunk_start(ind: int) -> None:
-        w(ind, "stall = 0")
-        if attr:
-            w(ind, "c_ii = 0; c_port = 0; c_row = 0; c_arb = 0; c_lat = 0")
-
-    def emit_chunk_acct(ind: int, useful: str) -> None:
-        if attr:
-            w(ind, f"_ad(cs, last_retire, {p_reg}, ({useful}, c_ii, c_port, "
-                   "c_lat, c_arb, c_row, 0, 0, 0))")
-
-    def emit_entry_start(ind: int) -> None:
+    def emit_pipe(ind: int) -> None:
+        # one pipelined entry: T trips, issued in chunks of `chunk`
         if p_reads:
             w(ind, "iclear()")
         if attr:
             w(ind, "lp = _Z")
         if p_parts:
             w(ind, "pclear()")
-
-    def emit_tail(ind: int) -> None:
+        w(ind, "cursor = now")
+        w(ind, "last_retire = cursor")
+        w(ind, "remaining = T")
+        w(ind, "while remaining > 0:")
+        c = ind + 1
+        w(c, f"batch = {chunk} if remaining > {chunk} else remaining")
+        w(c, "cs = cursor")
+        # the issue buckets live in locals for the chunk
+        w(c, "s_first = state.first")
+        w(c, f"e_next = s_first + state.count * {ii}")
+        if has_group:
+            w(c, "g_first = group.first")
+            w(c, f"ge_next = g_first + group.count * {group_cost}")
+        w(c, "stall = 0")
+        if attr:
+            w(c, "c_ii = 0; c_port = 0; c_row = 0; c_arb = 0; c_lat = 0")
+        if closed:
+            emit_closed_trips(c)
+        else:
+            w(c, "_pe = p + batch")
+            w(c, "while p < _pe:")
+            emit_trip_loop(c + 1)
+            if not p_reads:
+                w(c, f"last_retire = issue + {depth}")
+        w(c, "state.first = s_first")
+        w(c, f"state.count = (e_next - s_first) // {ii}")
+        if has_group:
+            w(c, "group.first = g_first")
+            w(c, f"group.count = (ge_next - g_first) // {group_cost}")
+        w(c, "remaining -= batch")
+        rt_pairs = [(t, f"{v} * batch", False)
+                    for t, v in (("F", pseg.flops), ("I", pseg.intops),
+                                 ("R", prb), ("W", pwb)) if v]
+        emit_deposit(c, "cs", "last_retire - 1", "last_retire", [],
+                     rt_pairs + [("S", "stall", True)],
+                     f"((_FLOPS, {_amt(pseg.flops, 'batch')}), "
+                     f"(_INTOPS, {_amt(pseg.intops, 'batch')}), "
+                     f"(_MRB, {_amt(prb, 'batch')}), "
+                     f"(_MWB, {_amt(pwb, 'batch')}), (_STALLS, stall))")
+        if attr:
+            w(c, f"_ad(cs, last_retire, {p_reg}, ({rec_ii} * batch, c_ii, "
+                 "c_port, c_lat, c_arb, c_row, 0, 0, 0))")
+        w(c, "if stall:")
+        w(c + 1, "stall_acc += stall")
+        w(c, "advance = cursor - now")
+        w(c, "if advance > 0:")
+        w(c + 1, "yield advance")
+        w(c + 1, "now = cursor")
         w(ind, "tail = last_retire - now")
         w(ind, "if tail > 0:")
         if attr:
@@ -987,108 +995,6 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
                        "(0, 0, 0, _l, _a, _r, 0, _dr, 0))")
         w(ind + 1, "yield tail")
         w(ind + 1, "now = last_retire")
-
-    def emit_pipe_end(ind: int) -> None:
-        w(ind, "if stall:")
-        w(ind + 1, "stall_acc += stall")
-        w(ind, "advance = cursor - now")
-        w(ind, "if advance > 0:")
-        w(ind + 1, "yield advance")
-        w(ind + 1, "now = cursor")
-        emit_tail(ind)
-
-    def emit_pipe_unrolled(ind: int) -> None:
-        w(ind, "cs = now")
-        w(ind, "cursor = now")
-        emit_bucket_load(ind)
-        w(ind, "stall = 0")
-        for t in range(trips):
-            emit_bucket(ind)
-            if p_reads and t >= window:
-                w(ind, f"head = r{t - window} - {depth}")
-                w(ind, "if head > issue:")
-                w(ind + 1, "stall += head - issue; issue = head")
-            if p_reads:
-                w(ind, "extra = 0")
-            pidx = f"p + {t}" if t else "p"
-            for i, (start, off, nbytes, is_write, _name) in enumerate(mem):
-                emit_p_memop(ind, i, start, off, nbytes, is_write, pidx)
-            if p_reads:
-                w(ind, f"r{t} = issue + {depth} + extra")
-                w(ind, "stall += extra")
-            w(ind, f"cursor = issue + {rec_ii}")
-        if not p_reads:
-            w(ind, f"last_retire = issue + {depth}")
-        elif trips == 1:
-            w(ind, "last_retire = r0")
-        else:
-            w(ind, "last_retire = max(%s)"
-              % ", ".join(f"r{t}" for t in range(trips)))
-        emit_bucket_commit(ind)
-        w(ind, f"p += {trips}")
-        emit_deposit(ind, "cs", "last_retire - 1", "last_retire",
-                     [("F", pseg.flops * trips), ("I", pseg.intops * trips),
-                      ("R", prb * trips), ("W", pwb * trips)],
-                     [("S", "stall", True)],
-                     "(_PP0, _PP1, _PP2, _PP3, (_STALLS, stall))")
-        emit_pipe_end(ind)
-
-    def emit_pipe_single(ind: int) -> None:
-        emit_entry_start(ind)
-        w(ind, "cs = now")
-        w(ind, "cursor = now")
-        w(ind, "last_retire = cursor")
-        emit_bucket_load(ind)
-        emit_chunk_start(ind)
-        emit_trips(ind, str(trips))
-        emit_bucket_commit(ind)
-        emit_deposit(ind, "cs", "last_retire - 1", "last_retire",
-                     [("F", pseg.flops * trips), ("I", pseg.intops * trips),
-                      ("R", prb * trips), ("W", pwb * trips)],
-                     [("S", "stall", True)],
-                     "(_PP0, _PP1, _PP2, _PP3, (_STALLS, stall))")
-        emit_chunk_acct(ind, str(rec_ii * trips))
-        emit_pipe_end(ind)
-
-    def emit_pipe_big(ind: int) -> None:
-        emit_entry_start(ind)
-        w(ind, "cursor = now")
-        w(ind, "last_retire = cursor")
-        w(ind, "remaining = T")
-        w(ind, "while remaining > 0:")
-        c = ind + 1
-        w(c, f"batch = {chunk} if remaining > {chunk} else remaining")
-        w(c, "cs = cursor")
-        emit_bucket_load(c)
-        emit_chunk_start(c)
-        emit_trips(c, "batch")
-        emit_bucket_commit(c)
-        w(c, "remaining -= batch")
-        big_rt = [(t, f"{v} * batch", False)
-                  for t, v in (("F", pseg.flops), ("I", pseg.intops),
-                               ("R", prb), ("W", pwb)) if v]
-        emit_deposit(c, "cs", "last_retire - 1", "last_retire", [],
-                     big_rt + [("S", "stall", True)],
-                     f"((_FLOPS, {_amt(pseg.flops, 'batch')}), "
-                     f"(_INTOPS, {_amt(pseg.intops, 'batch')}), "
-                     f"(_MRB, {_amt(prb, 'batch')}), "
-                     f"(_MWB, {_amt(pwb, 'batch')}), (_STALLS, stall))")
-        emit_chunk_acct(c, f"{rec_ii} * batch")
-        w(c, "if stall:")
-        w(c + 1, "stall_acc += stall")
-        w(c, "advance = cursor - now")
-        w(c, "if advance > 0:")
-        w(c + 1, "yield advance")
-        w(c + 1, "now = cursor")
-        emit_tail(ind)
-
-    def emit_pipe(ind: int) -> None:
-        if unroll:
-            emit_pipe_unrolled(ind)
-        elif single:
-            emit_pipe_single(ind)
-        else:
-            emit_pipe_big(ind)
 
     def emit_seg_acct(ind: int, seg) -> None:
         # a segment whose duration is its constant depth
@@ -1309,11 +1215,6 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
         namespace["_RUN"] = ThreadState.RUNNING
         for j, lock in enumerate(locks):
             namespace[f"_LK{j}"] = lock
-    if trips is not None:
-        namespace["_PP0"] = (EventKind.FLOPS, pseg.flops * trips)
-        namespace["_PP1"] = (EventKind.INTOPS, pseg.intops * trips)
-        namespace["_PP2"] = (EventKind.MEM_READ_BYTES, prb * trips)
-        namespace["_PP3"] = (EventKind.MEM_WRITE_BYTES, pwb * trips)
     for li, lvl in enumerate(levels):
         for si, (seg, _compiled) in enumerate(lvl.leading):
             namespace[f"_PL{li}_{si}"] = ((EventKind.FLOPS, seg.flops),
@@ -1341,38 +1242,29 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
                 hoists.append(f"    _b{t}g = _b{t}.get")
         lines[hoist_at:hoist_at] = hoists
     source = "\n".join(lines)
-    code = compile(source, f"<ndrive:{uid}:{trips if trips else 'N'}>",
-                   "exec")
+    code = compile(source, f"<ndrive:{uid}>", "exec")
     exec(code, namespace)
     driver = namespace["_ndrive"]
     driver.__source__ = source
     return driver
 
 
-def _nest_driver_for(nplan, runtime, trips: int):
-    """The trip-specialized driver for this dispatch, compiled on demand.
+def _nest_driver_for(nplan, runtime):
+    """The plan's driver, compiled on its first dispatch."""
 
-    Drivers are cached on the plan, keyed by the per-entry trip count
-    when it is small enough to specialize (unrolled or single-chunk
-    bodies) and under key ``0`` for the general chunked body.
-    """
-
-    key = trips if trips <= nplan.chunk else 0
-    driver = nplan.drivers.get(key)
-    if driver is None:
+    if nplan.driver is None:
         rec = runtime.recorder
-        driver = _compile_nest_driver(
+        nplan.driver = _compile_nest_driver(
             nplan.levels, nplan.trails, nplan.pipe, nplan.pseg, nplan.mem,
             nplan.group_id is not None, nplan.group_cost, nplan.chunk,
             nplan.window, nplan.dram, nplan.uid,
             runtime.ports.outstanding_limit,
-            runtime.semaphore.grant_latency, trips if key else None,
+            runtime.semaphore.grant_latency,
             rec.config.sampling_period, frozenset(rec._enabled_kinds),
             rec.config.record_states and rec.config.enabled,
             rec.config.state_record_bits(rec.num_threads),
             runtime.attribution)
-        nplan.drivers[key] = driver
-    return driver
+    return nplan.driver
 
 
 def prepare_nest(runtime, nplan: NestPlan, tid: int, ctx, state, group,
@@ -1516,10 +1408,10 @@ def prepare_nest(runtime, nplan: NestPlan, tid: int, ctx, state, group,
             tbufs.append(buf.elem_bytes)
 
     hist_r, hist_w = runtime.port_hists[tid]
-    driver = _nest_driver_for(nplan, runtime, trips)
+    driver = _nest_driver_for(nplan, runtime)
     gen = driver(runtime, tid, ctx, state, group, trips,
                  tuple(n for _lo, _st, n in bounds_resolved),
-                 runtime.ports.outstanding_limit, memory._bank_row,
+                 memory._bank_row,
                  memory._bank_ready, memory._bus_busy, hist_r, hist_w,
                  fins, tins, tuple(bkrw), tuple(tbufs), acct)
     if k:

@@ -85,8 +85,8 @@ class TestPiDifferential:
                       sim_config=_config("auto")).result
         _assert_identical(ref, fast)
 
-    # 8 and 32 trips per thread take the driver's unrolled and
-    # single-chunk bodies, the rest its chunked body
+    # 8 and 32 trips per thread fit one 32-trip chunk, the rest span
+    # several
     @pytest.mark.parametrize("steps, bs_compute", [
         (256, 8), (1024, 8), (6400, 2), (6400, 4), (6400, 16)])
     @pytest.mark.parametrize("attribution", [False, True])

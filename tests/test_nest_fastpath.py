@@ -21,6 +21,7 @@ import pytest
 from repro import telemetry
 from repro.core.program import Program
 from repro.paraver import write_trace
+from repro.sim import fastpath
 from repro.sim.config import SimConfig
 
 MODES = ["reference", "auto"]
@@ -116,10 +117,10 @@ void accum(float* a, float* out, int n) {
 """
 
 
-def _buffers(src):
+def _buffers(src, n=None, m=None):
     rng = np.random.default_rng(7)
     if src is MATVEC_SRC:
-        n, m = 6, 13
+        n, m = n or 6, m or 13
         return dict(a=rng.standard_normal(n * m).astype(np.float32),
                     b=rng.standard_normal(m).astype(np.float32),
                     out=np.zeros(n, dtype=np.float32), n=n, m=m)
@@ -129,7 +130,7 @@ def _buffers(src):
                     b=rng.standard_normal(k * m).astype(np.float32),
                     out=np.zeros(n * m, dtype=np.float32), n=n, m=m, k=k)
     if src is TRIANGULAR_SRC:
-        n = 9
+        n = n or 9
         return dict(a=rng.standard_normal(n * n).astype(np.float32),
                     out=np.zeros(n, dtype=np.float32), n=n)
     n = 64
@@ -137,10 +138,10 @@ def _buffers(src):
                 out=np.zeros(2, dtype=np.float32), n=n)
 
 
-def _run(src, mode, attribution=False):
+def _run(src, mode, attribution=False, sizes=None):
     cfg = SimConfig(exec_mode=mode, attribution=attribution)
     prog = Program(src, sim_config=cfg)
-    buffers = _buffers(src)
+    buffers = _buffers(src, **(sizes or {}))
     arrays = {name: value.copy() if isinstance(value, np.ndarray) else value
               for name, value in buffers.items()}
     result = prog.run(**arrays)
@@ -178,18 +179,30 @@ NEST_SOURCES = {
     "nest_rmw": NEST_RMW_SRC,
 }
 
+#: differential cases: name -> (kernel, sizes).  The sized variants put
+#: the pipelined loop's trip count at, just past and well past the
+#: 32-trip ``loop_chunk`` edge: matvec's reads back up the pipeline
+#: window across chunks, and triangular's entries run 1..40 trips
+NEST_CASES = {name: (src, None) for name, src in NEST_SOURCES.items()}
+NEST_CASES.update({
+    "matvec_m32": (MATVEC_SRC, {"m": 32}),
+    "matvec_m33": (MATVEC_SRC, {"m": 33}),
+    "matvec_m70": (MATVEC_SRC, {"m": 70}),
+    "triangular_n40": (TRIANGULAR_SRC, {"n": 40}),
+})
+
 
 # ----------------------------------------------------------------------
 # differential: every nest shape, all modes, attribution on and off
 # ----------------------------------------------------------------------
 class TestNestDifferential:
-    @pytest.mark.parametrize("name", sorted(NEST_SOURCES))
+    @pytest.mark.parametrize("name", sorted(NEST_CASES))
     @pytest.mark.parametrize("mode", ["auto"])
     @pytest.mark.parametrize("attribution", [False, True])
     def test_bit_identical(self, name, mode, attribution):
-        src = NEST_SOURCES[name]
-        ref, ref_bufs = _run(src, "reference", attribution)
-        fast, fast_bufs = _run(src, mode, attribution)
+        src, sizes = NEST_CASES[name]
+        ref, ref_bufs = _run(src, "reference", attribution, sizes)
+        fast, fast_bufs = _run(src, mode, attribution, sizes)
         _assert_identical(ref, ref_bufs, fast, fast_bufs)
         if attribution:
             assert fast.attribution is not None
@@ -197,13 +210,13 @@ class TestNestDifferential:
         else:
             assert fast.attribution is None
 
-    @pytest.mark.parametrize("name", sorted(NEST_SOURCES))
+    @pytest.mark.parametrize("name", sorted(NEST_CASES))
     @pytest.mark.parametrize("attribution", [False, True])
     def test_prv_bytes_identical(self, name, attribution, tmp_path):
-        src = NEST_SOURCES[name]
+        src, sizes = NEST_CASES[name]
         blobs = []
         for mode in MODES:
-            result, _bufs = _run(src, mode, attribution)
+            result, _bufs = _run(src, mode, attribution, sizes)
             files = write_trace(result.trace,
                                 str(tmp_path / f"{name}_{mode}"))
             blobs.append(open(files.prv, "rb").read())
@@ -240,6 +253,21 @@ class TestNestTelemetry:
         assert counters.get("sim.fastpath.nest_fallbacks", 0) == 0
         # the per-entry fast path still covers the inner loop
         assert counters.get("sim.fastpath.batches", 0) > 0
+
+    @pytest.mark.parametrize("attribution", [False, True])
+    def test_one_driver_per_plan(self, monkeypatch, attribution):
+        compiled = []
+        real = fastpath._compile_nest_driver
+
+        def counting(*args, **kwargs):
+            compiled.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fastpath, "_compile_nest_driver", counting)
+        _run(TRIANGULAR_SRC, "auto", attribution, {"n": 40})
+        # the inner loop is the only plan; its entries run 1..40 trips,
+        # all through the one driver compiled on the first dispatch
+        assert len(compiled) == 1
 
     def test_reference_mode_never_flattens(self):
         session = telemetry.configure(enabled=True)

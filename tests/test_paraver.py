@@ -29,12 +29,12 @@ def make_trace(threads: int = 2, period: int = 100, end: int = 1000):
     recorder.set_state(480, 1, ThreadState.SPINNING)
     recorder.set_state(560, 1, ThreadState.RUNNING)
     recorder.set_state(950, 1, ThreadState.IDLE)
-    recorder.add_range(0, 500, 0, EventKind.FLOPS, 5000)
-    recorder.add_range(0, 500, 0, EventKind.MEM_READ_BYTES, 64000)
-    recorder.add_range(400, 900, 1, EventKind.FLOPS, 2000)
-    recorder.add(120, 1, EventKind.STALLS, 42)
-    recorder.add(130, 0, EventKind.MEM_WRITE_BYTES, 256)
-    recorder.add(140, 0, EventKind.INTOPS, 10)
+    recorder.add_many(0, 500, 0, ((EventKind.FLOPS, 5000),
+                                  (EventKind.MEM_READ_BYTES, 64000)))
+    recorder.add_many(400, 900, 1, ((EventKind.FLOPS, 2000),))
+    recorder.add_many(120, 121, 1, ((EventKind.STALLS, 42),))
+    recorder.add_many(130, 131, 0, ((EventKind.MEM_WRITE_BYTES, 256),))
+    recorder.add_many(140, 141, 0, ((EventKind.INTOPS, 10),))
     return recorder.finalize(end)
 
 

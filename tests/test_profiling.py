@@ -76,7 +76,7 @@ class TestStateRecording:
 class TestEventBinning:
     def test_add_goes_to_right_bin(self):
         recorder = make_recorder(period=100)
-        recorder.add(250, 0, EventKind.FLOPS, 7)
+        recorder.add_many(250, 251, 0, ((EventKind.FLOPS, 7),))
         trace = recorder.finalize(400)
         series = trace.event_series(EventKind.FLOPS)
         assert series.shape == (4, 2)
@@ -85,7 +85,7 @@ class TestEventBinning:
 
     def test_add_range_distributes_linearly(self):
         recorder = make_recorder(period=100)
-        recorder.add_range(50, 250, 1, EventKind.INTOPS, 200)
+        recorder.add_many(50, 250, 1, ((EventKind.INTOPS, 200),))
         trace = recorder.finalize(300)
         series = trace.event_series(EventKind.INTOPS)
         assert series[0, 1] == pytest.approx(50)
@@ -95,7 +95,7 @@ class TestEventBinning:
 
     def test_add_range_single_bin(self):
         recorder = make_recorder(period=100)
-        recorder.add_range(10, 20, 0, EventKind.STALLS, 5)
+        recorder.add_many(10, 20, 0, ((EventKind.STALLS, 5),))
         trace = recorder.finalize(100)
         assert trace.event_series(EventKind.STALLS)[0, 0] == 5
 
@@ -105,8 +105,8 @@ class TestEventBinning:
         full amount double-counted them)."""
 
         recorder = make_recorder(period=100)
-        recorder.add_range(150, 150, 0, EventKind.FLOPS, 3)
-        recorder.add_range(200, 150, 0, EventKind.FLOPS, 5)  # inverted
+        recorder.add_many(150, 150, 0, ((EventKind.FLOPS, 3),))
+        recorder.add_many(200, 150, 0, ((EventKind.FLOPS, 5),))  # inverted
         trace = recorder.finalize(200)
         assert trace.event_series(EventKind.FLOPS).sum() == 0
 
@@ -114,9 +114,9 @@ class TestEventBinning:
         """Binned totals equal the sum of real deposits only."""
 
         recorder = make_recorder(period=100)
-        recorder.add_range(0, 50, 0, EventKind.FLOPS, 10)
-        recorder.add_range(50, 50, 0, EventKind.FLOPS, 10)   # zero-trip
-        recorder.add_range(50, 250, 0, EventKind.FLOPS, 200)
+        recorder.add_many(0, 50, 0, ((EventKind.FLOPS, 10),))
+        recorder.add_many(50, 50, 0, ((EventKind.FLOPS, 10),))  # zero-trip
+        recorder.add_many(50, 250, 0, ((EventKind.FLOPS, 200),))
         trace = recorder.finalize(300)
         series = trace.event_series(EventKind.FLOPS)
         assert series.sum() == pytest.approx(210)
@@ -127,9 +127,10 @@ class TestEventBinning:
     def test_binning_grows_beyond_initial_capacity(self):
         recorder = make_recorder(period=10)
         last_bin = 259  # hundreds of windows, deposited out of order
-        recorder.add(last_bin * 10 + 5, 1, EventKind.FLOPS, 2)
-        recorder.add_range(0, (last_bin + 1) * 10, 0, EventKind.INTOPS,
-                           float(last_bin + 1))
+        recorder.add_many(last_bin * 10 + 5, last_bin * 10 + 6, 1,
+                          ((EventKind.FLOPS, 2),))
+        recorder.add_many(0, (last_bin + 1) * 10, 0,
+                          ((EventKind.INTOPS, float(last_bin + 1)),))
         trace = recorder.finalize((last_bin + 1) * 10)
         flops = trace.event_series(EventKind.FLOPS)
         assert flops.shape[0] == last_bin + 1
@@ -139,14 +140,14 @@ class TestEventBinning:
 
     def test_zero_amount_ignored(self):
         recorder = make_recorder()
-        recorder.add(10, 0, EventKind.FLOPS, 0)
+        recorder.add_many(10, 11, 0, ((EventKind.FLOPS, 0),))
         trace = recorder.finalize(100)
         assert trace.event_series(EventKind.FLOPS).sum() == 0
 
     def test_disabled_kind_ignored(self):
         config = ProfilingConfig(events=(EventKind.FLOPS,))
         recorder = ProfilingRecorder(config, 1)
-        recorder.add(10, 0, EventKind.STALLS, 5)
+        recorder.add_many(10, 11, 0, ((EventKind.STALLS, 5),))
         trace = recorder.finalize(100)
         assert EventKind.STALLS not in trace.events
 
@@ -164,14 +165,14 @@ class TestEventBinning:
 
     def test_stragglers_clamped_into_last_bin(self):
         recorder = make_recorder(period=100)
-        recorder.add(950, 0, EventKind.FLOPS, 2)
+        recorder.add_many(950, 951, 0, ((EventKind.FLOPS, 2),))
         trace = recorder.finalize(500)  # run "ended" before the event bin
         series = trace.event_series(EventKind.FLOPS)
         assert series[-1, 0] == 2
 
     def test_window_starts(self):
         recorder = make_recorder(period=128)
-        recorder.add(0, 0, EventKind.FLOPS, 1)
+        recorder.add_many(0, 1, 0, ((EventKind.FLOPS, 1),))
         trace = recorder.finalize(512)
         starts = trace.window_starts(EventKind.FLOPS)
         assert list(starts[:3]) == [0, 128, 256]
