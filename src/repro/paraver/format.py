@@ -25,6 +25,8 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .. import telemetry
 from ..profiling.config import EventKind, ThreadState
 from ..profiling.recorder import RunTrace
@@ -154,58 +156,95 @@ def _header(trace: RunTrace) -> str:
             f":1({threads}):1:{threads}({tasks})")
 
 
+#: records per formatted write of the ``.prv`` body
+BLOCK_RECORDS = 8192
+
+#: one state or event record: ``kind:cpu:appl:task:thread:a:b:c``
+_RECORD = "%d:%d:1:%d:1:%d:%d:%d\n"
+
+
 def _write_prv(trace: RunTrace, path: str, application: str,
                comms: list[CommRecord]) -> int:
+    kind, thread, a, b, c = _record_columns(trace, comms)
+    # the columns hold the record classes in their tie order (states,
+    # events, comms, attribution totals): a stable sort on time is the
+    # format's (time, class, gathering order)
+    perm = np.argsort(a, kind="stable")
+    n = perm.shape[0]
+    stops = np.flatnonzero(kind[perm] == 3).tolist() if comms else []
     with open(path, "w") as out:
         out.write(_header(trace) + "\n")
         out.write(f"c:{application}\n")
-        records: list[tuple[int, int, str]] = []  # (time, order, line)
-        for thread, cols in enumerate(trace.timeline):
-            head = f"1:{thread + 1}:1:{thread + 1}:1:"
-            records.extend((start, 0, f"{head}{start}:{end}:{state}")
-                           for start, end, state
-                           in zip(*(col.tolist() for col in cols)))
-        period = trace.sampling_period
-        for kind, series in trace.events.items():
-            type_id = EVENT_TYPE_IDS[kind]
-            bins, threads = series.shape
-            for b in range(bins):
-                time = (b + 1) * period
-                time = min(time, trace.end_cycle)
-                for t in range(threads):
-                    value = int(series[b, t])
-                    if value == 0:
-                        continue
-                    line = f"2:{t + 1}:1:{t + 1}:1:{time}:{type_id}:{value}"
-                    records.append((time, 1, line))
-        for comm in comms:
-            line = (f"3:{comm.src_thread + 1}:1:{comm.src_thread + 1}:1:"
-                    f"{comm.logical_send}:{comm.physical_send}:"
-                    f"{comm.dst_thread + 1}:1:{comm.dst_thread + 1}:1:"
-                    f"{comm.logical_recv}:{comm.physical_recv}:"
-                    f"{comm.size}:{comm.tag}")
-            records.append((comm.logical_send, 2, line))
-        if trace.attribution is not None:
-            # per-(region, thread, cause) table totals, one event each
-            # at the end of the trace; the region index ↔ key/label map
-            # travels in the .pcf (# REPRO_ATTR_REGION comments)
-            end = trace.end_cycle
-            index_of = {key: i for i, key in
-                        enumerate(_attr_region_keys(trace.attribution))}
-            for (region, t), cell in sorted(
+        pos = 0
+        for stop in stops + [n]:
+            for lo in range(pos, stop, BLOCK_RECORDS):
+                rows = perm[lo:min(lo + BLOCK_RECORDS, stop)]
+                th = thread[rows]
+                block = np.column_stack((kind[rows], th, th, a[rows],
+                                         b[rows], c[rows]))
+                out.write(_RECORD * rows.shape[0]
+                          % tuple(block.ravel().tolist()))
+            if stop < n:
+                out.write(_comm_line(comms[b[perm[stop]]]))
+            pos = stop + 1
+    return n
+
+
+def _record_columns(trace: RunTrace, comms: list[CommRecord]):
+    """(kind, thread, a, b, c) int64 columns of every ``.prv`` record.
+
+    A state or event record reads ``kind:thread:1:thread:1:a:b:c``; its
+    time is ``a``.  A comm record (kind 3) keeps its send time in ``a``
+    and its index in ``comms`` in ``b``.
+    """
+
+    parts = []  # per source: (kind, thread, a, b, c) columns
+
+    def add(kind: int, thread, a, b, c) -> None:
+        parts.append(np.broadcast_arrays(kind, thread, a, b, c))
+
+    for t, cols in enumerate(trace.timeline):
+        add(1, t + 1, cols.start, cols.end, cols.state)
+    period = trace.sampling_period
+    for kind, series in trace.events.items():
+        bins, threads = series.shape
+        values = series.astype(np.int64).ravel()  # truncates like int()
+        keep = np.flatnonzero(values)
+        times = np.minimum(np.arange(1, bins + 1, dtype=np.int64) * period,
+                           trace.end_cycle)
+        add(2, keep % threads + 1, times[keep // threads],
+            EVENT_TYPE_IDS[kind], values[keep])
+    if comms:
+        sends = np.array([comm.logical_send for comm in comms],
+                         dtype=np.int64)
+        add(3, 0, sends, np.arange(len(comms)), 0)
+    if trace.attribution is not None:
+        # per-(region, thread, cause) table totals, one event each at the
+        # end of the trace; the region index <-> key/label map travels in
+        # the .pcf (# REPRO_ATTR_REGION comments)
+        index_of = {key: i for i, key in
+                    enumerate(_attr_region_keys(trace.attribution))}
+        rows = [(t + 1, ATTR_EVENT_BASE + index_of[region] * ATTR_EVENT_STRIDE
+                 + slot, value)
+                for (region, t), cell in sorted(
                     trace.attribution.cells.items(),
-                    key=lambda item: (index_of[item[0][0]], item[0][1])):
-                base = ATTR_EVENT_BASE + index_of[region] * ATTR_EVENT_STRIDE
-                for slot, value in enumerate(cell):
-                    if value == 0:
-                        continue
-                    line = (f"2:{t + 1}:1:{t + 1}:1:{end}:"
-                            f"{base + slot}:{value}")
-                    records.append((end, 3, line))
-        records.sort(key=lambda rec: (rec[0], rec[1]))
-        for _, _, line in records:
-            out.write(line + "\n")
-    return len(records)
+                    key=lambda item: (index_of[item[0][0]], item[0][1]))
+                for slot, value in enumerate(cell) if value != 0]
+        if rows:
+            cols = np.array(rows, dtype=np.int64).reshape(-1, 3)
+            add(2, cols[:, 0], trace.end_cycle, cols[:, 1], cols[:, 2])
+
+    empty = np.empty(0, dtype=np.int64)
+    return tuple(np.concatenate([empty] + [part[field] for part in parts])
+                 for field in range(5))
+
+
+def _comm_line(comm: CommRecord) -> str:
+    return (f"3:{comm.src_thread + 1}:1:{comm.src_thread + 1}:1:"
+            f"{comm.logical_send}:{comm.physical_send}:"
+            f"{comm.dst_thread + 1}:1:{comm.dst_thread + 1}:1:"
+            f"{comm.logical_recv}:{comm.physical_recv}:"
+            f"{comm.size}:{comm.tag}\n")
 
 
 def _attr_region_keys(table) -> list[int]:

@@ -13,9 +13,16 @@ or as the leaf of a nest of sequential loops — in two halves:
   needs;
 * the *driver*: one codegen'd generator walks the nest's control
   skeleton — loop bubbles, leading segments, the per-entry pipelined
-  recurrence over precomputed bank/row lists, trailing segments and
-  critical sections — with the exact yield sequence and mutation order
-  of the reference executor.
+  recurrence, trailing segments and critical sections — with the exact
+  yield sequence and mutation order of the reference executor.
+
+Between the two halves, each pipelined memory op keeps only its element
+indices, as one int32 column (int64 when an index reaches 2**31).  The
+driver turns them into DRAM bank/row/channel lists one *slab* at a time:
+whole chunks, at most ``max(SLAB_TRIPS, chunk)`` trips, fetched where a
+chunk starts past the current slab.  A nest therefore holds 4–8 bytes
+per memory-op trip plus the lists of one slab, not Python ints for every
+trip.
 
 A lone pipelined loop is a depth-0 nest: no sequential levels, one
 entry.  Profiling and cycle-accounting deposits are made eagerly at the
@@ -48,8 +55,20 @@ from .interp import (
 
 __all__ = ["NestPlan", "build_nest_plan", "prepare_nest"]
 
+#: pipelined trips per address slab: the driver holds the bank/row/channel
+#: lists of at most ``max(SLAB_TRIPS, chunk)`` trips at a time
+SLAB_TRIPS = 4096
+
 
 _IOTA = np.arange(64, dtype=np.int64)
+
+
+def _index_column(idx: np.ndarray) -> np.ndarray:
+    """``idx`` as int32 when every index fits (below 2**31), else int64."""
+
+    if idx.size and (idx.max() >= 2 ** 31 or idx.min() < -2 ** 31):
+        return idx.astype(np.int64, copy=False)
+    return idx.astype(np.int32)
 
 
 def _iota(n: int) -> np.ndarray:
@@ -515,7 +534,7 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
     The generated function replays the reference executor's exact
     control skeleton for one nest dispatch — per-trip loop bubbles,
     leading-segment deposits, the per-entry pipelined recurrence over
-    precomputed bank/row lists, conditional advance/tail yields, and
+    slabs of bank/row/channel lists, conditional advance/tail yields, and
     trailing segments with the full critical-section protocol — with
     every schedule constant folded in as a literal.  It mutates the
     same shared state (leaky buckets, port histories, DRAM banks/bus,
@@ -528,9 +547,14 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
     runtime argument, issued in chunks of ``chunk`` trips, so one driver
     serves every dispatch of the plan.  A body without external accesses
     or a BRAM port group issues all but each chunk's first trip in
-    closed form.  The outstanding-request ``limit`` is folded in as a
-    literal.  All per-request protocol state that is
-    private to this thread — the Avalon port in-flight windows and
+    closed form.  The pipelined accesses' bank/row/channel lists come
+    from ``slab(lo, hi)`` for nest trips ``[lo, hi)``: at a chunk start
+    that runs past the current slab, the driver fetches the next one,
+    ending at the last chunk boundary within ``span`` trips, so slabs
+    tile the nest and ``p`` counts trips within the slab (the slab base
+    ``_sb`` is added back once at exit).  The outstanding-request
+    ``limit`` is folded in as a literal.  All per-request protocol state
+    that is private to this thread — the Avalon port in-flight windows and
     in-order completion clamps, and the semaphore acquisition counters
     — is hoisted into locals for the whole nest and written back once;
     DRAM bank/bus bookings and the FIFO lock handshake are inlined so
@@ -587,7 +611,7 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
 
     lines = ["def _ndrive(rt, tid, ctx, state, group, T, ns, "
              "brow, brdy, bus_busy, hist_r, hist_w, fins, tins, "
-             "bkrw, tbufs, acct):"]
+             "slab, span, tbufs, acct):"]
 
     def w(indent: int, text: str) -> None:
         lines.append("    " * indent + text)
@@ -628,10 +652,6 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
         w(1, "_hwa = _hw.append")
         w(1, "_hwp = _hw.popleft")
         w(1, "hlw = len(_hw)")
-    for i in range(len(mem)):
-        w(1, f"bk{i} = bkrw[{3 * i}]")
-        w(1, f"rw{i} = bkrw[{3 * i + 1}]")
-        w(1, f"cn{i} = bkrw[{3 * i + 2}]")
     if trails:
         w(1, "_values = ctx.values")
         w(1, "_vars = ctx.vars")
@@ -669,6 +689,9 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
     hoist_at = len(lines)
     w(1, "now = engine.now")
     w(1, "p = 0")
+    if mem:
+        w(1, "_sb = 0")
+        w(1, "_sn = 0")
     w(1, "_e = 0")
     if any_mem:
         w(1, "rm = 0")
@@ -924,6 +947,23 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
         w(ind, "p += batch")
         w(ind, f"last_retire = cursor + {depth - rec_ii}")
 
+    def emit_slab_fetch(ind: int) -> None:
+        # the next slab starts at this chunk and holds whole chunks: the
+        # rest of this entry, whole later entries, then whole chunks of
+        # the entry the span ends in
+        w(ind, "if p + batch > _sn:")
+        b = ind + 1
+        w(b, "_sb += p")
+        w(b, "p = 0")
+        w(b, "if remaining >= span:")
+        w(b + 1, f"_sn = span // {chunk} * {chunk}")
+        w(b, "else:")
+        w(b + 1, "_sx = span - remaining")
+        w(b + 1, f"_sn = remaining + _sx // T * T "
+                 f"+ _sx % T // {chunk} * {chunk}")
+        names = ", ".join(f"bk{i}, rw{i}, cn{i}" for i in range(len(mem)))
+        w(b, f"{names} = slab(_sb, _sb + _sn)")
+
     def emit_pipe(ind: int) -> None:
         # one pipelined entry: T trips, issued in chunks of `chunk`
         if p_reads:
@@ -938,6 +978,8 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
         w(ind, "while remaining > 0:")
         c = ind + 1
         w(c, f"batch = {chunk} if remaining > {chunk} else remaining")
+        if mem:
+            emit_slab_fetch(c)
         w(c, "cs = cursor")
         # the issue buckets live in locals for the chunk
         w(c, "s_first = state.first")
@@ -1161,6 +1203,8 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
     if used_w:
         w(1, "lc[_KW] = last_w")
         w(1, "hist_w[:] = _hw")
+    if mem:
+        w(1, "p += _sb")
     if any_mem:
         req_terms: list = []
         rb_terms: list = []
@@ -1265,6 +1309,27 @@ def _nest_driver_for(nplan, runtime):
             rec.config.state_record_bits(rec.num_threads),
             runtime.attribution)
     return nplan.driver
+
+
+def _address_slabs(cfg, cols):
+    """``slab(lo, hi)``: the flat (bank, row, channel) list triples of
+    nest trips ``[lo, hi)``, one triple per ``(buffer, index column)``."""
+
+    bpc = cfg.banks_per_channel
+    row_span = cfg.row_bytes * bpc * cfg.channels
+
+    def slab(lo: int, hi: int) -> list:
+        lists: list = []
+        for buf, idx in cols:
+            addr = buf.base_addr + idx[lo:hi].astype(np.int64) * buf.elem_bytes
+            channel = (addr // cfg.interleave_bytes) % cfg.channels
+            bank = (addr // cfg.row_bytes) % bpc
+            lists.append((channel * bpc + bank).tolist())
+            lists.append((addr // row_span).tolist())
+            lists.append(channel.tolist())
+        return lists
+
+    return slab
 
 
 def prepare_nest(runtime, nplan: NestPlan, tid: int, ctx, state, group,
@@ -1387,19 +1452,11 @@ def prepare_nest(runtime, nplan: NestPlan, tid: int, ctx, state, group,
     fins = [arr.tolist() for arr in fin_arrs]
 
     memory = runtime.memory
-    cfg = memory.config
     buffers = runtime.buffers
-    row_span = cfg.row_bytes * cfg.banks_per_channel * cfg.channels
-    bkrw: list = []
-    for (_start, _off, _nbytes, _is_write, name), idx in zip(nplan.mem,
-                                                             idxs):
-        buf = buffers[name]
-        addr = buf.base_addr + idx * buf.elem_bytes
-        channel = (addr // cfg.interleave_bytes) % cfg.channels
-        bank = (addr // cfg.row_bytes) % cfg.banks_per_channel
-        bkrw.append((channel * cfg.banks_per_channel + bank).tolist())
-        bkrw.append((addr // row_span).tolist())
-        bkrw.append(channel.tolist())
+    cols = [(buffers[name], _index_column(idx))
+            for (_start, _off, _nbytes, _is_write, name), idx
+            in zip(nplan.mem, idxs)]
+    del ivs, idxs
     tbufs: list = []
     for tr in trails:
         for _s, _sl, _nb, _iw, name in tr.mems:
@@ -1413,7 +1470,8 @@ def prepare_nest(runtime, nplan: NestPlan, tid: int, ctx, state, group,
                  tuple(n for _lo, _st, n in bounds_resolved),
                  memory._bank_row,
                  memory._bank_ready, memory._bus_busy, hist_r, hist_w,
-                 fins, tins, tuple(bkrw), tuple(tbufs), acct)
+                 fins, tins, _address_slabs(memory.config, cols),
+                 max(SLAB_TRIPS, nplan.chunk), tuple(tbufs), acct)
     if k:
         runtime.nests_flattened += 1
         runtime.entries_batched += entries

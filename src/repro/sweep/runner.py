@@ -94,7 +94,10 @@ def _inline_deadline(seconds: Optional[float]):
         yield
         return
 
+    expired = []
+
     def _expire(signum, frame):
+        expired.append(True)
         raise JobTimeout()
 
     previous = signal.signal(signal.SIGALRM, _expire)
@@ -104,6 +107,11 @@ def _inline_deadline(seconds: Optional[float]):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+    if expired:
+        # the handler ran inside a finalizer or weakref callback (e.g.
+        # during a garbage collection), where Python reports and drops
+        # exceptions: the job still overran its deadline
+        raise JobTimeout()
 
 
 # ----------------------------------------------------------------------

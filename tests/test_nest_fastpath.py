@@ -12,13 +12,20 @@ reference through the per-entry path.  A single-cell read-modify-write
 recurrence inside a flattened nest (the kernel from
 ``tests/test_fastpath.py`` wrapped in an outer sequential loop) must
 take the per-entry fallback (``sim.fastpath.nest_fallbacks``) and stay
-bit-identical.
+bit-identical.  With ``SLAB_TRIPS`` patched down to a few trips, the
+driver's address slabs straddle every chunk and nest level and must
+still tile each dispatch and match the reference bit for bit.
 """
+
+import functools
+import tempfile
 
 import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.apps import run_gemm
+from repro.apps.gemm import GEMM_VERSIONS
 from repro.core.program import Program
 from repro.paraver import write_trace
 from repro.sim import fastpath
@@ -300,3 +307,94 @@ class TestNestForcedFallback:
         expected = np.array([4 * np.arange(64, dtype=np.float32)[t::2].sum()
                              for t in range(2)])
         assert np.array_equal(bufs["out"], expected)
+
+
+# ----------------------------------------------------------------------
+# address slabs: tiny slab lengths straddle every chunk and nest level
+# ----------------------------------------------------------------------
+CHUNK = SimConfig().loop_chunk
+
+#: slab lengths around the chunk edge, plus one that ends slabs mid-entry
+SLAB_LENGTHS = [1, CHUNK - 1, CHUNK + 1, 100]
+
+SLAB_CASES = ["gemm_" + version for version in sorted(GEMM_VERSIONS)] + [
+    "matvec_m32", "matvec_m33", "matvec_m70", "triangular_n40"]
+
+
+@functools.lru_cache(maxsize=None)
+def _slab_case_ref(name, attribution):
+    return _slab_case(name, "reference", attribution)
+
+def _slab_case(name, mode, attribution):
+    """(signature, .prv bytes, attribution table) of one slab case."""
+
+    if name.startswith("gemm_"):
+        cfg = SimConfig(thread_start_interval=50, exec_mode=mode,
+                        attribution=attribution)
+        result = run_gemm(name[5:], dim=16, num_threads=4,
+                          sim_config=cfg).result
+    else:
+        src, sizes = NEST_CASES[name]
+        result, _bufs = _run(src, mode, attribution, sizes)
+    with tempfile.TemporaryDirectory() as tmp:
+        files = write_trace(result.trace, f"{tmp}/{name}")
+        blob = open(files.prv, "rb").read()
+    return _signature(result), blob, result.attribution
+
+
+class TestAddressSlabs:
+    @pytest.mark.parametrize("slab_trips", SLAB_LENGTHS)
+    @pytest.mark.parametrize("name", SLAB_CASES)
+    @pytest.mark.parametrize("attribution", [False, True])
+    def test_tiny_slabs_bit_identical(self, monkeypatch, slab_trips, name,
+                                      attribution):
+        monkeypatch.setattr(fastpath, "SLAB_TRIPS", slab_trips)
+        assert _slab_case(name, "auto", attribution) == \
+            _slab_case_ref(name, attribution)
+
+    @pytest.mark.parametrize("slab_trips",
+                             [1, CHUNK + 1, 100, fastpath.SLAB_TRIPS])
+    @pytest.mark.parametrize("name", ["gemm_naive", "matvec_m70",
+                                      "triangular_n40"])
+    def test_slabs_tile_every_dispatch(self, monkeypatch, slab_trips, name):
+        dispatches = []
+        real = fastpath._address_slabs
+
+        def recording(cfg, cols):
+            slab = real(cfg, cols)
+            calls = []
+            dispatches.append((len(cols[0][1]) if cols else 0, calls))
+
+            def wrapped(lo, hi):
+                lists = slab(lo, hi)
+                calls.append((lo, len(lists[0])))
+                return lists
+
+            return wrapped
+
+        monkeypatch.setattr(fastpath, "SLAB_TRIPS", slab_trips)
+        monkeypatch.setattr(fastpath, "_address_slabs", recording)
+        _slab_case(name, "auto", False)
+        assert dispatches
+        longest = max(slab_trips, CHUNK)
+        for total, calls in dispatches:
+            starts = [lo for lo, _n in calls]
+            sizes = [n for _lo, n in calls]
+            assert all(0 < n <= longest for n in sizes)
+            # consecutive, gap-free, and covering every trip once
+            assert starts == [sum(sizes[:i]) for i in range(len(sizes))]
+            assert sum(sizes) == total
+        if slab_trips < CHUNK:
+            assert max(len(calls) for _t, calls in dispatches) > 1
+
+    @pytest.mark.parametrize("top, dtype", [
+        (2 ** 31 - 1, np.int32), (2 ** 31, np.int64)])
+    def test_index_column_narrows_only_when_it_fits(self, top, dtype):
+        idx = np.array([0, 5, top], dtype=np.int64)
+        col = fastpath._index_column(idx)
+        assert col.dtype == dtype
+        assert col.tolist() == idx.tolist()
+        assert fastpath._index_column(
+            np.array([-2 ** 31 - 1], dtype=np.int64)).dtype == np.int64
+        assert fastpath._index_column(
+            np.empty(0, dtype=np.int64)).dtype == np.int32

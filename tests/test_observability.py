@@ -10,6 +10,7 @@ determinism contract (cycles identical with observability on or off).
 import io
 import json
 import os
+import time
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.sweep import (
     run_sweep, validate_event_records, validate_events_file,
 )
 from repro.sweep.progress import EVENT_KINDS
+from repro.sweep.runner import JobTimeout, _inline_deadline
 
 
 @pytest.fixture(autouse=True)
@@ -458,6 +460,21 @@ class TestInlineTimeout:
     def test_generous_timeout_does_not_fire(self):
         result = execute_job(tiny_job(), timeout=300.0)
         assert result.status == "ok"
+
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnraisableExceptionWarning")
+    def test_deadline_dropped_inside_a_finalizer_still_expires(self):
+        # Python reports and drops an exception raised in __del__ (or a
+        # weakref callback during garbage collection): the deadline must
+        # still end the job as timed out
+        class SlowFinalizer:
+            def __del__(self):
+                time.sleep(0.5)
+
+        with pytest.raises(JobTimeout):
+            with _inline_deadline(0.01):
+                obj = SlowFinalizer()
+                del obj
 
 
 # ----------------------------------------------------------------------

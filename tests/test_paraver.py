@@ -1,5 +1,7 @@
 """Tests for the Paraver writer, parser and analysis (round trips)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,11 +12,14 @@ from repro.paraver import (
     phase_overlap, render_series, render_state_timeline, state_fractions,
     state_occupancy, thread_activity_windows, total_gflops, write_trace,
 )
+from repro.paraver import format as prv_format
 from repro.paraver import parser as prv_parser
+from repro.paraver.format import ATTR_EVENT_BASE, ATTR_EVENT_STRIDE
 from repro.profiling import (
     EventKind, ProfilingConfig, ProfilingRecorder, RunTrace, StateColumns,
     ThreadState,
 )
+from repro.profiling.attribution import N_SLOTS, AttributionTable
 from repro.report.html import _state_runs
 
 
@@ -453,3 +458,145 @@ class TestCommRecords:
         trace = make_trace()
         files = write_trace(trace, str(tmp_path / "plain"))
         assert parse_prv(files.prv).comms == []
+
+
+# ----------------------------------------------------------------------
+# the block writer against the per-record writer it replaced
+# ----------------------------------------------------------------------
+def _oracle_prv(trace, application="accelerator", comms=()):
+    """The ``.prv`` text as the per-record writer made it: one
+    ``(time, order, line)`` tuple per record, one stable Python sort."""
+
+    records = []
+    for thread, cols in enumerate(trace.timeline):
+        head = f"1:{thread + 1}:1:{thread + 1}:1:"
+        records.extend((start, 0, f"{head}{start}:{end}:{state}")
+                       for start, end, state
+                       in zip(*(col.tolist() for col in cols)))
+    period = trace.sampling_period
+    for kind, series in trace.events.items():
+        bins, threads = series.shape
+        for b in range(bins):
+            time = min((b + 1) * period, trace.end_cycle)
+            for t in range(threads):
+                value = int(series[b, t])
+                if value:
+                    records.append((time, 1, f"2:{t + 1}:1:{t + 1}:1:{time}"
+                                    f":{EVENT_TYPE_IDS[kind]}:{value}"))
+    for comm in comms:
+        src, dst = comm.src_thread + 1, comm.dst_thread + 1
+        records.append((comm.logical_send, 2,
+                        f"3:{src}:1:{src}:1:{comm.logical_send}:"
+                        f"{comm.physical_send}:{dst}:1:{dst}:1:"
+                        f"{comm.logical_recv}:{comm.physical_recv}:"
+                        f"{comm.size}:{comm.tag}"))
+    if trace.attribution is not None:
+        end = trace.end_cycle
+        index_of = {key: i for i, key in enumerate(
+            prv_format._attr_region_keys(trace.attribution))}
+        for (region, t), cell in sorted(
+                trace.attribution.cells.items(),
+                key=lambda item: (index_of[item[0][0]], item[0][1])):
+            base = ATTR_EVENT_BASE + index_of[region] * ATTR_EVENT_STRIDE
+            for slot, value in enumerate(cell):
+                if value:
+                    records.append((end, 3, f"2:{t + 1}:1:{t + 1}:1:{end}:"
+                                            f"{base + slot}:{value}"))
+    records.sort(key=lambda rec: (rec[0], rec[1]))
+    body = "".join(line + "\n" for _, _, line in records)
+    return f"{prv_format._header(trace)}\nc:{application}\n{body}"
+
+
+def _live_trace(app, attribution):
+    from repro.apps import run_gemm, run_pi
+    from repro.sim import SimConfig
+    cfg = SimConfig(thread_start_interval=50, attribution=attribution)
+    if app == "pi":
+        return run_pi(3200, num_threads=4, sim_config=cfg).result.trace
+    return run_gemm(app, dim=16, num_threads=4, sim_config=cfg).result.trace
+
+
+@st.composite
+def _traces(draw):
+    """Random tilings, event values at the int() truncation edges, comm
+    records and attribution totals that tie in time with the rest."""
+
+    threads = draw(st.integers(1, 3))
+    period = draw(st.integers(1, 40))
+    end = draw(st.integers(1, 200))
+    timeline = []
+    cuts_seen = []
+    for _ in range(threads):
+        cuts = sorted(draw(st.sets(st.integers(1, end - 1), max_size=8))
+                      if end > 1 else set())
+        starts = [0] + cuts
+        ends = cuts + [end]
+        states = draw(st.lists(st.sampled_from([int(s) for s in ThreadState]),
+                               min_size=len(starts), max_size=len(starts)))
+        timeline.append(StateColumns(*(np.array(col, dtype=np.int64)
+                                       for col in (starts, ends, states))))
+        cuts_seen += starts
+    values = st.sampled_from([0.0, 0.0, 0.25, 0.999, 1.0, 2.5, 7.0,
+                              2.0 ** 31 - 1, 2.0 ** 31, 2.0 ** 31 + 0.5,
+                              2.0 ** 40])
+    bins = -(-end // period) + draw(st.integers(0, 2))  # clamped tail bins
+    kinds = draw(st.lists(st.sampled_from(list(EVENT_TYPE_IDS)),
+                          unique=True, max_size=3))
+    events = {kind: np.array(draw(st.lists(values, min_size=bins * threads,
+                                           max_size=bins * threads)),
+                             dtype=np.float64).reshape(bins, threads)
+              for kind in kinds}
+    times = st.sampled_from(cuts_seen + [min(period, end), end])
+    comms = [CommRecord(draw(st.integers(0, threads - 1)),
+                        draw(st.integers(0, threads - 1)), send, send + 1,
+                        send + 2, send + 3, draw(st.integers(0, 4096)))
+             for send in draw(st.lists(st.one_of(times, st.integers(0, end)),
+                                       max_size=4))]
+    attribution = None
+    if draw(st.booleans()):
+        attribution = AttributionTable(threads)
+        for _ in range(draw(st.integers(0, 4))):
+            attribution.deposit(draw(st.integers(-3, 5)),
+                                draw(st.integers(0, threads - 1)),
+                                draw(st.lists(st.integers(0, 2 ** 40),
+                                              min_size=N_SLOTS,
+                                              max_size=N_SLOTS)))
+    trace = RunTrace(num_threads=threads, end_cycle=end,
+                     sampling_period=period, timeline=timeline,
+                     events=events, attribution=attribution)
+    return trace, comms
+
+
+class TestBlockWriter:
+    @pytest.mark.parametrize("attribution", [False, True])
+    @pytest.mark.parametrize("app", ["naive", "no_critical", "vectorized",
+                                     "blocked", "double_buffered", "pi"])
+    def test_live_traces_match_the_per_record_writer(self, tmp_path, app,
+                                                     attribution):
+        trace = _live_trace(app, attribution)
+        files = write_trace(trace, str(tmp_path / app))
+        assert open(files.prv).read() == _oracle_prv(trace)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=_traces(), block=st.sampled_from([1, 7, 8192]))
+    def test_random_traces_match_the_per_record_writer(self, case, block):
+        import tempfile
+        trace, comms = case
+        with mock.patch.object(prv_format, "BLOCK_RECORDS", block), \
+                tempfile.TemporaryDirectory() as tmp:
+            files = write_trace(trace, f"{tmp}/run", comms=comms)
+            text = open(files.prv).read()
+        assert text == _oracle_prv(trace, comms=comms)
+
+    def test_records_counter_counts_body_lines(self, tmp_path):
+        from repro import telemetry
+        trace = _live_trace("naive", True)
+        session = telemetry.configure(enabled=True)
+        try:
+            files = write_trace(trace, str(tmp_path / "run"),
+                                comms=TestCommRecords()._comms())
+            records = session.counters["paraver.records"]
+        finally:
+            telemetry.configure(enabled=False)
+        lines = open(files.prv).read().splitlines()
+        assert records == len(lines) - 2  # header and c: line
