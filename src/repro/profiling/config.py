@@ -65,7 +65,8 @@ class EventKind(enum.Enum):
     # members are singletons and compare by identity, so the identity
     # hash is consistent with equality — and C-level, unlike
     # ``Enum.__hash__`` which rehashes the member name on every dict or
-    # set lookup (the recorder does millions of those per run)
+    # set lookup (the executor's add_many calls look each kind up in the
+    # recorder's column map, and attribution deposits key dicts by kind)
     __hash__ = object.__hash__
 
     def __str__(self) -> str:  # pragma: no cover - trivial

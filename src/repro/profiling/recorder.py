@@ -8,6 +8,12 @@ interface.  Events are aggregated into sampling-period bins exactly as
 the hardware's periodically-flushed counters would produce them
 (§IV-B.2); states are recorded per change (§IV-B.1).
 
+Counter deposits are fixed-width rows ``(thread, start, end, *amounts)``
+appended to one float64 log — by :meth:`ProfilingRecorder.add_many` and
+by the generated nest drivers alike — and :meth:`~ProfilingRecorder.
+finalize` bins the log once, in log order, so every window sums its
+deposits in the order they were made.
+
 The recorder also models the *cost* of tracing: it tracks how many
 bits of trace data have been produced so the executor's flush process
 can book the corresponding external-memory writes — the source of the
@@ -16,6 +22,7 @@ can book the corresponding external-memory writes — the source of the
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -28,7 +35,18 @@ from .config import (
 )
 
 __all__ = ["StateColumns", "StateInterval", "RunTrace", "ProfilingRecorder",
-           "state_totals"]
+           "state_totals", "LOG_KINDS"]
+
+#: counter kinds of a deposit row, in column order after the row's
+#: ``(thread, start, end)``
+LOG_KINDS: tuple[EventKind, ...] = (
+    EventKind.FLOPS, EventKind.INTOPS, EventKind.MEM_READ_BYTES,
+    EventKind.MEM_WRITE_BYTES, EventKind.STALLS)
+_LOG_COLUMN = {kind: 3 + col for col, kind in enumerate(LOG_KINDS)}
+_ROW = 3 + len(LOG_KINDS)
+
+#: deposit rows binned per block by finalize (bounds its temporaries)
+LOG_BLOCK_ROWS = 8192
 
 
 class StateColumns(NamedTuple):
@@ -151,18 +169,20 @@ class ProfilingRecorder:
         self.num_threads = num_threads
         self._state_log: list[list[tuple[int, ThreadState]]] = [
             [(0, ThreadState.IDLE)] for _ in range(num_threads)]
-        # per counter kind, (bin, thread) -> running sum of the deposits
-        # in deposit order (a dict upsert is several times cheaper than
-        # a numpy scalar indexed add); finalize scatters each dict into
-        # the kind's [bins, threads] array once
+        # one row per add_many call or driver deposit site, in deposit
+        # order (cycles, thread ids and amounts are exact below 2**53)
+        self._log = array("d")
         kinds = tuple(config.events)
         if attribution:
             # virtual counters: binned for visualization, but never part
             # of config.events, so the flush cost model (and therefore
             # the simulated cycles) is unchanged by attribution
             kinds += ATTRIBUTION_EVENTS
-        self._accum: dict[EventKind, dict] = {kind: {} for kind in kinds}
-        self._enabled_kinds = set(config.events)
+        self._kinds = tuple(dict.fromkeys(kinds))
+        # the kinds without a log column (the attribution counters):
+        # (bin, thread) -> running sum of attr_deposit shares
+        self._accum: dict[EventKind, dict] = {
+            kind: {} for kind in self._kinds if kind not in _LOG_COLUMN}
         self.attribution: Optional[AttributionTable] = (
             AttributionTable(num_threads) if attribution else None)
         self.pending_bits = 0  # trace bits not yet flushed
@@ -188,42 +208,24 @@ class ProfilingRecorder:
     def add_many(self, start: int, end: int, thread: int, pairs) -> None:
         """Deposit ``(kind, amount)`` pairs uniformly over cycles [start, end).
 
-        Each amount is spread over the sampling windows the range
-        overlaps, in proportion to the cycles it covers in each; a range
-        inside one window deposits the amount whole.  Zero amounts and
-        disabled kinds are skipped.  A zero-length range (``end <=
-        start``) covers no cycles and deposits nothing: the executor
-        emits such ranges for zero-trip loops, and depositing the full
-        amount would double-count work already booked by the surrounding
-        real ranges.  A single-cycle event at ``c`` is the range
-        ``[c, c + 1)``.
+        Logs one row; :meth:`finalize` spreads each amount over the
+        sampling windows the range overlaps, in proportion to the cycles
+        it covers in each; a range inside one window deposits the amount
+        whole.  Zero amounts and kinds outside ``config.events`` bin
+        nothing.  A zero-length range (``end <= start``) covers no cycles
+        and deposits nothing: the executor emits such ranges for
+        zero-trip loops, and depositing the full amount would
+        double-count work already booked by the surrounding real ranges.
+        A single-cycle event at ``c`` is the range ``[c, c + 1)``.  Pairs
+        of kinds outside :data:`LOG_KINDS` are ignored.
         """
 
-        if end <= start:
-            return
-        period = self.config.sampling_period
-        first_bin = start // period
-        last_bin = (end - 1) // period
-        enabled = self._enabled_kinds
-        accum = self._accum
-        if first_bin == last_bin:
-            key = None
-            for kind, amount in pairs:
-                if amount and kind in enabled:
-                    if key is None:
-                        key = (first_bin, thread)
-                    bucket = accum[kind]
-                    bucket[key] = bucket.get(key, 0.0) + amount
-            return
-        edges = np.arange(first_bin, last_bin + 2, dtype=np.int64) * period
-        span = np.minimum(edges[1:], end) - np.maximum(edges[:-1], start)
+        row = [thread, start, end, 0, 0, 0, 0, 0]
         for kind, amount in pairs:
-            if amount and kind in enabled:
-                bucket = accum[kind]
-                shares = span * (amount / (end - start))
-                for index, share in enumerate(shares.tolist(), first_bin):
-                    key = (index, thread)
-                    bucket[key] = bucket.get(key, 0.0) + share
+            col = _LOG_COLUMN.get(kind)
+            if col is not None:
+                row[col] = amount
+        self._log.extend(row)
 
     def attr_deposit(self, start: int, end: int, thread: int, region: int,
                      amounts) -> None:
@@ -305,6 +307,7 @@ class ProfilingRecorder:
         telemetry.add("profiling.trace_bits", self.total_bits)
         telemetry.add("profiling.state_records",
                       sum(len(log) for log in self._state_log))
+        telemetry.add("profiling.deposits", len(self._log) // _ROW)
         return trace
 
     def _finalize(self, end_cycle: int) -> RunTrace:
@@ -319,19 +322,89 @@ class ProfilingRecorder:
             timeline.append(StateColumns(cycles[keep], ends[keep],
                                          states[keep]))
 
-        # each cell receives the sum of its deposits, accumulated in
-        # deposit order — bit-identical to per-deposit array adds
         period = self.config.sampling_period
         n_bins = max(1, -(-max(1, end_cycle) // period))
+        logged = self._bin_log(n_bins)
         events: dict[EventKind, np.ndarray] = {}
-        for kind, bucket in self._accum.items():
+        for kind in self._kinds:
+            if kind in logged:
+                events[kind] = logged[kind]
+                continue
+            bucket = self._accum[kind]
             cells = np.array(list(bucket), dtype=np.intp).reshape(-1, 2)
             used = int(cells[:, 0].max(initial=-1)) + 1
             series = np.zeros((max(used, n_bins), self.num_threads))
             series[cells[:, 0], cells[:, 1]] = list(bucket.values())
-            events[kind] = arr = series[:n_bins].copy()
-            if used > n_bins:  # clamp stragglers into the final window
-                arr[-1] += series[n_bins:used].sum(axis=0)
+            events[kind] = _windows(series, used, n_bins)
         return RunTrace(self.num_threads, end_cycle, period, timeline,
                         events, trace_bits=self.total_bits,
                         flushes=self.flushes, attribution=self.attribution)
+
+    def _bin_log(self, n_bins: int) -> dict[EventKind, np.ndarray]:
+        """The [n_bins, threads] series of each logged kind in
+        ``config.events``, binned from the deposit log.
+
+        Rows are read ``LOG_BLOCK_ROWS`` at a time and expanded over the
+        windows their range covers: the whole amount when it fits in one
+        window, else ``span * (amount / (end - start))`` per window.
+        ``np.add.at`` adds the shares in row order, so each cell sums its
+        deposits in deposit order.  Zero amounts add ``+0.0`` (a no-op
+        on a cell that starts at ``+0.0``) but, like empty ranges, do not
+        count toward the straggler bound ``used``.
+        """
+
+        threads = self.num_threads
+        period = self.config.sampling_period
+        kinds = [kind for kind in self._kinds if kind in _LOG_COLUMN]
+        columns = [_LOG_COLUMN[kind] for kind in kinds]
+        # one flat [bins * threads] sum per kind, kind-major
+        sums = np.zeros((len(kinds), n_bins * threads))
+        used = np.zeros(len(kinds), np.int64)
+        log = self._log
+        step = LOG_BLOCK_ROWS * _ROW
+        for lo in range(0, len(log) if kinds else 0, step):
+            rows = np.frombuffer(log[lo:lo + step]).reshape(-1, _ROW)
+            live = rows[:, 2] > rows[:, 1]
+            if not live.all():
+                rows = rows[live]
+                if not rows.shape[0]:
+                    continue
+            thread, start, end = rows[:, :3].T.astype(np.int64)
+            amount = rows.T[columns]
+            first = start // period
+            last = (end - 1) // period
+            used = np.maximum(used,
+                              np.where(amount != 0, last + 1, 0).max(axis=1))
+            width = last - first + 1
+            row_of = np.repeat(np.arange(width.shape[0]), width)
+            window = np.arange(row_of.shape[0]) - np.repeat(
+                np.cumsum(width) - width - first, width)
+            share = amount[:, row_of]
+            # a row spread over several windows: span * (amount / length)
+            part = np.flatnonzero(width[row_of] > 1)
+            r, w = row_of[part], window[part]
+            span = (np.minimum((w + 1) * period, end[r])
+                    - np.maximum(w * period, start[r]))
+            share[:, part] = span * (amount[:, r] / (end - start)[r])
+            size = (int(last.max()) + 1) * threads
+            if size > sums.shape[1]:
+                sums = np.concatenate(
+                    (sums, np.zeros((len(kinds), size - sums.shape[1]))),
+                    axis=1)
+            cell = window * threads + thread[row_of]
+            offset = np.arange(len(kinds))[:, None] * sums.shape[1]
+            np.add.at(sums.reshape(-1), (cell + offset).ravel(),
+                      share.ravel())
+        return {kind: _windows(sums[k].reshape(-1, threads), int(used[k]),
+                               n_bins)
+                for k, kind in enumerate(kinds)}
+
+
+def _windows(series: np.ndarray, used: int, n_bins: int) -> np.ndarray:
+    """The first ``n_bins`` rows of ``series``, with rows ``n_bins`` up to
+    ``used`` (deposits past the run's end) clamped into the final one."""
+
+    arr = series[:n_bins].copy()
+    if used > n_bins:
+        arr[-1] += series[n_bins:used].sum(axis=0)
+    return arr

@@ -7,12 +7,15 @@ Executes a :class:`~repro.hls.compiler.Accelerator` on the board model:
 * items of a block run *dataflow-style*: an item starts once the items
   it depends on have finished, so independent items (the double-buffered
   GEMM's prefetch and compute nests) genuinely overlap;
-* pipelined leaf loops use a chunked fast path: iterations issue into
-  the loop's shared datapath every ``ii`` cycles (one datapath instance
-  shared by all threads, the Nymble-MT model), same-thread iterations
-  keep ``rec_ii`` spacing, and external-memory responses that arrive
-  after the scheduled minimum latency *stall* that thread's pipeline —
-  counted as stall events (§IV-B.2a);
+* pipelined leaf loops issue iterations into the loop's shared
+  datapath every ``ii`` cycles (one datapath instance shared by all
+  threads, the Nymble-MT model), same-thread iterations keep ``rec_ii``
+  spacing, and external-memory responses that arrive after the
+  scheduled minimum latency *stall* that thread's pipeline — counted as
+  stall events (§IV-B.2a).  Here that is the scalar reference, one
+  iteration at a time in ``loop_chunk`` chunks; with ``exec_mode="auto"``
+  a loop with a plan, alone or as the leaf of a flattenable nest, runs
+  through :mod:`repro.sim.fastpath`'s codegen'd driver instead;
 * critical sections run through the hardware semaphore with
   Spinning/Critical state recording (Fig. 2);
 * the profiling unit's periodic counter flushes book real writes to the

@@ -25,14 +25,15 @@ per memory-op trip plus the lists of one slab, not Python ints for every
 trip.
 
 A lone pipelined loop is a depth-0 nest: no sequential levels, one
-entry.  Profiling and cycle-accounting deposits are made eagerly at the
-reference deposit points — any deferral would reorder same-bin float
-accumulation against concurrently-running loops (double buffering) and
-drift the binned series by an ulp.  A loop without a plan, or whose
-value kernel raises :class:`~repro.sim.interp.VectorFallback` (always
-before any functional side effect), runs on the scalar reference, so
-both exec modes produce bit-identical cycles, traces, stalls, DRAM
-counters and attribution tables.
+entry.  Profiling deposits are rows logged in deposit order at the
+reference deposit points, interleaved with concurrently-running loops
+(double buffering) exactly as in the reference, and binned in log order
+at finalize; cycle-accounting deposits are made eagerly at the same
+points.  A loop without a plan, or whose value kernel raises
+:class:`~repro.sim.interp.VectorFallback` (always before any functional
+side effect), runs on the scalar reference, so both exec modes produce
+bit-identical cycles, traces, stalls, DRAM counters and attribution
+tables.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from ..hls.schedule import CriticalNode, LoopNode, Segment
 from ..ir.ops import Opcode
 from ..ir.types import MemorySpace
 from ..profiling.attribution import REGION_SYNC, loop_region, segment_region
-from ..profiling.config import EventKind, ThreadState
+from ..profiling.config import ThreadState
 from .engine import Event
 from .interp import (
     VectorFallback, VectorizeError, VectorizedSegment, _elem_bytes, _lanes,
@@ -518,17 +519,9 @@ def build_nest_plan(item: LoopNode, schedule, external_uses: set[int],
         dram=config.dram, uid=item.uid)
 
 
-def _amt(value: int, factor: str = "") -> str:
-    """Literal for a deposit amount, folding the zero case."""
-
-    if value == 0:
-        return "0"
-    return f"{value} * {factor}" if factor else str(value)
-
-
 def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
                          group_cost, chunk, window, dram, uid, limit,
-                         grant, period, enabled, record_on, sbits, attr):
+                         grant, events, record_on, sbits, attr):
     """exec-compile the whole-nest timing generator.
 
     The generated function replays the reference executor's exact
@@ -539,9 +532,11 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
     every schedule constant folded in as a literal.  It mutates the
     same shared state (leaky buckets, port histories, DRAM banks/bus,
     semaphore, thread states) in the same order at the same simulated
-    times as the reference, and makes its profiling deposits eagerly at
-    the reference deposit points so same-bin float accumulation keeps
-    the reference order even against concurrently-running loops.
+    times as the reference, and appends one profiling row to the
+    recorder's log at each reference deposit point, so the log keeps
+    the reference deposit order even against concurrently-running
+    loops.  With ``events`` false (no counters configured) it logs
+    nothing.
 
     Each pipelined entry runs one body: its trip count ``T`` is a
     runtime argument, issued in chunks of ``chunk`` trips, so one driver
@@ -601,13 +596,6 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
     rmp = dram.row_miss_penalty
     base = dram.base_latency
     row_span = dram.row_bytes * dram.banks_per_channel * dram.channels
-    # accumulator buckets touched by inlined single-bin deposits; tags
-    # name the EventKind constants (F/I/R/W/S) in the namespace
-    kind_of = {"F": EventKind.FLOPS, "I": EventKind.INTOPS,
-               "R": EventKind.MEM_READ_BYTES, "W": EventKind.MEM_WRITE_BYTES,
-               "S": EventKind.STALLS}
-    en_tags = {tag for tag, kind in kind_of.items() if kind in enabled}
-    used_tags: set = set()
 
     lines = ["def _ndrive(rt, tid, ctx, state, group, T, ns, "
              "brow, brdy, bus_busy, hist_r, hist_w, fins, tins, "
@@ -618,7 +606,8 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
 
     w(1, "engine = rt.engine")
     w(1, "rec = rt.recorder")
-    w(1, "_am = rec.add_many")
+    if events:
+        w(1, "_lx = rec._log.extend")
     for li in range(k):
         w(1, f"n{li} = ns[{li}]")
     if p_reads:
@@ -686,7 +675,6 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
             w(1, f"tb{u}_{q} = tbufs[{tpos}]")
             w(1, f"te{u}_{q} = tbufs[{tpos + 1}]")
             tpos += 2
-    hoist_at = len(lines)
     w(1, "now = engine.now")
     w(1, "p = 0")
     if mem:
@@ -813,54 +801,12 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
                 w(ind + 1, "if ge_next > issue: issue = ge_next")
             w(ind + 1, f"ge_next += {group_cost}")
 
-    def emit_deposit(ind, start_expr, endm1_expr, end_expr,
-                     const_pairs, rt_pairs, fallback) -> None:
-        # ProfilingRecorder.add_many inlined for the single-bin case:
-        # same upsert expression per pair, zero/disabled pairs folded
-        # away at compile time; cross-bin deposits (rare) fall back to
-        # the real method with the reference pair tuple
-        inline = [(t, a) for t, a in const_pairs if t in en_tags and a]
-        rt_in = [(t, e, g) for t, e, g in rt_pairs if t in en_tags]
-        if not inline and not rt_in:
-            return  # a no-op deposit in the reference as well
-        used_tags.update(t for t, _a in inline)
-        used_tags.update(t for t, _e, _g in rt_in)
-        w(ind, f"b0 = {start_expr} // {period}")
-        w(ind, f"_bl = ({endm1_expr}) // {period}")
-        w(ind, "if b0 == _bl:")
-        w(ind + 1, "key = (b0, tid)")
-        for t, a in inline:
-            w(ind + 1, f"_b{t}[key] = _b{t}g(key, 0.0) + {a}")
-        for t, e, g in rt_in:
-            if g:
-                w(ind + 1, f"if {e}:")
-                w(ind + 2, f"_b{t}[key] = _b{t}g(key, 0.0) + {e}")
-            else:
-                w(ind + 1, f"_b{t}[key] = _b{t}g(key, 0.0) + {e}")
-        w(ind, "elif _bl == b0 + 1:")
-        # the two-window split mirrors add_many's vectorized
-        # ``span * (amount / (end - start))`` bit for bit: one float
-        # scale per pair, one int*float multiply per window
-        w(ind + 1, f"_m = _bl * {period}")
-        w(ind + 1, f"_sp = {end_expr} - ({start_expr})")
-        w(ind + 1, f"_w0 = _m - ({start_expr})")
-        w(ind + 1, f"_w1 = {end_expr} - _m")
-        w(ind + 1, "key = (b0, tid)")
-        w(ind + 1, "_k1 = (_bl, tid)")
-        for t, a in inline:
-            w(ind + 1, f"_f = {a} / _sp")
-            w(ind + 1, f"_b{t}[key] = _b{t}g(key, 0.0) + _w0 * _f")
-            w(ind + 1, f"_b{t}[_k1] = _b{t}g(_k1, 0.0) + _w1 * _f")
-        for t, e, g in rt_in:
-            base = ind + 1
-            if g:
-                w(ind + 1, f"if {e}:")
-                base = ind + 2
-            w(base, f"_f = {e} / _sp")
-            w(base, f"_b{t}[key] = _b{t}g(key, 0.0) + _w0 * _f")
-            w(base, f"_b{t}[_k1] = _b{t}g(_k1, 0.0) + _w1 * _f")
-        w(ind, "else:")
-        w(ind + 1, f"_am({start_expr}, {end_expr}, tid, {fallback})")
+    def emit_deposit(ind, start_expr, end_expr, amounts) -> None:
+        # one row (tid, start, end, *amounts in LOG_KINDS order) in the
+        # recorder's deposit log, which finalize bins
+        if events and any(a != "0" for a in amounts):
+            w(ind, f"_lx((tid, {start_expr}, {end_expr}, "
+                   f"{', '.join(amounts)}))")
 
     def emit_set_state(ind, state_name) -> None:
         # ProfilingRecorder.set_state inlined; the dedupe guard is kept
@@ -1004,15 +950,10 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
             w(c, "group.first = g_first")
             w(c, f"group.count = (ge_next - g_first) // {group_cost}")
         w(c, "remaining -= batch")
-        rt_pairs = [(t, f"{v} * batch", False)
-                    for t, v in (("F", pseg.flops), ("I", pseg.intops),
-                                 ("R", prb), ("W", pwb)) if v]
-        emit_deposit(c, "cs", "last_retire - 1", "last_retire", [],
-                     rt_pairs + [("S", "stall", True)],
-                     f"((_FLOPS, {_amt(pseg.flops, 'batch')}), "
-                     f"(_INTOPS, {_amt(pseg.intops, 'batch')}), "
-                     f"(_MRB, {_amt(prb, 'batch')}), "
-                     f"(_MWB, {_amt(pwb, 'batch')}), (_STALLS, stall))")
+        emit_deposit(c, "cs", "last_retire",
+                     [f"{v} * batch" if v else "0"
+                      for v in (pseg.flops, pseg.intops, prb, pwb)]
+                     + ["stall"])
         if attr:
             w(c, f"_ad(cs, last_retire, {p_reg}, ({rec_ii} * batch, c_ii, "
                  "c_port, c_lat, c_arb, c_row, 0, 0, 0))")
@@ -1103,14 +1044,9 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
                     trb += nbytes
             if any_tread:
                 w(ind, f"duration = {seg.depth} + extra")
-                emit_deposit(
-                    ind, "now", "now + duration - 1", "now + duration",
-                    [("F", seg.flops), ("I", seg.intops),
-                     ("R", trb), ("W", twb)],
-                    [("S", "extra", True)],
-                    f"((_FLOPS, {_amt(seg.flops)}), (_INTOPS, "
-                    f"{_amt(seg.intops)}), (_MRB, {_amt(trb)}), "
-                    f"(_MWB, {_amt(twb)}), (_STALLS, extra))")
+                emit_deposit(ind, "now", "now + duration",
+                             [str(seg.flops), str(seg.intops), str(trb),
+                              str(twb), "extra"])
                 if attr:
                     emit_peel(ind, "extra", "e_pen", "e_arb")
                     w(ind, f"_ad(now, now + duration, {s_reg}, ({seg.depth}, "
@@ -1122,11 +1058,9 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
             else:
                 # posted writes never stall the segment: constant timing
                 if seg.depth > 0:
-                    emit_deposit(
-                        ind, "now", f"now + {seg.depth - 1}",
-                        f"now + {seg.depth}",
-                        [("F", seg.flops), ("I", seg.intops), ("W", twb)],
-                        [], f"_PTM{u}")
+                    emit_deposit(ind, "now", f"now + {seg.depth}",
+                                 [str(seg.flops), str(seg.intops), "0",
+                                  str(twb), "0"])
                 emit_seg_acct(ind, seg)
                 w(ind, f"yield {seg.depth}")
                 w(ind, f"now += {seg.depth}")
@@ -1138,10 +1072,9 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
             else:
                 w(ind, call)
             if seg.depth > 0:
-                emit_deposit(ind, "now", f"now + {seg.depth - 1}",
-                             f"now + {seg.depth}",
-                             [("F", seg.flops), ("I", seg.intops)],
-                             [], f"_PT{u}")
+                emit_deposit(ind, "now", f"now + {seg.depth}",
+                             [str(seg.flops), str(seg.intops),
+                              "0", "0", "0"])
             emit_seg_acct(ind, seg)
             w(ind, f"yield {seg.depth}")
             w(ind, f"now += {seg.depth}")
@@ -1168,9 +1101,9 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
         for si, (seg, _compiled) in enumerate(lvl.leading):
             d = seg.depth
             if d > 0:
-                emit_deposit(b, "now", f"now + {d - 1}", f"now + {d}",
-                             [("F", seg.flops), ("I", seg.intops)], [],
-                             f"_PL{li}_{si}")
+                emit_deposit(b, "now", f"now + {d}",
+                             [str(seg.flops), str(seg.intops),
+                              "0", "0", "0"])
             emit_seg_acct(b, seg)
             w(b, f"yield {d}")
             w(b, f"now += {d}")
@@ -1245,13 +1178,7 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
             w(2, "_C = sem.contended")
             w(2, f"_C[_LK{j}] = _C.get(_LK{j}, 0) + _cn{j}")
 
-    namespace = {
-        "_deque": deque, "_Z": (0, 0, 0),
-        "_FLOPS": EventKind.FLOPS, "_INTOPS": EventKind.INTOPS,
-        "_MRB": EventKind.MEM_READ_BYTES,
-        "_MWB": EventKind.MEM_WRITE_BYTES,
-        "_STALLS": EventKind.STALLS,
-    }
+    namespace = {"_deque": deque, "_Z": (0, 0, 0)}
     if any_crit:
         namespace["_Event"] = Event
         namespace["_SPIN"] = ThreadState.SPINNING
@@ -1259,32 +1186,8 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
         namespace["_RUN"] = ThreadState.RUNNING
         for j, lock in enumerate(locks):
             namespace[f"_LK{j}"] = lock
-    for li, lvl in enumerate(levels):
-        for si, (seg, _compiled) in enumerate(lvl.leading):
-            namespace[f"_PL{li}_{si}"] = ((EventKind.FLOPS, seg.flops),
-                                          (EventKind.INTOPS, seg.intops))
     for u, tr in enumerate(trails):
         namespace[f"_tf{u}"] = tr.compiled.fn
-        if not tr.mems:
-            namespace[f"_PT{u}"] = ((EventKind.FLOPS, tr.segment.flops),
-                                    (EventKind.INTOPS, tr.segment.intops))
-        elif all(m[3] for m in tr.mems):
-            twb = sum(m[2] for m in tr.mems)
-            namespace[f"_PTM{u}"] = (
-                (EventKind.FLOPS, tr.segment.flops),
-                (EventKind.INTOPS, tr.segment.intops),
-                (EventKind.MEM_READ_BYTES, 0),
-                (EventKind.MEM_WRITE_BYTES, twb),
-                (EventKind.STALLS, 0))
-    if used_tags:
-        names = {"F": "_FLOPS", "I": "_INTOPS", "R": "_MRB",
-                 "W": "_MWB", "S": "_STALLS"}
-        hoists = ["    _acc = rec._accum"]
-        for t in "FIRWS":
-            if t in used_tags:
-                hoists.append(f"    _b{t} = _acc[{names[t]}]")
-                hoists.append(f"    _b{t}g = _b{t}.get")
-        lines[hoist_at:hoist_at] = hoists
     source = "\n".join(lines)
     code = compile(source, f"<ndrive:{uid}>", "exec")
     exec(code, namespace)
@@ -1303,8 +1206,7 @@ def _nest_driver_for(nplan, runtime):
             nplan.group_id is not None, nplan.group_cost, nplan.chunk,
             nplan.window, nplan.dram, nplan.uid,
             runtime.ports.outstanding_limit,
-            runtime.semaphore.grant_latency,
-            rec.config.sampling_period, frozenset(rec._enabled_kinds),
+            runtime.semaphore.grant_latency, bool(rec.config.events),
             rec.config.record_states and rec.config.enabled,
             rec.config.state_record_bits(rec.num_threads),
             runtime.attribution)

@@ -132,6 +132,8 @@ class TestFastpathTelemetry:
         assert counters.get("sim.fastpath.batches", 0) > 0
         assert counters.get("sim.fastpath.iters_vectorized", 0) > 0
         assert counters.get("sim.fastpath.fallbacks", 0) == 0
+        # counter deposits logged by the nest drivers and the executor
+        assert counters.get("profiling.deposits", 0) > 0
 
     def test_reference_mode_never_enters_fast_path(self):
         session = telemetry.configure(enabled=True)

@@ -1,12 +1,22 @@
 """Unit tests for the profiling recorder and RunTrace."""
 
+from array import array
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.apps import run_gemm, run_pi
+from repro.apps.gemm import GEMM_VERSIONS
 from repro.profiling import (
     EventKind, ProfilingConfig, ProfilingRecorder, STATE_ENCODING,
     ThreadState,
 )
+from repro.profiling import recorder as recorder_module
+from repro.profiling.recorder import LOG_KINDS
+from repro.sim.config import SimConfig
+
+from .test_nest_fastpath import NEST_CASES, _run
 
 
 def make_recorder(threads: int = 2, period: int = 100) -> ProfilingRecorder:
@@ -200,3 +210,159 @@ class TestFlushAccounting:
         # but the state timeline still exists (the simulator always knows)
         trace = recorder.finalize(10)
         assert trace.states[0][-1].state is ThreadState.RUNNING
+
+
+# ----------------------------------------------------------------------
+# the deposit log against the dict recorder it replaced
+# ----------------------------------------------------------------------
+def _oracle_series(config, threads, deposits, end_cycle):
+    """Event series of ``(start, end, thread, pairs)`` deposits binned the
+    dict way: one running sum per ``(bin, thread)`` cell, upserted in
+    deposit order, scattered into ``[bins, threads]`` at the end."""
+
+    period = config.sampling_period
+    accum = {kind: {} for kind in config.events}
+    for start, end, thread, pairs in deposits:
+        if end <= start:
+            continue
+        first, last = start // period, (end - 1) // period
+        for kind, amount in pairs:
+            if not amount or kind not in accum:
+                continue
+            if first == last:
+                shares = [(first, amount)]
+            else:
+                edges = np.arange(first, last + 2, dtype=np.int64) * period
+                span = (np.minimum(edges[1:], end)
+                        - np.maximum(edges[:-1], start))
+                shares = enumerate(
+                    (span * (amount / (end - start))).tolist(), first)
+            bucket = accum[kind]
+            for index, share in shares:
+                bucket[(index, thread)] = bucket.get((index, thread),
+                                                     0.0) + share
+    n_bins = max(1, -(-max(1, end_cycle) // period))
+    events = {}
+    for kind, bucket in accum.items():
+        cells = np.array(list(bucket), dtype=np.intp).reshape(-1, 2)
+        used = int(cells[:, 0].max(initial=-1)) + 1
+        series = np.zeros((max(used, n_bins), threads))
+        series[cells[:, 0], cells[:, 1]] = list(bucket.values())
+        events[kind] = arr = series[:n_bins].copy()
+        if used > n_bins:
+            arr[-1] += series[n_bins:used].sum(axis=0)
+    return events
+
+
+def _assert_series_equal(events, oracle):
+    for kind, expected in oracle.items():
+        assert events[kind].shape == expected.shape, kind
+        assert events[kind].tobytes() == expected.tobytes(), kind
+
+
+_AMOUNTS = st.one_of(
+    st.just(0), st.integers(1, 100),
+    st.floats(0, 1, exclude_min=True, exclude_max=True),
+    st.integers(2 ** 40, 2 ** 50))
+
+
+@st.composite
+def _deposit_streams(draw):
+    period = draw(st.sampled_from([1, 2, 7, 100, 2048]))
+    threads = draw(st.integers(1, 4))
+    # any subset of the counters, attribution ones included: log kinds
+    # left out are disabled, attribution kinds listed get a series
+    events = tuple(draw(st.lists(st.sampled_from(list(EventKind)),
+                                 unique=True, max_size=8)))
+    horizon = 30 * period
+    deposits = []
+    for _ in range(draw(st.integers(0, 40))):
+        start = draw(st.integers(0, horizon))
+        length = draw(st.one_of(
+            st.integers(-3, 0),                      # empty or inverted
+            st.integers(1, period),                  # at most two windows
+            st.integers(period + 1, 3 * period),     # two to four
+            st.integers(3 * period, 12 * period)))   # many
+        pairs = draw(st.lists(st.tuples(st.sampled_from(LOG_KINDS),
+                                        _AMOUNTS),
+                              unique_by=lambda pair: pair[0], max_size=5))
+        deposits.append((start, start + length,
+                         draw(st.integers(0, threads - 1)), pairs))
+    # runs may end before the last deposits (stragglers)
+    end_cycle = draw(st.integers(0, horizon + 6 * period))
+    return ProfilingConfig(sampling_period=period, events=events), \
+        threads, deposits, end_cycle
+
+
+class TestDepositLog:
+    @pytest.mark.parametrize("block_rows", [1, 7, None])
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(stream=_deposit_streams())
+    def test_binning_matches_dict_oracle(self, block_rows, stream):
+        config, threads, deposits, end_cycle = stream
+        with pytest.MonkeyPatch.context() as patch:
+            if block_rows is not None:
+                patch.setattr(recorder_module, "LOG_BLOCK_ROWS", block_rows)
+            recorder = ProfilingRecorder(config, threads)
+            for start, end, thread, pairs in deposits:
+                recorder.add_many(start, end, thread, pairs)
+            trace = recorder.finalize(end_cycle)
+        oracle = _oracle_series(config, threads, deposits, end_cycle)
+        assert list(trace.events) == list(oracle)
+        _assert_series_equal(trace.events, oracle)
+
+
+def _gemm(version, mode, attribution):
+    return run_gemm(version, dim=16, attribution=attribution,
+                    sim_config=SimConfig(thread_start_interval=50,
+                                         exec_mode=mode)).result
+
+
+def _nest(name, mode, attribution):
+    src, sizes = NEST_CASES[name]
+    return _run(src, mode, attribution, sizes)[0]
+
+
+def _pi(mode, attribution):
+    return run_pi(80_000, attribution=attribution,
+                  sim_config=SimConfig(exec_mode=mode)).result
+
+
+LIVE_RUNS = {f"gemm_{version}": (lambda mode, attr, v=version:
+                                 _gemm(v, mode, attr))
+             for version in sorted(GEMM_VERSIONS)}
+LIVE_RUNS.update({name: (lambda mode, attr, n=name: _nest(n, mode, attr))
+                  for name in ("matvec_m32", "matvec_m33", "matvec_m70",
+                               "triangular_n40")})
+LIVE_RUNS["pi_80k"] = _pi
+
+
+class TestLiveLogReplay:
+    """The rows a real run logs — executor and nest driver alike —
+    replayed through the dict oracle give the trace's event arrays."""
+
+    @pytest.mark.parametrize("name", sorted(LIVE_RUNS))
+    @pytest.mark.parametrize("mode", ["reference", "auto"])
+    @pytest.mark.parametrize("attribution", [False, True])
+    def test_log_replays_to_the_event_arrays(self, name, mode, attribution,
+                                             monkeypatch):
+        logs = []
+        finalize = ProfilingRecorder.finalize
+
+        def capture(recorder, end_cycle):
+            logs.append(array("d", recorder._log))
+            return finalize(recorder, end_cycle)
+
+        monkeypatch.setattr(ProfilingRecorder, "finalize", capture)
+        result = LIVE_RUNS[name](mode, attribution)
+        trace = result.trace
+        assert len(logs) == 1 and len(logs[0])
+        rows = np.frombuffer(logs[0]).reshape(-1, 3 + len(LOG_KINDS))
+        deposits = [(int(start), int(end), int(thread),
+                     list(zip(LOG_KINDS, amounts)))
+                    for thread, start, end, *amounts in rows.tolist()]
+        config = ProfilingConfig(sampling_period=trace.sampling_period)
+        oracle = _oracle_series(config, trace.num_threads, deposits,
+                                trace.end_cycle)
+        assert set(oracle) == set(LOG_KINDS)
+        _assert_series_equal(trace.events, oracle)
