@@ -14,10 +14,16 @@ by the generated nest drivers alike — and :meth:`~ProfilingRecorder.
 finalize` bins the log once, in log order, so every window sums its
 deposits in the order they were made.
 
-The recorder also models the *cost* of tracing: it tracks how many
-bits of trace data have been produced so the executor's flush process
-can book the corresponding external-memory writes — the source of the
-(small) runtime perturbation the paper measures.
+Each thread's state log is one ``array('q')`` of ``cycle << 2 | state``
+ints — the hardware's 2-bit state code under its clock — appended by
+:meth:`~ProfilingRecorder.set_state` (the executor and the generated
+nest drivers alike) and decoded by ``finalize``.
+
+The recorder also models the *cost* of tracing, the source of the
+(small) runtime perturbation the paper measures: the bits of trace data
+are a function of two counts, state records and flushes, and
+:meth:`~ProfilingRecorder.flush` returns what each periodic flush writes
+so the executor can book it as an external-memory write.
 """
 
 from __future__ import annotations
@@ -167,8 +173,9 @@ class ProfilingRecorder:
                  attribution: bool = False):
         self.config = config
         self.num_threads = num_threads
-        self._state_log: list[list[tuple[int, ThreadState]]] = [
-            [(0, ThreadState.IDLE)] for _ in range(num_threads)]
+        # per thread: cycle << 2 | state, one int per state change
+        self._state_log = [array("q", (ThreadState.IDLE,))
+                           for _ in range(num_threads)]
         # one row per add_many call or driver deposit site, in deposit
         # order (cycles, thread ids and amounts are exact below 2**53)
         self._log = array("d")
@@ -185,8 +192,12 @@ class ProfilingRecorder:
             kind: {} for kind in self._kinds if kind not in _LOG_COLUMN}
         self.attribution: Optional[AttributionTable] = (
             AttributionTable(num_threads) if attribution else None)
-        self.pending_bits = 0  # trace bits not yet flushed
-        self.total_bits = 0
+        on = config.enabled
+        self._state_bits = (config.state_record_bits(num_threads)
+                            if config.record_states and on else 0)
+        self._event_bits = (config.event_record_bits(num_threads)
+                            if config.events and on else 0)
+        self._flushed_records = num_threads
         self.flushes = 0
 
     # ------------------------------------------------------------------
@@ -194,13 +205,11 @@ class ProfilingRecorder:
     # ------------------------------------------------------------------
     def set_state(self, cycle: int, thread: int, state: ThreadState) -> None:
         log = self._state_log[thread]
-        if log[-1][1] is state:
-            return
-        log.append((cycle, state))
-        if self.config.record_states and self.config.enabled:
-            bits = self.config.state_record_bits(self.num_threads)
-            self.pending_bits += bits
-            self.total_bits += bits
+        if log[-1] & 3 != state:
+            log.append(cycle << 2 | state)
+
+    def _records(self) -> int:
+        return sum(len(log) for log in self._state_log)
 
     # ------------------------------------------------------------------
     # events
@@ -283,21 +292,26 @@ class ProfilingRecorder:
     # ------------------------------------------------------------------
     # trace-buffer cost model
     # ------------------------------------------------------------------
-    def sample_flush_bits(self) -> int:
-        """Bits one periodic event flush writes (counters for all threads)."""
+    def flush(self) -> int:
+        """Bits one periodic flush writes: the counters of all threads
+        plus the state records made since the previous flush.  A flush
+        that writes bits is counted in :attr:`flushes`."""
 
-        if not self.config.enabled or not self.config.events:
-            return 0
-        bits = self.config.event_record_bits(self.num_threads)
-        self.total_bits += bits
+        records = self._records()
+        bits = (self._event_bits
+                + self._state_bits * (records - self._flushed_records))
+        self._flushed_records = records
+        if bits:
+            self.flushes += 1
         return bits
 
-    def drain_pending_bits(self) -> int:
-        """Bits of state records accumulated since the last flush."""
+    @property
+    def total_bits(self) -> int:
+        """Bits of trace data produced so far: every flush's counters and
+        every state record (the initial IDLE records excepted)."""
 
-        bits = self.pending_bits
-        self.pending_bits = 0
-        return bits
+        return (self.flushes * self._event_bits
+                + self._state_bits * (self._records() - self.num_threads))
 
     # ------------------------------------------------------------------
     def finalize(self, end_cycle: int) -> RunTrace:
@@ -305,15 +319,15 @@ class ProfilingRecorder:
             trace = self._finalize(end_cycle)
         telemetry.add("profiling.flushes", self.flushes)
         telemetry.add("profiling.trace_bits", self.total_bits)
-        telemetry.add("profiling.state_records",
-                      sum(len(log) for log in self._state_log))
+        telemetry.add("profiling.state_records", self._records())
         telemetry.add("profiling.deposits", len(self._log) // _ROW)
         return trace
 
     def _finalize(self, end_cycle: int) -> RunTrace:
         timeline: list[StateColumns] = []
         for log in self._state_log:
-            cycles, states = np.array(log, dtype=np.int64).T
+            packed = np.frombuffer(log, np.int64)
+            cycles, states = packed >> 2, packed & 3
             # each record runs until the next record's cycle (the last
             # until end_cycle); empty intervals (same-cycle
             # re-transitions) are dropped

@@ -313,7 +313,6 @@ class Simulation:
                         finish, end, tid, REGION_JOIN,
                         (0, 0, 0, 0, 0, 0, end - finish, 0, 0))
         trace = recorder.finalize(end)
-        trace.flushes = recorder.flushes
         self._record_telemetry(runtime, end, wall_start)
         return SimResult(
             cycles=end,
@@ -962,13 +961,11 @@ class _Runtime:
                 # the accelerator is idle: the final flush happens during
                 # context read-back and does not extend the measured run
                 return
-            bits = (self.recorder.sample_flush_bits()
-                    + self.recorder.drain_pending_bits())
+            bits = self.recorder.flush()
             if bits:
                 nbytes = max(1, bits // 8)
                 self.memory.access_time(self.engine.now,
                                         _PROFILING_BUFFER_ADDR, nbytes, True)
-                self.recorder.flushes += 1
 
 
 def simulate(accelerator: Accelerator,

@@ -521,7 +521,7 @@ def build_nest_plan(item: LoopNode, schedule, external_uses: set[int],
 
 def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
                          group_cost, chunk, window, dram, uid, limit,
-                         grant, events, record_on, sbits, attr):
+                         grant, events, attr):
     """exec-compile the whole-nest timing generator.
 
     The generated function replays the reference executor's exact
@@ -531,12 +531,12 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
     trailing segments with the full critical-section protocol — with
     every schedule constant folded in as a literal.  It mutates the
     same shared state (leaky buckets, port histories, DRAM banks/bus,
-    semaphore, thread states) in the same order at the same simulated
-    times as the reference, and appends one profiling row to the
-    recorder's log at each reference deposit point, so the log keeps
-    the reference deposit order even against concurrently-running
-    loops.  With ``events`` false (no counters configured) it logs
-    nothing.
+    semaphore) in the same order at the same simulated times as the
+    reference, changes thread states through the recorder's
+    ``set_state``, and appends one profiling row to the recorder's log
+    at each reference deposit point, so the log keeps the reference
+    deposit order even against concurrently-running loops.  With
+    ``events`` false (no counters configured) it logs nothing.
 
     Each pipelined entry runs one body: its trip count ``T`` is a
     runtime argument, issued in chunks of ``chunk`` trips, so one driver
@@ -649,10 +649,7 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
         w(1, "_trace = _mem.trace")
         w(1, "_trc = _trace.clear")
     if any_crit:
-        w(1, "_sl = rec._state_log[tid]")
-        w(1, "_sla = _sl.append")
-        if record_on:
-            w(1, "_tb = 0")
+        w(1, "_ss = rec.set_state")
         w(1, "sem = rt.semaphore")
         w(1, "_hold = sem._holders")
         w(1, "_hget = _hold.get")
@@ -809,16 +806,7 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
                    f"{', '.join(amounts)}))")
 
     def emit_set_state(ind, state_name) -> None:
-        # ProfilingRecorder.set_state inlined; the dedupe guard is kept
-        # (log tail may already hold the state when the nest begins)
-        w(ind, f"if _sl[-1][1] is not {state_name}:")
-        w(ind + 1, f"_sla((now, {state_name}))")
-        if record_on:
-            # pending_bits stays an eager attribute RMW (the periodic
-            # flusher reads it mid-run); total_bits is only read at
-            # finalize, so it commits once at driver exit
-            w(ind + 1, f"rec.pending_bits += {sbits}")
-            w(ind + 1, f"_tb += {sbits}")
+        w(ind, f"_ss(now, tid, {state_name})")
 
     def emit_trip_loop(b: int) -> None:
         # without pipelined reads every retire is issue + depth and issue
@@ -1168,9 +1156,6 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
         w(1, "memory.row_misses += rm")
         w(1, "memory.arbitration_wait_cycles += arb")
     if any_crit:
-        if record_on:
-            w(1, "if _tb:")
-            w(2, "rec.total_bits += _tb")
         w(1, "_A = sem.acquisitions")
         for j in range(len(locks)):
             w(1, f"_A[_LK{j}] = _A.get(_LK{j}, 0) + _an{j}")
@@ -1200,16 +1185,13 @@ def _nest_driver_for(nplan, runtime):
     """The plan's driver, compiled on its first dispatch."""
 
     if nplan.driver is None:
-        rec = runtime.recorder
         nplan.driver = _compile_nest_driver(
             nplan.levels, nplan.trails, nplan.pipe, nplan.pseg, nplan.mem,
             nplan.group_id is not None, nplan.group_cost, nplan.chunk,
             nplan.window, nplan.dram, nplan.uid,
             runtime.ports.outstanding_limit,
-            runtime.semaphore.grant_latency, bool(rec.config.events),
-            rec.config.record_states and rec.config.enabled,
-            rec.config.state_record_bits(rec.num_threads),
-            runtime.attribution)
+            runtime.semaphore.grant_latency,
+            bool(runtime.recorder.config.events), runtime.attribution)
     return nplan.driver
 
 

@@ -169,6 +169,10 @@ def _signature(result):
         "dram_row_misses": result.dram_row_misses,
         "events": {kind.name: series.tolist()
                    for kind, series in result.trace.events.items()},
+        "trace_bits": result.trace.trace_bits,
+        "flushes": result.trace.flushes,
+        "timeline": [[col.tolist() for col in cols]
+                     for cols in result.trace.timeline],
     }
 
 

@@ -1,6 +1,7 @@
 """Unit tests for the profiling recorder and RunTrace."""
 
 from array import array
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.apps import run_gemm, run_pi
 from repro.apps.gemm import GEMM_VERSIONS
+from repro.hls import HLSOptions
 from repro.profiling import (
     EventKind, ProfilingConfig, ProfilingRecorder, STATE_ENCODING,
     ThreadState,
@@ -189,27 +191,126 @@ class TestEventBinning:
 
 
 class TestFlushAccounting:
-    def test_sample_flush_bits(self):
+    def test_first_flush_writes_the_counters(self):
         config = ProfilingConfig()
         recorder = ProfilingRecorder(config, 8)
-        bits = recorder.sample_flush_bits()
-        assert bits == config.event_record_bits(8)
+        assert recorder.flush() == config.event_record_bits(8)
+        assert recorder.flushes == 1
 
-    def test_drain_pending(self):
+    def test_state_record_rides_the_next_flush_only(self):
         recorder = make_recorder(threads=2)
+        counters = recorder.config.event_record_bits(2)
         recorder.set_state(5, 0, ThreadState.RUNNING)
-        pending = recorder.drain_pending_bits()
-        assert pending == 2 * 2 + 32
-        assert recorder.drain_pending_bits() == 0
+        assert recorder.flush() == counters + 2 * 2 + 32
+        assert recorder.flush() == counters
 
     def test_disabled_profiling_produces_no_bits(self):
         recorder = ProfilingRecorder(ProfilingConfig.disabled(), 2)
         recorder.set_state(5, 0, ThreadState.RUNNING)
-        assert recorder.sample_flush_bits() == 0
+        assert recorder.flush() == 0
+        assert recorder.flushes == 0
         assert recorder.total_bits == 0
         # but the state timeline still exists (the simulator always knows)
         trace = recorder.finalize(10)
         assert trace.states[0][-1].state is ThreadState.RUNNING
+
+
+# ----------------------------------------------------------------------
+# the packed state log and derived bit counts against eager bookkeeping
+# ----------------------------------------------------------------------
+class _OracleStates:
+    """States and trace bits kept eagerly: one ``(cycle, state)`` tuple
+    per change, running pending/total bit sums, and a flush that counts
+    itself when it writes bits."""
+
+    def __init__(self, config, threads):
+        self.config, self.threads = config, threads
+        self.log = [[(0, ThreadState.IDLE)] for _ in range(threads)]
+        self.pending_bits = self.total_bits = self.flushes = 0
+
+    def set_state(self, cycle, thread, state):
+        log = self.log[thread]
+        if log[-1][1] is state:
+            return
+        log.append((cycle, state))
+        if self.config.record_states and self.config.enabled:
+            bits = self.config.state_record_bits(self.threads)
+            self.pending_bits += bits
+            self.total_bits += bits
+
+    def flush(self):
+        bits, self.pending_bits = self.pending_bits, 0
+        if self.config.enabled and self.config.events:
+            counters = self.config.event_record_bits(self.threads)
+            self.total_bits += counters
+            bits += counters
+        if bits:
+            self.flushes += 1
+        return bits
+
+    def timeline(self, end_cycle):
+        """Per thread, the non-empty ``(start, end, state)`` intervals."""
+
+        return [[(cycle, end, int(state))
+                 for (cycle, state), end in zip(
+                     log, [cycle for cycle, _ in log[1:]] + [end_cycle])
+                 if end > cycle]
+                for log in self.log]
+
+
+#: a period of 2**36 cycles keeps finalize's event windows few at 2**40
+#: cycles; the period plays no part in the trace-bit model
+_STATE_CONFIGS = {
+    name: replace(config, sampling_period=2 ** 36)
+    for name, config in (
+        ("default", ProfilingConfig()),
+        ("no_states", ProfilingConfig(record_states=False)),
+        ("no_events", ProfilingConfig(events=())),
+        ("disabled", ProfilingConfig.disabled()))}
+
+
+@st.composite
+def _state_streams(draw):
+    threads = draw(st.integers(1, 8))
+    now = [0] * threads
+    ops = []
+    for _ in range(draw(st.integers(0, 60))):
+        if draw(st.integers(0, 4)) == 0:
+            ops.append(None)  # a flush
+            continue
+        thread = draw(st.integers(0, threads - 1))
+        # repeats and same-cycle re-transitions, up to 2**40 cycles
+        now[thread] = min(2 ** 40, now[thread] + draw(st.one_of(
+            st.just(0), st.integers(1, 50), st.integers(2 ** 30, 2 ** 39))))
+        ops.append((now[thread], thread,
+                    draw(st.sampled_from(list(ThreadState)))))
+    end_cycle = max(now) + draw(st.integers(0, 3))
+    return threads, ops, end_cycle
+
+
+class TestStateLog:
+    @pytest.mark.parametrize("config", sorted(_STATE_CONFIGS))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(stream=_state_streams())
+    def test_states_and_bits_match_eager_oracle(self, config, stream):
+        threads, ops, end_cycle = stream
+        config = _STATE_CONFIGS[config]
+        recorder = ProfilingRecorder(config, threads)
+        oracle = _OracleStates(config, threads)
+        for op in ops:
+            if op is None:
+                assert recorder.flush() == oracle.flush()
+            else:
+                recorder.set_state(*op)
+                oracle.set_state(*op)
+            assert recorder.flushes == oracle.flushes
+            assert recorder.total_bits == oracle.total_bits
+        trace = recorder.finalize(end_cycle)
+        assert (trace.trace_bits, trace.flushes) == (oracle.total_bits,
+                                                     oracle.flushes)
+        timeline = [list(zip(*(col.tolist() for col in cols)))
+                    for cols in trace.timeline]
+        assert timeline == oracle.timeline(end_cycle)
 
 
 # ----------------------------------------------------------------------
@@ -335,6 +436,33 @@ LIVE_RUNS.update({name: (lambda mode, attr, n=name: _nest(n, mode, attr))
                   for name in ("matvec_m32", "matvec_m33", "matvec_m70",
                                "triangular_n40")})
 LIVE_RUNS["pi_80k"] = _pi
+
+
+class TestProfilingConfigsLive:
+    """The nest driver's state changes and the bits they cost match the
+    reference with states, counters or the whole unit switched off."""
+
+    @pytest.mark.parametrize("version",
+                             ["naive", "no_critical", "double_buffered"])
+    @pytest.mark.parametrize("config", ["no_states", "no_events",
+                                        "disabled"])
+    def test_reference_and_auto_agree(self, version, config):
+        options = HLSOptions(profiling={
+            "no_states": ProfilingConfig(record_states=False),
+            "no_events": ProfilingConfig(events=()),
+            "disabled": ProfilingConfig.disabled()}[config])
+        ref, fast = (
+            run_gemm(version, dim=16, options=options,
+                     sim_config=SimConfig(thread_start_interval=50,
+                                          exec_mode=mode)).result
+            for mode in ("reference", "auto"))
+        assert ref.cycles == fast.cycles
+        assert (ref.trace.trace_bits, ref.trace.flushes) == (
+            fast.trace.trace_bits, fast.trace.flushes)
+        for ref_cols, fast_cols in zip(ref.trace.timeline,
+                                       fast.trace.timeline, strict=True):
+            for ref_col, fast_col in zip(ref_cols, fast_cols):
+                assert np.array_equal(ref_col, fast_col)
 
 
 class TestLiveLogReplay:
