@@ -19,6 +19,13 @@ ints — the hardware's 2-bit state code under its clock — appended by
 :meth:`~ProfilingRecorder.set_state` (the executor and the generated
 nest drivers alike) and decoded by ``finalize``.
 
+Attribution counters are kept as the hardware keeps counters: per
+thread, one ``array('q')`` row of :data:`N_SLOTS` exact integer sums
+per sampling window, indexed ``window * N_SLOTS + slot``.
+:meth:`~ProfilingRecorder.attr_deposit` grows a row array in place, so
+the generated nest drivers hoist it once and add single-window
+deposits into it directly.
+
 The recorder also models the *cost* of tracing, the source of the
 (small) runtime perturbation the paper measures: the bits of trace data
 are a function of two counts, state records and flushes, and
@@ -35,7 +42,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .. import telemetry
-from .attribution import AttributionTable
+from .attribution import N_SLOTS, AttributionTable
 from .config import (
     ATTRIBUTION_EVENTS, EventKind, ProfilingConfig, ThreadState,
 )
@@ -186,10 +193,8 @@ class ProfilingRecorder:
             # the simulated cycles) is unchanged by attribution
             kinds += ATTRIBUTION_EVENTS
         self._kinds = tuple(dict.fromkeys(kinds))
-        # the kinds without a log column (the attribution counters):
-        # (bin, thread) -> running sum of attr_deposit shares
-        self._accum: dict[EventKind, dict] = {
-            kind: {} for kind in self._kinds if kind not in _LOG_COLUMN}
+        # per thread: the attribution sums, window * N_SLOTS + slot
+        self._attr_bins = [array("q") for _ in range(num_threads)]
         self.attribution: Optional[AttributionTable] = (
             AttributionTable(num_threads) if attribution else None)
         on = config.enabled
@@ -246,6 +251,8 @@ class ProfilingRecorder:
         shares (cumulative ``amount * covered // span`` differences), so
         every binned value is an integer and the per-kind series sum
         equals the table exactly — the ``.prv`` round trip is lossless.
+        The shares are added into the thread's row array, which grows
+        (geometrically, in place) to cover the last window touched.
         """
 
         table = self.attribution
@@ -254,7 +261,6 @@ class ProfilingRecorder:
         cell = table.cells.get((region, thread))
         if cell is None:
             cell = table.cells[(region, thread)] = [0] * len(amounts)
-        accum = self._accum
         period = self.config.sampling_period
         if end <= start:
             for slot, amount in enumerate(amounts):
@@ -263,31 +269,29 @@ class ProfilingRecorder:
             return
         first_bin = start // period
         last_bin = (end - 1) // period
+        row = self._attr_bins[thread]
+        need = (last_bin + 1) * N_SLOTS
+        if need > len(row):
+            row.frombytes(bytes(8 * (max(need, 2 * len(row)) - len(row))))
         if first_bin == last_bin:
-            key = (first_bin, thread)
+            base = first_bin * N_SLOTS
             for slot, amount in enumerate(amounts):
                 if amount:
                     cell[slot] += amount
-                    bucket = accum[ATTRIBUTION_EVENTS[slot]]
-                    bucket[key] = bucket.get(key, 0.0) + amount
+                    row[base + slot] += amount
             return
         span = end - start
         for slot, amount in enumerate(amounts):
             if not amount:
                 continue
             cell[slot] += amount
-            bucket = accum[ATTRIBUTION_EVENTS[slot]]
             prev = 0
             for index in range(first_bin, last_bin):
                 covered = (index + 1) * period - start
                 cum = amount * covered // span
-                if cum != prev:
-                    key = (index, thread)
-                    bucket[key] = bucket.get(key, 0.0) + (cum - prev)
-                    prev = cum
-            if amount != prev:
-                key = (last_bin, thread)
-                bucket[key] = bucket.get(key, 0.0) + (amount - prev)
+                row[index * N_SLOTS + slot] += cum - prev
+                prev = cum
+            row[last_bin * N_SLOTS + slot] += amount - prev
 
     # ------------------------------------------------------------------
     # trace-buffer cost model
@@ -339,20 +343,35 @@ class ProfilingRecorder:
         period = self.config.sampling_period
         n_bins = max(1, -(-max(1, end_cycle) // period))
         logged = self._bin_log(n_bins)
-        events: dict[EventKind, np.ndarray] = {}
-        for kind in self._kinds:
-            if kind in logged:
-                events[kind] = logged[kind]
-                continue
-            bucket = self._accum[kind]
-            cells = np.array(list(bucket), dtype=np.intp).reshape(-1, 2)
-            used = int(cells[:, 0].max(initial=-1)) + 1
-            series = np.zeros((max(used, n_bins), self.num_threads))
-            series[cells[:, 0], cells[:, 1]] = list(bucket.values())
-            events[kind] = _windows(series, used, n_bins)
+        # the kinds without a log column are the attribution counters
+        attr = (self._attr_series(n_bins)
+                if len(logged) < len(self._kinds) else {})
+        events = {kind: logged[kind] if kind in logged else attr[kind]
+                  for kind in self._kinds}
         return RunTrace(self.num_threads, end_cycle, period, timeline,
                         events, trace_bits=self.total_bits,
                         flushes=self.flushes, attribution=self.attribution)
+
+    def _attr_series(self, n_bins: int) -> dict[EventKind, np.ndarray]:
+        """The [n_bins, threads] series of each attribution kind, read
+        from the per-thread row arrays.
+
+        The float64 series equal the float sums of the deposited shares
+        in any order: every share is a non-negative integer and every
+        sum stays below 2**53.  Rows past ``n_bins`` (stragglers, and
+        the zero rows of geometric growth) clamp into the last one.
+        """
+
+        rows = [np.frombuffer(row, np.int64).reshape(-1, N_SLOTS)
+                for row in self._attr_bins]
+        size = max(n_bins, max(map(len, rows), default=0))
+        series = {}
+        for slot, kind in enumerate(ATTRIBUTION_EVENTS):
+            sums = np.zeros((size, self.num_threads))
+            for thread, row in enumerate(rows):
+                sums[:len(row), thread] = row[:, slot]
+            series[kind] = _windows(sums, size, n_bins)
+        return series
 
     def _bin_log(self, n_bins: int) -> dict[EventKind, np.ndarray]:
         """The [n_bins, threads] series of each logged kind in

@@ -153,13 +153,18 @@ def _schedule_regions(body: BodySchedule) -> dict[int, str]:
 
 
 class _RecorderAcct:
-    """Accounting sink that deposits straight into the recorder."""
+    """Accounting sink that deposits straight into the recorder.
 
-    __slots__ = ("recorder", "tid")
+    ``bins`` is the thread's attribution row array in the recorder; the
+    nest drivers add single-window deposits into it directly.
+    """
+
+    __slots__ = ("recorder", "tid", "bins")
 
     def __init__(self, recorder: ProfilingRecorder, tid: int):
         self.recorder = recorder
         self.tid = tid
+        self.bins = recorder._attr_bins[tid]
 
     def deposit(self, start: int, end: int, region: int, amounts) -> None:
         self.recorder.attr_deposit(start, end, self.tid, region, amounts)

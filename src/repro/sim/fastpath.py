@@ -29,7 +29,9 @@ entry.  Profiling deposits are rows logged in deposit order at the
 reference deposit points, interleaved with concurrently-running loops
 (double buffering) exactly as in the reference, and binned in log order
 at finalize; cycle-accounting deposits are made eagerly at the same
-points.  A loop without a plan, or whose value kernel raises
+points, a single-window one added by the driver itself into the table
+cell and the thread's attribution row array, the rest through the
+accounting sink.  A loop without a plan, or whose value kernel raises
 :class:`~repro.sim.interp.VectorFallback` (always before any functional
 side effect), runs on the scalar reference, so both exec modes produce
 bit-identical cycles, traces, stalls, DRAM counters and attribution
@@ -46,7 +48,9 @@ import numpy as np
 from ..hls.schedule import CriticalNode, LoopNode, Segment
 from ..ir.ops import Opcode
 from ..ir.types import MemorySpace
-from ..profiling.attribution import REGION_SYNC, loop_region, segment_region
+from ..profiling.attribution import (
+    N_SLOTS, REGION_SYNC, loop_region, segment_region,
+)
 from ..profiling.config import ThreadState
 from .engine import Event
 from .interp import (
@@ -556,12 +560,18 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
     no foreign Python frame is entered between yields.
 
     With ``attr`` the driver also makes the reference's cycle-accounting
-    deposits into its ``acct`` sink, over the same ``[start, end)``
-    ranges with the same amounts: per chunk the useful ``batch*rec_ii``
-    plus the II, BRAM-port and backpressure (row/arb/latency peel)
-    shares; the drain tail; one loop-bubble deposit per sequential-loop
-    invocation; leading and trailing segments with the binding read's
-    peel; and SYNC_WAIT for contended critical acquires.  The per-trip
+    deposits, over the same ``[start, end)`` ranges with the same
+    amounts.  A deposit inside one sampling window whose row the sink's
+    ``bins`` array (the recorder's row array of this thread) already
+    holds is added inline into that row and the region's table cell,
+    which is looked up once per dispatch; window-crossing deposits, row
+    growth and sinks without ``bins`` (a dataflow body's buffer) go
+    through ``acct.deposit``.  The deposits are: per chunk the useful
+    ``batch*rec_ii`` plus the II, BRAM-port and backpressure
+    (row/arb/latency peel) shares; the drain tail; one loop-bubble
+    deposit per sequential-loop invocation; leading and trailing
+    segments with the binding read's peel; and SYNC_WAIT for contended
+    critical acquires.  The per-trip
     ``(row, arb, latency)`` split of each late response rides in a
     ``parts`` deque mirroring the in-flight window, exactly as in the
     reference.
@@ -617,6 +627,13 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
         w(1, "iclear = inflight.clear")
     if attr:
         w(1, "_ad = acct.deposit")
+        w(1, '_ab = getattr(acct, "bins", None)')
+        w(1, "_P = rec.config.sampling_period")
+        w(1, "_cset = rec.attribution.cells.setdefault")
+        # one cached table cell per region (the `_cR` locals), declared
+        # here once the body has named its regions
+        attr_at = len(lines)
+        attr_cells: dict[int, str] = {}
     if p_parts:
         w(1, "parts = _deque()")
         w(1, "ppop = parts.popleft")
@@ -805,6 +822,30 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
             w(ind, f"_lx((tid, {start_expr}, {end_expr}, "
                    f"{', '.join(amounts)}))")
 
+    def emit_attr(ind, start, end, region, amounts) -> None:
+        # one cycle-accounting deposit of `amounts` (N_SLOTS expressions)
+        # to (region, tid) over [start, end): inside one window whose row
+        # the thread's array already holds, added straight into the
+        # table cell and that row; otherwise through the accounting sink
+        cell = attr_cells.setdefault(region, f"_cR{len(attr_cells)}")
+        w(ind, f"if _ab is not None and {end} > {start} and "
+               f"(_o := {start} // _P) == ({end} - 1) // _P and "
+               f"(_o := _o * {N_SLOTS}) < len(_ab):")
+        b = ind + 1
+        w(b, f"if {cell} is None:")
+        w(b + 1, f"{cell} = _cset(({region}, tid), [0] * {N_SLOTS})")
+        for slot, amount in enumerate(amounts):
+            if amount == "0":
+                continue
+            if not (amount.isidentifier() or amount.isdigit()):
+                w(b, f"_v = {amount}")
+                amount = "_v"
+            w(b, f"{cell}[{slot}] += {amount}")
+            w(b, f"_ab[_o + {slot}] += {amount}" if slot
+                 else f"_ab[_o] += {amount}")
+        w(ind, "else:")
+        w(b, f"_ad({start}, {end}, {region}, ({', '.join(amounts)}))")
+
     def emit_set_state(ind, state_name) -> None:
         w(ind, f"_ss(now, tid, {state_name})")
 
@@ -943,8 +984,11 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
                       for v in (pseg.flops, pseg.intops, prb, pwb)]
                      + ["stall"])
         if attr:
-            w(c, f"_ad(cs, last_retire, {p_reg}, ({rec_ii} * batch, c_ii, "
-                 "c_port, c_lat, c_arb, c_row, 0, 0, 0))")
+            peeled = ["c_lat", "c_arb", "c_row"] if p_parts else ["0"] * 3
+            emit_attr(c, "cs", "last_retire", p_reg,
+                      [f"{rec_ii} * batch", "c_ii",
+                       "c_port" if has_group else "0", *peeled,
+                       "0", "0", "0"])
         w(c, "if stall:")
         w(c + 1, "stall_acc += stall")
         w(c, "advance = cursor - now")
@@ -962,16 +1006,17 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
             else:
                 w(ind + 1, "_dr = 0")
                 emit_peel(ind + 1, "tail", "lp[0]", "lp[1]")
-            w(ind + 1, f"_ad(now, last_retire, {p_reg}, "
-                       "(0, 0, 0, _l, _a, _r, 0, _dr, 0))")
+            emit_attr(ind + 1, "now", "last_retire", p_reg,
+                      ["0", "0", "0", "_l", "_a", "_r", "0", "_dr", "0"])
         w(ind + 1, "yield tail")
         w(ind + 1, "now = last_retire")
 
     def emit_seg_acct(ind: int, seg) -> None:
         # a segment whose duration is its constant depth
         if attr:
-            w(ind, f"_ad(now, now + {seg.depth}, {segment_region(seg.uid)}, "
-                   f"({seg.depth}, 0, 0, 0, 0, 0, 0, 0, 0))")
+            emit_attr(ind, "now", f"now + {seg.depth}",
+                      segment_region(seg.uid),
+                      [str(seg.depth)] + ["0"] * (N_SLOTS - 1))
 
     def emit_trail(u: int, tr, ind: int, idx: str, fin_idx: str) -> None:
         seg = tr.segment
@@ -996,8 +1041,9 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
             w(ind + 1, "now = engine.now")
             if attr:
                 w(ind, "if now > _as:")
-                w(ind + 1, f"_ad(_as, now, {REGION_SYNC}, "
-                           "(0, 0, 0, 0, 0, 0, now - _as, 0, 0))")
+                emit_attr(ind + 1, "_as", "now", REGION_SYNC,
+                          ["0", "0", "0", "0", "0", "0", "now - _as", "0",
+                           "0"])
             emit_set_state(ind, "_CRIT")
         if tr.snap_ids or tr.snap_var_ids:
             w(ind, f"_t = tin{u}[{idx}]")
@@ -1037,8 +1083,9 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
                               str(twb), "extra"])
                 if attr:
                     emit_peel(ind, "extra", "e_pen", "e_arb")
-                    w(ind, f"_ad(now, now + duration, {s_reg}, ({seg.depth}, "
-                           "0, 0, _l, _a, _r, 0, 0, 0))")
+                    emit_attr(ind, "now", "now + duration", s_reg,
+                              [str(seg.depth), "0", "0", "_l", "_a", "_r",
+                               "0", "0", "0"])
                 w(ind, "if extra:")
                 w(ind + 1, "stall_acc += extra")
                 w(ind, "yield duration")
@@ -1109,8 +1156,8 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
             w(b, f"_q{li} += 1")
         if attr:
             # the level's per-trip control bubbles, as one deposit
-            w(ind, f"_ad(_ls{li}, now, {loop_region(lvl.uid)}, "
-                   f"(0, 0, 0, 0, 0, 0, 0, 0, n{li}))")
+            emit_attr(ind, f"_ls{li}", "now", loop_region(lvl.uid),
+                      ["0"] * (N_SLOTS - 1) + [f"n{li}"])
 
     if k:
         emit_level(0, 1)
@@ -1163,6 +1210,9 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
             w(2, "_C = sem.contended")
             w(2, f"_C[_LK{j}] = _C.get(_LK{j}, 0) + _cn{j}")
 
+    if attr:
+        lines[attr_at:attr_at] = [f"    {cell} = None"
+                                  for cell in attr_cells.values()]
     namespace = {"_deque": deque, "_Z": (0, 0, 0)}
     if any_crit:
         namespace["_Event"] = Event

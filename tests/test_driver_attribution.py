@@ -7,14 +7,24 @@ most deposit kinds; these two cover the rest: a two-level nest whose
 trailing segment *reads* external memory (binding-read peel of a
 trailing segment), and lone pipelined loops next to a contended
 critical section.
+
+A deposit inside one sampling window that the thread's attribution row
+array already covers is added in the driver itself; every other one
+goes through the recorder.  Small sampling periods make both kinds, and
+mid-run row growth, happen inside the driver.
 """
 
 import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.apps import run_gemm
+from repro.apps.gemm import GEMM_VERSIONS
 from repro.core.program import Program
+from repro.hls import HLSOptions
 from repro.paraver import write_trace
+from repro.profiling import ProfilingConfig, ProfilingRecorder
+from repro.profiling.config import ATTRIBUTION_EVENTS
 from repro.sim.config import SimConfig
 
 # two sequential levels around a pipelined dot product; the trailing
@@ -88,12 +98,13 @@ def _telemetry_disabled_after():
     telemetry.configure(enabled=False)
 
 
-def _run(name, mode, tmp_path):
+def _run(name, mode, tmp_path, options=None):
     cfg = SimConfig(exec_mode=mode, attribution=True,
                     thread_start_interval=37)
     args = _inputs(name)
     session = telemetry.configure(enabled=True)
-    sim = Program(SOURCES[name], sim_config=cfg).run(**args).sim
+    sim = Program(SOURCES[name], sim_config=cfg,
+                  options=options).run(**args).sim
     counters = dict(session.counters)
     files = write_trace(sim.trace, str(tmp_path / f"{name}_{mode}"))
     with open(files.prv, "rb") as handle:
@@ -115,3 +126,62 @@ def test_driver_deposits_match_reference(name, tmp_path):
     assert counters.get("sim.fastpath.nests_flattened", 0) > 0
     assert counters.get("sim.fastpath.fallbacks", 0) == 0
     assert counters.get("sim.fastpath.nest_fallbacks", 0) == 0
+
+
+def _small_windows(period):
+    # the hardware counters are off so that a flush every cycle or
+    # seven does not swamp the run with trace traffic; the attribution
+    # counters are virtual and binned regardless
+    return HLSOptions(profiling=ProfilingConfig(sampling_period=period,
+                                                events=()))
+
+
+def _gemm_run(version, mode, tmp_path, options=None):
+    sim = run_gemm(version, dim=16, attribution=True, options=options,
+                   sim_config=SimConfig(thread_start_interval=50,
+                                        exec_mode=mode)).result
+    files = write_trace(sim.trace, str(tmp_path / f"{version}_{mode}"))
+    with open(files.prv, "rb") as handle:
+        return sim, handle.read()
+
+
+@pytest.mark.parametrize("period", [1, 7])
+@pytest.mark.parametrize("name", sorted(SOURCES) + sorted(GEMM_VERSIONS))
+def test_small_windows_match_reference(name, period, tmp_path):
+    options = _small_windows(period)
+    if name in SOURCES:
+        (ref, _, ref_prv, _), (fast, _, fast_prv, _) = (
+            _run(name, mode, tmp_path, options)
+            for mode in ("reference", "auto"))
+    else:
+        (ref, ref_prv), (fast, fast_prv) = (
+            _gemm_run(name, mode, tmp_path, options)
+            for mode in ("reference", "auto"))
+    assert fast.cycles == ref.cycles
+    assert list(fast.attribution.cells.items()) == list(
+        ref.attribution.cells.items())
+    for kind in ATTRIBUTION_EVENTS:
+        assert (fast.trace.events[kind].tobytes()
+                == ref.trace.events[kind].tobytes()), kind
+    assert fast_prv == ref_prv
+
+
+def test_driver_adds_single_window_deposits_itself(monkeypatch):
+    """Naive GEMM's nest entries make their deposits without calling
+    the recorder: only window-crossing deposits, row growth and the
+    executor's own deposits reach ``attr_deposit``."""
+
+    calls = 0
+    deposit = ProfilingRecorder.attr_deposit
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return deposit(*args)
+
+    monkeypatch.setattr(ProfilingRecorder, "attr_deposit", counted)
+    session = telemetry.configure(enabled=True)
+    run_gemm("naive", dim=16, num_threads=8, attribution=True)
+    entries = session.counters["sim.fastpath.entries_batched"]
+    assert entries == 2048
+    assert calls < entries // 5

@@ -15,6 +15,8 @@ from repro.profiling import (
     ThreadState,
 )
 from repro.profiling import recorder as recorder_module
+from repro.profiling.attribution import N_SLOTS
+from repro.profiling.config import ATTRIBUTION_EVENTS
 from repro.profiling.recorder import LOG_KINDS
 from repro.sim.config import SimConfig
 
@@ -411,6 +413,112 @@ class TestDepositLog:
         oracle = _oracle_series(config, threads, deposits, end_cycle)
         assert list(trace.events) == list(oracle)
         _assert_series_equal(trace.events, oracle)
+
+
+# ----------------------------------------------------------------------
+# the attribution row arrays against the dict recorder they replaced
+# ----------------------------------------------------------------------
+class _OracleAttr:
+    """Attribution kept the dict way: cells created on first deposit,
+    one float running sum per ``(bin, thread)`` and kind, upserted in
+    deposit order and scattered into ``[bins, threads]`` at the end."""
+
+    def __init__(self, period, threads):
+        self.period, self.threads = period, threads
+        self.cells = {}
+        self.accum = {kind: {} for kind in ATTRIBUTION_EVENTS}
+
+    def attr_deposit(self, start, end, thread, region, amounts):
+        cell = self.cells.get((region, thread))
+        if cell is None:
+            cell = self.cells[(region, thread)] = [0] * len(amounts)
+        period = self.period
+        if end <= start:
+            for slot, amount in enumerate(amounts):
+                if amount:
+                    cell[slot] += amount
+            return
+        first_bin, last_bin = start // period, (end - 1) // period
+        span = end - start
+        for slot, amount in enumerate(amounts):
+            if not amount:
+                continue
+            cell[slot] += amount
+            bucket = self.accum[ATTRIBUTION_EVENTS[slot]]
+            prev = 0
+            for index in range(first_bin, last_bin):
+                cum = amount * ((index + 1) * period - start) // span
+                if cum != prev:
+                    key = (index, thread)
+                    bucket[key] = bucket.get(key, 0.0) + (cum - prev)
+                    prev = cum
+            if amount != prev:
+                key = (last_bin, thread)
+                bucket[key] = bucket.get(key, 0.0) + (amount - prev)
+
+    def series(self, end_cycle):
+        n_bins = max(1, -(-max(1, end_cycle) // self.period))
+        events = {}
+        for kind, bucket in self.accum.items():
+            cells = np.array(list(bucket), dtype=np.intp).reshape(-1, 2)
+            used = int(cells[:, 0].max(initial=-1)) + 1
+            series = np.zeros((max(used, n_bins), self.threads))
+            series[cells[:, 0], cells[:, 1]] = list(bucket.values())
+            events[kind] = arr = series[:n_bins].copy()
+            if used > n_bins:
+                arr[-1] += series[n_bins:used].sum(axis=0)
+        return events
+
+
+_CYCLES = st.one_of(st.just(0), st.integers(1, 50),
+                    st.integers(2 ** 30, 2 ** 40))
+
+
+@st.composite
+def _attr_streams(draw):
+    # 2**36 lets start cycles reach 2**40 over few windows
+    period = draw(st.sampled_from([1, 7, 2048, 2 ** 36]))
+    threads = draw(st.integers(1, 8))
+    horizon = 16 * period
+    deposits = []
+    for _ in range(draw(st.integers(0, 40))):
+        # None: the first window past the thread's current row array
+        start = draw(st.one_of(st.integers(0, horizon), st.none()))
+        length = draw(st.one_of(
+            st.integers(-3, 0),                      # empty or inverted
+            st.integers(1, period),                  # at most two windows
+            st.integers(period + 1, 2 * period),     # two or three
+            st.integers(2 * period, 6 * period)))    # many
+        amounts = tuple(draw(st.lists(_CYCLES, min_size=N_SLOTS,
+                                      max_size=N_SLOTS)))
+        deposits.append((start, length, draw(st.integers(0, threads - 1)),
+                         draw(st.integers(-6, 12)), amounts))
+    # runs may end before the last deposits (stragglers)
+    end_cycle = draw(st.integers(0, horizon + 4 * period))
+    return period, threads, deposits, end_cycle
+
+
+class TestAttrRows:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(stream=_attr_streams())
+    def test_rows_match_dict_oracle(self, stream):
+        period, threads, deposits, end_cycle = stream
+        recorder = ProfilingRecorder(
+            ProfilingConfig(sampling_period=period), threads,
+            attribution=True)
+        oracle = _OracleAttr(period, threads)
+        for start, length, thread, region, amounts in deposits:
+            if start is None:
+                start = len(recorder._attr_bins[thread]) // N_SLOTS * period
+            recorder.attr_deposit(start, start + length, thread, region,
+                                  amounts)
+            oracle.attr_deposit(start, start + length, thread, region,
+                                amounts)
+        trace = recorder.finalize(end_cycle)
+        assert list(trace.attribution.cells.items()) == list(
+            oracle.cells.items())
+        assert list(trace.events)[-N_SLOTS:] == list(ATTRIBUTION_EVENTS)
+        _assert_series_equal(trace.events, oracle.series(end_cycle))
 
 
 def _gemm(version, mode, attribution):
