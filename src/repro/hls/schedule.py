@@ -175,6 +175,17 @@ class BodySchedule:
     items: list[Item] = field(default_factory=list)
     deps: list[list[int]] = field(default_factory=list)
 
+    @property
+    def sequential(self) -> bool:
+        """Whether every item depends on the one before it.
+
+        Such a block runs its items one after another; any other block
+        runs dataflow-style, overlapping independent items.
+        """
+
+        return all(index - 1 in dep_list
+                   for index, dep_list in enumerate(self.deps) if index > 0)
+
     def walk_segments(self):
         for item in self.items:
             if isinstance(item, Segment):

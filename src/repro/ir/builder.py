@@ -152,24 +152,9 @@ class IRBuilder:
     def rem(self, a, b) -> Value:
         return self.binary(Opcode.REM, a, b)
 
-    def minimum(self, a, b) -> Value:
-        return self.binary(Opcode.MIN, a, b)
-
-    def maximum(self, a, b) -> Value:
-        return self.binary(Opcode.MAX, a, b)
-
     def neg(self, a: Value) -> Value:
         result = Value(a.type)
         self.emit(Operation(Opcode.NEG, [a], result))
-        return result
-
-    def fma(self, a: Value, b: Value, c: Value) -> Value:
-        """Fused multiply-add ``a*b + c`` (single operator in hardware)."""
-
-        common = common_arith_type(common_arith_type(a.type, b.type), c.type)
-        a, b, c = (self.cast(v, common) for v in (a, b, c))
-        result = Value(common)
-        self.emit(Operation(Opcode.FMA, [a, b, c], result))
         return result
 
     def eq(self, a, b) -> Value:
@@ -235,15 +220,6 @@ class IRBuilder:
         result = Value(vec.type)
         self.emit(Operation(Opcode.INSERT, [vec, lane_v,
                                             self.cast(scalar, vec.type.elem)], result))
-        return result
-
-    def reduce_add(self, vec: Value) -> Value:
-        """Horizontal sum of a vector's lanes."""
-
-        if not isinstance(vec.type, VectorType):
-            raise TypeError(f"reduce_add needs a vector, got {vec.type}")
-        result = Value(vec.type.elem)
-        self.emit(Operation(Opcode.REDUCE_ADD, [vec], result))
         return result
 
     # ------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Operation set of the repro HLS IR.
 
-The opcode catalogue covers everything the paper's kernels need
-(Figs. 3-5 and 10): integer and floating-point arithmetic, comparisons,
-short-vector operations, memory accesses into the two memory spaces,
-OpenMP synchronization (critical sections, barriers), thread intrinsics
-and structured control flow (counted loops, conditionals).
+The opcode catalogue is what mini-C lowers to, and nothing more: the
+paper's kernels (Figs. 3-5 and 10) need integer and floating-point
+arithmetic, comparisons, short-vector operations, memory accesses into
+the two memory spaces, OpenMP synchronization (critical sections,
+barriers), thread intrinsics and structured control flow (counted
+loops, conditionals).  An opcode no mini-C program can produce has no
+place here: every lowering in the code generators would have to carry
+it untested.
 
 Each opcode carries a :class:`OpInfo` record with its *scheduling
 characteristics*:
@@ -40,7 +43,6 @@ class Opcode(enum.Enum):
     CONST = "const"
     THREAD_ID = "thread_id"
     NUM_THREADS = "num_threads"
-    KERNEL_ARG = "kernel_arg"
 
     # --- integer / float arithmetic (elementwise over vectors) --------
     ADD = "add"
@@ -49,9 +51,6 @@ class Opcode(enum.Enum):
     DIV = "div"
     REM = "rem"
     NEG = "neg"
-    MIN = "min"
-    MAX = "max"
-    FMA = "fma"
 
     # --- bitwise / logical --------------------------------------------
     AND = "and"
@@ -75,7 +74,6 @@ class Opcode(enum.Enum):
     BROADCAST = "broadcast"
     EXTRACT = "extract"
     INSERT = "insert"
-    REDUCE_ADD = "reduce_add"
 
     # --- mutable registers (loop-carried accumulators etc.) -------------
     DECL_VAR = "decl_var"
@@ -128,7 +126,6 @@ OP_INFO: dict[Opcode, OpInfo] = {
     Opcode.CONST: OpInfo(latency=0),
     Opcode.THREAD_ID: OpInfo(latency=0),
     Opcode.NUM_THREADS: OpInfo(latency=0),
-    Opcode.KERNEL_ARG: OpInfo(latency=0),
     Opcode.ADD: OpInfo(latency=3, registers=96, alms=64, int_latency=1,
                        int_registers=32, int_alms=16, **_F),
     Opcode.SUB: OpInfo(latency=3, registers=96, alms=64, int_latency=1,
@@ -139,11 +136,6 @@ OP_INFO: dict[Opcode, OpInfo] = {
                        int_registers=380, int_alms=260, **_F),
     Opcode.REM: OpInfo(latency=18, registers=380, alms=260, **_I),
     Opcode.NEG: OpInfo(latency=1, registers=32, alms=16, **_F),
-    Opcode.MIN: OpInfo(latency=2, registers=64, alms=40, int_latency=1,
-                       int_registers=33, int_alms=17, **_F),
-    Opcode.MAX: OpInfo(latency=2, registers=64, alms=40, int_latency=1,
-                       int_registers=33, int_alms=17, **_F),
-    Opcode.FMA: OpInfo(latency=5, registers=160, alms=96, flops=2),
     Opcode.AND: OpInfo(latency=1, registers=32, alms=16, **_I),
     Opcode.OR: OpInfo(latency=1, registers=32, alms=16, **_I),
     Opcode.XOR: OpInfo(latency=1, registers=32, alms=16, **_I),
@@ -161,7 +153,6 @@ OP_INFO: dict[Opcode, OpInfo] = {
     Opcode.BROADCAST: OpInfo(latency=0, registers=0, alms=4),
     Opcode.EXTRACT: OpInfo(latency=0, registers=0, alms=8),
     Opcode.INSERT: OpInfo(latency=0, registers=0, alms=8),
-    Opcode.REDUCE_ADD: OpInfo(latency=6, registers=256, alms=160, flops=1),
     Opcode.DECL_VAR: OpInfo(latency=0, registers=0, alms=0),
     Opcode.READ_VAR: OpInfo(latency=0),
     Opcode.WRITE_VAR: OpInfo(latency=0, registers=32, alms=2),

@@ -31,14 +31,12 @@ _ARITY = {
     Opcode.THREAD_ID: 0,
     Opcode.NUM_THREADS: 0,
     Opcode.ADD: 2, Opcode.SUB: 2, Opcode.MUL: 2, Opcode.DIV: 2, Opcode.REM: 2,
-    Opcode.MIN: 2, Opcode.MAX: 2,
     Opcode.AND: 2, Opcode.OR: 2, Opcode.XOR: 2, Opcode.SHL: 2, Opcode.SHR: 2,
     Opcode.NEG: 1, Opcode.NOT: 1,
     Opcode.EQ: 2, Opcode.NE: 2, Opcode.LT: 2, Opcode.LE: 2,
     Opcode.GT: 2, Opcode.GE: 2,
     Opcode.CAST: 1, Opcode.SELECT: 3,
     Opcode.BROADCAST: 1, Opcode.EXTRACT: 2, Opcode.INSERT: 3,
-    Opcode.REDUCE_ADD: 1, Opcode.FMA: 3,
     Opcode.DECL_VAR: 0, Opcode.READ_VAR: 1, Opcode.WRITE_VAR: 2,
     Opcode.ALLOC_LOCAL: 0, Opcode.LOAD: 2, Opcode.STORE: 3,
     Opcode.PRELOAD: 5,

@@ -2,7 +2,8 @@
 
 Processes are Python generators that yield *commands*:
 
-* an ``int``    — advance this process by that many cycles;
+* an ``int``    — advance this process by that many cycles (exactly
+  ``int``: a ``bool`` or ``IntEnum`` is rejected);
 * an ``Event``  — suspend until the event fires;
 * a ``Process`` — suspend until that process finishes.
 
@@ -203,16 +204,6 @@ class Engine:
                                 self.heap_peak = len(heap)
                         else:
                             done.waiters.append(process)
-                        break
-                    if isinstance(command, int):  # bool / IntEnum delays
-                        if command < 0:
-                            raise RuntimeError(
-                                f"negative delay {command} from "
-                                f"{process.name!r}")
-                        push(heap, (self.now + int(command), seq_next(),
-                                    process))
-                        if len(heap) > self.heap_peak:
-                            self.heap_peak = len(heap)
                         break
                     raise TypeError(f"process {process.name!r} yielded "
                                     f"unsupported command {command!r}")

@@ -3,10 +3,13 @@
 Executes a :class:`~repro.hls.compiler.Accelerator` on the board model:
 
 * every hardware thread is a discrete-event process walking the
-  kernel's :class:`~repro.hls.schedule.BodySchedule`;
-* items of a block run *dataflow-style*: an item starts once the items
-  it depends on have finished, so independent items (the double-buffered
-  GEMM's prefetch and compute nests) genuinely overlap;
+  kernel's :class:`~repro.hls.schedule.BodySchedule` one way:
+  ``run_body`` hands each item of a sequential block to ``run_item``,
+  the only place that switches on item type, and runs any other block
+  through ``_run_dataflow``;
+* items of a non-sequential block run *dataflow-style*: an item starts
+  once the items it depends on have finished, so independent items (the
+  double-buffered GEMM's prefetch and compute nests) genuinely overlap;
 * pipelined leaf loops issue iterations into the loop's shared
   datapath every ``ii`` cycles (one datapath instance shared by all
   threads, the Nymble-MT model), same-thread iterations keep ``rec_ii``
@@ -429,8 +432,6 @@ class _Runtime:
         self.loop_states: dict[int, _LoopState] = {}
         #: local-memory conflict group id -> port cursor (BRAM port sharing)
         self.group_states: dict[int, _LoopState] = {}
-        #: id(LoopNode) -> invariants tuple (see _make_loop_rt)
-        self.loop_rts: dict[int, tuple] = {}
         #: cycle at which the last hardware thread finished
         self.finish_time = 0
         #: per-thread finish cycle (-1 while running), for join accounting
@@ -445,11 +446,6 @@ class _Runtime:
         self.nests_flattened = 0
         self.entries_batched = 0
         self.nest_fallbacks = 0
-        #: per-thread (read, write) port history lists, hoisted for the
-        #: nest drivers
-        self.port_hists = [
-            (ports._history[(t, False)], ports._history[(t, True)])
-            for t in range(len(stalls))]
 
     # ------------------------------------------------------------------
     def thread_main(self, tid: int, ctx: KernelFunctionalContext):
@@ -472,50 +468,28 @@ class _Runtime:
     # ------------------------------------------------------------------
     def run_body(self, body: BodySchedule, tid: int,
                  ctx: KernelFunctionalContext, acct=None):
-        items, deps = body.items, body.deps
-        if not items:
-            return
-        if self._is_sequential(deps):
-            for item in items:
-                # dispatch segments directly: one generator frame less
-                # on the most common item kind
-                if type(item) is Segment:
-                    yield from self.run_segment(item, tid, ctx, acct)
-                else:
-                    yield from self.run_item(item, tid, ctx, acct)
-            return
-        # dataflow execution: spawn one process per item
-        events = [Event(f"item{i}") for i in range(len(items))]
-        if acct is not None:
-            yield from self._run_dataflow(body, tid, ctx, acct, events)
-            return
-
-        def item_proc(index: int):
-            for dep in deps[index]:
-                yield events[dep]
-            yield from self.run_item(items[index], tid, ctx, None)
-            events[index].set(self.engine)
-
-        for index in range(len(items)):
-            self.engine.spawn(item_proc(index), name=f"t{tid}-item{index}")
-        for event in events:
-            yield event
+        if body.sequential:
+            for item in body.items:
+                yield from self.run_item(item, tid, ctx, acct)
+        else:
+            yield from self._run_dataflow(body, tid, ctx, acct)
 
     def _run_dataflow(self, body: BodySchedule, tid: int,
-                      ctx: KernelFunctionalContext, acct,
-                      events: list[Event]):
-        """Dataflow execution with critical-path cycle accounting.
+                      ctx: KernelFunctionalContext, acct):
+        """Dataflow execution: one process per item, started on its deps.
 
-        Items overlap on one hardware thread, so each item buffers its
-        deposits; once the region completes, the chain of items that
-        determined the region's end (walking dependences whose finish
-        time equals the successor's start) is replayed into ``acct`` —
-        it tiles the region's span exactly, while overlapped work off
-        the chain was hidden and consumed no wall time.
+        With cycle accounting, items overlap on one hardware thread, so
+        each item buffers its deposits; once the region completes, the
+        chain of items that determined the region's end (walking
+        dependences whose finish time equals the successor's start) is
+        replayed into ``acct`` — it tiles the region's span exactly,
+        while overlapped work off the chain was hidden and consumed no
+        wall time.
         """
 
         items, deps = body.items, body.deps
         n = len(items)
+        events = [Event(f"item{i}") for i in range(n)]
         starts = [0] * n
         ends = [0] * n
         buffers: list[Optional[_BufferAcct]] = [None] * n
@@ -523,7 +497,7 @@ class _Runtime:
         def item_proc(index: int):
             for dep in deps[index]:
                 yield events[dep]
-            buffer = _BufferAcct()
+            buffer = _BufferAcct() if acct is not None else None
             starts[index] = self.engine.now
             yield from self.run_item(items[index], tid, ctx, buffer)
             ends[index] = self.engine.now
@@ -535,6 +509,8 @@ class _Runtime:
             self.engine.spawn(item_proc(index), name=f"t{tid}-item{index}")
         for event in events:
             yield event
+        if acct is None:
+            return
         # walk the critical path back from the last-finishing item
         last = 0
         for index in range(1, n):
@@ -560,11 +536,6 @@ class _Runtime:
         for index in reversed(chain):
             for start, end, region, amounts in buffers[index].entries:
                 acct.deposit(start, end, region, amounts)
-
-    @staticmethod
-    def _is_sequential(deps: list[list[int]]) -> bool:
-        return all(index - 1 in dep_list
-                   for index, dep_list in enumerate(deps) if index > 0)
 
     # ------------------------------------------------------------------
     def run_item(self, item: Item, tid: int, ctx: KernelFunctionalContext,
@@ -672,23 +643,6 @@ class _Runtime:
     def run_segment(self, segment: Segment, tid: int,
                     ctx: KernelFunctionalContext, acct=None):
         compiled = self.sim._get_compiled(segment)
-        values = ctx.values
-        if not segment.mem_ops:
-            # no external accesses: skip the trace and port machinery
-            outs = compiled.fn(ctx, ctx.vars, ctx.mem,
-                               *[values[vid] for vid in compiled.inputs])
-            for vid, value in zip(compiled.outputs, outs):
-                values[vid] = value
-            now = self.engine.now
-            self.recorder.add_many(now, now + segment.depth, tid, (
-                (EventKind.FLOPS, segment.flops),
-                (EventKind.INTOPS, segment.intops)))
-            if acct is not None:
-                acct.deposit(now, now + segment.depth,
-                             segment_region(segment.uid),
-                             (segment.depth, 0, 0, 0, 0, 0, 0, 0, 0))
-            yield segment.depth
-            return
         mem = ctx.mem
         mem.trace.clear()
         self._call_segment(compiled, ctx)
@@ -752,57 +706,19 @@ class _Runtime:
         step = ctx.values[op.operands[2].id]
         iv_id = op.defined[0].id
         values = ctx.values
-        body = item.body
-        seq = self._is_sequential(body.deps) and body.items
         loop_start = self.engine.now
         trips = 0
         for iv in range(lower, upper, step):
             values[iv_id] = iv
             trips += 1
             yield 1  # loop-control bubble between iterations
-            if seq:
-                # inline the sequential run_body: this loop re-enters
-                # its body once per trip
-                for it in body.items:
-                    if type(it) is Segment:
-                        yield from self.run_segment(it, tid, ctx, acct)
-                    elif type(it) is LoopNode and it.pipelined:
-                        yield from self.run_pipelined_loop(it, tid, ctx,
-                                                           acct)
-                    else:
-                        yield from self.run_item(it, tid, ctx, acct)
-            else:
-                yield from self.run_body(body, tid, ctx, acct)
+            yield from self.run_body(item.body, tid, ctx, acct)
         if acct is not None and trips:
             # the per-trip control bubbles, batched into one deposit
             # smeared over the loop's span (the table is exact; binned
             # placement is visualization only)
             acct.deposit(loop_start, self.engine.now, loop_region(item.uid),
                          (0, 0, 0, 0, 0, 0, 0, 0, trips))
-
-    def _make_loop_rt(self, item: LoopNode):
-        """Per-loop invariants, computed once instead of per invocation.
-
-        Short pipelined loops (the naive GEMM's inner loop runs 8
-        trips) are re-entered tens of thousands of times; the schedule
-        and config lookups here used to dominate their setup cost.
-        """
-
-        segment = item.body.items[0]
-        assert isinstance(segment, Segment)
-        compiled = self.sim._get_compiled(segment)
-        state = self.loop_states.setdefault(id(item), _LoopState())
-        schedule = self.sim.acc.schedule
-        group_id = schedule.local_groups.get(segment.uid)
-        group = None
-        group_cost = 0
-        if group_id is not None:
-            group = self.group_states.setdefault(group_id, _LoopState())
-            group_cost = max(1, schedule.local_costs.get(segment.uid, 1))
-        return (segment, compiled, state, group, group_cost,
-                item.op.defined[0].id, max(1, self.sim.config.loop_chunk),
-                max(1, self.sim.config.pipeline_window), item.ii,
-                item.rec_ii, item.depth)
 
     def run_pipelined_loop(self, item: LoopNode, tid: int,
                            ctx: KernelFunctionalContext, acct=None):
@@ -830,12 +746,21 @@ class _Runtime:
 
         # the scalar reference: one iteration at a time, in chunks of
         # ``loop_chunk`` trips between re-synchronizations
-        rt = self.loop_rts.get(id(item))
-        if rt is None:
-            rt = self._make_loop_rt(item)
-            self.loop_rts[id(item)] = rt
-        (segment, compiled, state, group, group_cost, iv_id, chunk,
-         window, ii, rec_ii, depth) = rt
+        segment = item.body.items[0]
+        assert isinstance(segment, Segment)
+        compiled = self.sim._get_compiled(segment)
+        state = self.loop_states.setdefault(id(item), _LoopState())
+        schedule = self.sim.acc.schedule
+        group_id = schedule.local_groups.get(segment.uid)
+        group = None
+        group_cost = 0
+        if group_id is not None:
+            group = self.group_states.setdefault(group_id, _LoopState())
+            group_cost = max(1, schedule.local_costs.get(segment.uid, 1))
+        iv_id = op.defined[0].id
+        chunk = max(1, self.sim.config.loop_chunk)
+        window = max(1, self.sim.config.pipeline_window)
+        ii, rec_ii, depth = item.ii, item.rec_ii, item.depth
         recorder = self.recorder
         mem = ctx.mem
 

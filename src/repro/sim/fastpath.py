@@ -90,9 +90,9 @@ def _iota(n: int) -> np.ndarray:
 #: across entries)
 _PURE_OPS = frozenset((
     Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.DIV, Opcode.REM, Opcode.NEG,
-    Opcode.MIN, Opcode.MAX, Opcode.FMA, Opcode.AND, Opcode.OR, Opcode.XOR,
-    Opcode.NOT, Opcode.SHL, Opcode.SHR, Opcode.EQ, Opcode.NE, Opcode.LT,
-    Opcode.LE, Opcode.GT, Opcode.GE, Opcode.CAST, Opcode.SELECT,
+    Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.NOT, Opcode.SHL, Opcode.SHR,
+    Opcode.EQ, Opcode.NE, Opcode.LT, Opcode.LE, Opcode.GT, Opcode.GE,
+    Opcode.CAST, Opcode.SELECT,
 ))
 
 
@@ -160,18 +160,8 @@ class NestPlan:
     dram: object
     uid: int
     #: the compiled timing generator; set on the plan's first dispatch
-    #: by :func:`_nest_driver_for`
+    #: by :func:`prepare_nest`
     driver: object = None
-
-
-def _seq_items(body):
-    """The block's items if it executes sequentially, else ``None``."""
-
-    deps = body.deps
-    if not all(index - 1 in dep_list
-               for index, dep_list in enumerate(deps) if index > 0):
-        return None
-    return body.items
 
 
 def _var_touches(seg: Segment):
@@ -253,8 +243,8 @@ def build_nest_plan(item: LoopNode, schedule, external_uses: set[int],
     while pipe is None:
         if node.uid < 0:
             return None
-        items = _seq_items(node.body)
-        if not items:
+        items = node.body.items
+        if not items or not node.body.sequential:
             return None
         pos = 0
         leading = []
@@ -277,9 +267,9 @@ def build_nest_plan(item: LoopNode, schedule, external_uses: set[int],
                     return None
                 trail_units.append((it, None))
             elif isinstance(it, CriticalNode):
-                sub = _seq_items(it.body)
-                if sub is None or len(sub) != 1 or \
-                        not isinstance(sub[0], Segment) or sub[0].uid < 0:
+                sub = it.body.items
+                if len(sub) != 1 or not isinstance(sub[0], Segment) or \
+                        sub[0].uid < 0:
                     return None
                 trail_units.append((sub[0], it.lock))
             else:
@@ -523,10 +513,8 @@ def build_nest_plan(item: LoopNode, schedule, external_uses: set[int],
         dram=config.dram, uid=item.uid)
 
 
-def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
-                         group_cost, chunk, window, dram, uid, limit,
-                         grant, events, attr):
-    """exec-compile the whole-nest timing generator.
+def _compile_nest_driver(nplan: NestPlan, limit, grant, events, attr):
+    """exec-compile the whole-nest timing generator of ``nplan``.
 
     The generated function replays the reference executor's exact
     control skeleton for one nest dispatch — per-trip loop bubbles,
@@ -577,6 +565,11 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
     reference.
     """
 
+    levels, trails, pipe, pseg, mem = (nplan.levels, nplan.trails,
+                                       nplan.pipe, nplan.pseg, nplan.mem)
+    has_group = nplan.group_id is not None
+    group_cost, chunk, window, dram = (nplan.group_cost, nplan.chunk,
+                                       nplan.window, nplan.dram)
     k = len(levels)
     ii, rec_ii, depth = pipe.ii, pipe.rec_ii, pipe.depth
     p_reads = any(not m[3] for m in mem)
@@ -1059,57 +1052,43 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
         call = f"_tf{u}(ctx, _vars, _mem{args})"
         if tr.mems:
             w(ind, "_trc()")
-            if tr.compiled.outputs:
-                w(ind, f"outs = {call}")
-            else:
-                w(ind, call)
-            for j2, vid in enumerate(tr.compiled.outputs):
-                w(ind, f"_values[{vid}] = outs[{j2}]")
-            any_tread = any(not m[3] for m in tr.mems)
-            if any_tread:
-                emit_extra_init(ind)
-            trb = twb = 0
-            for q, (start, slat, nbytes, is_write, _name) in \
-                    enumerate(tr.mems):
-                emit_t_memop(ind, u, q, start, slat, nbytes, is_write)
-                if is_write:
-                    twb += nbytes
-                else:
-                    trb += nbytes
-            if any_tread:
-                w(ind, f"duration = {seg.depth} + extra")
-                emit_deposit(ind, "now", "now + duration",
-                             [str(seg.flops), str(seg.intops), str(trb),
-                              str(twb), "extra"])
-                if attr:
-                    emit_peel(ind, "extra", "e_pen", "e_arb")
-                    emit_attr(ind, "now", "now + duration", s_reg,
-                              [str(seg.depth), "0", "0", "_l", "_a", "_r",
-                               "0", "0", "0"])
-                w(ind, "if extra:")
-                w(ind + 1, "stall_acc += extra")
-                w(ind, "yield duration")
-                w(ind, "now += duration")
-            else:
-                # posted writes never stall the segment: constant timing
-                if seg.depth > 0:
-                    emit_deposit(ind, "now", f"now + {seg.depth}",
-                                 [str(seg.flops), str(seg.intops), "0",
-                                  str(twb), "0"])
-                emit_seg_acct(ind, seg)
-                w(ind, f"yield {seg.depth}")
-                w(ind, f"now += {seg.depth}")
+        if tr.compiled.outputs:
+            w(ind, f"outs = {call}")
         else:
-            if tr.compiled.outputs:
-                w(ind, f"outs = {call}")
-                for j2, vid in enumerate(tr.compiled.outputs):
-                    w(ind, f"_values[{vid}] = outs[{j2}]")
+            w(ind, call)
+        for j2, vid in enumerate(tr.compiled.outputs):
+            w(ind, f"_values[{vid}] = outs[{j2}]")
+        any_tread = any(not m[3] for m in tr.mems)
+        if any_tread:
+            emit_extra_init(ind)
+        trb = twb = 0
+        for q, (start, slat, nbytes, is_write, _name) in enumerate(tr.mems):
+            emit_t_memop(ind, u, q, start, slat, nbytes, is_write)
+            if is_write:
+                twb += nbytes
             else:
-                w(ind, call)
+                trb += nbytes
+        if any_tread:
+            w(ind, f"duration = {seg.depth} + extra")
+            emit_deposit(ind, "now", "now + duration",
+                         [str(seg.flops), str(seg.intops), str(trb),
+                          str(twb), "extra"])
+            if attr:
+                emit_peel(ind, "extra", "e_pen", "e_arb")
+                emit_attr(ind, "now", "now + duration", s_reg,
+                          [str(seg.depth), "0", "0", "_l", "_a", "_r",
+                           "0", "0", "0"])
+            w(ind, "if extra:")
+            w(ind + 1, "stall_acc += extra")
+            w(ind, "yield duration")
+            w(ind, "now += duration")
+        else:
+            # no reads (posted writes at most) never stall the segment:
+            # constant timing
             if seg.depth > 0:
                 emit_deposit(ind, "now", f"now + {seg.depth}",
-                             [str(seg.flops), str(seg.intops),
-                              "0", "0", "0"])
+                             [str(seg.flops), str(seg.intops), "0",
+                              str(twb), "0"])
             emit_seg_acct(ind, seg)
             w(ind, f"yield {seg.depth}")
             w(ind, f"now += {seg.depth}")
@@ -1224,25 +1203,11 @@ def _compile_nest_driver(levels, trails, pipe, pseg, mem, has_group,
     for u, tr in enumerate(trails):
         namespace[f"_tf{u}"] = tr.compiled.fn
     source = "\n".join(lines)
-    code = compile(source, f"<ndrive:{uid}>", "exec")
+    code = compile(source, f"<ndrive:{nplan.uid}>", "exec")
     exec(code, namespace)
     driver = namespace["_ndrive"]
     driver.__source__ = source
     return driver
-
-
-def _nest_driver_for(nplan, runtime):
-    """The plan's driver, compiled on its first dispatch."""
-
-    if nplan.driver is None:
-        nplan.driver = _compile_nest_driver(
-            nplan.levels, nplan.trails, nplan.pipe, nplan.pseg, nplan.mem,
-            nplan.group_id is not None, nplan.group_cost, nplan.chunk,
-            nplan.window, nplan.dram, nplan.uid,
-            runtime.ports.outstanding_limit,
-            runtime.semaphore.grant_latency,
-            bool(runtime.recorder.config.events), runtime.attribution)
-    return nplan.driver
 
 
 def _address_slabs(cfg, cols):
@@ -1398,14 +1363,19 @@ def prepare_nest(runtime, nplan: NestPlan, tid: int, ctx, state, group,
             tbufs.append(buf.base_addr)
             tbufs.append(buf.elem_bytes)
 
-    hist_r, hist_w = runtime.port_hists[tid]
-    driver = _nest_driver_for(nplan, runtime)
-    gen = driver(runtime, tid, ctx, state, group, trips,
-                 tuple(n for _lo, _st, n in bounds_resolved),
-                 memory._bank_row,
-                 memory._bank_ready, memory._bus_busy, hist_r, hist_w,
-                 fins, tins, _address_slabs(memory.config, cols),
-                 max(SLAB_TRIPS, nplan.chunk), tuple(tbufs), acct)
+    if nplan.driver is None:
+        nplan.driver = _compile_nest_driver(
+            nplan, runtime.ports.outstanding_limit,
+            runtime.semaphore.grant_latency,
+            bool(runtime.recorder.config.events), runtime.attribution)
+    history = runtime.ports._history
+    gen = nplan.driver(runtime, tid, ctx, state, group, trips,
+                       tuple(n for _lo, _st, n in bounds_resolved),
+                       memory._bank_row, memory._bank_ready,
+                       memory._bus_busy, history[(tid, False)],
+                       history[(tid, True)], fins, tins,
+                       _address_slabs(memory.config, cols),
+                       max(SLAB_TRIPS, nplan.chunk), tuple(tbufs), acct)
     if k:
         runtime.nests_flattened += 1
         runtime.entries_batched += entries

@@ -237,18 +237,6 @@ def _emit_op(op: Operation, operand) -> str:
         if isinstance(op.result.type, VectorType):
             return f"{r} = tuple(-_a for _a in {a})"
         return f"{r} = -{a}"
-    if code is Opcode.MIN:
-        a, b = operand(op.operands[0]), operand(op.operands[1])
-        return f"{r} = min({a}, {b})"
-    if code is Opcode.MAX:
-        a, b = operand(op.operands[0]), operand(op.operands[1])
-        return f"{r} = max({a}, {b})"
-    if code is Opcode.FMA:
-        a, b, c = (operand(v) for v in op.operands)
-        if isinstance(op.result.type, VectorType):
-            return (f"{r} = tuple(_a * _b + _c for _a, _b, _c in "
-                    f"zip({a}, {b}, {c}))")
-        return f"{r} = {a} * {b} + {c}"
 
     if code in (Opcode.AND, Opcode.OR, Opcode.XOR):
         a, b = operand(op.operands[0]), operand(op.operands[1])
@@ -302,9 +290,6 @@ def _emit_op(op: Operation, operand) -> str:
     if code is Opcode.INSERT:
         a, lane, x = (operand(v) for v in op.operands)
         return (f"{r} = {a}[:{lane}] + ({x},) + {a}[{lane} + 1:]")
-    if code is Opcode.REDUCE_ADD:
-        a = operand(op.operands[0])
-        return f"{r} = sum({a})"
 
     if code is Opcode.DECL_VAR:
         handle = op.attrs["var"]
@@ -607,7 +592,7 @@ class _VectorCodegen:
             # an unrolled per-lane accumulator (`sum[j] += ...` under
             # `#pragma unroll`) re-writes the var after every lane's
             # insert; those writes are the only other use a link may have
-            lane_deltas: dict[int, tuple] = {}
+            lane_deltas: dict[int, Value] = {}
             write_set = set(writes)
             cur = write_op.operands[1]
             consumer = writes[-1]
@@ -629,31 +614,23 @@ class _VectorCodegen:
                 if uidx is None or self._use_count(upd.id) != 1:
                     raise VectorizeError("carried chain escapes")
                 uop = self.ops[uidx]
-                eidx = None
-                if uop.opcode is Opcode.ADD:
-                    a, b = uop.operands
-                    ea = self._lane_extract(a, lane, reaches)
-                    eb = self._lane_extract(b, lane, reaches)
-                    if (ea is None) == (eb is None):
-                        raise VectorizeError("ambiguous lane recurrence")
-                    eidx, delta = (ea, b) if ea is not None else (eb, a)
-                    if reaches(delta):
-                        raise VectorizeError("delta depends on accumulator")
-                    lane_deltas[lane] = ("val", delta)
-                elif uop.opcode is Opcode.FMA:
-                    a, b, c = uop.operands
-                    eidx = self._lane_extract(c, lane, reaches)
-                    if eidx is None or reaches(a) or reaches(b):
-                        raise VectorizeError("unsupported lane recurrence")
-                    lane_deltas[lane] = ("mul", a, b)
-                else:
+                if uop.opcode is not Opcode.ADD:
                     raise VectorizeError("non-additive lane recurrence")
+                a, b = uop.operands
+                ea = self._lane_extract(a, lane, reaches)
+                eb = self._lane_extract(b, lane, reaches)
+                if (ea is None) == (eb is None):
+                    raise VectorizeError("ambiguous lane recurrence")
+                eidx, delta = (ea, b) if ea is not None else (eb, a)
+                if reaches(delta):
+                    raise VectorizeError("delta depends on accumulator")
+                lane_deltas[lane] = delta
                 consumed.update((index, uidx, eidx))
                 consumer = index
                 cur = ins.operands[0]
             info["lane_deltas"] = lane_deltas
         else:
-            deltas: list[tuple] = []
+            deltas: list[Value] = []
             write_set = set(writes)
             cur = write_op.operands[1]
             consumer = writes[-1]
@@ -665,24 +642,17 @@ class _VectorCodegen:
                             for u in self.uses.get(cur.id, ())):
                     raise VectorizeError("carried chain escapes")
                 link = self.ops[index]
-                if link.opcode is Opcode.ADD:
-                    a, b = link.operands
-                    ra, rb = reaches(a), reaches(b)
-                    if ra == rb:
-                        raise VectorizeError("ambiguous recurrence")
-                    nxt, delta = (a, b) if ra else (b, a)
-                    if reaches(delta):
-                        raise VectorizeError("delta depends on accumulator")
-                    deltas.append(("val", delta))
-                elif link.opcode is Opcode.FMA:
-                    a, b, c = link.operands
-                    if not reaches(c) or reaches(a) or reaches(b):
-                        raise VectorizeError("unsupported recurrence")
-                    nxt = c
-                    deltas.append(("mul", a, b))
-                else:
+                if link.opcode is not Opcode.ADD:
                     raise VectorizeError("non-additive recurrence "
                                          f"({link.opcode.value})")
+                a, b = link.operands
+                ra, rb = reaches(a), reaches(b)
+                if ra == rb:
+                    raise VectorizeError("ambiguous recurrence")
+                nxt, delta = (a, b) if ra else (b, a)
+                if reaches(delta):
+                    raise VectorizeError("delta depends on accumulator")
+                deltas.append(delta)
                 consumed.add(index)
                 consumer = index
                 cur = nxt
@@ -709,12 +679,6 @@ class _VectorCodegen:
             return None
         return index
 
-    def _delta_expr(self, delta: tuple) -> str:
-        if delta[0] == "val":
-            return self.ref(delta[1])
-        a, b = delta[1], delta[2]
-        return f"({self.ref(a)} * {self.ref(b)})"
-
     def _emit_scan(self, vid: int) -> None:
         if vid in self.entry_vars:
             self._emit_entry_scan(vid)
@@ -733,7 +697,7 @@ class _VectorCodegen:
                 if delta is None:
                     parts.append(f"_sd{vid}[{lane}]")
                     continue
-                expr = self._delta_expr(delta)
+                expr = self.ref(delta)
                 self.compute.append(
                     f"_fl{vid} = _np.empty(_n + 1, dtype={dt})")
                 self.compute.append(f"_fl{vid}[0] = _sd{vid}[{lane}]")
@@ -753,13 +717,13 @@ class _VectorCodegen:
             self.compute.append(f"_fl{vid} = _np.empty(_n + 1, dtype={dt})")
             self.compute.append(f"_fl{vid}[0] = vars[{vid}]")
             self.compute.append(
-                f"_fl{vid}[1:] = {self._delta_expr(deltas[0])}")
+                f"_fl{vid}[1:] = {self.ref(deltas[0])}")
         else:
             self.compute.append(
                 f"_dl{vid} = _np.empty((_n, {m}), dtype={dt})")
             for pos, delta in enumerate(deltas):
                 self.compute.append(
-                    f"_dl{vid}[:, {pos}] = {self._delta_expr(delta)}")
+                    f"_dl{vid}[:, {pos}] = {self.ref(delta)}")
             self.compute.append(
                 f"_fl{vid} = _np.empty(_n * {m} + 1, dtype={dt})")
             self.compute.append(f"_fl{vid}[0] = vars[{vid}]")
@@ -789,14 +753,11 @@ class _VectorCodegen:
         deltas = info["deltas"]
         m = len(deltas)
         if m == 1:
-            expr = self._delta_expr(deltas[0])
-            delta = deltas[0]
-            d_arr = self.arr(delta[1]) if delta[0] == "val" else \
-                (self.arr(delta[1]) or self.arr(delta[2]))
+            expr = self.ref(deltas[0])
             self.compute.append(
                 f"_fl{vid} = _np.empty((_E, _T + 1), dtype={dt})")
             self.compute.append(f"_fl{vid}[:, 0] = _es{vid}")
-            if d_arr:
+            if self.arr(deltas[0]):
                 self.compute.append(
                     f"_fl{vid}[:, 1:] = ({expr}).reshape(_E, _T)")
             else:
@@ -806,7 +767,7 @@ class _VectorCodegen:
                 f"_dl{vid} = _np.empty((_n, {m}), dtype={dt})")
             for pos, delta in enumerate(deltas):
                 self.compute.append(
-                    f"_dl{vid}[:, {pos}] = {self._delta_expr(delta)}")
+                    f"_dl{vid}[:, {pos}] = {self.ref(delta)}")
             self.compute.append(
                 f"_fl{vid} = _np.empty((_E, _T * {m} + 1), dtype={dt})")
             self.compute.append(f"_fl{vid}[:, 0] = _es{vid}")
@@ -1005,30 +966,6 @@ class _VectorCodegen:
                 line = f"{r} = -{a}"
             self.emit(op, line, any_arr)
             return
-        if code in (Opcode.MIN, Opcode.MAX):
-            if vec and any_arr:
-                # reference min()/max() on tuples is lexicographic
-                raise VectorizeError("vector min/max")
-            a, b = oper(op.operands[0]), oper(op.operands[1])
-            if any_arr:
-                sym = "<" if code is Opcode.MIN else ">"
-                # np.where(b <sym> a, b, a) is exactly Python's min/max,
-                # including NaN and signed-zero tie behaviour
-                line = f"{r} = _np.where({b} {sym} {a}, {b}, {a})"
-            else:
-                fn = "min" if code is Opcode.MIN else "max"
-                line = f"{r} = {fn}({a}, {b})"
-            self.emit(op, line, any_arr)
-            return
-        if code is Opcode.FMA:
-            a, b, c = (oper(v) for v in op.operands)
-            if vec and not any_arr:
-                line = (f"{r} = tuple(_a * _b + _c for _a, _b, _c in "
-                        f"zip({a}, {b}, {c}))")
-            else:
-                line = f"{r} = {a} * {b} + {c}"
-            self.emit(op, line, any_arr)
-            return
 
         if code in (Opcode.AND, Opcode.OR, Opcode.XOR):
             a, b = oper(op.operands[0]), oper(op.operands[1])
@@ -1140,16 +1077,6 @@ class _VectorCodegen:
                 ax = self.ref(a)
                 line = (f"{r} = {ax}[:{lx}] + ({self.ref(x)},) + "
                         f"{ax}[{lx} + 1:]")
-            self.emit(op, line, any_arr)
-            return
-        if code is Opcode.REDUCE_ADD:
-            a = self.ref(op.operands[0])
-            lanes = _lanes(op.operands[0].type)
-            if any_arr:
-                chain = " + ".join(f"{a}[:, {j}]" for j in range(lanes))
-                line = f"{r} = 0 + {chain}"  # exact left fold, as sum()
-            else:
-                line = f"{r} = sum({a})"
             self.emit(op, line, any_arr)
             return
 

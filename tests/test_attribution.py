@@ -11,15 +11,19 @@ from __future__ import annotations
 
 import functools
 
+import numpy as np
 import pytest
 
 from repro.apps import run_gemm, run_pi
 from repro.apps.gemm import GEMM_VERSIONS
 from repro.cli import main
 from repro.core import SimConfig
+from repro.core.program import Program
 from repro.paraver import reconstruct_run, write_trace
 from repro.paraver.format import ATTR_EVENT_BASE
-from repro.profiling.attribution import AttributionTable, Cause
+from repro.profiling.attribution import (
+    N_SLOTS, REGION_SYNC, AttributionTable, Cause,
+)
 
 MODES = ("reference", "auto")
 DIM = 16
@@ -103,6 +107,61 @@ class TestDifferential:
                                 str(tmp_path / f"pi_{mode}"))
             blobs.append(open(files.prv, "rb").read())
         assert blobs[0] == blobs[1]
+
+
+# a barrier after per-thread empty loops of 0, 300, 600 and 900 trips: the
+# early threads wait at the barrier for the last one
+PHASES_SRC = """
+void phases(float* a, float* out, int n) {
+  #pragma omp target parallel map(to:a[0:n]) map(tofrom:out[0:n]) \\
+      num_threads(4)
+  {
+    int t = omp_get_thread_num();
+    int nt = omp_get_num_threads();
+    for (int i = t; i < n; i += nt) { out[i] = a[i] * 2.0f; }
+    for (int w = 0; w < 300 * t; ++w) { }
+    #pragma omp barrier
+    for (int i = t; i < n; i += nt) { out[i] = out[i] + a[(i + 1) % n]; }
+  }
+}
+"""
+
+
+@functools.lru_cache(maxsize=None)
+def phases(mode: str):
+    out = np.zeros(64, dtype=np.float32)
+    program = Program(PHASES_SRC, sim_config=SimConfig(exec_mode=mode,
+                                                       attribution=True))
+    sim = program.run(a=np.arange(64, dtype=np.float32), out=out, n=64).sim
+    return sim, out
+
+
+class TestBarrierAndEmptyLoop:
+    """SYNC_WAIT at ``#pragma omp barrier``; a pipelined empty loop."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_invariant(self, mode):
+        sim, _out = phases(mode)
+        table = sim.attribution
+        assert table.check(sim.cycles) == []
+        waits = [table.cells.get((REGION_SYNC, tid), [0] * N_SLOTS)[Cause.SYNC_WAIT]
+                 for tid in range(THREADS)]
+        assert all(wait > 0 for wait in waits[:-1])
+        empty = next(key for key, label in table.regions.items()
+                     if label.startswith("for w "))
+        # the empty body issues one trip per II, then drains
+        for tid in range(1, THREADS):
+            cell = table.cells[(empty, tid)]
+            assert cell[Cause.USEFUL] > 0 and cell[Cause.DRAIN] > 0
+        assert (empty, 0) not in table.cells
+
+    def test_reference_equals_auto(self):
+        ref, ref_out = phases("reference")
+        fast, fast_out = phases("auto")
+        assert fast.cycles == ref.cycles
+        assert list(fast.attribution.cells.items()) == \
+            list(ref.attribution.cells.items())
+        assert np.array_equal(fast_out, ref_out)
 
 
 class TestZeroCostWhenOff:

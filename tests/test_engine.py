@@ -223,6 +223,18 @@ def test_bad_command_rejected():
         engine.run()
 
 
+def test_bool_delay_rejected():
+    # a delay is a plain int; bool (an int subclass) is not one
+    engine = Engine()
+
+    def proc():
+        yield True
+
+    engine.spawn(proc())
+    with pytest.raises(TypeError, match="unsupported command"):
+        engine.run()
+
+
 def test_causality_violation_detected():
     engine = Engine()
 

@@ -7,8 +7,9 @@ optimization: ``exec_mode="auto"`` must produce
 profiling event series, and every output buffer.  These tests pin that
 contract over the bundled applications plus synthetic kernels — one
 deliberately not vectorizable (exercising the scalar fallback), unrolled
-per-lane vector accumulators, and a loop without memory accesses — and
-assert the ``sim.fastpath.*`` telemetry counters.
+per-lane vector accumulators, a loop without memory accesses, and one
+loop body per operator the value kernel lowers — and assert the
+``sim.fastpath.*`` telemetry counters.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from repro import telemetry
 from repro.apps import run_gemm, run_pi
 from repro.apps.gemm import EXTRA_VERSIONS, GEMM_VERSIONS
 from repro.core.program import Program
+from repro.paraver import write_trace
 from repro.sim.config import SimConfig
 
 
@@ -297,6 +299,77 @@ class TestClosedFormTrips:
         assert runs[0][0].attribution == runs[1][0].attribution
         assert runs[1][1].tolist() == [n + t * n * (n - 1) // 2
                                        for t in range(4)]
+
+
+# ----------------------------------------------------------------------
+# the value kernel's operator lowerings: one pipelined loop per body,
+# each vectorized whole and bit-identical to the scalar interpreter
+# ----------------------------------------------------------------------
+OPERATOR_TEMPLATE = """
+void ops(float* a, int* b, float* out, int* iout, float* res, int* ires,
+         int n) {
+  #pragma omp target parallel map(to:a[0:n], b[0:n]) \\
+      map(from:out[0:n], iout[0:n], res[0:4], ires[0:4]) num_threads(4)
+  {
+    int t = omp_get_thread_num();
+    int nt = omp_get_num_threads();
+    float s = 0;
+    int k = 0;
+    for (int i = t; i < n; i += nt) {
+      BODY
+    }
+    res[t] = s;
+    ires[t] = k;
+  }
+}
+"""
+
+#: loop bodies over float a[i] in [0, 1) and int b[i] in [-100, 100)
+OPERATOR_BODIES = {
+    "select": "out[i] = a[i] > 0.5f ? a[i] * 2.0f : a[i] - 1.0f;",
+    "int_bitwise": "iout[i] = ((b[i] << 2) ^ (b[i] >> 1)) & 1023 | (i & 7);",
+    "int_div_rem": "iout[i] = b[i] / 3 + b[i] % 5 - b[i] / (i + 1);",
+    "neg_casts": "out[i] = -(float)b[i] + (float)(-i); "
+                 "iout[i] = -(int)(a[i] * 10.0f);",
+    "summed_compares": "k += (b[i] >= 0) + (b[i] < 10) + (i == 5) "
+                       "+ (a[i] <= 0.5f) + (b[i] != 3) + (b[i] > -7);",
+    "logical": "iout[i] = (b[i] > 0 && a[i] < 0.5f) || !(i < 3);",
+    "select_accumulate": "s += a[i] > 0.25f ? a[i] : 0;",
+    "int_accumulator": "k += b[i] * 3 - i;",
+    "two_updates": "s += a[i]; s += a[i] * 0.5f;",
+}
+
+OPERATOR_TRIPS = 203
+
+
+def operator_source(name: str) -> str:
+    return OPERATOR_TEMPLATE.replace("BODY", OPERATOR_BODIES[name])
+
+
+class TestOperatorLowerings:
+    @pytest.mark.parametrize("name", sorted(OPERATOR_BODIES))
+    def test_bit_identical_and_vectorized(self, name, tmp_path):
+        n = OPERATOR_TRIPS
+        runs = []
+        for mode in ("reference", "auto"):
+            rng = np.random.default_rng(3)
+            args = dict(a=rng.random(n, dtype=np.float32),
+                        b=rng.integers(-100, 100, n).astype(np.int32),
+                        out=np.zeros(n, np.float32),
+                        iout=np.zeros(n, np.int32),
+                        res=np.zeros(4, np.float32),
+                        ires=np.zeros(4, np.int32), n=n)
+            session = telemetry.configure(enabled=True)
+            result = Program(operator_source(name),
+                             sim_config=SimConfig(exec_mode=mode)).run(**args)
+            files = write_trace(result.sim.trace, str(tmp_path / mode))
+            runs.append((result.sim, open(files.prv, "rb").read(),
+                         dict(session.counters)))
+        (ref, ref_prv, _), (fast, fast_prv, counters) = runs
+        _assert_identical(ref, fast)
+        assert ref_prv == fast_prv
+        assert counters.get("sim.fastpath.iters_vectorized", 0) == n
+        assert counters.get("sim.fastpath.fallbacks", 0) == 0
 
 
 # ----------------------------------------------------------------------

@@ -70,12 +70,6 @@ class TestArithmetic:
         with pytest.raises(TypeError):
             b.lt(vec, vec)
 
-    def test_fma(self):
-        _, b = make_kernel()
-        v = b.fma(b.const(1.0), b.const(2.0), b.const(3.0))
-        assert v.type == FLOAT32
-        assert v.producer.opcode is Opcode.FMA
-
     def test_select(self):
         _, b = make_kernel()
         cond = b.lt(b.const(1), b.const(2))
@@ -95,11 +89,6 @@ class TestVectors:
         vec = b.broadcast(b.const(0.0), 4)
         out = b.insert(vec, 1, b.const(5.0))
         assert out.type == vec.type
-
-    def test_reduce_add(self):
-        _, b = make_kernel()
-        vec = b.broadcast(b.const(1.0), 4)
-        assert b.reduce_add(vec).type == FLOAT32
 
     def test_extract_requires_vector(self):
         _, b = make_kernel()

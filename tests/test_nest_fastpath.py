@@ -3,7 +3,9 @@
 The nest fast path flattens a sequential loop (or stack of sequential
 loops) around a pipelined inner loop into one mega-batch.  Like the
 per-entry fast path it is a pure performance optimization: for every
-nest shape — two-level, three-level, uneven trip counts — both
+nest shape — two-level, three-level, uneven trip counts, trailing
+segments that read an inner level's store, a leading segment's var or
+no external memory at all — both
 ``exec_mode`` settings must produce bit-identical cycles, ``.prv
 bytes and :class:`AttributionTable`s, with attribution on and off.
 Entry-dependent inner bounds are not flattenable and must leave
@@ -124,6 +126,72 @@ void accum(float* a, float* out, int n) {
 """
 
 
+# sequential x sequential x pipelined with an outer-level trailing store
+# that reads what the inner level's trailing store wrote
+ROWTAIL_SRC = """
+void mmr(float* a, float* b, float* out, float* rs, int n, int m, int k) {
+  #pragma omp target parallel map(to:a[0:n*k], b[0:k*m]) \\
+      map(from:out[0:n*m], rs[0:n]) num_threads(4)
+  {
+    int t = omp_get_thread_num();
+    int nt = omp_get_num_threads();
+    for (int i = t; i < n; i += nt) {
+      for (int j = 0; j < m; ++j) {
+        float s = 0;
+        for (int q = 0; q < k; ++q) {
+          s += a[i*k+q] * b[q*m+j];
+        }
+        out[i*m+j] = s;
+      }
+      rs[i] = out[i*m+m-1];
+    }
+  }
+}
+"""
+
+# the trailing segment reads a var the leading segment wrote
+BIAS_SRC = """
+void matvecb(float* a, float* b, float* out, int n, int m) {
+  #pragma omp target parallel map(to:a[0:n*m], b[0:m]) \\
+      map(from:out[0:n]) num_threads(4)
+  {
+    int t = omp_get_thread_num();
+    int nt = omp_get_num_threads();
+    for (int i = t; i < n; i += nt) {
+      float bias = 0.5f;
+      float s = 0;
+      for (int j = 0; j < m; ++j) {
+        s += a[i*m+j] * b[j];
+      }
+      out[i] = s + bias;
+    }
+  }
+}
+"""
+
+# a trailing segment without external accesses: it folds each entry's
+# accumulator into a var stored once after the nest
+ROWSUM_SRC = """
+void rowsum(float* a, float* out, int n, int m) {
+  #pragma omp target parallel map(to:a[0:n*m]) map(from:out[0:4]) \\
+      num_threads(4)
+  {
+    int t = omp_get_thread_num();
+    int nt = omp_get_num_threads();
+    float total = 0;
+    for (int i = t; i < n; i += nt) {
+      float s = 0;
+      for (int j = 0; j < m; ++j) {
+        s += a[i*m+j];
+      }
+      total += s;
+    }
+    out[t] = total;
+  }
+}
+"""
+
+
 def _buffers(src, n=None, m=None):
     rng = np.random.default_rng(7)
     if src is MATVEC_SRC:
@@ -136,6 +204,21 @@ def _buffers(src, n=None, m=None):
         return dict(a=rng.standard_normal(n * k).astype(np.float32),
                     b=rng.standard_normal(k * m).astype(np.float32),
                     out=np.zeros(n * m, dtype=np.float32), n=n, m=m, k=k)
+    if src is ROWTAIL_SRC:
+        n, m, k = 5, 7, 9
+        return dict(a=rng.standard_normal(n * k).astype(np.float32),
+                    b=rng.standard_normal(k * m).astype(np.float32),
+                    out=np.zeros(n * m, dtype=np.float32),
+                    rs=np.zeros(n, dtype=np.float32), n=n, m=m, k=k)
+    if src is BIAS_SRC:
+        n, m = 6, 13
+        return dict(a=rng.standard_normal(n * m).astype(np.float32),
+                    b=rng.standard_normal(m).astype(np.float32),
+                    out=np.zeros(n, dtype=np.float32), n=n, m=m)
+    if src is ROWSUM_SRC:
+        n, m = 6, 13
+        return dict(a=rng.standard_normal(n * m).astype(np.float32),
+                    out=np.zeros(4, dtype=np.float32), n=n, m=m)
     if src is TRIANGULAR_SRC:
         n = n or 9
         return dict(a=rng.standard_normal(n * n).astype(np.float32),
@@ -188,7 +271,13 @@ NEST_SOURCES = {
     "triple": TRIPLE_SRC,
     "triangular": TRIANGULAR_SRC,
     "nest_rmw": NEST_RMW_SRC,
+    "rowtail": ROWTAIL_SRC,
+    "bias": BIAS_SRC,
+    "rowsum": ROWSUM_SRC,
 }
+
+#: nests the driver flattens whole, with no fallback
+FLATTENED = ["matvec", "triple", "rowtail", "bias", "rowsum"]
 
 #: differential cases: name -> (kernel, sizes).  The sized variants put
 #: the pipelined loop's trip count at, just past and well past the
@@ -245,7 +334,7 @@ class TestNestDifferential:
 # telemetry: the flatten / no-flatten / fallback decisions
 # ----------------------------------------------------------------------
 class TestNestTelemetry:
-    @pytest.mark.parametrize("name", ["matvec", "triple"])
+    @pytest.mark.parametrize("name", FLATTENED)
     def test_flattenable_nests_flatten_cleanly(self, name):
         session = telemetry.configure(enabled=True)
         _run(NEST_SOURCES[name], "auto")
@@ -288,7 +377,7 @@ class TestNestTelemetry:
         assert counters.get("sim.fastpath.entries_batched", 0) == 0
 
     def test_attribution_keeps_flattening(self):
-        for name in ("matvec", "triple"):
+        for name in FLATTENED:
             session = telemetry.configure(enabled=True)
             _run(NEST_SOURCES[name], "auto", attribution=True)
             counters = session.counters
