@@ -19,8 +19,7 @@ from _bench_utils import GEMM_DIM, gemm_run_cached, report
 
 
 def _phases(run):
-    result = run.result
-    return phase_overlap(result.trace, result.clock_mhz)
+    return phase_overlap(run.result.trace)
 
 
 def test_fig8_blocked_alternating_phases(benchmark):

@@ -85,7 +85,7 @@ def main(dim: int = 64, jobs: int = 1) -> None:
     # ------------------------------------------------------------------
     for version, fig in (("blocked", "Fig. 8"), ("double_buffered", "Fig. 9")):
         result = runs[version].result
-        phases = phase_overlap(result.trace, result.clock_mhz)
+        phases = phase_overlap(result.trace)
         print(f"--- {fig}: {version} load/compute phases — "
               f"{phases.load_windows} load-only, "
               f"{phases.compute_windows} compute-only, "

@@ -1,5 +1,5 @@
 """Trace-driven bottleneck analysis (profile-guided reasoning)."""
 
-from .bottlenecks import Bottleneck, Diagnosis, diagnose
+from .bottlenecks import Bottleneck, Diagnosis, classify, diagnose
 
-__all__ = ["Bottleneck", "Diagnosis", "diagnose"]
+__all__ = ["Bottleneck", "Diagnosis", "classify", "diagnose"]

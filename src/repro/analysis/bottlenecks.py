@@ -6,6 +6,10 @@ bandwidth/compute → load/compute alternation" by eye.  This module
 encodes the same reasoning so a run can be classified programmatically —
 the paper's §VII future-work direction of feeding profiles back into
 the compiler starts exactly here.
+
+:func:`classify` only reads numbers: :func:`repro.report.build_report`
+measures each of them once and hands them over, and :func:`diagnose`
+is the report's verdict for one run.
 """
 
 from __future__ import annotations
@@ -14,15 +18,20 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..profiling.attribution import Cause
-from ..profiling.config import EventKind, ThreadState
-from ..profiling.recorder import RunTrace
-from ..paraver.analysis import (
-    load_balance, phase_overlap, thread_activity_windows, total_gflops,
-)
-from ..sim.executor import SimResult
+from ..paraver.analysis import PhaseStats
+from ..profiling.config import ThreadState
 
-__all__ = ["Bottleneck", "Diagnosis", "diagnose"]
+__all__ = ["Bottleneck", "Diagnosis", "classify", "diagnose"]
+
+#: spinning + critical share of thread time above which the run serializes
+SYNC_THRESHOLD = 0.10
+#: stall cycles per thread cycle above which the run is memory bound
+STALL_THRESHOLD = 0.20
+#: load balance below which (or temporal overlap below this minus 0.25)
+#: threads idle while others work
+BALANCE_THRESHOLD = 0.75
+#: phase overlap below which distinct load/compute phases alternate
+OVERLAP_LOW = 0.15
 
 
 class Bottleneck(enum.Enum):
@@ -51,106 +60,86 @@ class Diagnosis:
         return "\n".join(lines)
 
 
-def diagnose(result: SimResult, peak_bandwidth_gbs: Optional[float] = None,
-             sync_threshold: float = 0.10, stall_threshold: float = 0.20,
-             balance_threshold: float = 0.75,
-             overlap_low: float = 0.15) -> Diagnosis:
-    """Classify the dominant bottleneck of a simulated run."""
+def classify(*, fractions: dict[ThreadState, float], stall_fraction: float,
+             balance: float, temporal_overlap: float, bandwidth_gbs: float,
+             gflops: float, missing: list[str], phases: Optional[PhaseStats],
+             causes: Optional[dict[str, int]], thread_cycles: int,
+             peak_bandwidth_gbs: Optional[float]) -> Diagnosis:
+    """Classify a run from its whole-run figures.
 
-    trace = result.trace
-    fractions = trace.state_fractions()
+    ``phases`` is ``None`` when a counter in ``missing`` was not
+    recorded; ``causes`` is the cycle-accounting total per cause name
+    (``None`` without attribution) over ``thread_cycles`` =
+    run length × threads.
+    """
+
     findings: list[str] = []
-    metrics: dict[str, float] = {}
-
     sync = fractions[ThreadState.SPINNING] + fractions[ThreadState.CRITICAL]
-    metrics["sync_fraction"] = sync
-    metrics["spin_fraction"] = fractions[ThreadState.SPINNING]
-
-    total_thread_cycles = max(1, trace.end_cycle * trace.num_threads)
-    stall_fraction = sum(result.stalls) / total_thread_cycles
-    metrics["stall_fraction"] = stall_fraction
-
-    balance = load_balance(trace)
-    metrics["load_balance"] = balance
-
-    # Temporal balance: even equal-duration threads are imbalanced when
-    # staggered starts keep them from overlapping (the π case study's
-    # startup-overhead signature, Figs. 11-13).  Threads that never left
-    # IDLE report a (0, 0) span and must not drag the union back to
-    # cycle 0; disjoint activity makes the common window negative, so
-    # the ratio is clamped to [0, 1].
-    spans = thread_activity_windows(trace)
-    active_spans = spans[spans[:, 1] > spans[:, 0]]
-    if active_spans.size:
-        union = active_spans[:, 1].max() - active_spans[:, 0].min()
-        common = active_spans[:, 1].min() - active_spans[:, 0].max()
-        temporal = min(1.0, max(0.0, common / union)) if union > 0 else 1.0
-    else:
-        temporal = 1.0
-    metrics["temporal_overlap"] = float(temporal)
-
-    bandwidth = result.bandwidth_gbs()
-    metrics["bandwidth_gbs"] = bandwidth
-    metrics["gflops"] = total_gflops(trace, result.clock_mhz)
+    metrics: dict[str, float] = {
+        "sync_fraction": sync,
+        "spin_fraction": fractions[ThreadState.SPINNING],
+        "stall_fraction": stall_fraction,
+        "load_balance": balance,
+        "temporal_overlap": temporal_overlap,
+        "bandwidth_gbs": bandwidth_gbs,
+        "gflops": gflops,
+        # a missing counter leaves no window both loading and computing
+        "phase_overlap": phases.overlap_fraction if phases else 0.0,
+    }
 
     # The profiling config may omit counters (§IV-B.2 event selection);
     # degrade to the findings the remaining data supports.
-    missing = [kind.value for kind in
-               (EventKind.MEM_READ_BYTES, EventKind.FLOPS)
-               if kind not in trace.events]
     if missing:
         findings.append(
             f"counters not recorded: {', '.join(missing)} — phase and "
             "bandwidth findings skipped")
-    phases = phase_overlap(trace, result.clock_mhz)
-    metrics["phase_overlap"] = phases.overlap_fraction
 
     # When the run carried cycle accounting (SimConfig.attribution), use
     # the measured per-cause totals as direct evidence instead of
     # leaving the classifier to infer causes from aggregate counters.
-    table = getattr(result, "attribution", None)
-    if table is None:
-        table = getattr(trace, "attribution", None)
-    if table is not None:
-        totals = table.cause_totals()
-        lost = {cause.name.lower(): value for cause, value in totals.items()
-                if cause is not Cause.USEFUL and value > 0}
+    if causes is not None:
+        per_cycle = max(1, thread_cycles)
+        lost = {name: value for name, value in causes.items()
+                if name != "useful" and value > 0}
         for name, value in lost.items():
-            metrics[f"attr_{name}"] = value / total_thread_cycles
+            metrics[f"attr_{name}"] = value / per_cycle
         if lost:
             ranked = sorted(lost.items(), key=lambda kv: -kv[1])
-            top = ", ".join(
-                f"{name} ({100 * value / total_thread_cycles:.1f}%)"
-                for name, value in ranked[:3])
+            top = ", ".join(f"{name} ({100 * value / per_cycle:.1f}%)"
+                            for name, value in ranked[:3])
             findings.append(f"cycle accounting: lost cycles led by {top}")
 
-    if sync > sync_threshold:
+    if sync > SYNC_THRESHOLD:
         findings.append(
             f"{100 * sync:.1f}% of thread time in critical sections or "
             f"spinning on locks — the code serializes (Amdahl)")
         return Diagnosis(Bottleneck.SYNCHRONIZATION, findings, metrics)
 
-    if balance < balance_threshold or temporal < balance_threshold - 0.25:
+    if balance < BALANCE_THRESHOLD \
+            or temporal_overlap < BALANCE_THRESHOLD - 0.25:
         findings.append(
-            f"load balance {balance:.2f} / temporal overlap {temporal:.2f}: "
-            "threads idle while others work (e.g. staggered thread starts "
-            "on a small workload)")
+            f"load balance {balance:.2f} / temporal overlap "
+            f"{temporal_overlap:.2f}: threads idle while others work "
+            "(e.g. staggered thread starts on a small workload)")
         return Diagnosis(Bottleneck.LOAD_IMBALANCE, findings, metrics)
 
-    if stall_fraction > stall_threshold:
-        if peak_bandwidth_gbs and bandwidth > 0.5 * peak_bandwidth_gbs:
+    if stall_fraction > STALL_THRESHOLD:
+        if peak_bandwidth_gbs and bandwidth_gbs > 0.5 * peak_bandwidth_gbs:
             findings.append(
                 f"stall fraction {100 * stall_fraction:.1f}% with bandwidth "
-                f"{bandwidth:.2f} GB/s near the platform peak — bandwidth bound")
+                f"{bandwidth_gbs:.2f} GB/s near the platform peak — "
+                "bandwidth bound")
             return Diagnosis(Bottleneck.MEMORY_BANDWIDTH, findings, metrics)
         findings.append(
             f"stall fraction {100 * stall_fraction:.1f}% with bandwidth "
-            f"{bandwidth:.2f} GB/s well below peak — latency bound; consider "
-            "wider (vector) accesses or preloading into local memory")
+            f"{bandwidth_gbs:.2f} GB/s well below peak — latency bound; "
+            "consider wider (vector) accesses or preloading into local "
+            "memory")
         return Diagnosis(Bottleneck.MEMORY_LATENCY, findings, metrics)
 
-    if not missing and phases.load_windows > 0 and phases.compute_windows > 0 \
-            and phases.overlap_fraction < overlap_low:
+    if phases is not None and phases.load_windows > 0 \
+            and phases.compute_windows > 0 \
+            and phases.overlap_fraction < OVERLAP_LOW:
         findings.append(
             "distinct load and compute phases with almost no overlap — "
             "double buffering would overlap prefetch with compute")
@@ -158,3 +147,18 @@ def diagnose(result: SimResult, peak_bandwidth_gbs: Optional[float] = None,
 
     findings.append("no dominant stall/sync/imbalance signal: compute bound")
     return Diagnosis(Bottleneck.COMPUTE_BOUND, findings, metrics)
+
+
+def diagnose(result, peak_bandwidth_gbs: Optional[float] = None
+             ) -> Diagnosis:
+    """Classify the dominant bottleneck of a simulated run.
+
+    ``result`` is anything :func:`~repro.report.build_report` takes (a
+    live or reconstructed :class:`~repro.sim.executor.SimResult`); the
+    verdict is the one its report carries.
+    """
+
+    from ..report.model import PlatformPeaks, build_report
+
+    peaks = PlatformPeaks(bandwidth_gbs=peak_bandwidth_gbs)
+    return build_report(result, peaks=peaks).diagnosis

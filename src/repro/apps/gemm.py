@@ -29,8 +29,6 @@ problem size; :func:`gemm_source` applies the right defaults.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
-
 __all__ = ["GEMM_VERSIONS", "EXTRA_VERSIONS", "gemm_source", "gemm_defines",
            "NAIVE", "NAIVE_SUM", "NO_CRITICAL", "VECTORIZED", "BLOCKED",
            "DOUBLE_BUFFERED", "PRELOADED"]

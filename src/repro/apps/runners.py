@@ -17,8 +17,8 @@ from ..hls.cache import CompileCache
 from ..hls.compiler import Accelerator, HLSOptions
 from ..sim.config import SimConfig
 from ..sim.executor import SimResult
-from .gemm import EXTRA_VERSIONS, GEMM_VERSIONS, gemm_defines, gemm_source
-from .pi import PI_SOURCE, pi_defines, pi_flops_per_iteration
+from .gemm import gemm_defines, gemm_source
+from .pi import PI_SOURCE, pi_defines
 
 __all__ = ["GemmRun", "PiRun", "compile_gemm", "compile_pi", "run_gemm",
            "run_pi"]

@@ -346,8 +346,8 @@ def _parse_kv(pairs: list[str], what: str) -> dict[str, object]:
     return out
 
 
-def _load_program(args: argparse.Namespace,
-                  profiling_off: bool = False) -> Program:
+def _load_program(args: argparse.Namespace, profiling_off: bool = False,
+                  sim_config: Optional[SimConfig] = None) -> Program:
     """Compile ``args.source``; unreadable or invalid source exits cleanly."""
 
     try:
@@ -366,13 +366,10 @@ def _load_program(args: argparse.Namespace,
         from .hls import HLSOptions
         from .profiling import ProfilingConfig
         options = HLSOptions(profiling=ProfilingConfig.disabled())
-    start = getattr(args, "start_interval", 2000)
-    attribution = getattr(args, "attribution", False)
     try:
         return Program(source, defines=defines, const_env=const_env,
                        options=options, filename=args.source,
-                       sim_config=SimConfig(thread_start_interval=start,
-                                            attribution=attribution))
+                       sim_config=sim_config)
     except FrontendError as exc:
         raise SystemExit(f"error: {exc}") from exc
 
@@ -433,7 +430,7 @@ def _print_run_summary(result) -> None:
     bw = bandwidth_series_gbs(result.trace, result.clock_mhz)
     print()
     print(render_series(bw, width=72, height=4, label="bandwidth GB/s"))
-    table = getattr(result, "attribution", None)
+    table = result.attribution
     if table is not None:
         from .report.model import AttributionSummary
         from .report.text import render_why_text
@@ -507,6 +504,7 @@ def _report_command(args: argparse.Namespace) -> int:
 
 def _why_command(args: argparse.Namespace) -> int:
     from .report.model import AttributionSummary
+    from .report.serialize import REPORT_SCHEMA, attribution_from_dict
     from .report.text import render_why_text
 
     path = args.source
@@ -527,7 +525,7 @@ def _why_command(args: argparse.Namespace) -> int:
                 f"{path!r} is a sweep result (repro.sweep/1), not a "
                 "report; run 'repro why' on one of its per-job report "
                 "JSONs (--report-dir) or on a .prv trace")
-        if schema != "repro.report/1":
+        if schema != REPORT_SCHEMA:
             raise SystemExit(
                 f"{path!r} is not a repro.report/1 document "
                 f"(schema: {schema!r})")
@@ -537,16 +535,7 @@ def _why_command(args: argparse.Namespace) -> int:
             data = report.get("attribution")
             if data is None:
                 continue
-            summary = AttributionSummary(
-                causes={str(k): int(v)
-                        for k, v in data["causes"].items()},
-                regions=list(data.get("regions", [])),
-                per_thread=[list(row)
-                            for row in data.get("per_thread", [])],
-                total_thread_cycles=int(data["total_thread_cycles"]),
-                invariant_ok=bool(data["invariant_ok"]),
-                violations=[tuple(v) for v in
-                            data.get("violations", [])])
+            summary = attribution_from_dict(data)
             print(render_why_text(summary, int(report.get("cycles", 0)),
                                   label=report.get("label",
                                                    os.path.basename(path)),
@@ -821,7 +810,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command in ("run", "trace"):
-        program = _load_program(args)
+        program = _load_program(args, sim_config=SimConfig(
+            thread_start_interval=args.start_interval,
+            attribution=args.attribution))
         scalars = _parse_kv(args.arg, "--arg")
         call_args = _synthesize_args(program, scalars, args.seed)
         outcome = program.run(**call_args)
@@ -836,7 +827,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "inspect":
-        from .paraver.parser import ParaverParseError
+        from .paraver.parser import EVENT, ParaverParseError
         try:
             parsed = parse_prv(args.trace)
         except OSError as exc:
@@ -857,12 +848,14 @@ def _dispatch(args: argparse.Namespace) -> int:
         for state, duration in sorted(durations.items()):
             print(f"  {names.get(state, state):9} {duration:10d} cycles "
                   f"({100 * duration / total:5.1f}%)")
-        by_type: dict[int, int] = {}
-        for event in parsed.events:
-            by_type[event.type] = by_type.get(event.type, 0) + event.value
-        if by_type:
+        records = parsed.records
+        events = records.kind == EVENT
+        types, slot = np.unique(records.type[events], return_inverse=True)
+        sums = np.zeros(types.size, dtype=np.int64)
+        np.add.at(sums, slot, records.value[events])
+        if types.size:
             print("event totals:")
-            for type_id, value in sorted(by_type.items()):
+            for type_id, value in zip(types.tolist(), sums.tolist()):
                 print(f"  {type_id}: {value}")
         return 0
 

@@ -38,9 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..hls.compiler import Accelerator
-from ..hls.schedule import (
-    BodySchedule, CriticalNode, IfNode, LoopNode, Segment,
-)
+from ..hls.schedule import BodySchedule, CriticalNode, IfNode, LoopNode
 from ..sim.config import DramConfig, SimConfig
 from .space import Candidate
 

@@ -15,7 +15,7 @@ configuration.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .. import telemetry

@@ -26,8 +26,7 @@ from .. import telemetry
 from ..ir.builder import IRBuilder
 from ..ir.graph import Kernel, Param, Value
 from ..ir.types import (
-    ArrayType, BOOL, INT32, MemorySpace, PointerType, ScalarType, Type,
-    VectorType,
+    ArrayType, BOOL, INT32, MemorySpace, PointerType, Type, VectorType,
 )
 from ..ir.validate import validate_kernel
 from .ast_nodes import (

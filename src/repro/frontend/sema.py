@@ -36,7 +36,7 @@ from .ast_nodes import (
     IntLiteral, ReturnStmt, Stmt, Ternary, Unary,
 )
 from .errors import SemaError, SourceLocation
-from .pragmas import OmpBarrier, OmpCritical, OmpTargetParallel, UnrollPragma
+from .pragmas import OmpTargetParallel, UnrollPragma
 
 __all__ = ["SymbolKind", "Symbol", "LoopInfo", "SemaResult", "analyze_function",
            "resolve_type_name", "eval_const_int"]

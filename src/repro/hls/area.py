@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from ..ir.graph import Operation
 from ..ir.ops import Opcode
-from ..ir.types import MemorySpace, PointerType, ScalarType, VectorType
+from ..ir.types import ScalarType, VectorType
 from ..profiling.config import EventKind, ProfilingConfig
 from .schedule import KernelSchedule, Segment
 

@@ -15,8 +15,8 @@ provably excludes overlap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Iterable
 
 from ..ir.graph import Block, Kernel, Operation, Value
 from ..ir.ops import Opcode

@@ -9,9 +9,7 @@ footprint — the compile-time half of the paper's methodology (§IV/§V-B).
 from __future__ import annotations
 
 from io import StringIO
-from typing import Optional
 
-from ..ir.graph import Operation
 from ..ir.ops import Opcode
 from .compiler import Accelerator
 from .schedule import (

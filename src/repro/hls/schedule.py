@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from ..ir.graph import Block, Kernel, Operation, Value
+from ..ir.graph import Block, Kernel, Operation
 from ..ir.ops import Opcode
 from ..ir.types import MemorySpace, PointerType, ScalarType, Type, VectorType
 from .depanalysis import (Access, AccessMap, collect_accesses, conflicts,

@@ -21,7 +21,7 @@ from typing import Iterator, Optional, Union
 
 import numpy as np
 
-from .graph import Block, Kernel, Operation, Param, Value
+from .graph import Block, Kernel, Operation, Value
 from .ops import Opcode
 from .types import (
     BOOL,
@@ -33,7 +33,6 @@ from .types import (
     ScalarType,
     Type,
     VectorType,
-    VOID,
     common_arith_type,
 )
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
 from .ops import Opcode, op_info
-from .types import MemorySpace, PointerType, Type, VOID
+from .types import MemorySpace, PointerType, Type
 
 __all__ = ["Value", "Param", "Operation", "Block", "Kernel"]
 

@@ -17,7 +17,7 @@ compute events into FLOP vs. integer-op counters, §IV-B.2b).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

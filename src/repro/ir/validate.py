@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .graph import Block, Kernel, Operation
 from .ops import Opcode
-from .types import BOOL, PointerType, ScalarType, Type, VectorType
+from .types import BOOL, PointerType, ScalarType, VectorType
 
 __all__ = ["IRValidationError", "validate_kernel"]
 

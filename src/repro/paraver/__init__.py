@@ -6,8 +6,8 @@ what the paper's figures show visually.  See DESIGN.md §3.
 """
 
 from .analysis import (
-    PhaseStats, bandwidth_series_gbs, gflops_series, load_balance,
-    phase_overlap, state_fractions, thread_activity_windows, total_gflops,
+    PhaseStats, bandwidth_series_gbs, gflops_series, phase_overlap,
+    temporal_overlap, thread_activity_windows,
 )
 from .format import (
     CommRecord, EVENT_TYPE_IDS, STATE_IDS, ParaverFiles, write_trace,
@@ -28,9 +28,8 @@ from .render import (
 )
 
 __all__ = [
-    "PhaseStats", "bandwidth_series_gbs", "gflops_series", "load_balance",
-    "phase_overlap", "state_fractions", "thread_activity_windows",
-    "total_gflops",
+    "PhaseStats", "bandwidth_series_gbs", "gflops_series", "phase_overlap",
+    "temporal_overlap", "thread_activity_windows",
     "CommRecord", "EVENT_TYPE_IDS", "STATE_IDS", "ParaverFiles",
     "write_trace",
     "PcfInfo", "RowInfo", "companion_paths", "parse_pcf", "parse_row",

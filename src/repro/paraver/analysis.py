@@ -1,22 +1,26 @@
-"""Analysis of profiling traces: the quantities the paper reads off Paraver.
+"""Analysis of profiling traces: the per-window series the paper reads
+off Paraver.
 
 These helpers compute, programmatically, what the paper's figures show
 visually:
 
-* per-state time fractions (Fig. 6's 1.54 % Critical / 1.57 % Spinning);
 * memory-bandwidth over time (Fig. 7/8/9's throughput panes);
-* compute performance (GFLOP/s) over time and in aggregate (Figs. 8-13);
-* load balance across hardware threads;
+* compute performance (GFLOP/s) over time (Figs. 8-13);
 * phase detection for the blocked/double-buffered comparison: given the
   bandwidth and FLOP series, classify each sampling window as load-,
   compute-, mixed- or idle-phase and measure how much load time overlaps
-  compute time (Fig. 8 shows near-zero overlap, Fig. 9 substantial).
+  compute time (Fig. 8 shows near-zero overlap, Fig. 9 substantial);
+* when each thread was active, and how much those spans coincide.
+
+Whole-run figures have one definition each elsewhere: state fractions
+are :meth:`RunTrace.state_fractions`, average GB/s and GFLOP/s are
+:class:`~repro.sim.executor.SimResult`'s, and load balance is the
+report's :class:`~repro.report.model.EfficiencyHierarchy`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -24,25 +28,31 @@ from ..profiling.config import EventKind, ThreadState
 from ..profiling.recorder import RunTrace
 
 __all__ = [
-    "bandwidth_series_gbs", "gflops_series", "total_gflops",
-    "state_fractions", "load_balance", "PhaseStats", "phase_overlap",
-    "thread_activity_windows",
+    "bandwidth_series_gbs", "gflops_series", "PhaseStats", "phase_overlap",
+    "thread_activity_windows", "temporal_overlap",
 ]
+
+#: a window is *loading* when its read bytes exceed this share of the
+#: trace's busiest window
+BW_THRESHOLD = 0.05
+#: a window is *computing* when its FLOPs exceed this share of the
+#: trace's busiest window
+FLOPS_THRESHOLD = 0.05
 
 
 def _window_seconds(trace: RunTrace, clock_mhz: float) -> float:
     return trace.sampling_period / (clock_mhz * 1e6)
 
 
-def bandwidth_series_gbs(trace: RunTrace, clock_mhz: float,
-                         include_writes: bool = True) -> np.ndarray:
-    """External-memory throughput per sampling window, in GB/s (all threads)."""
+def bandwidth_series_gbs(trace: RunTrace, clock_mhz: float) -> np.ndarray:
+    """External-memory throughput (reads + writes) per sampling window,
+    in GB/s (all threads)."""
 
     reads = trace.events.get(EventKind.MEM_READ_BYTES)
     if reads is None:
         raise KeyError("trace has no memory-read events")
     total = reads.sum(axis=1).astype(float)
-    if include_writes and EventKind.MEM_WRITE_BYTES in trace.events:
+    if EventKind.MEM_WRITE_BYTES in trace.events:
         total = total + trace.events[EventKind.MEM_WRITE_BYTES].sum(axis=1)
     return total / 1e9 / _window_seconds(trace, clock_mhz)
 
@@ -54,38 +64,6 @@ def gflops_series(trace: RunTrace, clock_mhz: float) -> np.ndarray:
     if flops is None:
         raise KeyError("trace has no FLOP events")
     return flops.sum(axis=1) / 1e9 / _window_seconds(trace, clock_mhz)
-
-
-def total_gflops(trace: RunTrace, clock_mhz: float) -> float:
-    """Aggregate GFLOP/s over the whole run."""
-
-    flops = trace.events.get(EventKind.FLOPS)
-    if flops is None or trace.end_cycle == 0:
-        return 0.0
-    seconds = trace.end_cycle / (clock_mhz * 1e6)
-    return float(flops.sum()) / 1e9 / seconds
-
-
-def state_fractions(trace: RunTrace) -> dict[ThreadState, float]:
-    """Fraction of total thread-time per state (what Fig. 6 quantifies)."""
-
-    return trace.state_fractions()
-
-
-def load_balance(trace: RunTrace) -> float:
-    """Running-time balance: mean(running)/max(running) across threads.
-
-    1.0 means perfectly balanced; small values indicate threads idled
-    while others worked (the π case study's staggered starts push this
-    down, Figs. 11-13).
-    """
-
-    totals = trace.state_totals()
-    running = totals[:, ThreadState.RUNNING] + totals[:, ThreadState.CRITICAL]
-    peak = int(running.max(initial=0))
-    if peak == 0:
-        return 1.0
-    return float(np.mean(running)) / peak
 
 
 @dataclass(frozen=True)
@@ -115,43 +93,28 @@ class PhaseStats:
         return self.overlap_windows / active if active else 0.0
 
 
-def phase_overlap(trace: RunTrace, clock_mhz: float,
-                  bw_threshold: float = 0.05,
-                  flops_threshold: float = 0.05) -> PhaseStats:
+def phase_overlap(trace: RunTrace) -> PhaseStats:
     """Classify sampling windows into load/compute/overlap/idle phases.
 
-    A window counts as *loading* when its external read bandwidth exceeds
-    ``bw_threshold`` times the trace's peak, as *computing* when its FLOP
-    rate exceeds ``flops_threshold`` times the peak, and as *overlapping*
-    when both hold.
-
-    Profiling configs may omit either counter (§IV-B.2's event selection
-    is user-adjustable); a missing series classifies every window as
-    not-loading / not-computing rather than raising.
+    A window counts as *loading* when its external read bytes exceed
+    :data:`BW_THRESHOLD` times the trace's peak, as *computing* when its
+    FLOPs exceed :data:`FLOPS_THRESHOLD` times the peak, and as
+    *overlapping* when both hold.  Both counters must be in the trace
+    (:meth:`RunTrace.event_series` raises otherwise); the report skips
+    phases when the profiling config left either out (§IV-B.2).
     """
 
-    read_series = trace.events.get(EventKind.MEM_READ_BYTES)
-    flop_series = trace.events.get(EventKind.FLOPS)
-    n_bins = read_series.shape[0] if read_series is not None \
-        else flop_series.shape[0] if flop_series is not None \
-        else max(1, -(-max(1, trace.end_cycle) // trace.sampling_period))
-    reads = read_series.sum(axis=1) if read_series is not None \
-        else np.zeros(n_bins)
-    flops = flop_series.sum(axis=1) if flop_series is not None \
-        else np.zeros(n_bins)
-    peak_reads = reads.max() if reads.size else 0.0
-    peak_flops = flops.max() if flops.size else 0.0
-    loading = reads > bw_threshold * peak_reads if peak_reads else \
-        np.zeros_like(reads, dtype=bool)
-    computing = flops > flops_threshold * peak_flops if peak_flops else \
-        np.zeros_like(flops, dtype=bool)
+    reads = trace.event_series(EventKind.MEM_READ_BYTES).sum(axis=1)
+    flops = trace.event_series(EventKind.FLOPS).sum(axis=1)
+    # counters are never negative, so an all-zero series loads nothing
+    loading = reads > BW_THRESHOLD * reads.max(initial=0.0)
+    computing = flops > FLOPS_THRESHOLD * flops.max(initial=0.0)
     overlap = loading & computing
-    idle = ~(loading | computing)
     return PhaseStats(
         load_windows=int((loading & ~overlap).sum()),
         compute_windows=int((computing & ~overlap).sum()),
         overlap_windows=int(overlap.sum()),
-        idle_windows=int(idle.sum()),
+        idle_windows=int((~(loading | computing)).sum()),
     )
 
 
@@ -168,3 +131,23 @@ def thread_activity_windows(trace: RunTrace) -> np.ndarray:
         if active.size:
             spans[thread] = (cols.start[active[0]], cols.end[active[-1]])
     return spans
+
+
+def temporal_overlap(trace: RunTrace) -> float:
+    """Common active window of all threads over their union, in [0, 1].
+
+    Even equal-duration threads are imbalanced when staggered starts
+    keep them from overlapping (the π case study's startup-overhead
+    signature, Figs. 11-13).  Threads that never left IDLE report a
+    (0, 0) span and must not drag the union back to cycle 0; disjoint
+    activity makes the common window negative, so the ratio is clamped
+    to [0, 1].  With no active thread the run counts as overlapping.
+    """
+
+    spans = thread_activity_windows(trace)
+    active = spans[spans[:, 1] > spans[:, 0]]
+    if not active.size:
+        return 1.0
+    union = active[:, 1].max() - active[:, 0].min()
+    common = active[:, 1].min() - active[:, 0].max()
+    return float(min(1.0, max(0.0, common / union)) if union > 0 else 1.0)

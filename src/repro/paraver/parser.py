@@ -157,9 +157,6 @@ class ParsedTrace:
         columns = self.records.comm_fields[:, [3, 9, 5, 6, 11, 12, 13, 14]]
         return [ParsedComm(*row) for row in columns.tolist()]
 
-    def states_of(self, task: int) -> list[ParsedState]:
-        return [s for s in self.states if s.task == task]
-
     def events_of_type(self, type_id: int) -> list[ParsedEvent]:
         return [e for e in self.events if e.type == type_id]
 

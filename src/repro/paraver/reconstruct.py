@@ -352,7 +352,7 @@ def reconstruct_run(source: Union[str, ParsedTrace],
         stalls=stalls,
         dram_bytes_read=_total(EventKind.MEM_READ_BYTES),
         dram_bytes_written=_total(EventKind.MEM_WRITE_BYTES),
-        dram_requests=0, dram_row_misses=0, attribution=trace.attribution)
+        dram_requests=0, dram_row_misses=0)
 
     thread_names = row.thread_names if row is not None else []
     if len(thread_names) != trace.num_threads:

@@ -12,15 +12,18 @@ kinds of Paraver records:
   the trace every ``sampling_period`` cycles (§IV-B.2).
 
 The trace buffer is ``buffer_width`` bits wide (512 by default, the
-external memory controller's data width) and ``buffer_depth`` lines
-deep; when nearly full it is flushed to external memory, consuming real
-bus bandwidth in the simulation.
+external memory controller's data width; it sizes the unit's registers
+in the area model).  Every ``sampling_period`` cycles the simulator
+(``_Runtime.flush_ticker``) writes one flush to external memory — all
+threads' counters plus the state records made since the previous flush
+— consuming real bus bandwidth; the buffer's fill level never triggers
+a flush.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["ThreadState", "EventKind", "ProfilingConfig", "STATE_ENCODING",
            "ATTRIBUTION_EVENTS"]
@@ -98,8 +101,6 @@ class ProfilingConfig:
     sampling_period: int = 2048
     #: trace buffer line width in bits (the external controller data width)
     buffer_width: int = 512
-    #: trace buffer depth in lines; flushed when nearly full
-    buffer_depth: int = 64
     #: counter width in bits
     counter_width: int = 64
 

@@ -48,7 +48,7 @@ from .config import (
 )
 
 __all__ = ["StateColumns", "StateInterval", "RunTrace", "ProfilingRecorder",
-           "state_totals", "LOG_KINDS"]
+           "state_totals", "state_fractions", "LOG_KINDS"]
 
 #: counter kinds of a deposit row, in column order after the row's
 #: ``(thread, start, end)``
@@ -95,6 +95,15 @@ def state_totals(state: np.ndarray, duration: np.ndarray) -> np.ndarray:
 
     return np.bincount(state, weights=duration,
                        minlength=len(ThreadState)).astype(np.int64)
+
+
+def state_fractions(totals: np.ndarray) -> dict[ThreadState, float]:
+    """Fraction of all thread-time per state, from [threads, states]
+    cycle totals (:meth:`RunTrace.state_totals`)."""
+
+    row = totals.sum(axis=0).tolist()
+    denom = max(1, sum(row))
+    return {state: value / denom for state, value in zip(ThreadState, row)}
 
 
 @dataclass
@@ -144,9 +153,7 @@ class RunTrace:
     def state_fractions(self) -> dict[ThreadState, float]:
         """Fraction of total thread-time spent in each state."""
 
-        totals = self.state_durations()
-        denom = max(1, sum(totals.values()))
-        return {state: value / denom for state, value in totals.items()}
+        return state_fractions(self.state_totals())
 
     def event_series(self, kind: EventKind) -> np.ndarray:
         """[bins, threads] array of per-window event sums.

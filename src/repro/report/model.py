@@ -34,14 +34,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..analysis import Diagnosis, diagnose
+from ..analysis.bottlenecks import Diagnosis, classify
 from ..paraver.analysis import (
     PhaseStats, bandwidth_series_gbs, gflops_series, phase_overlap,
-    total_gflops,
+    temporal_overlap,
 )
 from ..profiling.attribution import AttributionTable, Cause
 from ..profiling.config import EventKind, ThreadState
-from ..profiling.recorder import RunTrace
+from ..profiling.recorder import RunTrace, state_fractions
 
 __all__ = ["PlatformPeaks", "EfficiencyHierarchy", "AttributionSummary",
            "TraceReport", "build_report", "report_from_prv",
@@ -192,9 +192,12 @@ def build_report(result, label: str = "run", source: str = "",
                  thread_names: Optional[list[str]] = None) -> TraceReport:
     """Analyze a ``SimResult``-like object into a :class:`TraceReport`.
 
-    ``result`` needs ``trace``, ``clock_mhz`` and ``stalls`` — a live
+    ``result`` needs ``trace``, ``clock_mhz``, ``stalls``, ``gflops``
+    and ``bandwidth_gbs()`` — a live
     :class:`~repro.sim.executor.SimResult` or the ``result`` of
-    :func:`repro.paraver.reconstruct_run` both qualify.
+    :func:`repro.paraver.reconstruct_run` both qualify.  Each whole-run
+    figure is computed here once; the diagnosis classifies those same
+    numbers.
     """
 
     trace: RunTrace = result.trace
@@ -204,62 +207,54 @@ def build_report(result, label: str = "run", source: str = "",
                (EventKind.MEM_READ_BYTES, EventKind.FLOPS)
                if kind not in trace.events]
 
-    if EventKind.MEM_READ_BYTES in trace.events:
-        bw_series = bandwidth_series_gbs(trace, clock)
-    else:
-        bw_series = np.zeros(0)
-    if EventKind.FLOPS in trace.events:
-        fl_series = gflops_series(trace, clock)
-    else:
-        fl_series = np.zeros(0)
-
-    phases = None
-    if not missing:
-        phases = phase_overlap(trace, clock)
+    bw_series = bandwidth_series_gbs(trace, clock) \
+        if EventKind.MEM_READ_BYTES in trace.events else np.zeros(0)
+    fl_series = gflops_series(trace, clock) \
+        if EventKind.FLOPS in trace.events else np.zeros(0)
+    phases = None if missing else phase_overlap(trace)
 
     totals = trace.state_totals()
+    fractions = state_fractions(totals)
     stall_total = float(sum(result.stalls))
-    end = max(1, trace.end_cycle)
-    if trace.end_cycle <= 0 or trace.num_threads <= 0:
-        # zero-duration or thread-less trace: nothing ran, so nothing
-        # stalled (dividing by end * num_threads would crash on 0)
-        stall_fraction = 0.0
-    else:
-        stall_fraction = stall_total / (end * trace.num_threads)
+    efficiency = _efficiency(totals, trace.end_cycle, stall_total)
+    thread_cycles = trace.end_cycle * trace.num_threads
+    # a zero-duration or thread-less trace ran nothing, so nothing stalled
+    stall_fraction = stall_total / thread_cycles if thread_cycles > 0 \
+        else 0.0
+    bandwidth = result.bandwidth_gbs()
+    gflops = result.gflops
     attribution = None
-    table = getattr(trace, "attribution", None)
-    if table is None:
-        table = getattr(result, "attribution", None)
-    if table is not None:
-        attribution = AttributionSummary.from_table(table, trace.end_cycle)
+    if trace.attribution is not None:
+        attribution = AttributionSummary.from_table(trace.attribution,
+                                                    trace.end_cycle)
+    diagnosis = classify(
+        fractions=fractions, stall_fraction=stall_fraction,
+        balance=efficiency.balance,
+        temporal_overlap=temporal_overlap(trace),
+        bandwidth_gbs=bandwidth, gflops=gflops, missing=missing,
+        phases=phases,
+        causes=attribution.causes if attribution else None,
+        thread_cycles=thread_cycles,
+        peak_bandwidth_gbs=peaks.bandwidth_gbs)
 
     names = thread_names or [f"HW thread {t}"
                              for t in range(trace.num_threads)]
-    moved = 0.0
-    for kind in (EventKind.MEM_READ_BYTES, EventKind.MEM_WRITE_BYTES):
-        series = trace.events.get(kind)
-        if series is not None:
-            moved += float(series.sum())
-    seconds = end / (clock * 1e6)
     return TraceReport(
         label=label, source=source, cycles=trace.end_cycle,
         clock_mhz=clock, num_threads=trace.num_threads,
         sampling_period=trace.sampling_period,
-        state_fractions=trace.state_fractions(),
+        state_fractions=fractions,
         thread_states=[dict(zip(ThreadState, row))
                        for row in totals.tolist()],
-        efficiency=_efficiency(totals, trace.end_cycle, stall_total),
+        efficiency=efficiency,
         stall_fraction=stall_fraction,
         phases=phases, missing_counters=missing,
-        bandwidth_gbs=moved / 1e9 / seconds,
+        bandwidth_gbs=bandwidth,
         peak_window_bandwidth_gbs=float(bw_series.max())
         if bw_series.size else 0.0,
-        gflops=total_gflops(trace, clock),
+        gflops=gflops,
         peak_window_gflops=float(fl_series.max()) if fl_series.size else 0.0,
-        peaks=peaks,
-        diagnosis=diagnose(result,
-                           peak_bandwidth_gbs=peaks.bandwidth_gbs),
-        thread_names=names,
+        peaks=peaks, diagnosis=diagnosis, thread_names=names,
         bandwidth_series=bw_series, gflops_series=fl_series,
         trace=trace, attribution=attribution)
 

@@ -12,13 +12,38 @@ from __future__ import annotations
 import json
 from typing import Sequence
 
-from .model import TraceReport, comparison_rows
+from .model import AttributionSummary, TraceReport, comparison_rows
 
 __all__ = ["REPORT_SCHEMA", "report_to_dict", "reports_to_json",
-           "write_json"]
+           "write_json", "attribution_to_dict", "attribution_from_dict"]
 
 REPORT_SCHEMA = "repro.report/1"
-_SCHEMA = REPORT_SCHEMA  # backwards-compatible alias
+
+
+def attribution_to_dict(summary: AttributionSummary) -> dict:
+    """The ``attribution`` object of a ``repro.report/1`` report."""
+
+    return {
+        "causes": dict(summary.causes),
+        "regions": [dict(row, causes=dict(row["causes"]))
+                    for row in summary.regions],
+        "per_thread": [list(row) for row in summary.per_thread],
+        "total_thread_cycles": summary.total_thread_cycles,
+        "invariant_ok": summary.invariant_ok,
+        "violations": [list(v) for v in summary.violations],
+    }
+
+
+def attribution_from_dict(data: dict) -> AttributionSummary:
+    """Inverse of :func:`attribution_to_dict` (also for parsed JSON)."""
+
+    return AttributionSummary(
+        causes={str(k): int(v) for k, v in data["causes"].items()},
+        regions=list(data.get("regions", [])),
+        per_thread=[list(row) for row in data.get("per_thread", [])],
+        total_thread_cycles=int(data["total_thread_cycles"]),
+        invariant_ok=bool(data["invariant_ok"]),
+        violations=[tuple(v) for v in data.get("violations", [])])
 
 
 def report_to_dict(report: TraceReport) -> dict:
@@ -69,25 +94,14 @@ def report_to_dict(report: TraceReport) -> dict:
                         in report.diagnosis.metrics.items()},
         },
         "thread_names": list(report.thread_names),
-        "attribution": None if report.attribution is None else {
-            "causes": dict(report.attribution.causes),
-            "regions": [
-                {"region": row["region"], "label": row["label"],
-                 "useful": row["useful"], "lost": row["lost"],
-                 "causes": dict(row["causes"])}
-                for row in report.attribution.regions],
-            "per_thread": [list(row) for row in
-                           report.attribution.per_thread],
-            "total_thread_cycles": report.attribution.total_thread_cycles,
-            "invariant_ok": report.attribution.invariant_ok,
-            "violations": [list(v) for v in report.attribution.violations],
-        },
+        "attribution": None if report.attribution is None
+        else attribution_to_dict(report.attribution),
     }
 
 
 def reports_to_json(reports: Sequence[TraceReport], indent: int = 2) -> str:
     payload = {
-        "schema": _SCHEMA,
+        "schema": REPORT_SCHEMA,
         "reports": [report_to_dict(r) for r in reports],
         "comparison": comparison_rows(reports) if len(reports) > 1 else [],
     }

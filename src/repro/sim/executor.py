@@ -82,8 +82,13 @@ class SimResult:
     dram_bytes_written: int
     dram_requests: int
     dram_row_misses: int
-    #: per-(region, thread) cycle accounting (``SimConfig.attribution``)
-    attribution: Optional[AttributionTable] = None
+
+    @property
+    def attribution(self) -> Optional[AttributionTable]:
+        """Per-(region, thread) cycle accounting of the trace
+        (``SimConfig.attribution``; ``None`` when it was off)."""
+
+        return self.trace.attribution
 
     @property
     def seconds(self) -> float:
@@ -333,7 +338,6 @@ class Simulation:
             dram_bytes_written=memory.bytes_written,
             dram_requests=memory.requests,
             dram_row_misses=memory.row_misses,
-            attribution=recorder.attribution,
         )
 
     # ------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from repro.analysis import Bottleneck, diagnose
 from repro.apps import run_gemm, run_pi
 from repro.core import SimConfig
+from repro.paraver import phase_overlap
 from repro.profiling import (
     EventKind, ProfilingConfig, ProfilingRecorder, ThreadState,
 )
@@ -15,13 +16,15 @@ class _StubResult:
     """Just enough of SimResult for diagnose() on a hand-built trace."""
 
     clock_mhz = 100.0
+    gflops = 0.0
 
-    def __init__(self, trace):
+    def __init__(self, trace, stalls=None, bandwidth=0.0):
         self.trace = trace
-        self.stalls = [0] * trace.num_threads
+        self.stalls = stalls or [0] * trace.num_threads
+        self.bandwidth = bandwidth
 
     def bandwidth_gbs(self):
-        return 0.0
+        return self.bandwidth
 
 
 def _trace_with_spans(spans, end=1000, events=True):
@@ -96,6 +99,98 @@ class TestDiagnose:
         assert "primary bottleneck" in text
 
 
+def _busy_trace(spin=0, deposits=(), threads=2, end=1000):
+    """Every thread RUNNING over [0, end); thread 0 spins for the first
+    ``spin`` cycles.  ``deposits`` are ``(start, end, thread, kind,
+    amount)`` counter deposits (windows of 100 cycles)."""
+
+    recorder = ProfilingRecorder(ProfilingConfig(sampling_period=100),
+                                 threads)
+    for thread in range(threads):
+        recorder.set_state(0, thread, ThreadState.RUNNING)
+    if spin:
+        recorder.set_state(0, 0, ThreadState.SPINNING)
+        recorder.set_state(spin, 0, ThreadState.RUNNING)
+    for start, stop, thread, kind, amount in deposits:
+        recorder.add_many(start, stop, thread, ((kind, amount),))
+    return recorder.finalize(end)
+
+
+class TestVerdicts:
+    """One hand-built trace per Bottleneck verdict."""
+
+    def test_synchronization(self):
+        diag = diagnose(_StubResult(_busy_trace(spin=300)))
+        assert diag.primary is Bottleneck.SYNCHRONIZATION
+        assert diag.metrics["sync_fraction"] == pytest.approx(0.15)
+        assert diag.metrics["spin_fraction"] == pytest.approx(0.15)
+
+    def test_load_imbalance(self):
+        trace = _trace_with_spans([(0, 1000), (0, 400)])
+        diag = diagnose(_StubResult(trace))
+        assert diag.primary is Bottleneck.LOAD_IMBALANCE
+        assert diag.metrics["load_balance"] == pytest.approx(0.7)
+
+    def test_memory_latency(self):
+        diag = diagnose(_StubResult(_busy_trace(), stalls=[300, 300],
+                                    bandwidth=10.0),
+                        peak_bandwidth_gbs=76.8)
+        assert diag.primary is Bottleneck.MEMORY_LATENCY
+        assert diag.metrics["stall_fraction"] == pytest.approx(0.3)
+
+    def test_memory_bandwidth(self):
+        diag = diagnose(_StubResult(_busy_trace(), stalls=[300, 300],
+                                    bandwidth=50.0),
+                        peak_bandwidth_gbs=76.8)
+        assert diag.primary is Bottleneck.MEMORY_BANDWIDTH
+        assert "bandwidth bound" in diag.findings[-1]
+
+    def test_phased_execution(self):
+        loads = (0, 500, 0, EventKind.MEM_READ_BYTES, 5000)
+        compute = (500, 1000, 1, EventKind.FLOPS, 5000)
+        diag = diagnose(_StubResult(_busy_trace(deposits=(loads, compute))))
+        assert diag.primary is Bottleneck.PHASED_EXECUTION
+        assert diag.metrics["phase_overlap"] == 0.0
+
+    def test_compute_bound(self):
+        loads = (0, 1000, 0, EventKind.MEM_READ_BYTES, 5000)
+        compute = (0, 1000, 1, EventKind.FLOPS, 5000)
+        diag = diagnose(_StubResult(_busy_trace(deposits=(loads, compute))))
+        assert diag.primary is Bottleneck.COMPUTE_BOUND
+        assert diag.metrics["phase_overlap"] == 1.0
+
+
+class TestOnePass:
+    def test_build_report_measures_each_figure_once(self, monkeypatch):
+        """One build_report call reads the state totals and classifies
+        the phases once; its diagnosis reuses those numbers."""
+
+        import repro.paraver.analysis as paraver_analysis
+        import repro.report.model as model
+        from repro.profiling import RunTrace
+
+        result = run_gemm("naive", dim=16).result
+        calls = {"state_totals": 0, "phase_overlap": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(RunTrace, "state_totals", counted(
+            "state_totals", RunTrace.state_totals))
+        phases = counted("phase_overlap", paraver_analysis.phase_overlap)
+        monkeypatch.setattr(paraver_analysis, "phase_overlap", phases)
+        monkeypatch.setattr(model, "phase_overlap", phases)
+        report = model.build_report(result)
+        assert calls == {"state_totals": 1, "phase_overlap": 1}
+        assert report.diagnosis.metrics["load_balance"] == \
+            report.efficiency.balance
+        assert report.diagnosis.metrics["stall_fraction"] == \
+            report.stall_fraction
+
+
 class TestTemporalOverlap:
     """Regression: never-active threads report a (0, 0) activity span
     that used to drag the union window back to cycle 0 and let the
@@ -142,6 +237,11 @@ class TestMissingCounters:
         trace = _trace_with_spans([(0, 900), (0, 950)], events=False)
         diag = diagnose(_StubResult(trace))
         assert diag.primary is not Bottleneck.PHASED_EXECUTION
+
+    def test_phase_overlap_needs_both_counters(self):
+        trace = _trace_with_spans([(0, 900), (0, 950)], events=False)
+        with pytest.raises(KeyError, match="was not recorded"):
+            phase_overlap(trace)
 
     def test_full_counters_have_no_missing_finding(self):
         trace = _trace_with_spans([(0, 900), (0, 950)])

@@ -229,6 +229,29 @@ class TestReportLayer:
         assert data["invariant_ok"] is True
         assert sum(data["causes"].values()) == data["total_thread_cycles"]
 
+    def test_attribution_round_trips_through_report_dict(self):
+        import json
+
+        from repro.report import build_report
+        from repro.report.model import AttributionSummary
+        from repro.report.serialize import (
+            attribution_from_dict, report_to_dict,
+        )
+
+        run = gemm("naive")
+        table = run.result.attribution
+        summary = AttributionSummary.from_table(table, run.cycles)
+        data = report_to_dict(build_report(run.result))["attribution"]
+        assert attribution_from_dict(data) == summary
+        assert attribution_from_dict(json.loads(json.dumps(data))) == summary
+        # a broken invariant keeps its violation tuples
+        broken = AttributionSummary.from_table(table, run.cycles + 1)
+        assert broken.violations
+        report = build_report(run.result)
+        report.attribution = broken
+        data = json.loads(json.dumps(report_to_dict(report)["attribution"]))
+        assert attribution_from_dict(data) == broken
+
     def test_no_attribution_serializes_none(self):
         from repro.report import build_report
         from repro.report.serialize import report_to_dict
@@ -325,6 +348,7 @@ class TestSatelliteRegressions:
                              sampling_period=100, timeline=[], events={})
             clock_mhz = 100.0
             stalls = ()
+            gflops = 0.0
 
             @staticmethod
             def bandwidth_gbs() -> float:

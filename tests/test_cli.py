@@ -128,6 +128,28 @@ class TestTraceAndInspect:
         assert "threads    : 2" in out
         assert "Running" in out
 
+    def test_inspect_event_totals_of_gemm_trace(self, tmp_path, capsys):
+        from repro.apps import run_gemm
+        from repro.paraver import EVENT_TYPE_IDS, parse_prv, write_trace
+        from repro.profiling import EventKind
+
+        result = run_gemm("naive", dim=16, attribution=True).result
+        prv = write_trace(result.trace, str(tmp_path / "gemm")).prv
+        assert main(["inspect", prv]) == 0
+        out = capsys.readouterr().out
+        # the per-record sums, one event object at a time
+        by_type: dict[int, int] = {}
+        for event in parse_prv(prv).events:
+            by_type[event.type] = by_type.get(event.type, 0) + event.value
+        expected = ["event totals:"] + [f"  {type_id}: {value}" for
+                                        type_id, value in sorted(
+                                            by_type.items())]
+        assert out.splitlines()[-len(expected):] == expected
+        # the writer truncates each window's counter to an integer
+        for kind in (EventKind.FLOPS, EventKind.MEM_READ_BYTES):
+            total = result.trace.events[kind].astype(np.int64).sum()
+            assert f"  {EVENT_TYPE_IDS[kind]}: {total}" in expected
+
     def test_inspect_missing_file_clean_error(self):
         with pytest.raises(SystemExit, match="cannot read trace"):
             main(["inspect", "/nonexistent/trace.prv"])

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ir import (
-    BOOL, FLOAT32, INT32, IRBuilder, Kernel, Opcode, Param, Value,
+    BOOL, FLOAT32, INT32, IRBuilder, Kernel, Opcode, Param,
     array, pointer, print_kernel, validate_kernel, vector,
 )
 from repro.ir.types import VectorType

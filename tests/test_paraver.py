@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.paraver import (
     EVENT_TYPE_IDS, STATE_GLYPHS, STATE_IDS, CommRecord, ParaverParseError,
-    bandwidth_series_gbs, gflops_series, load_balance, parse_prv,
-    phase_overlap, render_series, render_state_timeline, state_fractions,
-    state_occupancy, thread_activity_windows, total_gflops, write_trace,
+    bandwidth_series_gbs, gflops_series, parse_prv, phase_overlap,
+    render_series, render_state_timeline, state_occupancy,
+    thread_activity_windows, write_trace,
 )
 from repro.paraver import format as prv_format
 from repro.paraver import parser as prv_parser
@@ -20,7 +20,9 @@ from repro.profiling import (
     ThreadState,
 )
 from repro.profiling.attribution import N_SLOTS, AttributionTable
+from repro.report import build_report
 from repro.report.html import _state_runs
+from repro.sim.executor import SimResult
 
 
 def make_trace(threads: int = 2, period: int = 100, end: int = 1000):
@@ -41,6 +43,16 @@ def make_trace(threads: int = 2, period: int = 100, end: int = 1000):
     recorder.add_many(130, 131, 0, ((EventKind.MEM_WRITE_BYTES, 256),))
     recorder.add_many(140, 141, 0, ((EventKind.INTOPS, 10),))
     return recorder.finalize(end)
+
+
+def as_result(trace: RunTrace, clock_mhz: float = 100.0) -> SimResult:
+    """A SimResult around a hand-built trace (no buffers, no DRAM)."""
+
+    return SimResult(cycles=trace.end_cycle, clock_mhz=clock_mhz,
+                     trace=trace, buffers={},
+                     stalls=[0] * trace.num_threads, dram_bytes_read=0,
+                     dram_bytes_written=0, dram_requests=0,
+                     dram_row_misses=0)
 
 
 def mangle_prv(path: str) -> None:
@@ -269,7 +281,7 @@ class TestBlockBoundaries:
 class TestAnalysis:
     def test_state_fractions(self):
         trace = make_trace()
-        fractions = state_fractions(trace)
+        fractions = trace.state_fractions()
         assert fractions[ThreadState.CRITICAL] > 0
         assert fractions[ThreadState.SPINNING] > 0
         assert sum(fractions.values()) == pytest.approx(1.0)
@@ -284,13 +296,13 @@ class TestAnalysis:
         trace = make_trace()
         series = gflops_series(trace, clock_mhz=100.0)
         assert series.sum() > 0
-        total = total_gflops(trace, clock_mhz=100.0)
+        total = as_result(trace).gflops
         seconds = 1000 / 100e6
         assert total == pytest.approx(7000 / 1e9 / seconds, rel=1e-6)
 
     def test_load_balance_range(self):
         trace = make_trace()
-        balance = load_balance(trace)
+        balance = build_report(as_result(trace)).efficiency.balance
         assert 0 < balance <= 1.0
 
     def test_thread_activity_windows(self):
@@ -301,7 +313,7 @@ class TestAnalysis:
 
     def test_phase_overlap_counts(self):
         trace = make_trace()
-        phases = phase_overlap(trace, clock_mhz=100.0)
+        phases = phase_overlap(trace)
         assert phases.total == 10
         assert 0 <= phases.overlap_fraction <= 1
 

@@ -25,14 +25,21 @@ class _FakeResult:
         self.stalls = stalls or [0] * trace.num_threads
         self.cycles = trace.end_cycle
 
+    def _rate(self, *kinds):
+        total = sum(float(series.sum()) for kind, series
+                    in self.trace.events.items() if kind in kinds)
+        seconds = self.cycles / (self.clock_mhz * 1e6)
+        return total / 1e9 / seconds if seconds else 0.0
+
     def bandwidth_gbs(self):
         from repro.profiling import EventKind
-        moved = sum(float(series.sum()) for kind, series
-                    in self.trace.events.items()
-                    if kind in (EventKind.MEM_READ_BYTES,
-                                EventKind.MEM_WRITE_BYTES))
-        seconds = self.cycles / (self.clock_mhz * 1e6)
-        return moved / 1e9 / seconds if seconds else 0.0
+        return self._rate(EventKind.MEM_READ_BYTES,
+                          EventKind.MEM_WRITE_BYTES)
+
+    @property
+    def gflops(self):
+        from repro.profiling import EventKind
+        return self._rate(EventKind.FLOPS)
 
 
 @pytest.fixture
