@@ -17,7 +17,6 @@ from __future__ import annotations
 import os
 
 from repro.apps import GemmRun, PiRun
-from repro.apps.gemm import GEMM_VERSIONS
 from repro.hls.cache import CompileCache
 from repro.sweep import JobSpec, execute_job
 from repro.sweep.spec import PI_DEFAULT_START_INTERVAL, PI_DEFAULT_STEPS

@@ -11,8 +11,6 @@ shape to reproduce: near-linear GFLOP/s growth while startup dominates
 (paper: 3.8x from point 1 to 2), then saturation at the pipeline rate.
 """
 
-import numpy as np
-
 from repro.paraver import render_state_timeline, thread_activity_windows
 
 from _bench_utils import (

@@ -8,7 +8,7 @@ shows one thread spinning while another sits in the critical section.
 from repro.paraver import render_state_timeline, write_trace
 from repro.profiling import ThreadState
 
-from _bench_utils import GEMM_DIM, RESULTS_DIR, gemm_run_cached, report
+from _bench_utils import GEMM_DIM, gemm_run_cached, report
 
 
 def test_fig6_state_fractions(benchmark):

@@ -9,8 +9,6 @@ Paper observations encoded here:
     versions (prefetch keeps the memory system busy).
 """
 
-import numpy as np
-
 from repro.apps.gemm import GEMM_VERSIONS
 from repro.paraver import bandwidth_series_gbs, render_series
 from repro.profiling import EventKind

@@ -86,7 +86,6 @@ def test_fig8_fig9_contrast_with_disabled_disambiguation(benchmark):
     would do) removes the gain."""
 
     from repro.apps import run_gemm
-    from repro.hls import HLSOptions
 
     def run_merged():
         run = run_gemm("double_buffered", dim=GEMM_DIM)

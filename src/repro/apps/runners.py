@@ -125,6 +125,8 @@ def run_gemm(version: str, dim: int = 64, num_threads: int = 8,
     attribution) without the caller having to build a ``SimConfig``.
     """
 
+    if dim <= 0:
+        raise ValueError(f"DIM={dim} must be positive")
     if dim % block_size != 0:
         raise ValueError(f"DIM={dim} must be a multiple of "
                          f"BLOCK_SIZE={block_size}")
@@ -186,6 +188,8 @@ def run_pi(steps: int, num_threads: int = 8, bs_compute: int = 8,
            attribution: bool = False) -> PiRun:
     """Compile and simulate the π series for ``steps`` iterations."""
 
+    if steps <= 0:
+        raise ValueError(f"steps={steps} must be positive")
     if steps % (num_threads * bs_compute) != 0:
         raise ValueError(f"steps={steps} must divide evenly over "
                          f"{num_threads} threads x BS_compute={bs_compute}")

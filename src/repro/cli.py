@@ -578,6 +578,44 @@ def _why_command(args: argparse.Namespace) -> int:
     return 0
 
 
+def _demo_command(args: argparse.Namespace) -> int:
+    from .apps import run_gemm, run_pi
+    from .apps.gemm import GEMM_VERSIONS
+    from .report import build_report, write_html
+    reports = []
+    if args.study == "gemm":
+        base = None
+        for version in GEMM_VERSIONS:
+            try:
+                run = run_gemm(version, dim=args.dim,
+                               attribution=args.attribution)
+            except ValueError as exc:
+                raise SystemExit(str(exc)) from exc
+            base = base or run.cycles
+            print(f"{version:18s} {run.cycles:10d} cycles  "
+                  f"{base / run.cycles:6.2f}x  correct={run.correct}")
+            if args.trace_dir or args.html:
+                reports.append(build_report(run.result, label=version))
+            if args.trace_dir:
+                _write_demo_trace(run.result, args.trace_dir, version)
+    else:
+        try:
+            run = run_pi(args.steps, attribution=args.attribution)
+        except ValueError as exc:
+            raise SystemExit(str(exc)) from exc
+        print(f"pi({args.steps}) = {run.value:.7f} "
+              f"(error {run.error:.2e}) in {run.cycles} cycles, "
+              f"{run.gflops:.3f} GFLOP/s")
+        if args.trace_dir or args.html:
+            reports.append(build_report(run.result, label="pi"))
+        if args.trace_dir:
+            _write_demo_trace(run.result, args.trace_dir, "pi")
+    if args.html:
+        write_html(reports, args.html, title=f"repro demo {args.study}")
+        print(f"HTML report written: {args.html}")
+    return 0
+
+
 def _sweep_command(args: argparse.Namespace) -> int:
     from .sweep import TTYProgress, load_spec, run_sweep
     try:
@@ -866,37 +904,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _why_command(args)
 
     if args.command == "demo":
-        from .report import build_report, write_html
-        reports = []
-        if args.study == "gemm":
-            from .apps import run_gemm
-            from .apps.gemm import GEMM_VERSIONS
-            base = None
-            for version in GEMM_VERSIONS:
-                run = run_gemm(version, dim=args.dim,
-                               attribution=args.attribution)
-                base = base or run.cycles
-                print(f"{version:18s} {run.cycles:10d} cycles  "
-                      f"{base / run.cycles:6.2f}x  correct={run.correct}")
-                if args.trace_dir or args.html:
-                    reports.append(build_report(run.result, label=version))
-                if args.trace_dir:
-                    _write_demo_trace(run.result, args.trace_dir, version)
-        else:
-            from .apps import run_pi
-            run = run_pi(args.steps, attribution=args.attribution)
-            print(f"pi({args.steps}) = {run.value:.7f} "
-                  f"(error {run.error:.2e}) in {run.cycles} cycles, "
-                  f"{run.gflops:.3f} GFLOP/s")
-            if args.trace_dir or args.html:
-                reports.append(build_report(run.result, label="pi"))
-            if args.trace_dir:
-                _write_demo_trace(run.result, args.trace_dir, "pi")
-        if args.html:
-            write_html(reports, args.html,
-                       title=f"repro demo {args.study}")
-            print(f"HTML report written: {args.html}")
-        return 0
+        return _demo_command(args)
 
     if args.command == "sweep":
         return _sweep_command(args)

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from ..hls.compiler import Accelerator
 from ..hls.schedule import BodySchedule, CriticalNode, IfNode, LoopNode
 from ..sim.config import DramConfig, SimConfig
+from ..sim.memory import BASE_LATENCY, ROW_MISS_PENALTY, transfer_cycles
 from .space import Candidate
 
 __all__ = ["Prediction", "ScheduleFacts", "extract_facts", "predict"]
@@ -180,20 +181,18 @@ def extract_facts(accelerator: Accelerator) -> ScheduleFacts:
 def _request_cost(nbytes: int, threads: int, dram: DramConfig) -> float:
     """Average channel-occupancy cycles one request charges the stream."""
 
-    transfer = dram.request_overhead + max(1, -(-nbytes // dram.width_bytes))
     contention = max(1.0, threads / dram.channels)
-    activation = dram.row_miss_penalty / max(1, dram.banks_per_channel)
-    return transfer * contention + activation
+    activation = ROW_MISS_PENALTY / max(1, dram.banks_per_channel)
+    return transfer_cycles(nbytes) * contention + activation
 
 
-def predict(candidate: Candidate, accelerator: Accelerator,
-            sim: SimConfig | None = None) -> Prediction:
+def predict(candidate: Candidate, accelerator: Accelerator) -> Prediction:
     """Score one candidate analytically (no simulation)."""
 
     spec = candidate.spec
     facts = extract_facts(accelerator)
-    sim = sim or SimConfig()
-    dram = sim.dram
+    sim = SimConfig()
+    dram = DramConfig()
     threads = spec.threads
 
     if spec.app == "gemm":
@@ -230,7 +229,7 @@ def predict(candidate: Candidate, accelerator: Accelerator,
     else:
         core = max(mem, compute)
 
-    overhead = sim.launch_overhead + dram.base_latency
+    overhead = sim.launch_overhead + BASE_LATENCY
     cycles = core + crit + overhead
 
     if crit >= max(mem, compute):

@@ -76,10 +76,6 @@ class ExploreSpace:
     def __len__(self) -> int:
         return len(self.candidates)
 
-    def describe(self) -> dict:
-        return {"app": self.app, "name": self.name,
-                "candidates": len(self.candidates)}
-
 
 def gemm_space(dims: Sequence[int] = (64,), threads: Sequence[int] = (8,),
                versions: Optional[Sequence[str]] = None,

@@ -17,7 +17,7 @@ __all__ = [
     "Node", "Expr", "IntLiteral", "FloatLiteral", "Identifier", "Unary",
     "Binary", "Assign", "Ternary", "Call", "Index", "Cast", "Stmt",
     "DeclStmt", "ExprStmt", "ForStmt", "IfStmt", "CompoundStmt",
-    "ReturnStmt", "PragmaStmt", "ParamDecl", "FunctionDef", "TranslationUnit",
+    "ReturnStmt", "ParamDecl", "FunctionDef", "TranslationUnit",
 ]
 
 
@@ -154,13 +154,6 @@ class CompoundStmt(Stmt):
 @dataclass
 class ReturnStmt(Stmt):
     value: Optional[Expr]
-
-
-@dataclass
-class PragmaStmt(Stmt):
-    """A pragma not attached to a statement (should not normally survive parsing)."""
-
-    text: str
 
 
 # ----------------------------------------------------------------------

@@ -2,13 +2,13 @@
 area/timing modeling and the compiler driver.  See DESIGN.md §3."""
 
 from .area import AreaBreakdown, AreaReport, estimate_area
-from .cache import CompileCache, configure_cache, get_default_cache
+from .cache import CompileCache, get_default_cache
 from .compiler import Accelerator, HLSCompiler, HLSOptions, compile_source
 from .report import compile_report, schedule_tree
-from .depanalysis import Access, AccessMap, collect_accesses, conflicts, ops_conflict
+from .depanalysis import Access, AccessMap, collect_accesses, conflicts
 from .schedule import (
     BarrierNode, BodySchedule, CriticalNode, IfNode, Item, KernelSchedule,
-    LoopNode, MemOp, ScheduleOptions, ScheduledOp, Segment, schedule_kernel,
+    LoopNode, MemOp, ScheduledOp, Segment, schedule_kernel,
 )
 from .symexpr import Affine, Interval, Sym, difference_excludes
 from .transforms import (
@@ -18,12 +18,12 @@ from .transforms import (
 
 __all__ = [
     "AreaBreakdown", "AreaReport", "estimate_area",
-    "CompileCache", "configure_cache", "get_default_cache",
+    "CompileCache", "get_default_cache",
     "Accelerator", "HLSCompiler", "HLSOptions", "compile_source",
     "compile_report", "schedule_tree",
-    "Access", "AccessMap", "collect_accesses", "conflicts", "ops_conflict",
+    "Access", "AccessMap", "collect_accesses", "conflicts",
     "BarrierNode", "BodySchedule", "CriticalNode", "IfNode", "Item",
-    "KernelSchedule", "LoopNode", "MemOp", "ScheduleOptions", "ScheduledOp",
+    "KernelSchedule", "LoopNode", "MemOp", "ScheduledOp",
     "Segment", "schedule_kernel",
     "Affine", "Interval", "Sym", "difference_excludes",
     "clone_block", "eliminate_dead_ops", "run_pipeline", "simplify",

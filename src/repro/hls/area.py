@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from ..ir.graph import Operation
 from ..ir.ops import Opcode
 from ..ir.types import ScalarType, VectorType
-from ..profiling.config import EventKind, ProfilingConfig
+from ..profiling.config import COUNTER_WIDTH, EventKind, ProfilingConfig
 from .schedule import KernelSchedule, Segment
 
 __all__ = ["AreaBreakdown", "AreaReport", "estimate_area"]
@@ -221,7 +221,7 @@ def _profiling_area(schedule: KernelSchedule,
     for event in config.events:
         sources = _event_sources(event, schedule, segments, threads)
         alms += _COUNTER_BASE[0] + sources * _COUNTER_PER_SOURCE[0]
-        regs += (_COUNTER_BASE[1] + config.counter_width
+        regs += (_COUNTER_BASE[1] + COUNTER_WIDTH
                  + sources * _COUNTER_PER_SOURCE[1])
     return alms, regs
 
@@ -243,7 +243,11 @@ def _event_sources(event: EventKind, schedule: KernelSchedule,
     return threads
 
 
-def _fmax(breakdown: AreaBreakdown, base_mhz: float = 152.0) -> float:
+#: Fmax of a design with no routing pressure
+_BASE_FMAX_MHZ = 152.0
+
+
+def _fmax(breakdown: AreaBreakdown) -> float:
     """Routing-pressure timing model.
 
     Larger designs close timing at lower frequencies.  The profiling
@@ -256,7 +260,7 @@ def _fmax(breakdown: AreaBreakdown, base_mhz: float = 152.0) -> float:
     alms = breakdown.alms
     regs = breakdown.registers
     pressure = (alms / 9000.0) + (regs / 75000.0)
-    fmax = base_mhz - pressure
+    fmax = _BASE_FMAX_MHZ - pressure
     if breakdown.profiling_alms and alms:
         share = breakdown.profiling_alms / alms
         fmax -= min(8.0, 5500.0 * share * share)

@@ -28,8 +28,8 @@ misses, never errors.  Hits/misses/stores are reported through
 
 The cache is **opt-in**: nothing is read or written unless a
 :class:`CompileCache` is passed to :class:`~repro.core.program.Program`
-(or :func:`configure_cache` installs a process-wide default, or the
-``REPRO_COMPILE_CACHE`` environment variable enables one).
+(or the ``REPRO_COMPILE_CACHE`` environment variable enables a
+process-wide default).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .. import telemetry
 from .compiler import Accelerator, HLSOptions
 
 __all__ = [
-    "CompileCache", "configure_cache", "get_default_cache", "resolve_cache",
+    "CompileCache", "get_default_cache", "resolve_cache",
     "default_cache_dir",
 ]
 
@@ -168,16 +168,6 @@ class CompileCache:
 # ----------------------------------------------------------------------
 _DEFAULT: Optional[CompileCache] = None
 _ENV_CHECKED = False
-
-
-def configure_cache(directory: Optional[str] = None,
-                    enabled: bool = True) -> Optional[CompileCache]:
-    """Install (or remove) the process-wide default compile cache."""
-
-    global _DEFAULT, _ENV_CHECKED
-    _ENV_CHECKED = True  # explicit configuration overrides the env var
-    _DEFAULT = CompileCache(directory) if enabled else None
-    return _DEFAULT
 
 
 def get_default_cache() -> Optional[CompileCache]:

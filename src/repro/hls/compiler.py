@@ -17,7 +17,7 @@ from ..ir.graph import Kernel
 from ..ir.validate import validate_kernel
 from ..profiling.config import ProfilingConfig
 from .area import AreaReport, estimate_area
-from .schedule import KernelSchedule, ScheduleOptions, schedule_kernel
+from .schedule import KernelSchedule, schedule_kernel
 from .transforms import run_pipeline
 
 __all__ = ["HLSOptions", "Accelerator", "HLSCompiler", "compile_source"]
@@ -25,11 +25,13 @@ __all__ = ["HLSOptions", "Accelerator", "HLSCompiler", "compile_source"]
 
 @dataclass(frozen=True)
 class HLSOptions:
-    """All knobs of the HLS flow."""
+    """Knobs of the HLS flow: what the embedded profiling unit records.
 
-    schedule: ScheduleOptions = field(default_factory=ScheduleOptions)
+    The schedule's latency assumptions are constants of
+    :mod:`repro.hls.schedule`, and the transform pipeline always runs.
+    """
+
     profiling: ProfilingConfig = field(default_factory=ProfilingConfig)
-    run_transforms: bool = True
 
 
 @dataclass
@@ -73,16 +75,14 @@ class HLSCompiler:
         """Compile an IR kernel (mutates it: transforms run in place)."""
 
         with telemetry.span("hls", category="hls", kernel=kernel.name):
-            stats: dict[str, int] = {}
-            if self.options.run_transforms:
-                with telemetry.span("hls.transforms", category="hls"):
-                    stats = run_pipeline(kernel)
-                for pass_name, count in stats.items():
-                    telemetry.add(f"hls.transform.{pass_name}", count)
+            with telemetry.span("hls.transforms", category="hls"):
+                stats = run_pipeline(kernel)
+            for pass_name, count in stats.items():
+                telemetry.add(f"hls.transform.{pass_name}", count)
             with telemetry.span("hls.validate", category="hls"):
                 validate_kernel(kernel)
             with telemetry.span("hls.schedule", category="hls"):
-                schedule = schedule_kernel(kernel, self.options.schedule)
+                schedule = schedule_kernel(kernel)
             self._record_schedule_telemetry(schedule)
             with telemetry.span("hls.area", category="hls"):
                 area = estimate_area(schedule, self.options.profiling)

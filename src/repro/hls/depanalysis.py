@@ -16,15 +16,13 @@ provably excludes overlap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from ..ir.graph import Block, Kernel, Operation, Value
 from ..ir.ops import Opcode
 from ..ir.types import VectorType
 from .symexpr import Affine, Interval, Sym, difference_excludes, fresh_opaque
 
-__all__ = ["Access", "AccessMap", "collect_accesses", "conflicts",
-           "ops_conflict"]
+__all__ = ["Access", "AccessMap", "collect_accesses", "conflicts"]
 
 
 @dataclass(frozen=True)
@@ -237,23 +235,6 @@ def _written_vars(block: Block) -> set[int]:
 # ----------------------------------------------------------------------
 # conflict tests
 # ----------------------------------------------------------------------
-def _accesses_of(ops: Iterable[Operation], amap: AccessMap) -> list[Access]:
-    out: list[Access] = []
-    for op in ops:
-        for inner in op.walk():
-            accesses = amap.get(id(inner))
-            if accesses:
-                out.extend(accesses)
-    return out
-
-
-def ops_conflict(a: Operation, b: Operation, amap: AccessMap) -> bool:
-    """May regions ``a`` and ``b`` (including nested ops) touch common memory
-    with at least one write?"""
-
-    return conflicts(_accesses_of([a], amap), _accesses_of([b], amap))
-
-
 def conflicts(left: list[Access], right: list[Access]) -> bool:
     """Pairwise conflict test between two access sets."""
 

@@ -36,35 +36,32 @@ from .depanalysis import (Access, AccessMap, collect_accesses, conflicts,
                           may_share_storage)
 
 __all__ = [
-    "ScheduleOptions", "ScheduledOp", "MemOp", "Segment", "LoopNode",
+    "ScheduledOp", "MemOp", "Segment", "LoopNode",
     "IfNode", "CriticalNode", "BarrierNode", "Item", "BodySchedule",
     "KernelSchedule", "schedule_kernel",
 ]
 
 
-@dataclass(frozen=True)
-class ScheduleOptions:
-    """Latency assumptions used at synthesis time."""
-
-    #: scheduled (minimum) latency of an external-memory read
-    ext_read_latency: int = 8
-    #: scheduled (minimum) latency of an external-memory write (posted)
-    ext_write_latency: int = 2
-    #: BRAM access latencies (fixed; local accesses are not VLOs)
-    bram_read_latency: int = 2
-    bram_write_latency: int = 1
-    #: scheduled (minimum) latency of acquiring an uncontended semaphore
-    critical_latency: int = 4
-    #: access slots per local memory per cycle = ports * banks.  The
-    #: defaults are calibrated so the blocked GEMM's compute throughput
-    #: sits in the paper's measured band relative to the naive version.
-    bram_ports: int = 1
-    #: cyclic banking factor applied to local arrays (HLS array partitioning)
-    bram_banks: int = 1
-    #: external read/write ports per hardware thread (§IV-B.2c: all memory
-    #: operations multiplex to one Avalon read and one write port per thread)
-    ext_read_ports: int = 1
-    ext_write_ports: int = 1
+# latency assumptions used at synthesis time
+#: scheduled (minimum) latency of an external-memory read
+EXT_READ_LATENCY = 8
+#: scheduled (minimum) latency of an external-memory write (posted)
+EXT_WRITE_LATENCY = 2
+#: BRAM access latencies (fixed; local accesses are not VLOs)
+BRAM_READ_LATENCY = 2
+BRAM_WRITE_LATENCY = 1
+#: scheduled (minimum) latency of acquiring an uncontended semaphore
+CRITICAL_LATENCY = 4
+#: access slots per local memory per cycle = ports * banks.  The
+#: values are calibrated so the blocked GEMM's compute throughput
+#: sits in the paper's measured band relative to the naive version.
+BRAM_PORTS = 1
+#: cyclic banking factor applied to local arrays (HLS array partitioning)
+BRAM_BANKS = 1
+#: external read/write ports per hardware thread (§IV-B.2c: all memory
+#: operations multiplex to one Avalon read and one write port per thread)
+EXT_READ_PORTS = 1
+EXT_WRITE_PORTS = 1
 
 
 # ----------------------------------------------------------------------
@@ -215,7 +212,6 @@ class KernelSchedule:
     kernel: Kernel
     body: BodySchedule
     accesses: AccessMap
-    options: ScheduleOptions
     #: segment.uid -> local-memory conflict group id.  Segments whose
     #: local-array accesses may touch the same BRAM words share the
     #: memory's ports and therefore serialize globally; segments proven
@@ -233,24 +229,18 @@ class KernelSchedule:
     def reordering_stages(self) -> int:
         return sum(seg.vlo_stages for seg in self.body.walk_segments())
 
-    @property
-    def pipelined_loops(self) -> list[LoopNode]:
-        return [loop for loop in self.body.walk_loops() if loop.pipelined]
 
-
-def schedule_kernel(kernel: Kernel,
-                    options: Optional[ScheduleOptions] = None) -> KernelSchedule:
+def schedule_kernel(kernel: Kernel) -> KernelSchedule:
     """Compute the static schedule for ``kernel``."""
 
     from .. import telemetry
 
-    options = options or ScheduleOptions()
     with telemetry.span("hls.schedule.depanalysis", category="hls"):
         accesses = collect_accesses(kernel)
-    scheduler = _Scheduler(kernel, accesses, options)
+    scheduler = _Scheduler(kernel, accesses)
     with telemetry.span("hls.schedule.pipeline", category="hls"):
         body = scheduler.schedule_block(kernel.body)
-    schedule = KernelSchedule(kernel, body, accesses, options)
+    schedule = KernelSchedule(kernel, body, accesses)
     with telemetry.span("hls.schedule.local_groups", category="hls"):
         _assign_local_groups(schedule)
     return schedule
@@ -268,7 +258,6 @@ def _assign_local_groups(schedule: KernelSchedule) -> None:
     group and serialize on the BRAM ports (Fig. 8).
     """
 
-    opts = schedule.options
     segments = list(schedule.body.walk_segments())
     for index, segment in enumerate(segments):
         segment.uid = index
@@ -289,10 +278,9 @@ def _assign_local_groups(schedule: KernelSchedule) -> None:
                             acc.append(access)
                     counts[base.id] = counts.get(base.id, 0) + 1
         local_accesses.append(acc)
-        ports = max(1, opts.bram_ports * max(1, opts.bram_banks))
         cost = 0
         for count in counts.values():
-            cost = max(cost, -(-count // ports))
+            cost = max(cost, -(-count // (BRAM_PORTS * BRAM_BANKS)))
         schedule.local_costs[segment.uid] = cost
 
     parent = list(range(len(segments)))
@@ -322,11 +310,9 @@ _STRUCTURED = {Opcode.FOR, Opcode.IF, Opcode.CRITICAL, Opcode.BARRIER}
 
 
 class _Scheduler:
-    def __init__(self, kernel: Kernel, accesses: AccessMap,
-                 options: ScheduleOptions):
+    def __init__(self, kernel: Kernel, accesses: AccessMap):
         self.kernel = kernel
         self.accesses = accesses
-        self.options = options
 
     # ------------------------------------------------------------------
     def schedule_block(self, block: Block) -> BodySchedule:
@@ -377,13 +363,12 @@ class _Scheduler:
                         depth=max(1, segment.depth))
 
     def _resource_ii(self, segment: Segment) -> int:
-        opts = self.options
         ext_reads = sum(1 for m in segment.mem_ops if not m.is_write)
         ext_writes = sum(1 for m in segment.mem_ops if m.is_write)
         ii = max(
             1,
-            math.ceil(ext_reads / opts.ext_read_ports),
-            math.ceil(ext_writes / opts.ext_write_ports),
+            math.ceil(ext_reads / EXT_READ_PORTS),
+            math.ceil(ext_writes / EXT_WRITE_PORTS),
         )
         # Local-memory port contention, per array (cyclic banking assumed).
         per_array: dict[int, int] = {}
@@ -393,9 +378,8 @@ class _Scheduler:
                 if isinstance(base.type, PointerType) \
                         and base.type.space is MemorySpace.LOCAL:
                     per_array[base.id] = per_array.get(base.id, 0) + 1
-        ports = opts.bram_ports * max(1, opts.bram_banks)
         for count in per_array.values():
-            ii = max(ii, math.ceil(count / ports))
+            ii = max(ii, math.ceil(count / (BRAM_PORTS * BRAM_BANKS)))
         return ii
 
     def _recurrence_ii(self, segment: Segment) -> int:
@@ -448,16 +432,16 @@ class _Scheduler:
             base = op.operands[0]
             assert isinstance(base.type, PointerType)
             if base.type.space is MemorySpace.LOCAL:
-                return self.options.bram_read_latency
-            return self.options.ext_read_latency
+                return BRAM_READ_LATENCY
+            return EXT_READ_LATENCY
         if op.opcode is Opcode.STORE:
             base = op.operands[0]
             assert isinstance(base.type, PointerType)
             if base.type.space is MemorySpace.LOCAL:
-                return self.options.bram_write_latency
-            return self.options.ext_write_latency
+                return BRAM_WRITE_LATENCY
+            return EXT_WRITE_LATENCY
         if op.opcode is Opcode.CRITICAL:
-            return self.options.critical_latency
+            return CRITICAL_LATENCY
         if info.int_latency is not None and _all_integer(op):
             return info.int_latency
         return info.latency

@@ -47,10 +47,6 @@ class Interval:
     def intersects(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
-    @property
-    def bounded(self) -> bool:
-        return self.lo != -_INF and self.hi != _INF
-
 
 @dataclass(frozen=True)
 class Sym:
@@ -130,9 +126,6 @@ class Affine:
             return Affine()
         return Affine.build(self.const * factor,
                             {s: c * factor for s, c in self.terms})
-
-    def add_const(self, value: int) -> "Affine":
-        return Affine(self.const + value, self.terms)
 
     @property
     def is_constant(self) -> bool:

@@ -217,11 +217,16 @@ _FOLDABLE = {
 }
 
 
-def simplify(kernel: Kernel, max_rounds: int = 8) -> int:
+#: passes :func:`simplify` and :func:`eliminate_dead_ops` make at most
+#: while looking for a fixpoint
+MAX_ROUNDS = 8
+
+
+def simplify(kernel: Kernel) -> int:
     """Run local simplifications to fixpoint; returns #rewrites applied."""
 
     total = 0
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         changed = _simplify_block(kernel.body, {})
         total += changed
         if not changed:
@@ -325,11 +330,11 @@ _SIDE_EFFECT_OPS = {Opcode.STORE, Opcode.WRITE_VAR, Opcode.BARRIER,
                     Opcode.ALLOC_LOCAL}
 
 
-def eliminate_dead_ops(kernel: Kernel, max_rounds: int = 8) -> int:
+def eliminate_dead_ops(kernel: Kernel) -> int:
     """Remove pure operations whose results are never used."""
 
     removed_total = 0
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         uses: set[int] = set()
         for op in kernel.walk():
             for operand in op.operands:

@@ -22,11 +22,9 @@ from .types import (
     VOID,
     array,
     common_arith_type,
-    element_type,
     pointer,
     vector,
 )
-from .printer import print_block, print_kernel
 from .validate import IRValidationError, validate_kernel
 
 __all__ = [
@@ -34,7 +32,6 @@ __all__ = [
     "OP_INFO", "Opcode", "OpInfo", "op_info",
     "ArrayType", "BOOL", "FLOAT32", "FLOAT64", "INT32", "INT64",
     "MemorySpace", "PointerType", "ScalarType", "Type", "VectorType", "VOID",
-    "array", "common_arith_type", "element_type", "pointer", "vector",
-    "print_block", "print_kernel",
+    "array", "common_arith_type", "pointer", "vector",
     "IRValidationError", "validate_kernel",
 ]

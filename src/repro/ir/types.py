@@ -7,7 +7,7 @@ one of the two memory spaces of the architecture template (Fig. 1 of the
 paper: fast local BRAM vs. large external DRAM), and fixed-size local
 arrays that the HLS maps onto BRAM.
 
-Every type knows its bit width, its numpy dtype (the functional
+Every type knows its bit width, its numpy dtype name (the functional
 interpreter executes arithmetic with numpy semantics so that kernel
 results can be checked against reference implementations), and whether
 it is a floating-point type (used by the profiling unit to classify
@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "MemorySpace",
@@ -69,19 +67,7 @@ class Type:
         return False
 
     @property
-    def is_vector(self) -> bool:
-        return False
-
-    @property
     def is_pointer(self) -> bool:
-        return False
-
-    @property
-    def is_scalar(self) -> bool:
-        return False
-
-    @property
-    def is_void(self) -> bool:
         return False
 
 
@@ -91,10 +77,6 @@ class VoidType(Type):
 
     def bits(self) -> int:
         return 0
-
-    @property
-    def is_void(self) -> bool:
-        return True
 
     def __str__(self) -> str:
         return "void"
@@ -131,14 +113,6 @@ class ScalarType(Type):
     @property
     def is_integer(self) -> bool:
         return not self.floating and self.name != "i1"
-
-    @property
-    def is_scalar(self) -> bool:
-        return True
-
-    @property
-    def np_dtype(self) -> np.dtype:
-        return np.dtype(self.np_dtype_name)
 
     def __str__(self) -> str:
         return self.name
@@ -177,14 +151,6 @@ class VectorType(Type):
     @property
     def is_integer(self) -> bool:
         return self.elem.is_integer
-
-    @property
-    def is_vector(self) -> bool:
-        return True
-
-    @property
-    def np_dtype(self) -> np.dtype:
-        return self.elem.np_dtype
 
     def __str__(self) -> str:
         return f"<{self.lanes} x {self.elem}>"
@@ -246,18 +212,6 @@ def array(elem: Type, size: int) -> ArrayType:
     """Convenience constructor for :class:`ArrayType`."""
 
     return ArrayType(elem, size)
-
-
-def element_type(ty: Type) -> Type:
-    """Return the element type of a vector/pointer/array, or the type itself."""
-
-    if isinstance(ty, VectorType):
-        return ty.elem
-    if isinstance(ty, PointerType):
-        return ty.elem
-    if isinstance(ty, ArrayType):
-        return ty.elem
-    return ty
 
 
 def common_arith_type(a: Type, b: Type) -> Type:

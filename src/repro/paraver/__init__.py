@@ -10,13 +10,13 @@ from .analysis import (
     temporal_overlap, thread_activity_windows,
 )
 from .format import (
-    CommRecord, EVENT_TYPE_IDS, STATE_IDS, ParaverFiles, write_trace,
+    EVENT_TYPE_IDS, STATE_IDS, ParaverFiles, write_trace,
 )
 from .metadata import (
     PcfInfo, RowInfo, companion_paths, parse_pcf, parse_row,
 )
 from .parser import (
-    ParaverParseError, ParsedComm, ParsedEvent, ParsedState, ParsedTrace,
+    ParaverParseError, ParsedEvent, ParsedState, ParsedTrace,
     PrvHeader, parse_prv, stream_prv,
 )
 from .reconstruct import (
@@ -30,10 +30,10 @@ from .render import (
 __all__ = [
     "PhaseStats", "bandwidth_series_gbs", "gflops_series", "phase_overlap",
     "temporal_overlap", "thread_activity_windows",
-    "CommRecord", "EVENT_TYPE_IDS", "STATE_IDS", "ParaverFiles",
+    "EVENT_TYPE_IDS", "STATE_IDS", "ParaverFiles",
     "write_trace",
     "PcfInfo", "RowInfo", "companion_paths", "parse_pcf", "parse_row",
-    "ParaverParseError", "ParsedComm", "ParsedEvent", "ParsedState",
+    "ParaverParseError", "ParsedEvent", "ParsedState",
     "ParsedTrace", "PrvHeader", "parse_prv", "stream_prv",
     "ReconstructedRun", "reconstruct_run", "reconstruct_trace",
     "recover_sampling_period",

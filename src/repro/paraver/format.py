@@ -33,27 +33,8 @@ from ..profiling.recorder import RunTrace
 
 __all__ = ["ATTR_EVENT_BASE", "ATTR_EVENT_LIMIT", "ATTR_EVENT_STRIDE",
            "EVENT_TYPE_IDS",
-           "STATE_IDS", "CommRecord", "ParaverFiles", "write_trace"]
+           "STATE_IDS", "ParaverFiles", "write_trace"]
 
-
-@dataclass(frozen=True)
-class CommRecord:
-    """A Paraver communication record (record type 3).
-
-    The paper defers communication records to future work (multi-FPGA
-    execution, §IV-A/§VII); the writer supports them so that a
-    multi-accelerator extension can emit traces without format changes.
-    Times are in cycles; ``size`` in bytes; ``tag`` is free.
-    """
-
-    src_thread: int
-    dst_thread: int
-    logical_send: int
-    physical_send: int
-    logical_recv: int
-    physical_recv: int
-    size: int
-    tag: int = 0
 
 #: Paraver event type ids for the profiling unit's counters.
 EVENT_TYPE_IDS: dict[EventKind, int] = {
@@ -115,13 +96,10 @@ class ParaverFiles:
 
 
 def write_trace(trace: RunTrace, path: str,
-                application: str = "accelerator",
-                comms: Optional[list[CommRecord]] = None,
                 clock_mhz: Optional[float] = None) -> ParaverFiles:
     """Write ``trace`` as ``path``.prv/.pcf/.row; returns the file paths.
 
-    ``comms`` optionally adds communication records (type 3) for
-    multi-accelerator extensions.  ``clock_mhz``, when given, is stashed
+    ``clock_mhz``, when given, is stashed
     as a ``# REPRO_CLOCK_MHZ`` comment in the ``.pcf`` so trace-native
     analysis (``repro analyze``) can convert cycles to seconds without
     re-running the compiler.
@@ -137,7 +115,7 @@ def write_trace(trace: RunTrace, path: str,
     path_row = base + ".row"
 
     with telemetry.span("paraver", category="paraver", prv=path_prv):
-        records = _write_prv(trace, path_prv, application, comms or [])
+        records = _write_prv(trace, path_prv)
         _write_pcf(trace, path_pcf, clock_mhz)
         _write_row(trace, path_row)
     telemetry.add("paraver.records", records)
@@ -163,39 +141,29 @@ BLOCK_RECORDS = 8192
 _RECORD = "%d:%d:1:%d:1:%d:%d:%d\n"
 
 
-def _write_prv(trace: RunTrace, path: str, application: str,
-               comms: list[CommRecord]) -> int:
-    kind, thread, a, b, c = _record_columns(trace, comms)
+def _write_prv(trace: RunTrace, path: str) -> int:
+    kind, thread, a, b, c = _record_columns(trace)
     # the columns hold the record classes in their tie order (states,
-    # events, comms, attribution totals): a stable sort on time is the
+    # events, attribution totals): a stable sort on time is the
     # format's (time, class, gathering order)
     perm = np.argsort(a, kind="stable")
-    n = perm.shape[0]
-    stops = np.flatnonzero(kind[perm] == 3).tolist() if comms else []
     with open(path, "w") as out:
         out.write(_header(trace) + "\n")
-        out.write(f"c:{application}\n")
-        pos = 0
-        for stop in stops + [n]:
-            for lo in range(pos, stop, BLOCK_RECORDS):
-                rows = perm[lo:min(lo + BLOCK_RECORDS, stop)]
-                th = thread[rows]
-                block = np.column_stack((kind[rows], th, th, a[rows],
-                                         b[rows], c[rows]))
-                out.write(_RECORD * rows.shape[0]
-                          % tuple(block.ravel().tolist()))
-            if stop < n:
-                out.write(_comm_line(comms[b[perm[stop]]]))
-            pos = stop + 1
-    return n
+        out.write("c:accelerator\n")
+        for lo in range(0, perm.shape[0], BLOCK_RECORDS):
+            rows = perm[lo:lo + BLOCK_RECORDS]
+            th = thread[rows]
+            block = np.column_stack((kind[rows], th, th, a[rows],
+                                     b[rows], c[rows]))
+            out.write(_RECORD * rows.shape[0]
+                      % tuple(block.ravel().tolist()))
+    return perm.shape[0]
 
 
-def _record_columns(trace: RunTrace, comms: list[CommRecord]):
+def _record_columns(trace: RunTrace):
     """(kind, thread, a, b, c) int64 columns of every ``.prv`` record.
 
-    A state or event record reads ``kind:thread:1:thread:1:a:b:c``; its
-    time is ``a``.  A comm record (kind 3) keeps its send time in ``a``
-    and its index in ``comms`` in ``b``.
+    A record reads ``kind:thread:1:thread:1:a:b:c``; its time is ``a``.
     """
 
     parts = []  # per source: (kind, thread, a, b, c) columns
@@ -214,10 +182,6 @@ def _record_columns(trace: RunTrace, comms: list[CommRecord]):
                            trace.end_cycle)
         add(2, keep % threads + 1, times[keep // threads],
             EVENT_TYPE_IDS[kind], values[keep])
-    if comms:
-        sends = np.array([comm.logical_send for comm in comms],
-                         dtype=np.int64)
-        add(3, 0, sends, np.arange(len(comms)), 0)
     if trace.attribution is not None:
         # per-(region, thread, cause) table totals, one event each at the
         # end of the trace; the region index <-> key/label map travels in
@@ -237,14 +201,6 @@ def _record_columns(trace: RunTrace, comms: list[CommRecord]):
     empty = np.empty(0, dtype=np.int64)
     return tuple(np.concatenate([empty] + [part[field] for part in parts])
                  for field in range(5))
-
-
-def _comm_line(comm: CommRecord) -> str:
-    return (f"3:{comm.src_thread + 1}:1:{comm.src_thread + 1}:1:"
-            f"{comm.logical_send}:{comm.physical_send}:"
-            f"{comm.dst_thread + 1}:1:{comm.dst_thread + 1}:1:"
-            f"{comm.logical_recv}:{comm.physical_recv}:"
-            f"{comm.size}:{comm.tag}\n")
 
 
 def _attr_region_keys(table) -> list[int]:

@@ -1,9 +1,12 @@
 """Parser for Paraver ``.prv`` traces (the subset our writer emits).
 
-Reads state, event and communication records back as int64 columns,
-used by reconstruction, the round-trip tests and the analysis helpers
-when working from files rather than live
-:class:`~repro.profiling.recorder.RunTrace` objects.
+Reads state and event records back as int64 columns, used by
+reconstruction, the round-trip tests and the analysis helpers when
+working from files rather than live
+:class:`~repro.profiling.recorder.RunTrace` objects.  Communication
+records (type 3), which the simulator never writes, are validated and
+kept as rows of kind 3 at their logical send time, so traces from
+other tools still load.
 
 The reader works on fixed-size byte blocks (:data:`BLOCK_BYTES`), each
 cut at its last newline, so its working memory is bounded by the block
@@ -43,7 +46,7 @@ import numpy as np
 from ..profiling.config import ThreadState
 from ..profiling.recorder import state_totals
 
-__all__ = ["ParsedState", "ParsedEvent", "ParsedComm", "ParsedTrace",
+__all__ = ["ParsedState", "ParsedEvent", "ParsedTrace",
            "PrvBlock", "PrvHeader", "parse_prv", "stream_prv"]
 
 #: bytes read per block.  A block's columns take a few times its size,
@@ -82,18 +85,6 @@ class ParsedEvent:
 
 
 @dataclass(frozen=True)
-class ParsedComm:
-    src_task: int
-    dst_task: int
-    logical_send: int
-    physical_send: int
-    logical_recv: int
-    physical_recv: int
-    size: int
-    tag: int
-
-
-@dataclass(frozen=True)
 class PrvBlock:
     """Records of a stretch of a ``.prv`` file, as int64 columns.
 
@@ -102,8 +93,7 @@ class PrvBlock:
     state's begin, an event's time or a communication's logical send;
     ``end`` is a state's end (``time`` for the other kinds); ``type`` is
     an event's type (0 otherwise); ``value`` is a state's id or an
-    event's value (0 for a communication).  ``comm_fields`` holds the
-    15 fields of each communication record.
+    event's value (0 for a communication).
     """
 
     kind: np.ndarray
@@ -113,16 +103,13 @@ class PrvBlock:
     end: np.ndarray
     type: np.ndarray
     value: np.ndarray
-    comm_fields: np.ndarray
 
     @classmethod
     def concat(cls, blocks: list["PrvBlock"]) -> "PrvBlock":
         if len(blocks) == 1:
             return blocks[0]
         if not blocks:
-            empty = np.zeros(0, dtype=np.int64)
-            return cls(*([empty] * 7),
-                       np.zeros((0, _COMM_FIELDS), dtype=np.int64))
+            return cls(*([np.zeros(0, dtype=np.int64)] * 7))
         return cls(*(np.concatenate([getattr(block, name)
                                      for block in blocks])
                      for name in cls.__dataclass_fields__))
@@ -149,16 +136,6 @@ class ParsedTrace:
     def events(self) -> list[ParsedEvent]:
         return list(map(ParsedEvent, *self._rows(
             EVENT, "cpu", "task", "time", "type", "value")))
-
-    @property
-    def comms(self) -> list[ParsedComm]:
-        # src task, dst task, logical/physical send, logical/physical
-        # receive, size, tag
-        columns = self.records.comm_fields[:, [3, 9, 5, 6, 11, 12, 13, 14]]
-        return [ParsedComm(*row) for row in columns.tolist()]
-
-    def events_of_type(self, type_id: int) -> list[ParsedEvent]:
-        return [e for e in self.events if e.type == type_id]
 
     def state_durations(self) -> dict[int, int]:
         """Total cycles per state id, for the ids the file holds."""
@@ -370,8 +347,7 @@ def _columns(path: str, line_no: int, lines: np.ndarray,
         time=time,
         end=np.where(row_kind == STATE, field6, time),
         type=np.where(row_kind == EVENT, field6, 0),
-        value=np.where(row_kind == COMM, 0, field7),
-        comm_fields=values[first[comm][:, None] + np.arange(_COMM_FIELDS)])
+        value=np.where(row_kind == COMM, 0, field7))
 
 
 def _parse_header(header: str) -> tuple[int, int]:

@@ -136,10 +136,6 @@ class AttributionTable:
                 totals[slot] += cell[slot]
         return totals
 
-    def cause_totals(self) -> dict[Cause, int]:
-        totals = self.slot_totals()
-        return {cause: totals[cause] for cause in Cause}
-
     # ------------------------------------------------------------------
     def region_rows(self) -> list[dict]:
         """One summary row per region, ranked by lost cycles (desc).

@@ -26,7 +26,10 @@ import enum
 from dataclasses import dataclass
 
 __all__ = ["ThreadState", "EventKind", "ProfilingConfig", "STATE_ENCODING",
-           "ATTRIBUTION_EVENTS"]
+           "ATTRIBUTION_EVENTS", "COUNTER_WIDTH"]
+
+#: event counter width in bits (64-bit counters, §IV-B.2)
+COUNTER_WIDTH = 64
 
 
 class ThreadState(enum.IntEnum):
@@ -101,8 +104,6 @@ class ProfilingConfig:
     sampling_period: int = 2048
     #: trace buffer line width in bits (the external controller data width)
     buffer_width: int = 512
-    #: counter width in bits
-    counter_width: int = 64
 
     @staticmethod
     def disabled() -> "ProfilingConfig":
@@ -118,4 +119,4 @@ class ProfilingConfig:
     def event_record_bits(self, num_threads: int) -> int:
         """Size of one event flush: one counter per event per thread + clock."""
 
-        return self.counter_width * len(self.events) * num_threads + 32
+        return COUNTER_WIDTH * len(self.events) * num_threads + 32

@@ -173,12 +173,6 @@ class RunTrace:
                 f"{kind.name} to ProfilingConfig.events before the run")
         return series
 
-    def window_starts(self, kind: EventKind) -> np.ndarray:
-        """Start cycle of each sampling window of ``kind``'s series."""
-
-        bins = self.event_series(kind).shape[0]
-        return np.arange(bins, dtype=np.int64) * self.sampling_period
-
 
 class ProfilingRecorder:
     """Collects states and events during a simulation run."""

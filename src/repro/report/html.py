@@ -118,10 +118,14 @@ def _nice_ceiling(value: float) -> float:
     return float(10 ** (exp + 1))
 
 
-def _downsample(values: np.ndarray, limit: int = 320) -> np.ndarray:
-    if values.size <= limit:
+#: points a series panel draws at most (longer series are averaged down)
+SERIES_POINTS = 320
+
+
+def _downsample(values: np.ndarray) -> np.ndarray:
+    if values.size <= SERIES_POINTS:
         return values.astype(float)
-    edges = np.linspace(0, values.size, limit + 1).astype(int)
+    edges = np.linspace(0, values.size, SERIES_POINTS + 1).astype(int)
     return np.array([values[a:b].mean() if b > a else 0.0
                      for a, b in zip(edges[:-1], edges[1:])])
 
@@ -151,10 +155,10 @@ def _state_runs(trace: RunTrace, thread: int,
             if state >= 0]
 
 
-def _gantt_svg(report: TraceReport, width: int = 960,
-               buckets: int = 840) -> str:
+def _gantt_svg(report: TraceReport) -> str:
     trace = report.trace
     assert trace is not None
+    width, buckets = 960, 840
     gutter, row_h, gap, top = 110, 16, 6, 8
     plot_w = width - gutter - 10
     height = top + trace.num_threads * (row_h + gap) + 22

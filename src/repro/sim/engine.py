@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Generator, Iterable, Optional, Union
+from typing import Generator, Optional, Union
 
 __all__ = ["Engine", "Event", "Process", "Subrun", "Command"]
 
@@ -231,11 +231,3 @@ class Engine:
             "processes_spawned": self.processes_spawned,
             "heap_peak": self.heap_peak,
         }
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def all_of(processes: Iterable[Process]):
-        """Helper generator: wait for every process in ``processes``."""
-
-        for process in processes:
-            yield process

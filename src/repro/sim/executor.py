@@ -54,18 +54,21 @@ from ..profiling.attribution import (
 )
 from ..profiling.config import EventKind, ThreadState
 from ..profiling.recorder import ProfilingRecorder, RunTrace
-from .config import SimConfig
+from .config import PIPELINE_WINDOW, DramConfig, SimConfig
 from .engine import Engine, Subrun, Event
 from .fastpath import NestPlan, build_nest_plan, prepare_nest
 from .interp import (
     CompiledSegment, KernelFunctionalContext, ThreadMemView, compile_segment,
 )
-from .memory import ExternalMemory, PortSet
+from .memory import ROW_MISS_PENALTY, ExternalMemory, PortSet
 from .sync import Barrier, HardwareSemaphore
 
 __all__ = ["SimResult", "Simulation", "simulate"]
 
 _PROFILING_BUFFER_ADDR = 0x7F00_0000
+
+#: stop runaway simulations after this many cycles
+MAX_CYCLES = 4_000_000_000
 
 
 @dataclass
@@ -276,7 +279,7 @@ class Simulation:
              clock_mhz: Optional[float]) -> SimResult:
         wall_start = time.perf_counter()
         engine = Engine()
-        memory = ExternalMemory(self.config.dram)
+        memory = ExternalMemory(DramConfig())
         threads = self.kernel.num_threads
         ports = PortSet(memory, self.config, threads)
         semaphore = HardwareSemaphore(engine)
@@ -313,7 +316,7 @@ class Simulation:
             engine.spawn(runtime.flush_ticker(done_events),
                          name="profiling-flush")
 
-        engine.run(until=self.config.max_cycles)
+        engine.run(until=MAX_CYCLES)
         # the run ends when the last thread retires and its traffic drains —
         # not when the profiling flush ticker happens to take its last tick
         end = max(runtime.finish_time, memory.quiesce_time())
@@ -610,7 +613,6 @@ class _Runtime:
         bind_arb = 0
         buffers = self.buffers
         memory = self.memory
-        rmp = memory.config.row_miss_penalty
         for memop, (index, nbytes, is_write, name) in zip(segment.mem_ops,
                                                           mem_trace):
             buf = buffers[name]
@@ -626,7 +628,7 @@ class _Runtime:
             lateness = completion - (issue + memop.start + memop.sched_latency)
             if lateness > extra:
                 extra = lateness
-                bind_penalty = (memory.row_misses - misses0) * rmp
+                bind_penalty = (memory.row_misses - misses0) * ROW_MISS_PENALTY
                 bind_arb = memory.arbitration_wait_cycles - arb0
         return extra, bind_penalty, bind_arb
 
@@ -763,7 +765,6 @@ class _Runtime:
             group_cost = max(1, schedule.local_costs.get(segment.uid, 1))
         iv_id = op.defined[0].id
         chunk = max(1, self.sim.config.loop_chunk)
-        window = max(1, self.sim.config.pipeline_window)
         ii, rec_ii, depth = item.ii, item.rec_ii, item.depth
         recorder = self.recorder
         mem = ctx.mem
@@ -801,7 +802,7 @@ class _Runtime:
                     booked = group.book(issue, group_cost)
                     c_port += booked - issue
                     issue = booked
-                if len(inflight) >= window:
+                if len(inflight) >= PIPELINE_WINDOW:
                     # stage buffers full: a late memory response now
                     # stalls this thread's pipeline (backpressure)
                     oldest = inflight.popleft()

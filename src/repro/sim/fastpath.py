@@ -52,11 +52,13 @@ from ..profiling.attribution import (
     N_SLOTS, REGION_SYNC, loop_region, segment_region,
 )
 from ..profiling.config import ThreadState
+from .config import PIPELINE_WINDOW
 from .engine import Event
 from .interp import (
     VectorFallback, VectorizeError, VectorizedSegment, _elem_bytes, _lanes,
     compile_segment_vectorized,
 )
+from .memory import BASE_LATENCY, ROW_MISS_PENALTY, transfer_cycles
 
 __all__ = ["NestPlan", "build_nest_plan", "prepare_nest"]
 
@@ -156,8 +158,6 @@ class NestPlan:
     entry_vars: tuple
     entry_var_float: tuple
     chunk: int
-    window: int
-    dram: object
     uid: int
     #: the compiled timing generator; set on the plan's first dispatch
     #: by :func:`prepare_nest`
@@ -502,18 +502,16 @@ def build_nest_plan(item: LoopNode, schedule, external_uses: set[int],
     group_cost = max(1, schedule.local_costs.get(pseg.uid, 1)) \
         if group_id is not None else 0
     chunk = max(1, config.loop_chunk)
-    window = max(1, config.pipeline_window)
     return NestPlan(
         levels=tuple(levels), pipe=pipe,
         pipe_bounds=tuple(operand.id for operand in pipe.op.operands[:3]),
         p_iv=p_iv, pseg=pseg, vseg=vseg, mem=mem,
         group_id=group_id, group_cost=group_cost,
         trails=tuple(trails), input_plan=input_plan, entry_vars=entry_vars,
-        entry_var_float=tuple(ev_float), chunk=chunk, window=window,
-        dram=config.dram, uid=item.uid)
+        entry_var_float=tuple(ev_float), chunk=chunk, uid=item.uid)
 
 
-def _compile_nest_driver(nplan: NestPlan, limit, grant, events, attr):
+def _compile_nest_driver(nplan: NestPlan, limit, grant, dram, events, attr):
     """exec-compile the whole-nest timing generator of ``nplan``.
 
     The generated function replays the reference executor's exact
@@ -540,7 +538,8 @@ def _compile_nest_driver(nplan: NestPlan, limit, grant, events, attr):
     ending at the last chunk boundary within ``span`` trips, so slabs
     tile the nest and ``p`` counts trips within the slab (the slab base
     ``_sb`` is added back once at exit).  The outstanding-request
-    ``limit`` is folded in as a literal.  All per-request protocol state
+    ``limit`` and the memory's geometry ``dram`` are folded in as
+    literals.  All per-request protocol state
     that is private to this thread — the Avalon port in-flight windows and
     in-order completion clamps, and the semaphore acquisition counters
     — is hoisted into locals for the whole nest and written back once;
@@ -568,8 +567,7 @@ def _compile_nest_driver(nplan: NestPlan, limit, grant, events, attr):
     levels, trails, pipe, pseg, mem = (nplan.levels, nplan.trails,
                                        nplan.pipe, nplan.pseg, nplan.mem)
     has_group = nplan.group_id is not None
-    group_cost, chunk, window, dram = (nplan.group_cost, nplan.chunk,
-                                       nplan.window, nplan.dram)
+    group_cost, chunk = nplan.group_cost, nplan.chunk
     k = len(levels)
     ii, rec_ii, depth = pipe.ii, pipe.rec_ii, pipe.depth
     p_reads = any(not m[3] for m in mem)
@@ -596,8 +594,6 @@ def _compile_nest_driver(nplan: NestPlan, limit, grant, events, attr):
     # a chunk's first one exactly rec_ii after the previous: the trips
     # in between are summed in closed form (π's series loop)
     closed = not mem and not has_group and rec_ii >= ii
-    rmp = dram.row_miss_penalty
-    base = dram.base_latency
     row_span = dram.row_bytes * dram.banks_per_channel * dram.channels
 
     lines = ["def _ndrive(rt, tid, ctx, state, group, T, ns, "
@@ -696,9 +692,6 @@ def _compile_nest_driver(nplan: NestPlan, limit, grant, events, attr):
         if levels[li].trailing:
             w(1, f"_q{li} = 0")
 
-    def transfer_of(nbytes: int) -> int:
-        return dram.request_overhead + max(1, -(-nbytes // dram.width_bytes))
-
     def emit_booking(ind: int, is_write: bool, transfer: int,
                      track: bool = False) -> None:
         # PortSet.request + ExternalMemory.access_time, inlined over the
@@ -716,15 +709,15 @@ def _compile_nest_driver(nplan: NestPlan, limit, grant, events, attr):
         w(ind, "if at > begin: begin = at")
         w(ind, "busy = bus_busy[ch]")
         w(ind, "if brow[bi] != row:")
-        w(ind + 1, f"begin += {rmp}")
+        w(ind + 1, f"begin += {ROW_MISS_PENALTY}")
         w(ind + 1, "rm += 1")
         w(ind + 1, "if busy > begin: begin = busy")
         if track:
-            w(ind + 1, f"_pen = {rmp}")
-            w(ind + 1, f"_av = begin - at - {rmp}")
+            w(ind + 1, f"_pen = {ROW_MISS_PENALTY}")
+            w(ind + 1, f"_av = begin - at - {ROW_MISS_PENALTY}")
             w(ind + 1, "arb += _av")
         else:
-            w(ind + 1, f"arb += begin - at - {rmp}")
+            w(ind + 1, f"arb += begin - at - {ROW_MISS_PENALTY}")
         w(ind, "else:")
         w(ind + 1, "if busy > begin: begin = busy")
         if track:
@@ -737,7 +730,7 @@ def _compile_nest_driver(nplan: NestPlan, limit, grant, events, attr):
         w(ind, "bus_busy[ch] = done")
         w(ind, "brow[bi] = row")
         w(ind, "brdy[bi] = done")
-        w(ind, f"completion = done + {base}")
+        w(ind, f"completion = done + {BASE_LATENCY}")
         w(ind, f"if completion < {last}: completion = {last}")
         w(ind, f"else: {last} = completion")
         w(ind, f"_h{h}a(completion)")
@@ -748,7 +741,7 @@ def _compile_nest_driver(nplan: NestPlan, limit, grant, events, attr):
         w(ind, f"bi = bk{i}[{pidx}]")
         w(ind, f"row = rw{i}[{pidx}]")
         w(ind, f"ch = cn{i}[{pidx}]")
-        emit_booking(ind, is_write, transfer_of(nbytes),
+        emit_booking(ind, is_write, transfer_cycles(nbytes),
                      attr and not is_write)
         if not is_write:
             w(ind, f"late = completion - issue - {off}")
@@ -762,7 +755,7 @@ def _compile_nest_driver(nplan: NestPlan, limit, grant, events, attr):
         w(ind, f"bi = ch * {dram.banks_per_channel} + "
                f"addr // {dram.row_bytes} % {dram.banks_per_channel}")
         w(ind, f"row = addr // {row_span}")
-        emit_booking(ind, is_write, transfer_of(nbytes),
+        emit_booking(ind, is_write, transfer_cycles(nbytes),
                      attr and not is_write)
         if not is_write:
             w(ind, f"late = completion - now - {start + slat}")
@@ -853,7 +846,7 @@ def _compile_nest_driver(nplan: NestPlan, limit, grant, events, attr):
             w(b, f"cursor = issue + {rec_ii}")
             w(b, "p += 1")
             return
-        w(b, f"if len(inflight) >= {window}:")
+        w(b, f"if len(inflight) >= {PIPELINE_WINDOW}:")
         w(b + 1, f"head = ipop() - {depth}")
         if p_parts:
             w(b + 1, "_op = ppop()")
@@ -1366,7 +1359,7 @@ def prepare_nest(runtime, nplan: NestPlan, tid: int, ctx, state, group,
     if nplan.driver is None:
         nplan.driver = _compile_nest_driver(
             nplan, runtime.ports.outstanding_limit,
-            runtime.semaphore.grant_latency,
+            runtime.semaphore.grant_latency, memory.config,
             bool(runtime.recorder.config.events), runtime.attribution)
     history = runtime.ports._history
     gen = nplan.driver(runtime, tid, ctx, state, group, trips,

@@ -5,16 +5,18 @@ Timing and function are deliberately joined in one place:
 ``map`` clauses *and* the channel/bank timing state, so a load both
 returns data and books controller occupancy.
 
-The timing model (per :class:`~repro.sim.config.DramConfig`):
+The timing model (geometry per :class:`~repro.sim.config.DramConfig`,
+timing per the constants below):
 
 * requests are address-interleaved over ``channels``; each channel
   serves requests first-come-first-served (``busy_until`` per channel);
-* each request occupies its channel for ``request_overhead`` plus one
-  cycle per ``width_bytes`` moved, plus ``row_miss_penalty`` when it
-  does not hit the bank's open row — which is what makes strided scalar
-  accesses (the naive GEMM's column reads) so much slower than the
-  vectorized / blocked versions' sequential bursts (§V-C, Fig. 7);
-* data returns ``base_latency`` cycles after service completes;
+* each request occupies its channel for :func:`transfer_cycles`
+  (``REQUEST_OVERHEAD`` plus one cycle per ``WIDTH_BYTES`` moved), plus
+  ``ROW_MISS_PENALTY`` when it does not hit the bank's open row — which
+  is what makes strided scalar accesses (the naive GEMM's column reads)
+  so much slower than the vectorized / blocked versions' sequential
+  bursts (§V-C, Fig. 7);
+* data returns ``BASE_LATENCY`` cycles after service completes;
 * each hardware thread has one Avalon read port and one write port
   (§IV-B.2c); a port keeps at most ``port_outstanding`` requests in
   flight and responses return in order.
@@ -29,10 +31,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..ir.types import ScalarType, Type, VectorType
 from .config import DramConfig, SimConfig
 
-__all__ = ["Buffer", "ExternalMemory", "PortSet"]
+__all__ = ["Buffer", "ExternalMemory", "PortSet", "transfer_cycles"]
+
+#: bytes moved per controller cycle per channel (512-bit interface)
+WIDTH_BYTES = 64
+#: pipelined latency from end-of-service to data return (the D5005's
+#: DDR4 path through the FIM is several hundred ns at ~140 MHz)
+BASE_LATENCY = 24
+#: bank-activation time when a request misses the open row
+ROW_MISS_PENALTY = 12
+#: data-bus occupancy overhead per request (command/turnaround)
+REQUEST_OVERHEAD = 1
+
+
+def transfer_cycles(nbytes: int) -> int:
+    """Channel data-bus cycles one request moving ``nbytes`` occupies."""
+
+    return REQUEST_OVERHEAD + max(1, -(-nbytes // WIDTH_BYTES))
 
 
 @dataclass
@@ -107,12 +124,12 @@ class ExternalMemory:
         bank = (addr // cfg.row_bytes) % cfg.banks_per_channel
         row = addr // (cfg.row_bytes * cfg.banks_per_channel * cfg.channels)
 
-        transfer = cfg.request_overhead + max(1, -(-nbytes // cfg.width_bytes))
+        transfer = transfer_cycles(nbytes)
         bi = channel * cfg.banks_per_channel + bank
         start = max(at, self._bank_ready[bi])
         penalty = 0
         if self._bank_row[bi] != row:
-            penalty = cfg.row_miss_penalty
+            penalty = ROW_MISS_PENALTY
             start += penalty  # activate: occupies the bank only
             self.row_misses += 1
         start = max(start, self._bus_busy[channel])
@@ -125,12 +142,12 @@ class ExternalMemory:
             self.bytes_written += nbytes
         else:
             self.bytes_read += nbytes
-        return start + transfer + cfg.base_latency
+        return start + transfer + BASE_LATENCY
 
     def quiesce_time(self) -> int:
         """Cycle at which all booked traffic has drained."""
 
-        return max(self._bus_busy) + self.config.base_latency
+        return max(self._bus_busy) + BASE_LATENCY
 
 
 class PortSet:
@@ -160,13 +177,3 @@ class PortSet:
         self._last_completion[key] = completion
         history.append(completion)
         return completion
-
-
-def element_bytes(ty: Type) -> int:
-    """Byte size of one element moved by a load/store of type ``ty``."""
-
-    if isinstance(ty, VectorType):
-        return ty.elem.bits() // 8
-    if isinstance(ty, ScalarType):
-        return max(1, ty.bits() // 8)
-    raise TypeError(f"not a data type: {ty}")

@@ -62,10 +62,6 @@ class SpanRecord:
     args: dict[str, Any] = field(default_factory=dict)
 
     @property
-    def duration_ns(self) -> int:
-        return self.end_ns - self.start_ns
-
-    @property
     def duration_ms(self) -> float:
         return (self.end_ns - self.start_ns) / 1e6
 
@@ -270,9 +266,9 @@ class Telemetry:
 
         The dict doubles as the cross-process wire format
         (schema ``repro.telemetry/1``): sweep workers snapshot their
-        registry and ship it back through the job-result envelope, the
-        parent reconstructs with :meth:`from_snapshot` or merges many
-        snapshots into one timeline (:mod:`repro.telemetry.merge`).
+        registry and ship it back through the job-result envelope, and
+        the parent merges many snapshots into one timeline
+        (:mod:`repro.telemetry.merge`).
         ``phases_ms`` / ``num_spans`` are derived conveniences kept for
         quick summaries; ``spans`` carries every record verbatim.
         """
@@ -299,46 +295,6 @@ class Telemetry:
             "num_spans": len(self.spans),
             "spans": spans,
         }
-
-    @classmethod
-    def from_snapshot(cls, snap: dict[str, Any]) -> "Telemetry":
-        """Lossless inverse of :meth:`snapshot`.
-
-        ``Telemetry.from_snapshot(t.snapshot()).snapshot() ==
-        t.snapshot()`` for any registry ``t``.  The reconstructed
-        registry is disabled (it is a record, not a live session).
-        """
-
-        if not isinstance(snap, dict):
-            raise ValueError("telemetry snapshot must be a dict, got "
-                             f"{type(snap).__name__}")
-        schema = snap.get("schema")
-        if schema != SNAPSHOT_SCHEMA:
-            raise ValueError(f"telemetry snapshot schema is {schema!r}, "
-                             f"expected {SNAPSHOT_SCHEMA!r}")
-        registry = cls(enabled=False)
-        registry.wall_start = float(snap.get("wall_start",
-                                             registry.wall_start))
-        registry.pid = int(snap.get("pid", registry.pid))
-        registry.tid = int(snap.get("tid", registry.tid))
-        registry.counters = {str(k): float(v)
-                             for k, v in snap.get("counters", {}).items()}
-        registry.gauges = {str(k): float(v)
-                           for k, v in snap.get("gauges", {}).items()}
-        max_id = -1
-        for entry in snap.get("spans", []):
-            record = SpanRecord(
-                id=int(entry["id"]), parent=int(entry.get("parent", -1)),
-                name=str(entry["name"]),
-                category=str(entry.get("cat", "toolchain")),
-                start_ns=int(entry["start_ns"]),
-                end_ns=int(entry["end_ns"]),
-                depth=int(entry.get("depth", 0)),
-                args=dict(entry.get("args", {})))
-            registry.spans.append(record)
-            max_id = max(max_id, record.id)
-        registry._ids = itertools.count(max_id + 1)
-        return registry
 
 
 #: The process-wide registry all instrumentation reports into.  It is a

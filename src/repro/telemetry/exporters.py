@@ -232,17 +232,13 @@ def summarize_records(records: list[dict[str, Any]]) -> str:
 # ----------------------------------------------------------------------
 def chrome_trace_events(telemetry: Telemetry, *,
                         pid: Optional[int] = None,
-                        tid: Optional[int] = None,
-                        process_name: str = "repro toolchain",
-                        thread_name: str = "compile→simulate→trace",
-                        base_ts_us: float = 0.0) -> list[dict[str, Any]]:
+                        tid: Optional[int] = None) -> list[dict[str, Any]]:
     """Trace events ordered monotonically by ``ts`` (microseconds).
 
     Events carry the *real* pid/tid of the recording process (captured
     on the registry at creation) so traces from several processes can
     be concatenated and still render as distinct process tracks in
-    Perfetto; ``pid``/``tid`` override the mapping and ``base_ts_us``
-    shifts the timeline (both used by :mod:`repro.telemetry.merge`).
+    Perfetto; ``pid``/``tid`` override that mapping.
     """
 
     pid = int(pid if pid is not None
@@ -251,13 +247,13 @@ def chrome_trace_events(telemetry: Telemetry, *,
               else getattr(telemetry, "tid", 0) or pid)
     events: list[dict[str, Any]] = [
         {"ph": "M", "name": "process_name", "pid": pid, "tid": tid, "ts": 0,
-         "args": {"name": process_name}},
+         "args": {"name": "repro toolchain"}},
         {"ph": "M", "name": "thread_name", "pid": pid, "tid": tid, "ts": 0,
-         "args": {"name": thread_name}},
+         "args": {"name": "compile→simulate→trace"}},
     ]
-    last_ts = base_ts_us
+    last_ts = 0.0
     for record in sorted(telemetry.spans, key=lambda r: r.start_ns):
-        ts = round(base_ts_us + record.start_us, 3)
+        ts = round(record.start_us, 3)
         event: dict[str, Any] = {
             "ph": "X", "name": record.name, "cat": record.category,
             "ts": ts, "dur": round(record.duration_us, 3),

@@ -219,9 +219,8 @@ def job_phase_breakdown(snap: dict) -> dict[str, float]:
             "sim_ms": sim_ms, "trace_ms": trace_ms, "other_ms": other_ms}
 
 
-def render_job_breakdown(snapshots: Iterable[dict],
-                         slowest: int = 5) -> str:
-    """Per-job toolchain breakdown table + slowest-job ranking.
+def render_job_breakdown(snapshots: Iterable[dict]) -> str:
+    """Per-job toolchain breakdown table + the five slowest jobs.
 
     Columns separate compile time (frontend + HLS; near zero on a
     compile-cache hit) from simulate and trace-write time, so one look
@@ -249,7 +248,7 @@ def render_job_breakdown(snapshots: Iterable[dict],
             f"{parts['trace_ms']:7.1f}")
     ranked = sorted(snapshots,
                     key=lambda s: job_phase_breakdown(s)["total_ms"],
-                    reverse=True)[:max(0, slowest)]
+                    reverse=True)[:5]
     if len(snapshots) > 1 and ranked:
         slowest_bits = ", ".join(
             f"{s.get('job', '?')} "

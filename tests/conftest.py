@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.hls import HLSOptions
 from repro.sim import SimConfig
 
 

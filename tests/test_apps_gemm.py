@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps import run_gemm
-from repro.apps.gemm import EXTRA_VERSIONS, GEMM_VERSIONS, gemm_defines
+from repro.apps.gemm import GEMM_VERSIONS, gemm_defines
 from repro.profiling import EventKind, ThreadState
 
 

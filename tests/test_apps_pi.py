@@ -1,7 +1,5 @@
 """Integration tests for the π case study (§V-D)."""
 
-import math
-
 import numpy as np
 import pytest
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.apps.gemm import GEMM_VERSIONS, gemm_defines
 from repro.apps.pi import PI_SOURCE, pi_defines
-from repro.hls import HLSCompiler, HLSOptions, compile_source
+from repro.hls import HLSOptions, compile_source
 from repro.profiling.config import EventKind, ProfilingConfig
 
 

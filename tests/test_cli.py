@@ -87,6 +87,26 @@ class TestCompile:
             assert "Traceback" not in proc.stderr
             assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["demo", "gemm", "--dim", "7"], ["demo", "gemm", "--dim", "-4"],
+        ["demo", "gemm", "--dim", "0"], ["demo", "pi", "--steps", "100"],
+        ["demo", "pi", "--steps", "0"]], ids=" ".join)
+    def test_bad_demo_size_exits_with_one_line(self, argv, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.run([sys.executable, "-m", "repro", *argv],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src},
+                              cwd=tmp_path)
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+        assert proc.stdout == ""
+
     def test_defines_forwarded(self, tmp_path, capsys):
         path = tmp_path / "k.c"
         path.write_text("""

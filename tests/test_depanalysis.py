@@ -1,11 +1,9 @@
 """Unit tests for memory-access collection and dependence testing."""
 
-import pytest
-
 from repro.apps.gemm import BLOCKED, DOUBLE_BUFFERED, gemm_defines
 from repro.frontend import compile_to_kernel
 from repro.hls.depanalysis import (
-    collect_accesses, conflicts, may_share_storage, ops_conflict,
+    collect_accesses, conflicts, may_share_storage,
 )
 from repro.ir import Opcode
 
@@ -25,6 +23,16 @@ def compile_body(body: str, params: str = "float* a, float* b, int n",
 
 def find_ops(kernel, opcode):
     return [op for op in kernel.walk() if op.opcode is opcode]
+
+
+def ops_conflict(a, b, amap) -> bool:
+    """May regions ``a`` and ``b`` (nested ops included) touch common
+    memory with at least one write?"""
+
+    def accesses(op):
+        return [acc for inner in op.walk() for acc in amap.get(id(inner), ())]
+
+    return conflicts(accesses(a), accesses(b))
 
 
 class TestAccessCollection:

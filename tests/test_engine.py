@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import Engine, Event, Process
+from repro.sim.engine import Engine, Event
 
 
 def test_delay_advances_clock():
@@ -327,6 +327,9 @@ def test_stats_queue_length_respects_horizon():
 
 
 def test_all_of_helper():
+    """A process that yields each of its children in turn resumes when
+    the last of them is done."""
+
     engine = Engine()
     trace = []
 
@@ -335,7 +338,8 @@ def test_all_of_helper():
 
     def parent():
         procs = [engine.spawn(child(d)) for d in (3, 9, 6)]
-        yield from Engine.all_of(procs)
+        for process in procs:
+            yield process
         trace.append(engine.now)
 
     engine.spawn(parent())

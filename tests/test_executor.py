@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import Program, SimConfig, Simulation, compile_source
+from repro.core import SimConfig, Simulation, compile_source
 from repro.profiling import EventKind, ProfilingConfig, ThreadState
 from repro.hls import HLSOptions
 

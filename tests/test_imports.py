@@ -1,17 +1,21 @@
-"""Every name a module under ``src/repro`` imports is used.
+"""Every name a module imports is used.
 
-An AST scan of each non-``__init__`` module: a name bound by ``import``
-or ``from ... import`` must be referenced somewhere in the module, as a
-name, the root of an attribute chain, inside a string annotation, or in
-``__all__`` (a re-export).  Package ``__init__`` files exist to
+An AST scan of each non-``__init__`` module under ``src/repro``,
+``tests/``, ``benchmarks/`` and ``examples/``: a name bound by
+``import`` or ``from ... import`` must be referenced somewhere in the
+module, as a name, the root of an attribute chain, inside a string
+annotation, or in ``__all__`` (a re-export), or another scanned module
+must import it from this one.  Package ``__init__`` files exist to
 re-export and are skipped.
 """
 
 import ast
 import os
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
-    __file__))), "src", "repro")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "repro")
+SCANNED = (SRC, os.path.join(ROOT, "tests"), os.path.join(ROOT, "benchmarks"),
+           os.path.join(ROOT, "examples"))
 
 
 def _annotation_names(node: ast.AST) -> set[str]:
@@ -66,22 +70,51 @@ def unused_imports(path: str) -> list[tuple[int, str]]:
                   if name not in used)
 
 
+def imported_from(paths: list[str]) -> dict[str, set[str]]:
+    """Module path -> the names other modules of ``paths`` import from it
+    (``from .mod import x`` and, for scripts on ``sys.path``, ``from mod
+    import x`` resolved next to the importer)."""
+
+    names: dict[str, set[str]] = {}
+    for path in paths:
+        with open(path) as handle:
+            tree = ast.parse(handle.read(), path)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or not node.module:
+                continue
+            base = os.path.dirname(path)
+            for _ in range(node.level - 1):
+                base = os.path.dirname(base)
+            target = os.path.join(base, *node.module.split(".")) + ".py"
+            names.setdefault(target, set()).update(
+                alias.name for alias in node.names)
+    return names
+
+
 def _modules() -> list[str]:
     paths = []
-    for root, _dirs, files in os.walk(SRC):
-        paths += [os.path.join(root, name) for name in files
-                  if name.endswith(".py") and name != "__init__.py"]
+    for top in SCANNED:
+        for root, _dirs, files in os.walk(top):
+            paths += [os.path.join(root, name) for name in files
+                      if name.endswith(".py") and name != "__init__.py"]
     return sorted(paths)
 
 
 def test_scan_covers_the_package():
-    assert len(_modules()) > 50
+    modules = _modules()
+    assert len(modules) > 100
+    assert {os.path.relpath(path, ROOT).split(os.sep)[0]
+            for path in modules} == {"src", "tests", "benchmarks",
+                                     "examples"}
 
 
 def test_no_unused_imports():
-    problems = [f"{os.path.relpath(path, SRC)}:{line}: {name}"
-                for path in _modules()
-                for line, name in unused_imports(path)]
+    modules = _modules()
+    exported = imported_from(modules)
+    problems = [f"{os.path.relpath(path, ROOT)}:{line}: {name}"
+                for path in modules
+                for line, name in unused_imports(path)
+                if name not in exported.get(path, ())]
     assert not problems, "unused imports:\n" + "\n".join(problems)
 
 

@@ -6,7 +6,6 @@ memory contents — exercising the generated Python of
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import Program, SimConfig

@@ -4,7 +4,7 @@ import pytest
 
 from repro.ir import (
     BOOL, FLOAT32, INT32, IRBuilder, Kernel, Opcode, Param,
-    array, pointer, print_kernel, validate_kernel, vector,
+    array, pointer, validate_kernel, vector,
 )
 from repro.ir.types import VectorType
 
@@ -226,12 +226,3 @@ class TestKernelHelpers:
         total = kernel.count_ops()
         assert total == len(list(kernel.walk()))
         assert kernel.count_ops(lambda op: op.opcode is Opcode.ADD) == 1
-
-    def test_printer_output(self):
-        kernel, b = make_kernel()
-        with b.for_range(0, 4, name="i") as i:
-            b.add(i, 1)
-        text = print_kernel(kernel)
-        assert "kernel @k" in text
-        assert "for" in text
-        assert "threads=4" in text

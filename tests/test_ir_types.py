@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from repro.ir.types import (
-    ArrayType, BOOL, FLOAT32, FLOAT64, INT32, INT64, MemorySpace,
-    PointerType, VectorType, VOID, array, common_arith_type, element_type,
-    pointer, vector,
+    ArrayType, BOOL, FLOAT32, FLOAT64, INT32, INT64, MemorySpace, VectorType,
+    VOID, array, common_arith_type, pointer, vector,
 )
 
 
@@ -26,8 +25,8 @@ class TestScalarTypes:
         assert not BOOL.is_integer  # i1 is its own category
 
     def test_numpy_dtypes(self):
-        assert FLOAT32.np_dtype == np.dtype("float32")
-        assert INT64.np_dtype == np.dtype("int64")
+        assert np.dtype(FLOAT32.np_dtype_name) == np.dtype("float32")
+        assert np.dtype(INT64.np_dtype_name) == np.dtype("int64")
 
     def test_str(self):
         assert str(INT32) == "i32"
@@ -35,9 +34,7 @@ class TestScalarTypes:
         assert str(VOID) == "void"
 
     def test_void(self):
-        assert VOID.is_void
         assert VOID.bits() == 0
-        assert not INT32.is_void
 
 
 class TestVectorTypes:
@@ -45,7 +42,7 @@ class TestVectorTypes:
         v = vector(FLOAT32, 4)
         assert v.bits() == 128
         assert v.lanes == 4
-        assert v.is_vector and v.is_float
+        assert v.is_float
         assert str(v) == "<4 x f32>"
 
     def test_int_vector(self):
@@ -85,12 +82,6 @@ class TestPointerAndArray:
             ArrayType(FLOAT32, 0)
         with pytest.raises(ValueError):
             ArrayType(FLOAT32, -3)
-
-    def test_element_type(self):
-        assert element_type(vector(FLOAT32, 4)) == FLOAT32
-        assert element_type(pointer(INT32)) == INT32
-        assert element_type(array(FLOAT64, 8)) == FLOAT64
-        assert element_type(INT32) == INT32
 
 
 class TestCommonArithType:

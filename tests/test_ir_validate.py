@@ -3,8 +3,8 @@
 import pytest
 
 from repro.ir import (
-    BOOL, FLOAT32, INT32, IRBuilder, IRValidationError, Kernel, Opcode,
-    Operation, Param, Value, pointer, validate_kernel,
+    FLOAT32, INT32, IRBuilder, IRValidationError, Kernel, Opcode, Operation,
+    Param, Value, pointer, validate_kernel,
 )
 from repro.ir.graph import Block
 

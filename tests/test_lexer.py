@@ -3,7 +3,7 @@
 import pytest
 
 from repro.frontend.errors import LexError
-from repro.frontend.lexer import Token, TokenKind, tokenize
+from repro.frontend.lexer import TokenKind, tokenize
 
 
 def kinds(tokens):

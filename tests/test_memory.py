@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.ir.types import BOOL, FLOAT32, vector
 from repro.sim.config import DramConfig, SimConfig
-from repro.sim.memory import ExternalMemory, PortSet, element_bytes
-from repro.ir.types import FLOAT32, vector
+from repro.sim.interp import _elem_bytes
+from repro.sim.memory import (
+    BASE_LATENCY, ROW_MISS_PENALTY, ExternalMemory, PortSet,
+)
 
 
 def make_memory(**kwargs) -> ExternalMemory:
@@ -30,8 +33,7 @@ class TestTiming:
     def test_latency_floor(self):
         memory = make_memory()
         done = memory.access_time(0, 0x1000_0000, 4, False)
-        cfg = memory.config
-        assert done >= cfg.base_latency + 1
+        assert done >= BASE_LATENCY + 1
 
     def test_row_hit_cheaper_than_miss(self):
         memory = make_memory()
@@ -45,6 +47,16 @@ class TestTiming:
         memory.access_time(0, 0x1000_0000, 4, False)
         memory.access_time(0, 0x1000_0000 + 256 * 64, 4, False)
         assert memory.row_misses == 2
+
+    @pytest.mark.parametrize("row_bytes, misses", [(256, 2), (2048, 1)])
+    def test_row_bytes_sets_the_open_row_span(self, row_bytes, misses):
+        """1 KiB apart is another bank on 256 B rows (the scaled
+        default), but the same open row on the D5005's 2 KiB rows."""
+
+        memory = make_memory(row_bytes=row_bytes)
+        memory.access_time(0, 0x1000_0000, 4, False)
+        memory.access_time(0, 0x1000_0000 + 1024, 4, False)
+        assert memory.row_misses == misses
 
     def test_same_bank_serializes(self):
         cfg = dict(row_bytes=256, banks_per_channel=2, channels=1,
@@ -63,7 +75,7 @@ class TestTiming:
         # bank activations overlap: spacing is transfer-bound, much smaller
         # than a full activation each
         spacings = np.diff(times)
-        assert all(s <= memory.config.row_miss_penalty for s in spacings)
+        assert all(s <= ROW_MISS_PENALTY for s in spacings)
 
     def test_channels_parallel(self):
         one = make_memory(channels=1)
@@ -121,8 +133,7 @@ class TestPortSet:
         c0 = ports.request(0, 0, 0x1000_0000, 4, False)
         # thread 1's port is not serialized behind thread 0's completions
         c1 = ports.request(1, 0, 0x2000_0000, 4, False)
-        assert c1 <= c0 + memory.config.row_miss_penalty \
-            + memory.config.base_latency
+        assert c1 <= c0 + ROW_MISS_PENALTY + BASE_LATENCY
 
     def test_read_write_ports_independent(self):
         memory = make_memory()
@@ -134,13 +145,12 @@ class TestPortSet:
 
 
 class TestElementBytes:
+    """Bytes per element of a memory op, as the fast path sizes its DRAM
+    requests."""
+
     def test_scalar(self):
-        assert element_bytes(FLOAT32) == 4
+        assert _elem_bytes(FLOAT32) == 4
+        assert _elem_bytes(BOOL) == 1
 
     def test_vector_is_per_element(self):
-        assert element_bytes(vector(FLOAT32, 4)) == 4
-
-    def test_rejects_non_data(self):
-        from repro.ir.types import pointer
-        with pytest.raises(TypeError):
-            element_bytes(pointer(FLOAT32))
+        assert _elem_bytes(vector(FLOAT32, 4)) == 4

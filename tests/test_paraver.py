@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.paraver import (
-    EVENT_TYPE_IDS, STATE_GLYPHS, STATE_IDS, CommRecord, ParaverParseError,
+    EVENT_TYPE_IDS, STATE_GLYPHS, STATE_IDS, ParaverParseError,
     bandwidth_series_gbs, gflops_series, parse_prv, phase_overlap,
     render_series, render_state_timeline, state_occupancy,
     thread_activity_windows, write_trace,
@@ -53,6 +53,19 @@ def as_result(trace: RunTrace, clock_mhz: float = 100.0) -> SimResult:
                      stalls=[0] * trace.num_threads, dram_bytes_read=0,
                      dram_bytes_written=0, dram_requests=0,
                      dram_row_misses=0)
+
+
+#: two communication records (type 3) as another tool would write them:
+#: thread 1 sends 4096 bytes with tag 1 to thread 2, which sends 64 back
+COMM_LINES = ("3:1:1:1:1:100:105:2:1:2:1:300:310:4096:1\n",
+              "3:2:1:2:1:400:402:1:1:1:1:500:501:64:0\n")
+
+
+def add_comm_lines(path: str) -> None:
+    """Append :data:`COMM_LINES` to a written ``.prv``."""
+
+    with open(path, "a") as handle:
+        handle.writelines(COMM_LINES)
 
 
 def mangle_prv(path: str) -> None:
@@ -143,7 +156,8 @@ class TestRoundTrip:
         trace = make_trace()
         files = write_trace(trace, str(tmp_path / "run"))
         parsed = parse_prv(files.prv)
-        flops_events = parsed.events_of_type(EVENT_TYPE_IDS[EventKind.FLOPS])
+        flops_id = EVENT_TYPE_IDS[EventKind.FLOPS]
+        flops_events = [e for e in parsed.events if e.type == flops_id]
         total = sum(e.value for e in flops_events)
         assert total == pytest.approx(7000, abs=len(flops_events))
 
@@ -247,19 +261,18 @@ class TestBlockBoundaries:
 
     def _records(self, parsed):
         return (parsed.end_time, parsed.num_tasks, parsed.states,
-                parsed.events, parsed.comms)
+                parsed.events, parsed.records.time[parsed.records.kind == 3]
+                .tolist())
 
     def test_mangled_trace_parses_identically(self, tmp_path, monkeypatch):
-        comms = [CommRecord(0, 1, 100, 105, 300, 310, 4096, tag=1),
-                 CommRecord(1, 0, 400, 402, 500, 501, 64)]
-        files = write_trace(make_trace(), str(tmp_path / "run"),
-                            comms=comms)
+        files = write_trace(make_trace(), str(tmp_path / "run"))
+        add_comm_lines(files.prv)
         expected = self._records(parse_prv(files.prv))
         mangle_prv(files.prv)
         for size in (1, 2, 3, 7, 16, 61, prv_parser.BLOCK_BYTES):
             monkeypatch.setattr(prv_parser, "BLOCK_BYTES", size)
             assert self._records(parse_prv(files.prv)) == expected, size
-        assert len(expected[4]) == 2
+        assert expected[4] == [100, 400]
 
     @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
     def test_other_newlines_and_indented_lines(self, tmp_path, block_bytes,
@@ -438,44 +451,29 @@ class TestRender:
 
 
 class TestCommRecords:
-    """Communication-record scaffolding (future-work §VII in the paper)."""
-
-    def _comms(self):
-        from repro.paraver import CommRecord
-        return [CommRecord(0, 1, 100, 105, 300, 310, 4096, tag=1),
-                CommRecord(1, 0, 400, 402, 500, 501, 64)]
+    """Communication records (type 3): the simulator writes none (the
+    paper leaves them to future work, §VII), but the parser reads them
+    from other tools' traces."""
 
     def test_comm_roundtrip(self, tmp_path):
-        from repro.paraver import write_trace, parse_prv
-        trace = make_trace()
-        files = write_trace(trace, str(tmp_path / "comm"),
-                            comms=self._comms())
+        files = write_trace(make_trace(), str(tmp_path / "comm"))
+        plain = parse_prv(files.prv)
+        add_comm_lines(files.prv)
         parsed = parse_prv(files.prv)
-        assert len(parsed.comms) == 2
-        first = parsed.comms[0]
-        assert (first.src_task, first.dst_task) == (1, 2)
-        assert first.size == 4096 and first.tag == 1
-
-    def test_comm_records_time_sorted(self, tmp_path):
-        from repro.paraver import write_trace
-        trace = make_trace()
-        files = write_trace(trace, str(tmp_path / "comm"),
-                            comms=list(reversed(self._comms())))
-        times = [int(line.split(":")[5]) for line in open(files.prv)
-                 if line.startswith("3:")]
-        assert times == sorted(times)
+        comm = parsed.records.kind == 3
+        assert parsed.records.time[comm].tolist() == [100, 400]
+        assert parsed.records.task[comm].tolist() == [1, 2]
+        assert (parsed.states, parsed.events) == (plain.states, plain.events)
 
     def test_no_comms_by_default(self, tmp_path):
-        from repro.paraver import write_trace, parse_prv
-        trace = make_trace()
-        files = write_trace(trace, str(tmp_path / "plain"))
-        assert parse_prv(files.prv).comms == []
+        files = write_trace(make_trace(), str(tmp_path / "plain"))
+        assert not (parse_prv(files.prv).records.kind == 3).any()
 
 
 # ----------------------------------------------------------------------
 # the block writer against the per-record writer it replaced
 # ----------------------------------------------------------------------
-def _oracle_prv(trace, application="accelerator", comms=()):
+def _oracle_prv(trace):
     """The ``.prv`` text as the per-record writer made it: one
     ``(time, order, line)`` tuple per record, one stable Python sort."""
 
@@ -495,13 +493,6 @@ def _oracle_prv(trace, application="accelerator", comms=()):
                 if value:
                     records.append((time, 1, f"2:{t + 1}:1:{t + 1}:1:{time}"
                                     f":{EVENT_TYPE_IDS[kind]}:{value}"))
-    for comm in comms:
-        src, dst = comm.src_thread + 1, comm.dst_thread + 1
-        records.append((comm.logical_send, 2,
-                        f"3:{src}:1:{src}:1:{comm.logical_send}:"
-                        f"{comm.physical_send}:{dst}:1:{dst}:1:"
-                        f"{comm.logical_recv}:{comm.physical_recv}:"
-                        f"{comm.size}:{comm.tag}"))
     if trace.attribution is not None:
         end = trace.end_cycle
         index_of = {key: i for i, key in enumerate(
@@ -516,7 +507,7 @@ def _oracle_prv(trace, application="accelerator", comms=()):
                                             f"{base + slot}:{value}"))
     records.sort(key=lambda rec: (rec[0], rec[1]))
     body = "".join(line + "\n" for _, _, line in records)
-    return f"{prv_format._header(trace)}\nc:{application}\n{body}"
+    return f"{prv_format._header(trace)}\nc:accelerator\n{body}"
 
 
 def _live_trace(app, attribution):
@@ -530,8 +521,8 @@ def _live_trace(app, attribution):
 
 @st.composite
 def _traces(draw):
-    """Random tilings, event values at the int() truncation edges, comm
-    records and attribution totals that tie in time with the rest."""
+    """Random tilings, event values at the int() truncation edges and
+    attribution totals that tie in time with the rest."""
 
     threads = draw(st.integers(1, 3))
     period = draw(st.integers(1, 40))
@@ -558,12 +549,6 @@ def _traces(draw):
                                            max_size=bins * threads)),
                              dtype=np.float64).reshape(bins, threads)
               for kind in kinds}
-    times = st.sampled_from(cuts_seen + [min(period, end), end])
-    comms = [CommRecord(draw(st.integers(0, threads - 1)),
-                        draw(st.integers(0, threads - 1)), send, send + 1,
-                        send + 2, send + 3, draw(st.integers(0, 4096)))
-             for send in draw(st.lists(st.one_of(times, st.integers(0, end)),
-                                       max_size=4))]
     attribution = None
     if draw(st.booleans()):
         attribution = AttributionTable(threads)
@@ -576,7 +561,7 @@ def _traces(draw):
     trace = RunTrace(num_threads=threads, end_cycle=end,
                      sampling_period=period, timeline=timeline,
                      events=events, attribution=attribution)
-    return trace, comms
+    return trace
 
 
 class TestBlockWriter:
@@ -590,23 +575,21 @@ class TestBlockWriter:
         assert open(files.prv).read() == _oracle_prv(trace)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(case=_traces(), block=st.sampled_from([1, 7, 8192]))
-    def test_random_traces_match_the_per_record_writer(self, case, block):
+    @given(trace=_traces(), block=st.sampled_from([1, 7, 8192]))
+    def test_random_traces_match_the_per_record_writer(self, trace, block):
         import tempfile
-        trace, comms = case
         with mock.patch.object(prv_format, "BLOCK_RECORDS", block), \
                 tempfile.TemporaryDirectory() as tmp:
-            files = write_trace(trace, f"{tmp}/run", comms=comms)
+            files = write_trace(trace, f"{tmp}/run")
             text = open(files.prv).read()
-        assert text == _oracle_prv(trace, comms=comms)
+        assert text == _oracle_prv(trace)
 
     def test_records_counter_counts_body_lines(self, tmp_path):
         from repro import telemetry
         trace = _live_trace("naive", True)
         session = telemetry.configure(enabled=True)
         try:
-            files = write_trace(trace, str(tmp_path / "run"),
-                                comms=TestCommRecords()._comms())
+            files = write_trace(trace, str(tmp_path / "run"))
             records = session.counters["paraver.records"]
         finally:
             telemetry.configure(enabled=False)

@@ -3,9 +3,8 @@
 import pytest
 
 from repro.frontend.ast_nodes import (
-    Assign, Binary, Call, Cast, CompoundStmt, DeclStmt, ExprStmt,
-    FloatLiteral, ForStmt, Identifier, IfStmt, Index, IntLiteral,
-    ReturnStmt, Ternary, Unary,
+    Assign, Binary, Call, Cast, CompoundStmt, DeclStmt, ExprStmt, FloatLiteral,
+    ForStmt, Identifier, IfStmt, Index, ReturnStmt, Ternary, Unary,
 )
 from repro.frontend.errors import ParseError
 from repro.frontend.parser import is_type_name, parse

@@ -4,8 +4,8 @@ import pytest
 
 from repro.frontend.errors import ParseError, SourceLocation
 from repro.frontend.pragmas import (
-    MapClause, OmpBarrier, OmpCritical, OmpTargetParallel, UnrollPragma,
-    eval_int_expr, parse_pragma,
+    OmpBarrier, OmpCritical, OmpTargetParallel, UnrollPragma, eval_int_expr,
+    parse_pragma,
 )
 
 LOC = SourceLocation(1, 1)

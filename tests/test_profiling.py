@@ -166,8 +166,8 @@ class TestEventBinning:
         assert EventKind.STALLS not in trace.events
 
     def test_missing_counter_raises_diagnostic(self):
-        """event_series/window_starts name the missing counter and the
-        recorded set instead of a bare KeyError."""
+        """event_series names the missing counter and the recorded set
+        instead of a bare KeyError."""
 
         config = ProfilingConfig(events=(EventKind.FLOPS,))
         recorder = ProfilingRecorder(config, 1)
@@ -175,7 +175,7 @@ class TestEventBinning:
         with pytest.raises(KeyError, match="stalls.*not recorded.*flops"):
             trace.event_series(EventKind.STALLS)
         with pytest.raises(KeyError, match="ProfilingConfig.events"):
-            trace.window_starts(EventKind.MEM_READ_BYTES)
+            trace.event_series(EventKind.MEM_READ_BYTES)
 
     def test_stragglers_clamped_into_last_bin(self):
         recorder = make_recorder(period=100)
@@ -183,13 +183,6 @@ class TestEventBinning:
         trace = recorder.finalize(500)  # run "ended" before the event bin
         series = trace.event_series(EventKind.FLOPS)
         assert series[-1, 0] == 2
-
-    def test_window_starts(self):
-        recorder = make_recorder(period=128)
-        recorder.add_many(0, 1, 0, ((EventKind.FLOPS, 1),))
-        trace = recorder.finalize(512)
-        starts = trace.window_starts(EventKind.FLOPS)
-        assert list(starts[:3]) == [0, 128, 256]
 
 
 class TestFlushAccounting:

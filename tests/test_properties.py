@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import Program, SimConfig
 from repro.frontend import compile_to_kernel
-from repro.hls.schedule import Segment, schedule_kernel
+from repro.hls.schedule import schedule_kernel
 from repro.hls.transforms import run_pipeline
 from repro.sim.config import DramConfig
-from repro.sim.memory import ExternalMemory
+from repro.sim.memory import BASE_LATENCY, ExternalMemory
 
 FAST = SimConfig(thread_start_interval=5, launch_overhead=10)
 
@@ -24,13 +24,13 @@ FAST = SimConfig(thread_start_interval=5, launch_overhead=10)
                 min_size=1, max_size=30))
 def test_dram_completion_after_arrival(requests):
     """Every request completes strictly after it arrives, and at least
-    base_latency later."""
+    BASE_LATENCY later."""
 
     memory = ExternalMemory(DramConfig())
     at = 0
     for offset, size, is_write in requests:
         done = memory.access_time(at, 0x1000_0000 + offset, size, is_write)
-        assert done >= at + memory.config.base_latency + 1
+        assert done >= at + BASE_LATENCY + 1
         at += 1
 
 

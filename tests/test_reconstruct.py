@@ -15,15 +15,13 @@ from repro.apps import run_gemm, run_pi
 from repro.apps.gemm import GEMM_VERSIONS
 from repro.core import SimConfig
 from repro.paraver import (
-    CommRecord, ParaverParseError, parse_pcf, parse_prv, parse_row,
+    ParaverParseError, parse_pcf, parse_prv, parse_row,
     reconstruct_run, reconstruct_trace, recover_sampling_period, write_trace,
 )
 from repro.paraver import parser as prv_parser
-from repro.profiling import (
-    EventKind, ProfilingConfig, ProfilingRecorder, ThreadState,
-)
+from repro.profiling import ThreadState
 
-from .test_paraver import make_trace, mangle_prv
+from .test_paraver import add_comm_lines, make_trace, mangle_prv
 
 
 @pytest.fixture(scope="module")
@@ -243,8 +241,8 @@ class TestBlockFold:
         result = live_runs[run_key]
         live = result.trace
         files = write_trace(live, str(tmp_path / "run"),
-                            clock_mhz=result.clock_mhz,
-                            comms=[CommRecord(0, 1, 100, 105, 300, 310, 64)])
+                            clock_mhz=result.clock_mhz)
+        add_comm_lines(files.prv)
         mangle_prv(files.prv)
         if not with_pcf:
             os.remove(files.pcf)

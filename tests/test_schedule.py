@@ -1,18 +1,16 @@
 """Unit tests for the static scheduler."""
 
-import pytest
-
 from repro.apps.gemm import BLOCKED, DOUBLE_BUFFERED, NAIVE, gemm_defines
 from repro.apps.pi import PI_SOURCE, pi_defines
 from repro.frontend import compile_to_kernel
 from repro.hls.schedule import (
-    BarrierNode, CriticalNode, IfNode, LoopNode, ScheduleOptions, Segment,
+    BarrierNode, CriticalNode, IfNode, LoopNode, Segment,
     schedule_kernel,
 )
 from repro.hls.transforms import run_pipeline
 
 
-def schedule_body(body: str, defines=None, options=None, transforms=True):
+def schedule_body(body: str, defines=None, transforms=True):
     source = f"""
     void f(float* a, float* b, int n) {{
       #pragma omp target parallel map(tofrom:a[0:n], b[0:n]) num_threads(8)
@@ -24,7 +22,7 @@ def schedule_body(body: str, defines=None, options=None, transforms=True):
     kernel = compile_to_kernel(source, defines=defines)
     if transforms:
         run_pipeline(kernel)
-    return schedule_kernel(kernel, options)
+    return schedule_kernel(kernel)
 
 
 class TestSegments:
@@ -150,8 +148,7 @@ class TestInitiationIntervals:
           a[i] = x;
         }
         """
-        options = ScheduleOptions(bram_ports=1, bram_banks=1)
-        ks = schedule_body(body, options=options)
+        ks = schedule_body(body)
         loop = list(ks.body.walk_loops())[0]
         assert loop.ii >= 3
 
@@ -246,7 +243,7 @@ class TestAggregates:
                                    const_env={"threads": 8})
         run_pipeline(kernel)
         ks = schedule_kernel(kernel)
-        pipelined = ks.pipelined_loops
+        pipelined = [loop for loop in ks.body.walk_loops() if loop.pipelined]
         assert pipelined
         main = max(pipelined, key=lambda l: l.depth)
         assert main.ii == 1       # no memory in the series body

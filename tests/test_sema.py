@@ -7,7 +7,7 @@ from repro.frontend.parser import parse
 from repro.frontend.sema import (
     SymbolKind, analyze_function, eval_const_int, resolve_type_name,
 )
-from repro.ir.types import FLOAT32, FLOAT64, INT32, PointerType, VectorType
+from repro.ir.types import FLOAT32, FLOAT64, INT32, VectorType
 
 
 def analyze(source: str, defines=None):

@@ -1,6 +1,5 @@
 """Unit + property tests for the symbolic affine engine."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hls.symexpr import Affine, Interval, Sym, difference_excludes
@@ -22,8 +21,6 @@ class TestInterval:
         assert not Interval(0, 2).intersects(Interval(3, 5))
 
     def test_unbounded(self):
-        assert not Interval().bounded
-        assert Interval(0, 1).bounded
         assert Interval().intersects(Interval(5, 5))
 
 

@@ -34,7 +34,6 @@ class TestSpans:
         # the parent's interval covers the child's
         assert outer_rec.start_ns <= inner.start_ns
         assert outer_rec.end_ns >= inner.end_ns
-        assert inner.duration_ns >= 0
 
     def test_span_args_annotations(self):
         t = Telemetry(enabled=True)

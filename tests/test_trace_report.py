@@ -2,15 +2,14 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.paraver import write_trace
 from repro.profiling import ThreadState
 from repro.report import (
     PlatformPeaks, build_report, comparison_rows, render_comparison_text,
-    render_html, render_report_text, report_from_prv, report_to_dict,
-    reports_to_json, write_html, write_json,
+    render_html, render_report_text, report_from_prv, reports_to_json,
+    write_html, write_json,
 )
 
 from .test_paraver import make_trace

@@ -1,14 +1,12 @@
 """Unit tests for the HLS IR transformation passes."""
 
-import pytest
-
 from repro.frontend import compile_to_kernel
 from repro.hls.transforms import (
     eliminate_dead_ops, run_pipeline, simplify, static_trip_count,
     unroll_loops,
 )
 from repro.ir import IRBuilder, Kernel, Opcode, Param, pointer, validate_kernel
-from repro.ir.types import FLOAT32, INT32
+from repro.ir.types import FLOAT32
 
 
 def compile_body(body: str, defines=None):
