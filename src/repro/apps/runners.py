@@ -113,6 +113,18 @@ class GemmRun:
                          for t in range(threads)])
 
 
+def check_problem_size(name: str, value: int) -> None:
+    """Refuse a GEMM ``DIM`` or a π ``steps`` that is not positive.
+
+    :func:`run_gemm` and :func:`run_pi` apply it, and so does every
+    sweep :class:`~repro.sweep.JobSpec` when it is made, so a bad size
+    fails before any job is dispatched.
+    """
+
+    if value <= 0:
+        raise ValueError(f"{name}={value} must be positive")
+
+
 def run_gemm(version: str, dim: int = 64, num_threads: int = 8,
              seed: int = 42, options: Optional[HLSOptions] = None,
              sim_config: Optional[SimConfig] = None,
@@ -125,8 +137,7 @@ def run_gemm(version: str, dim: int = 64, num_threads: int = 8,
     attribution) without the caller having to build a ``SimConfig``.
     """
 
-    if dim <= 0:
-        raise ValueError(f"DIM={dim} must be positive")
+    check_problem_size("DIM", dim)
     if dim % block_size != 0:
         raise ValueError(f"DIM={dim} must be a multiple of "
                          f"BLOCK_SIZE={block_size}")
@@ -188,8 +199,7 @@ def run_pi(steps: int, num_threads: int = 8, bs_compute: int = 8,
            attribution: bool = False) -> PiRun:
     """Compile and simulate the π series for ``steps`` iterations."""
 
-    if steps <= 0:
-        raise ValueError(f"steps={steps} must be positive")
+    check_problem_size("steps", steps)
     if steps % (num_threads * bs_compute) != 0:
         raise ValueError(f"steps={steps} must divide evenly over "
                          f"{num_threads} threads x BS_compute={bs_compute}")

@@ -19,11 +19,39 @@ size whatever the trace size.  Per block it
 * gathers the fields into a :class:`PrvBlock` of columns, expanding
   multi-pair event lines into one row per ``type:value`` pair.
 
-Validation is vectorized too.  Any non-integer field, an unknown record
-kind, a state record without exactly 8 fields, an unknown state id, a
-state that ends before it begins, an event record without a
-``type:value`` pair or with an odd ``type:value`` list, and a
-communication record without exactly 15 fields all raise
+Cost model: parsing a block and folding it into a trace
+(:mod:`repro.paraver.reconstruct`) each cost a fixed number of array
+operations (a few dozen) over arrays the size of the block, of its
+lines or of its rows, whatever its number of threads and event types,
+plus one ``np.fromstring`` call, which parses ~130 MB/s and takes
+about 40% of the reader's time.  Small blocks pay the per-call
+overhead; large blocks pay in memory, since the block's bytes, its
+integers and its columns come to 10-16 bytes of peak RSS per input
+byte.  Best of 21 passes over the five DIM=64 GEMM traces of
+perfbench's ``trace_analysis`` (``benchmarks/reader_block_sweep.py``,
+CPU time, 2-CPU host, two runs):
+
+=======  ==========  ==========  ======================
+block    5 reports   naive read  peak RSS above imports
+=======  ==========  ==========  ======================
+32 KiB   100-101 ms  63-65 MB/s  4.5-4.6 MB
+64 KiB   83-87 ms    76-79 MB/s  4.2 MB
+128 KiB  76-77 ms    89 MB/s     3.9 MB
+256 KiB  71-73 ms    96-97 MB/s  4.6 MB
+512 KiB  70-103 ms   68-99 MB/s  7.5 MB
+1 MiB    77-80 ms    91-94 MB/s  15.7 MB
+=======  ==========  ==========  ======================
+
+so :data:`BLOCK_BYTES` is 256 KiB: as fast as any larger block, and
+within a block's worth of memory of the smallest.
+
+Validation is vectorized too, and a valid block passes one combined
+check; only a block that fails it is searched for its first problem.
+Any non-integer field, an unknown record kind, a state record without
+exactly 8 fields, an unknown state id, a state that ends before it
+begins, an event record without a ``type:value`` pair or with an odd
+``type:value`` list, and a communication record without exactly 15
+fields all raise
 :class:`ParaverParseError` naming ``path:line`` of the first offending
 line.
 
@@ -43,15 +71,16 @@ from typing import Iterator, Optional, Union
 
 import numpy as np
 
+from .. import telemetry
 from ..profiling.config import ThreadState
 from ..profiling.recorder import state_totals
 
 __all__ = ["ParsedState", "ParsedEvent", "ParsedTrace",
            "PrvBlock", "PrvHeader", "parse_prv", "stream_prv"]
 
-#: bytes read per block.  A block's columns take a few times its size,
-#: so this bounds the reader's memory; larger blocks buy little speed.
-BLOCK_BYTES = 64 * 1024
+#: bytes read per block; bounds the reader's memory at 10-16 bytes per
+#: byte of block (the sweep in the module docstring chose it)
+BLOCK_BYTES = 256 * 1024
 
 #: record kinds (the first field of a record line)
 STATE, EVENT, COMM = 1, 2, 3
@@ -59,8 +88,11 @@ STATE, EVENT, COMM = 1, 2, 3
 #: 6 plus two per type:value pair
 _STATE_FIELDS, _COMM_FIELDS, _EVENT_HEAD = 8, 15, 6
 
-_STATE_VALUES = np.array(sorted(int(state) for state in ThreadState))
-_NL, _HASH, _COLON, _C = (ord(c) for c in "\n#:c")
+#: state ids are the 2-bit encodings 0 .. _N_STATES - 1
+_N_STATES = len(ThreadState)
+_INT64_MIN, _INT64_MAX = (int(x) for x in (np.iinfo(np.int64).min,
+                                          np.iinfo(np.int64).max))
+_NL, _HASH, _COLON, _C, _ZERO = (ord(c) for c in "\n#:c0")
 #: whitespace a field may carry around its digits (not the newline)
 _SPACE = np.zeros(256, dtype=bool)
 _SPACE[[ord(c) for c in " \t\x0b\x0c"]] = True
@@ -170,7 +202,9 @@ def stream_prv(path: str) -> Iterator[Union[PrvHeader, PrvBlock]]:
 
     with open(path, "rb") as handle:
         # a lone "\r" ends a line too (universal newlines), even the header
-        header, _, tail = handle.readline().partition(b"\r")
+        first_line = handle.readline()
+        telemetry.add("paraver.read.bytes", len(first_line))
+        header, _, tail = first_line.partition(b"\r")
         if not header.startswith(b"#Paraver"):
             raise ParaverParseError(f"{path}: missing #Paraver header")
         yield PrvHeader(*_parse_header(
@@ -182,17 +216,23 @@ def stream_prv(path: str) -> Iterator[Union[PrvHeader, PrvBlock]]:
             data = handle.read(BLOCK_BYTES)
             if not data:
                 break
+            telemetry.add("paraver.read.bytes", len(data))
             data = tail + data
             cut = data.rfind(b"\n") + 1
             tail = data[cut:]
             if cut:
+                # hold one copy of the block's bytes, and no block while
+                # the next one is parsed
                 text = _newlines(data[:cut])
-                block = _parse_block(path, line_no, text)
-                line_no += text.count(b"\n")
+                del data
+                block, lines = _parse_block(path, line_no, text)
+                del text
+                line_no += lines
                 if block is not None:
                     yield block
+                    del block
         if tail:
-            block = _parse_block(path, line_no, _newlines(tail + b"\n"))
+            block, _ = _parse_block(path, line_no, _newlines(tail + b"\n"))
             if block is not None:
                 yield block
 
@@ -215,10 +255,12 @@ def parse_prv(path: str) -> ParsedTrace:
 
 
 def _parse_block(path: str, line_no: int,
-                 data: bytes) -> Optional[PrvBlock]:
+                 data: bytes) -> tuple[Optional[PrvBlock], int]:
     """Columns of the record lines in ``data`` (whole lines, the first
-    being line ``line_no`` of ``path``); ``None`` when it has none."""
+    being line ``line_no`` of ``path``), ``None`` when it has none; and
+    the number of lines."""
 
+    telemetry.add("paraver.read.blocks")
     text = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(text == _NL)
     starts = np.empty_like(ends)
@@ -235,7 +277,7 @@ def _parse_block(path: str, line_no: int,
             & ~((first == _C) & (second == _COLON)))
     lines = np.flatnonzero(keep)
     if not lines.size:
-        return None
+        return None, ends.size
     nfields = np.add.reduceat(text == _COLON, starts,
                               dtype=np.int64)[lines] + 1
     if lines.size < starts.size:
@@ -258,7 +300,9 @@ def _parse_block(path: str, line_no: int,
                      _integers(text[:cut[good]], nfields[:good]))
         raise ParaverParseError(
             f"{path}:{line_no + lines[good]}: field is not an integer")
-    return _columns(path, line_no, lines, nfields, values)
+    block = _columns(path, line_no, lines, nfields, values)
+    telemetry.add("paraver.read.records", block.kind.size)
+    return block, ends.size
 
 
 def _integers(text: np.ndarray, nfields: np.ndarray) -> Optional[np.ndarray]:
@@ -270,23 +314,27 @@ def _integers(text: np.ndarray, nfields: np.ndarray) -> Optional[np.ndarray]:
         values = np.fromstring(raw.replace(b"\n", b":"), dtype=np.int64,
                                sep=":")
     except (ValueError, DeprecationWarning):
-        # numpy >= 2 raises on a field it cannot read; older numpy warns
-        # and stops early, which the count check below catches
+        # numpy >= 2 raises on a field it cannot read (an empty one
+        # too); older numpy warns and stops early, which the count
+        # check below catches
         return None
-    digit = (text - np.uint8(ord("0"))) < 10
-    # each field holds exactly one run of digits (fromstring reads a
-    # blank field as 0) and a sign is followed by a digit
-    runs = np.count_nonzero(digit[1:] & ~digit[:-1]) + int(digit[0])
-    if values.size != nfields.sum() or runs != values.size:
+    if values.size != nfields.sum():
         return None
-    if b"-" in raw or b"+" in raw:
+    if text.max() > _COLON or np.count_nonzero(text < _ZERO) != nfields.size:
+        # a byte other than a digit, ":" or a newline: each field must
+        # hold exactly one run of digits (fromstring reads a blank field
+        # as 0) and a sign must be followed by a digit
+        digit = (text - np.uint8(_ZERO)) < 10
+        runs = np.count_nonzero(digit[1:] > digit[:-1]) + int(digit[0])
+        if runs != values.size:
+            return None
         signs = np.flatnonzero((text == ord("-")) | (text == ord("+")))
         if not digit[np.minimum(signs + 1, text.size - 1)].all():
             return None
-    limits = np.iinfo(np.int64)
-    if values.size and (values.max() == limits.max
-                        or values.min() == limits.min):
-        return None  # out of range: fromstring saturates
+        if values.size and values.min() == _INT64_MIN:
+            return None  # out of range: fromstring saturates
+    if values.size and values.max() == _INT64_MAX:
+        return None
     return values
 
 
@@ -294,9 +342,51 @@ def _columns(path: str, line_no: int, lines: np.ndarray,
              nfields: np.ndarray, values: np.ndarray) -> PrvBlock:
     """Validate the record lines and gather their fields into columns."""
 
-    first = np.cumsum(nfields) - nfields  # index of each line's kind
-    last = values.size - 1
+    first = np.cumsum(nfields)
+    first -= nfields  # index of each line's kind
     kind = values[first]
+    # every valid record has at least 8 fields; one combined check
+    # passes a valid block, and only a failing one is searched for the
+    # first problem
+    valid = nfields.min() >= _STATE_FIELDS
+    if valid:
+        begin, end, state_id = (values[first + 5], values[first + 6],
+                                values[first + 7])
+        ok = ((kind == STATE) & (nfields == _STATE_FIELDS) & (end >= begin)
+              & (state_id.view(np.uint64) < _N_STATES))
+        ok |= (kind == EVENT) & (nfields % 2 == 0)
+        ok |= (kind == COMM) & (nfields == _COMM_FIELDS)
+        valid = bool(ok.all())
+    if not valid:
+        _raise_first_problem(path, line_no, lines, nfields, values, first,
+                             kind)
+
+    if nfields.max() > _STATE_FIELDS:
+        # one row per state, per event type:value pair, per communication
+        rows = np.where(kind == EVENT, (nfields - _EVENT_HEAD) // 2, 1)
+        first = np.repeat(first, rows)
+        row_start = np.cumsum(rows) - rows
+        pair = 2 * (np.arange(first.size) - np.repeat(row_start, rows))
+        kind = np.repeat(kind, rows)
+        begin = values[first + 5]
+        end = values[first + 6 + pair]
+        state_id = values[first + 7 + pair]
+    # field 6 is a state's end and an event's type, field 7 a state's
+    # id and an event's value: fill each column in place
+    type_ = np.where(kind == EVENT, end, 0)
+    np.copyto(end, begin, where=kind != STATE)
+    state_id[kind == COMM] = 0
+    return PrvBlock(kind=kind, cpu=values[first + 1],
+                    task=values[first + 3], time=begin, end=end, type=type_,
+                    value=state_id)
+
+
+def _raise_first_problem(path: str, line_no: int, lines: np.ndarray,
+                         nfields: np.ndarray, values: np.ndarray,
+                         first: np.ndarray, kind: np.ndarray) -> None:
+    """Raise :class:`ParaverParseError` for the first invalid record."""
+
+    last = values.size - 1
     state, event, comm = kind == STATE, kind == EVENT, kind == COMM
     begin = values[np.minimum(first + 5, last)]
     end = values[np.minimum(first + 6, last)]
@@ -308,7 +398,7 @@ def _columns(path: str, line_no: int, lines: np.ndarray,
          "state record has {nfields} fields, expected 8"),
         (full_state & (end < begin),
          "state record ends before it begins ({end} < {begin})"),
-        (full_state & ~np.isin(state_id, _STATE_VALUES),
+        (full_state & (state_id.view(np.uint64) >= _N_STATES),
          "unknown state id {state_id}"),
         (event & (nfields <= _EVENT_HEAD),
          "event record has no type:value pair"),
@@ -320,34 +410,13 @@ def _columns(path: str, line_no: int, lines: np.ndarray,
     bad = np.zeros_like(state)
     for mask, _ in problems:
         bad |= mask
-    if bad.any():
-        row = int(np.argmax(bad))
-        message = next(text for mask, text in problems if mask[row])
-        raise ParaverParseError(f"{path}:{line_no + lines[row]}: " +
-                                message.format(
-                                    kind=kind[row], nfields=nfields[row],
-                                    state_id=state_id[row], end=end[row],
-                                    begin=begin[row]))
-
-    # one row per state, per event type:value pair, per communication
-    rows = np.where(event, (nfields - _EVENT_HEAD) // 2, 1)
-    if (rows == 1).all():
-        base, pair = first, 0
-        row_kind = kind
-    else:
-        base = np.repeat(first, rows)
-        row_start = np.cumsum(rows) - rows
-        pair = 2 * (np.arange(base.size) - np.repeat(row_start, rows))
-        row_kind = np.repeat(kind, rows)
-    time = values[base + 5]
-    field6 = values[base + 6 + pair]
-    field7 = values[base + 7 + pair]
-    return PrvBlock(
-        kind=row_kind, cpu=values[base + 1], task=values[base + 3],
-        time=time,
-        end=np.where(row_kind == STATE, field6, time),
-        type=np.where(row_kind == EVENT, field6, 0),
-        value=np.where(row_kind == COMM, 0, field7))
+    row = int(np.argmax(bad))
+    message = next(text for mask, text in problems if mask[row])
+    raise ParaverParseError(f"{path}:{line_no + lines[row]}: " +
+                            message.format(
+                                kind=kind[row], nfields=nfields[row],
+                                state_id=state_id[row], end=end[row],
+                                begin=begin[row]))
 
 
 def _parse_header(header: str) -> tuple[int, int]:

@@ -29,6 +29,7 @@ from typing import Iterator, Optional, Union
 
 import numpy as np
 
+from .. import telemetry
 from ..profiling.attribution import AttributionTable, N_SLOTS
 from ..profiling.config import EventKind, ProfilingConfig, ThreadState
 from ..profiling.recorder import RunTrace, StateColumns
@@ -38,7 +39,8 @@ from .format import (
 )
 from .metadata import PcfInfo, RowInfo, companion_paths, parse_pcf, parse_row
 from .parser import (
-    EVENT, STATE, ParsedTrace, PrvBlock, PrvHeader, stream_prv,
+    EVENT, STATE, ParaverParseError, ParsedTrace, PrvBlock, PrvHeader,
+    stream_prv,
 )
 
 __all__ = ["ReconstructedRun", "reconstruct_trace", "reconstruct_run",
@@ -47,6 +49,10 @@ __all__ = ["ReconstructedRun", "reconstruct_trace", "reconstruct_run",
 #: inverse of the writer's event-type table
 _EVENT_KINDS = {type_id: kind for kind, type_id in EVENT_TYPE_IDS.items()}
 _KNOWN_TYPES = np.array(sorted(_EVENT_KINDS))
+#: ``_KNOWN_TYPES`` and a slot that matches no type, for searchsorted
+_KNOWN_SLOTS = np.append(_KNOWN_TYPES, -1)
+_NONE = np.iinfo(np.int64).min
+_INT64_MAX = np.iinfo(np.int64).max
 _NO_STATES = StateColumns(*np.zeros((3, 0), dtype=np.int64))
 
 _DEFAULT_CLOCK_MHZ = 140.0
@@ -121,29 +127,6 @@ def recover_sampling_period(
     return int(interior or positive) or None
 
 
-def _add_intervals(out: list[StateColumns], state: np.ndarray,
-                   start: np.ndarray, end: np.ndarray, cursor: int) -> int:
-    """Append one thread's next intervals, sorted by (start, end), to
-    ``out``, padding every gap after ``cursor`` (the furthest end
-    reached so far) with IDLE; returns the new cursor."""
-
-    reach = np.maximum(np.maximum.accumulate(end), cursor)
-    before = np.empty_like(start)
-    before[0] = cursor
-    before[1:] = reach[:-1]
-    gap = start > before
-    # interval i lands after the gaps up to and including its own
-    at = np.arange(start.size) + np.cumsum(gap)
-    size = start.size + int(np.count_nonzero(gap))
-    ids = np.full(size, int(ThreadState.IDLE), dtype=np.int64)
-    begins = np.empty(size, dtype=np.int64)
-    ends = np.empty(size, dtype=np.int64)
-    ids[at], begins[at], ends[at] = state, start, end
-    begins[at[gap] - 1], ends[at[gap] - 1] = before[gap], start[gap]
-    out.append(StateColumns(begins, ends, ids))
-    return int(reach[-1])
-
-
 class _OutOfOrder(Exception):
     """A thread's state records arrived out of (start, end) order
     across blocks."""
@@ -159,83 +142,187 @@ def _fold(header: PrvHeader, blocks: Iterator[PrvBlock], period: int,
     before states of an earlier block.
     """
 
-    end_cycle, num_threads = header.end_time, header.num_tasks
-    pieces: list[list[StateColumns]] = [[_NO_STATES]
-                                        for _ in range(num_threads)]
-    # per thread: the furthest end reached, and the last (start, end)
-    cursor = [0] * num_threads
-    last = [(-np.inf, -np.inf)] * num_threads
-    # events: flush times map back to bins; the final window absorbs
-    # clamped stamps exactly as ProfilingRecorder.finalize did
-    n_bins = max(1, -(-max(1, end_cycle) // period))
-    events: dict[EventKind, np.ndarray] = {}
-    unknown: dict[int, int] = {}
-    attribution: Optional[AttributionTable] = None
+    fold = _Fold(header, period, pcf)
     for block in blocks:
+        fold.add(block)
+        del block  # not held while the next block is parsed
+    return fold.result()
+
+
+class _Fold:
+    """The running state of :func:`_fold`.
+
+    Each block costs a fixed number of whole-block array passes,
+    whatever its number of threads and event types: one stable sort of
+    its states by (thread, start, end), one segmented running maximum
+    that pads every thread's IDLE gaps at once, and one ``np.add.at``
+    of every counter event into a ``[kind, bin, thread]`` sum over the
+    bins the block spans.
+    """
+
+    def __init__(self, header: PrvHeader, period: int,
+                 pcf: Optional[PcfInfo]):
+        self.end_cycle, self.num_threads = header.end_time, header.num_tasks
+        self.period, self.pcf = period, pcf
+        threads = self.num_threads
+        self.pieces: list[list[StateColumns]] = [[_NO_STATES]
+                                                 for _ in range(threads)]
+        # per thread: the furthest end reached, and the last (start,
+        # end), where int64's minimum (never parsed) means none yet
+        self.cursor = np.zeros(threads, dtype=np.int64)
+        self.last_start = np.full(threads, _NONE)
+        self.last_end = np.full(threads, _NONE)
+        # events: flush times map back to bins; the final window absorbs
+        # clamped stamps exactly as ProfilingRecorder.finalize did
+        self.n_bins = max(1, -(-max(1, self.end_cycle) // period))
+        # the [bin, thread] sums of each counter kind met so far, in
+        # order of first appearance, as a record-by-record fold would
+        # meet them; column[slot] is the index of _KNOWN_TYPES[slot]'s
+        # kind among them (-1: not met yet)
+        self.events: dict[EventKind, np.ndarray] = {}
+        self.column = np.full(_KNOWN_TYPES.size + 1, -1)
+        self.unknown: dict[int, int] = {}
+        self.attribution: Optional[AttributionTable] = None
+
+    def add(self, block: PrvBlock) -> None:
         # tasks are 1-based in the .prv, threads 0-based here
         thread = block.task - 1
-        on_thread = (thread >= 0) & (thread < num_threads)
+        on_thread = thread.view(np.uint64) < self.num_threads
         rows = (block.kind == STATE) & on_thread
-        for t in np.unique(thread[rows]).tolist():
-            mine = rows & (thread == t)
-            start, end = block.time[mine], block.end[mine]
-            order = np.lexsort((end, start))  # stable: file order on ties
-            start, end = start[order], end[order]
-            if (start[0], end[0]) < last[t]:
-                raise _OutOfOrder
-            last[t] = (start[-1], end[-1])
-            cursor[t] = _add_intervals(pieces[t], block.value[mine][order],
-                                       start, end, cursor[t])
+        if rows.any():
+            self._states(thread[rows], block.time[rows], block.end[rows],
+                         block.value[rows])
+        rows = block.kind == EVENT
+        if rows.any():
+            self._events(thread[rows], on_thread[rows], block.type[rows],
+                         block.time[rows], block.value[rows])
 
-        event = block.kind == EVENT
-        if not event.any():
-            continue
-        thread, on_thread = thread[event], on_thread[event]
-        type_, time, value = (block.type[event], block.time[event],
-                              block.value[event])
-        types, first, of_type, counts = np.unique(
-            type_, return_index=True, return_inverse=True,
-            return_counts=True)
-        known = np.isin(types, _KNOWN_TYPES)
-        attr = (types >= ATTR_EVENT_BASE) & (types < ATTR_EVENT_LIMIT)
-        attr &= (types - ATTR_EVENT_BASE) % ATTR_EVENT_STRIDE < N_SLOTS
-        # each type in order of first appearance, as a record-by-record
-        # fold would meet it
-        for u in np.argsort(first, kind="stable"):
-            type_id = int(types[u])
-            if attr[u]:
-                continue
-            if not known[u]:
-                unknown[type_id] = unknown.get(type_id, 0) + int(counts[u])
-                continue
-            kind = _EVENT_KINDS[type_id]
-            series = events.get(kind)
-            if series is None:
-                series = events[kind] = np.zeros((n_bins, num_threads))
-            rows = (of_type == u) & on_thread
-            at = time[rows]
-            bins = at // period - ((at > 0) & (at % period == 0))
-            np.add.at(series, (np.clip(bins, 0, n_bins - 1), thread[rows]),
+    def _states(self, thread: np.ndarray, start: np.ndarray,
+                end: np.ndarray, state: np.ndarray) -> None:
+        """Append one block's states to each thread's pieces, sorted by
+        (start, end), with every gap after the thread's cursor (the
+        furthest end reached so far) padded with IDLE."""
+
+        cursor = self.cursor
+        # stable: file order on ties; a narrow thread key sorts faster
+        order = np.lexsort((end, start, thread.astype(
+            np.min_scalar_type(cursor.size))))
+        thread, start, end = thread[order], start[order], end[order]
+        # each run of one thread is a segment: heads[k] .. tails[k]
+        heads = np.flatnonzero(np.diff(thread, prepend=-1))
+        tails = np.append(heads[1:], thread.size) - 1
+        mine = thread[heads]
+        first_start, first_end = start[heads], end[heads]
+        last_start, last_end = self.last_start[mine], self.last_end[mine]
+        if ((first_start < last_start) | ((first_start == last_start)
+                                          & (first_end < last_end))).any():
+            raise _OutOfOrder
+        self.last_start[mine], self.last_end[mine] = start[tails], end[tails]
+
+        # the running maximum of end within each segment, from its
+        # cursor: lifting thread t by t * width keeps the maxima apart
+        low = int(start.min())  # every end is at least its start
+        width = max(int(end.max()), int(cursor[mine].max())) - low + 1
+        if width * cursor.size + abs(low) > _INT64_MAX:
+            raise ParaverParseError(
+                f"state records span {width} cycles over {cursor.size} "
+                "threads, too many to fold in int64")
+        lift = thread * width - low
+        reach = end + lift
+        reach[heads] = np.maximum(reach[heads],
+                                  np.maximum(cursor[mine], low) + lift[heads])
+        np.maximum.accumulate(reach, out=reach)
+        reach -= lift
+        before = np.empty_like(start)
+        before[1:] = reach[:-1]
+        before[heads] = cursor[mine]
+        cursor[mine] = reach[tails]
+        gap = start > before
+        # interval i lands after the gaps up to and including its own
+        at = np.arange(start.size) + np.cumsum(gap)
+        size = int(at[-1]) + 1
+        ids = np.full(size, int(ThreadState.IDLE), dtype=np.int64)
+        begins = np.empty(size, dtype=np.int64)
+        ends = np.empty(size, dtype=np.int64)
+        ids[at], begins[at], ends[at] = state[order], start, end
+        begins[at[gap] - 1], ends[at[gap] - 1] = before[gap], start[gap]
+        # each segment's rows run from its head's gap through its tail;
+        # copies, so that each thread's pieces free once it is joined
+        bounds = zip(mine.tolist(), (at[heads] - gap[heads]).tolist(),
+                     (at[tails] + 1).tolist())
+        for t, lo, hi in bounds:
+            self.pieces[t].append(StateColumns(
+                begins[lo:hi].copy(), ends[lo:hi].copy(), ids[lo:hi].copy()))
+
+    def _events(self, thread: np.ndarray, on_thread: np.ndarray,
+                type_: np.ndarray, time: np.ndarray,
+                value: np.ndarray) -> None:
+        """Add one block's events: counters into the sums, attribution
+        totals into the table, the rest to the unknown types."""
+
+        n_bins, num_threads = self.n_bins, self.num_threads
+        column = self.column
+        slot = np.searchsorted(_KNOWN_TYPES, type_)
+        known = _KNOWN_SLOTS[slot] == type_
+        slot[~known] = _KNOWN_TYPES.size
+        fresh = known & (column[slot] < 0)
+        if fresh.any():
+            new, first = np.unique(slot[fresh], return_index=True)
+            for s in new[np.argsort(first, kind="stable")].tolist():
+                column[s] = len(self.events)
+                self.events[_EVENT_KINDS[int(_KNOWN_TYPES[s])]] = np.zeros(
+                    (n_bins, num_threads))
+        rows = known & on_thread
+        if rows.any():
+            # a flush at t closes the window that ends at t; one
+            # [kind, bin, thread] sum over the bins the block spans is
+            # then added to each kind's series
+            bins = np.clip((time[rows] - 1) // self.period, 0, n_bins - 1)
+            low, high = int(bins.min()), int(bins.max()) + 1
+            sums = np.zeros((len(self.events), high - low, num_threads))
+            np.add.at(sums.reshape(-1),
+                      (column[slot[rows]] * (high - low) + bins - low)
+                      * num_threads + thread[rows],
                       value[rows].astype(np.float64))
+            for series, block_sums in zip(self.events.values(), sums):
+                series[low:high] += block_sums
+        if known.all():
+            return
+        other = ~known
+        attr = other & (type_ >= ATTR_EVENT_BASE) & (type_ < ATTR_EVENT_LIMIT)
+        attr &= (type_ - ATTR_EVENT_BASE) % ATTR_EVENT_STRIDE < N_SLOTS
+        foreign = other & ~attr
+        if foreign.any():
+            types, first, counts = np.unique(
+                type_[foreign], return_index=True, return_counts=True)
+            for u in np.argsort(first, kind="stable").tolist():
+                type_id = int(types[u])
+                self.unknown[type_id] = (self.unknown.get(type_id, 0)
+                                         + int(counts[u]))
         if attr.any():
-            if attribution is None:
-                attribution = AttributionTable(num_threads)
-                if pcf is not None:
-                    attribution.regions.update(
+            if self.attribution is None:
+                self.attribution = AttributionTable(num_threads)
+                if self.pcf is not None:
+                    self.attribution.regions.update(
                         {key: label
-                         for key, label in pcf.attr_regions.values()})
-            _fold_attribution(attribution, pcf, num_threads, type_, thread,
-                              value, attr[of_type] & on_thread)
+                         for key, label in self.pcf.attr_regions.values()})
+            _fold_attribution(self.attribution, self.pcf, num_threads,
+                              type_, thread, value, attr & on_thread)
 
-    for t, reach in enumerate(cursor):
-        if reach < end_cycle:
-            pieces[t].append(StateColumns(*np.array(
-                [[reach], [end_cycle], [ThreadState.IDLE]], dtype=np.int64)))
-    timeline = [StateColumns(*map(np.concatenate, zip(*thread)))
-                for thread in pieces]
-    trace = RunTrace(num_threads, end_cycle, period, timeline, events,
-                     attribution=attribution)
-    return trace, unknown
+    def result(self) -> tuple[RunTrace, dict[int, int]]:
+        end_cycle = self.end_cycle
+        timeline = []
+        for t, reach in enumerate(self.cursor.tolist()):
+            # drop each thread's pieces once they are joined
+            pieces, self.pieces[t] = self.pieces[t], []
+            if reach < end_cycle:
+                pieces.append(StateColumns(*np.array(
+                    [[reach], [end_cycle], [ThreadState.IDLE]],
+                    dtype=np.int64)))
+            timeline.append(StateColumns(*map(np.concatenate, zip(*pieces))))
+        trace = RunTrace(self.num_threads, end_cycle, self.period, timeline,
+                         self.events, attribution=self.attribution)
+        return trace, self.unknown
 
 
 def reconstruct_trace(parsed: Union[str, ParsedTrace],
@@ -316,47 +403,49 @@ def reconstruct_run(source: Union[str, ParsedTrace],
     ``STALLS`` event series; DRAM byte totals from the memory counters.
     """
 
-    pcf = row = None
-    if isinstance(source, str):
-        path = source
-        pcf_path, row_path = companion_paths(path)
-        if os.path.exists(pcf_path):
-            pcf = parse_pcf(pcf_path)
-        if os.path.exists(row_path):
-            row = parse_row(row_path)
-    else:
-        path = "<memory>"
+    with telemetry.span("paraver.reconstruct", category="paraver",
+                        prv=source if isinstance(source, str) else None):
+        pcf = row = None
+        if isinstance(source, str):
+            path = source
+            pcf_path, row_path = companion_paths(path)
+            if os.path.exists(pcf_path):
+                pcf = parse_pcf(pcf_path)
+            if os.path.exists(row_path):
+                row = parse_row(row_path)
+        else:
+            path = "<memory>"
 
-    trace, period_source, unknown = reconstruct_trace(
-        source, sampling_period=sampling_period, pcf=pcf)
+        trace, period_source, unknown = reconstruct_trace(
+            source, sampling_period=sampling_period, pcf=pcf)
 
-    if clock_mhz is not None:
-        clock, clock_source = clock_mhz, "explicit"
-    elif pcf is not None and pcf.clock_mhz:
-        clock, clock_source = pcf.clock_mhz, "pcf"
-    else:
-        clock, clock_source = _DEFAULT_CLOCK_MHZ, "default"
+        if clock_mhz is not None:
+            clock, clock_source = clock_mhz, "explicit"
+        elif pcf is not None and pcf.clock_mhz:
+            clock, clock_source = pcf.clock_mhz, "pcf"
+        else:
+            clock, clock_source = _DEFAULT_CLOCK_MHZ, "default"
 
-    stall_series = trace.events.get(EventKind.STALLS)
-    if stall_series is not None:
-        stalls = [int(round(v)) for v in stall_series.sum(axis=0)]
-    else:
-        stalls = [0] * trace.num_threads
+        stall_series = trace.events.get(EventKind.STALLS)
+        if stall_series is not None:
+            stalls = [int(round(v)) for v in stall_series.sum(axis=0)]
+        else:
+            stalls = [0] * trace.num_threads
 
-    def _total(kind: EventKind) -> int:
-        series = trace.events.get(kind)
-        return int(series.sum()) if series is not None else 0
+        def _total(kind: EventKind) -> int:
+            series = trace.events.get(kind)
+            return int(series.sum()) if series is not None else 0
 
-    result = SimResult(
-        cycles=trace.end_cycle, clock_mhz=clock, trace=trace, buffers={},
-        stalls=stalls,
-        dram_bytes_read=_total(EventKind.MEM_READ_BYTES),
-        dram_bytes_written=_total(EventKind.MEM_WRITE_BYTES),
-        dram_requests=0, dram_row_misses=0)
+        result = SimResult(
+            cycles=trace.end_cycle, clock_mhz=clock, trace=trace, buffers={},
+            stalls=stalls,
+            dram_bytes_read=_total(EventKind.MEM_READ_BYTES),
+            dram_bytes_written=_total(EventKind.MEM_WRITE_BYTES),
+            dram_requests=0, dram_row_misses=0)
 
-    thread_names = row.thread_names if row is not None else []
-    if len(thread_names) != trace.num_threads:
-        thread_names = [f"HW thread {t}" for t in range(trace.num_threads)]
-    return ReconstructedRun(result, path, clock_source, period_source,
-                            thread_names=thread_names,
-                            unknown_event_types=unknown, pcf=pcf, row=row)
+        thread_names = row.thread_names if row is not None else []
+        if len(thread_names) != trace.num_threads:
+            thread_names = [f"HW thread {t}" for t in range(trace.num_threads)]
+        return ReconstructedRun(result, path, clock_source, period_source,
+                                thread_names=thread_names,
+                                unknown_event_types=unknown, pcf=pcf, row=row)

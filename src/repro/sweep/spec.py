@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 from ..apps.gemm import EXTRA_VERSIONS, GEMM_VERSIONS
+from ..apps.runners import check_problem_size
 
 __all__ = ["JobSpec", "SweepSpec", "expand_jobs", "gemm_sweep", "pi_sweep",
            "load_spec"]
@@ -62,6 +63,9 @@ class JobSpec:
             if self.version is not None and self.version not in known:
                 raise ValueError(f"unknown GEMM version {self.version!r}; "
                                  f"choose from {sorted(known)}")
+            check_problem_size("DIM", self.dim)
+        else:
+            check_problem_size("steps", self.steps)
 
     @property
     def job_id(self) -> str:

@@ -356,6 +356,36 @@ class TestSweep:
         with pytest.raises(SystemExit, match="cannot read sweep spec"):
             main(["sweep", "/nonexistent.json"])
 
+    @pytest.mark.parametrize("spec", [
+        ["gemm", "--dim", "0"], ["gemm", "--dim", "-8"],
+        {"app": "gemm", "version": "naive", "dim": 0},
+        {"app": "pi", "steps": -6400}],
+        ids=["gemm-dim-0", "gemm-dim--8", "json-dim-0", "json-steps--6400"])
+    def test_bad_sweep_size_exits_before_dispatch(self, spec, tmp_path):
+        import json
+        import os
+        import subprocess
+        import sys
+
+        import repro
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        if isinstance(spec, dict):
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps({"jobs": [{"app": "pi",
+                                                  "steps": 6400}, spec]}))
+            spec = [str(path)]
+        out = tmp_path / "results.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "sweep", *spec, "--out",
+             str(out)], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+        assert "must be positive" in proc.stderr
+        assert proc.stdout == ""  # no job ran
+        assert not out.exists()
+
     def test_explore_prunes_measures_and_writes_documents(self, tmp_path,
                                                           capsys):
         out = str(tmp_path / "explore.json")

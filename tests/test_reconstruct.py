@@ -19,7 +19,10 @@ from repro.paraver import (
     reconstruct_run, reconstruct_trace, recover_sampling_period, write_trace,
 )
 from repro.paraver import parser as prv_parser
+from repro.paraver import reconstruct
+from repro.paraver.parser import BLOCK_BYTES
 from repro.profiling import ThreadState
+from repro.report import build_report, reports_to_json
 
 from .test_paraver import add_comm_lines, make_trace, mangle_prv
 
@@ -319,3 +322,121 @@ class TestBlockFold:
         with pytest.raises(ParaverParseError,
                            match=r"bad\.prv:4: unknown state id 7"):
             reconstruct_run(str(path))
+
+    def test_state_span_too_wide_for_int64(self, tmp_path):
+        """The fold lifts thread t's times by t times their span; a
+        span that int64 cannot lift is refused, not wrapped."""
+
+        path = tmp_path / "wide.prv"
+        path.write_text(
+            "#Paraver (01/01/2020 at 00:00):10:1(2):1:2(1:1,1:1)\n"
+            "1:1:1:1:1:0:10:1\n"
+            f"1:2:1:2:1:0:{2 ** 62}:1\n")
+        with pytest.raises(ParaverParseError, match="too many to fold"):
+            reconstruct_run(str(path))
+
+
+#: block sizes: a record per block or less, a dozen records, the
+#: reader's own (larger than most of these files); each is checked
+#: against the whole file read as one block
+BLOCK_SIZES = [37, 509, "default"]
+
+
+@pytest.fixture(scope="module")
+def block_traces(tmp_path_factory):
+    """``.prv`` paths of the five GEMMs at DIM=16 and π at 80k
+    iterations, attribution off and on."""
+
+    out = tmp_path_factory.mktemp("blocks")
+    paths = {}
+    for version, attribution in LIVE_RUNS:
+        if version == "pi":
+            result = run_pi(80_000, attribution=attribution).result
+        else:
+            result = run_gemm(version, dim=16,
+                              attribution=attribution).result
+        name = f"{version}-{'on' if attribution else 'off'}"
+        paths[version, attribution] = write_trace(
+            result.trace, str(out / name), clock_mhz=result.clock_mhz).prv
+    return paths
+
+
+def folded(path, block_bytes, monkeypatch):
+    """Everything a reconstruction yields, as plain comparable values."""
+
+    monkeypatch.setattr(prv_parser, "BLOCK_BYTES", block_bytes)
+    run = reconstruct_run(path)
+    trace = run.trace
+    attribution = trace.attribution
+    return {
+        "timeline": [[col.tolist() for col in cols]
+                     for cols in trace.timeline],
+        "events": [(kind, series.dtype.str, series.shape, series.tobytes())
+                   for kind, series in trace.events.items()],
+        "attribution": None if attribution is None else (
+            list(attribution.cells.items()), attribution.regions),
+        "unknown": list(run.unknown_event_types.items()),
+        "sources": (run.period_source, run.clock_source),
+        "report": reports_to_json([build_report(
+            run.result, label="run", source=path,
+            thread_names=run.thread_names)]),
+    }
+
+
+class TestBlockIndependence:
+    """However a live trace falls into blocks, the fold gives what one
+    block holding the whole file gives."""
+
+    @pytest.mark.parametrize("block_bytes", BLOCK_SIZES)
+    @pytest.mark.parametrize("run_key", LIVE_RUNS, ids=LIVE_IDS)
+    def test_matches_one_block_fold(self, block_traces, run_key,
+                                    block_bytes, monkeypatch):
+        path = block_traces[run_key]
+        whole = os.path.getsize(path) + 1
+        expected = folded(path, whole, monkeypatch)
+        if block_bytes == "default":
+            block_bytes = BLOCK_BYTES
+        got = folded(path, block_bytes, monkeypatch)
+        for key, value in expected.items():
+            assert got[key] == value, key
+        # the in-memory form folds the parsed records as one block too
+        trace, _, unknown = reconstruct_trace(
+            parse_prv(path), pcf=parse_pcf(path[:-len(".prv")] + ".pcf"))
+        assert [[col.tolist() for col in cols]
+                for cols in trace.timeline] == expected["timeline"]
+        assert [(kind, series.tobytes())
+                for kind, series in trace.events.items()] == \
+            [(kind, data) for kind, _, _, data in expected["events"]]
+        assert list(unknown.items()) == expected["unknown"]
+
+    def test_out_of_order_states_refold(self, tmp_path, monkeypatch):
+        """Thread 2's states run backwards across the first block
+        boundary: the streamed fold gives up and folds the file again
+        as one block, sorting them and padding thread 2's gaps, which
+        lie before thread 1's furthest end."""
+
+        path = tmp_path / "backwards.prv"
+        path.write_text(
+            "#Paraver (01/01/2020 at 00:00):1000:1(2):1:2(1:1,1:1)\n"
+            "1:1:1:1:1:0:100:1\n"
+            "1:2:1:2:1:600:900:2\n"
+            "1:1:1:1:1:100:700:3\n"     # the first 60-byte block ends here
+            "1:2:1:2:1:200:400:1\n"
+            "2:1:1:1:1:1000:42000002:7\n")
+        folds = []
+        real_fold = reconstruct._fold
+
+        def counting_fold(*args):
+            folds.append(args)
+            return real_fold(*args)
+
+        monkeypatch.setattr(reconstruct, "_fold", counting_fold)
+        expected = folded(str(path), path.stat().st_size + 1, monkeypatch)
+        assert len(folds) == 1
+        got = folded(str(path), 60, monkeypatch)
+        assert len(folds) == 3  # the streamed fold, then the refold
+        assert got == expected
+        assert expected["timeline"] == [
+            [[0, 100, 700], [100, 700, 1000], [1, 3, 0]],
+            [[0, 200, 400, 600, 900], [200, 400, 600, 900, 1000],
+             [0, 1, 0, 2, 0]]]

@@ -228,6 +228,38 @@ class TestPipelineInstrumentation:
         assert counters["frontend.tokens"] > 0
         assert counters["hls.loops.scheduled"] >= 1
 
+    def test_trace_reader_reports(self, tmp_path, monkeypatch):
+        import numpy as np
+
+        from repro import Program
+        from repro.paraver import parser, reconstruct_run, write_trace
+
+        program = Program(VADD)
+        n = 64
+        outcome = program.run(a=np.ones(n, dtype=np.float32),
+                              b=np.ones(n, dtype=np.float32),
+                              c=np.zeros(n, dtype=np.float32), n=n)
+        files = write_trace(outcome.sim.trace, str(tmp_path / "t"))
+        with open(files.prv, "rb") as handle:
+            header, body = handle.readline(), handle.read()
+        records = sum(not line.startswith(b"c:")
+                      for line in body.splitlines())
+        monkeypatch.setattr(parser, "BLOCK_BYTES", 100)
+
+        session = telemetry.get_telemetry()
+        assert not session.enabled  # off by default
+        reconstruct_run(files.prv)
+        assert session.spans == [] and session.counters == {}
+        with session.capture(enabled=True):
+            reconstruct_run(files.prv)  # the .pcf holds the period
+            spans = [span.name for span in session.spans]
+            counters = dict(session.counters)
+        assert spans == ["paraver.reconstruct"]
+        assert counters == {
+            "paraver.read.bytes": len(header) + len(body),
+            "paraver.read.blocks": -(-len(body) // 100),
+            "paraver.read.records": records}
+
     def test_telemetry_does_not_perturb_simulation(self):
         import numpy as np
 
