@@ -176,7 +176,8 @@ class ParsedTrace:
         state = self.records.value[rows]
         totals = state_totals(state, self.records.end[rows]
                               - self.records.time[rows])
-        return {s: int(totals[s]) for s in np.unique(state).tolist()}
+        return {s: int(totals[s])
+                for s in np.flatnonzero(np.bincount(state)).tolist()}
 
 
 class ParaverParseError(Exception):

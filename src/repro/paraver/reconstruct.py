@@ -119,11 +119,10 @@ def recover_sampling_period(
     interior = positive = 0
     for block in blocks:
         times = block.time[(block.kind == EVENT) & (block.time > 0)]
-        if times.size:
-            positive = np.gcd(positive, np.gcd.reduce(times))
-            inside = np.unique(times[times < header.end_time])
-            if inside.size:
-                interior = np.gcd(interior, np.gcd.reduce(inside))
+        # a gcd over no times is 0, which leaves the running gcd as is
+        positive = np.gcd(positive, np.gcd.reduce(times))
+        interior = np.gcd(interior, np.gcd.reduce(
+            times[times < header.end_time]))
     return int(interior or positive) or None
 
 
@@ -237,6 +236,12 @@ class _Fold:
         before[1:] = reach[:-1]
         before[heads] = cursor[mine]
         cursor[mine] = reach[tails]
+        overlap = np.flatnonzero(start < before)
+        if overlap.size:
+            first = overlap[0]
+            raise ParaverParseError(
+                f"state records of task {thread[first] + 1} overlap at "
+                f"cycle {start[first]}")
         gap = start > before
         # interval i lands after the gaps up to and including its own
         at = np.arange(start.size) + np.cumsum(gap)

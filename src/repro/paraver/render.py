@@ -17,12 +17,13 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..profiling.config import ThreadState
 from ..profiling.recorder import RunTrace
 
-__all__ = ["STATE_GLYPHS", "render_state_timeline", "render_series",
-           "state_occupancy"]
+__all__ = ["STATE_GLYPHS", "bucket_means", "render_state_timeline",
+           "render_series", "state_occupancy"]
 
 STATE_GLYPHS = {
     ThreadState.IDLE: ".",
@@ -30,15 +31,6 @@ STATE_GLYPHS = {
     ThreadState.CRITICAL: "C",
     ThreadState.SPINNING: "s",
 }
-
-
-def _cycles_before(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """``sum(max(0, edge - p) for p in points)`` for each edge."""
-
-    points = np.sort(points)
-    count = np.searchsorted(points, edges)
-    prefix = np.concatenate(([0], np.cumsum(points)))
-    return count * edges - prefix[count]
 
 
 def state_occupancy(trace: RunTrace, thread: int, start: int, end: int,
@@ -49,21 +41,67 @@ def state_occupancy(trace: RunTrace, thread: int, start: int, end: int,
     ``b`` covering ``[start + b*span//buckets, start + (b+1)*span//buckets)``
     (empty when there are more buckets than cycles).  An interval
     ``[lo, hi)`` puts ``|[lo, hi) ∩ bucket|`` cycles into its state's
-    column; a state's cycles before cycle ``x`` are the ramp sum
-    ``Σ max(0, x - lo) - max(0, x - hi)``, so each column is a
-    difference of ramp sums at the bucket edges.
+    column.  The thread's intervals are sorted and do not overlap (the
+    :attr:`RunTrace.timeline` tiling), so before each bucket edge lie
+    a prefix of whole intervals and at most one partial one: a
+    ``searchsorted`` of the edges into the interval ends finds the
+    prefixes, one ``bincount`` sums the whole intervals per (edge
+    segment, state), a cumulative sum over the segments gives each
+    state's cycles before every edge, and the straddling interval adds
+    its part.  The float64 bincount is exact while every total stays
+    below 2**53 cycles.  Overlapping intervals raise ``ValueError``.
     """
 
     cols = trace.timeline[thread]
+    if (cols.start[1:] < cols.end[:-1]).any():
+        raise ValueError(f"thread {thread}'s state intervals overlap")
+    states, count = len(ThreadState), cols.end.size
     edges = start + np.arange(buckets + 1, dtype=np.int64) \
         * (end - start) // buckets
-    occupancy = np.zeros((buckets, len(ThreadState)), dtype=np.int64)
-    for state in np.unique(cols.state).tolist():
-        mine = cols.state == state
-        before = (_cycles_before(cols.start[mine], edges)
-                  - _cycles_before(cols.end[mine], edges))
-        occupancy[:, state] = np.diff(before)
-    return occupancy
+    # intervals [0, done[k]) end at or before edges[k]
+    done = np.searchsorted(cols.end, edges, side="right")
+    # an interval i in [done[k-1], done[k]) is whole before edges[k:]
+    # and counts into bin k * states + state[i]
+    index = np.repeat(np.arange(0, (buckets + 2) * states, states),
+                      np.diff(done, prepend=0, append=count))
+    index += cols.state
+    whole = np.bincount(index, weights=np.subtract(cols.end, cols.start,
+                                                   dtype=float),
+                        minlength=(buckets + 2) * states)
+    before = whole.reshape(buckets + 2, states)[:-1].astype(np.int64) \
+        .cumsum(axis=0)
+    # the interval done[k] straddles edges[k] when it starts before it
+    edge = np.flatnonzero(done < count)
+    first = done[edge]
+    part = edges[edge] - cols.start[first]
+    inside = part > 0
+    before[edge[inside], cols.state[first[inside]]] += part[inside]
+    return np.diff(before, axis=0)
+
+
+def bucket_means(values: np.ndarray, buckets: int) -> np.ndarray:
+    """``values`` averaged down to ``buckets`` points (as is when it has
+    no more).
+
+    Bucket ``b`` is the mean of ``values[edges[b]:edges[b + 1]]``, the
+    edges ``np.linspace(0, values.size, buckets + 1)`` truncated, and
+    0.0 when that slice is empty.  The slices of each width are gathered
+    into one 2-D block whose row means equal each slice's own
+    ``.mean()`` bit for bit: numpy sums every contiguous row pairwise,
+    as it sums a slice.
+    """
+
+    if values.size <= buckets:
+        return values
+    edges = np.linspace(0, values.size, buckets + 1).astype(int)
+    firsts, widths = edges[:-1], np.diff(edges)
+    means = np.zeros(buckets)
+    for width in range(max(1, int(widths.min())), int(widths.max()) + 1):
+        rows = widths == width
+        if rows.any():
+            block = sliding_window_view(values, width)[firsts[rows]]
+            means[rows] = block.mean(axis=1)
+    return means
 
 
 def render_state_timeline(trace: RunTrace, width: int = 100,
@@ -100,11 +138,7 @@ def render_series(values: Sequence[float], width: int = 100, height: int = 8,
     data = np.asarray(values, dtype=float)
     if data.size == 0:
         return f"{label}(empty)"
-    if data.size > width:
-        # average down to `width` buckets
-        edges = np.linspace(0, data.size, width + 1).astype(int)
-        data = np.array([data[a:b].mean() if b > a else 0.0
-                         for a, b in zip(edges[:-1], edges[1:])])
+    data = bucket_means(data, width)
     peak = data.max()
     if peak <= 0:
         peak = 1.0

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..paraver.render import state_occupancy
+from ..paraver.render import bucket_means, state_occupancy
 from ..profiling.config import ThreadState
 from ..profiling.recorder import RunTrace
 from .model import TraceReport, comparison_rows
@@ -122,14 +122,6 @@ def _nice_ceiling(value: float) -> float:
 SERIES_POINTS = 320
 
 
-def _downsample(values: np.ndarray) -> np.ndarray:
-    if values.size <= SERIES_POINTS:
-        return values.astype(float)
-    edges = np.linspace(0, values.size, SERIES_POINTS + 1).astype(int)
-    return np.array([values[a:b].mean() if b > a else 0.0
-                     for a, b in zip(edges[:-1], edges[1:])])
-
-
 # ----------------------------------------------------------------------
 # state Gantt
 # ----------------------------------------------------------------------
@@ -210,7 +202,7 @@ def _state_legend() -> str:
 def _series_svg(values: np.ndarray, unit: str, color_var: str,
                 end_cycle: int, peak: Optional[float] = None,
                 width: int = 960, height: int = 150) -> str:
-    data = _downsample(np.asarray(values, dtype=float))
+    data = bucket_means(np.asarray(values, dtype=float), SERIES_POINTS)
     gutter, top, bottom = 64, 10, 20
     plot_w, plot_h = width - gutter - 12, height - top - bottom
     y_max = _nice_ceiling(max(float(data.max()), peak or 0.0))

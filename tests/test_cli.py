@@ -294,6 +294,17 @@ class TestAnalyze:
         with pytest.raises(SystemExit, match="cannot read trace"):
             main(["analyze", "/nonexistent/trace.prv"])
 
+    @pytest.mark.parametrize("command", ["analyze", "why"])
+    def test_overlapping_states_clean_error(self, command, tmp_path):
+        bad = tmp_path / "overlap.prv"
+        bad.write_text("#Paraver (01/01/2020 at 00:00):100:1(1):1:1(1:1)\n"
+                       "1:1:1:1:1:0:60:1\n"
+                       "1:1:1:1:1:40:100:2\n")
+        with pytest.raises(SystemExit, match="not a valid Paraver trace: "
+                                             "state records of task 1 "
+                                             "overlap at cycle 40"):
+            main([command, str(bad)])
+
 
 class TestCompare:
     def test_delta_table(self, traced, capsys):

@@ -15,6 +15,7 @@ from repro.paraver import (
 from repro.paraver import format as prv_format
 from repro.paraver import parser as prv_parser
 from repro.paraver.format import ATTR_EVENT_BASE, ATTR_EVENT_STRIDE
+from repro.paraver.render import bucket_means
 from repro.profiling import (
     EventKind, ProfilingConfig, ProfilingRecorder, RunTrace, StateColumns,
     ThreadState,
@@ -370,9 +371,12 @@ class TestRender:
     @given(data=st.data())
     def test_rasterizer_matches_per_cycle_oracle(self, data):
         """state_occupancy, the ASCII glyphs and the HTML runs against a
-        brute-force per-cycle count, on random tilings of [0, end)."""
+        brute-force per-cycle count, on random tilings of [0, end) and
+        on sorted timelines with gaps (and empty intervals) between
+        their intervals."""
 
         end = data.draw(st.integers(1, 120), label="end_cycle")
+        gaps = data.draw(st.booleans(), label="gaps")
         timeline, per_cycle = [], []
         for _ in range(data.draw(st.integers(1, 3), label="threads")):
             cuts = sorted(data.draw(st.sets(st.integers(1, end - 1),
@@ -383,11 +387,15 @@ class TestRender:
                                         min_size=len(bounds) - 1,
                                         max_size=len(bounds) - 1),
                                label="states")
+            # with gaps, an interval may stop short of the next one
+            ends = [hi - data.draw(st.integers(0, hi - lo), label="short")
+                    if gaps else hi for lo, hi in zip(bounds, bounds[1:])]
             timeline.append(StateColumns(*np.array(
-                [bounds[:-1], bounds[1:], states], dtype=np.int64)))
-            per_cycle.append([state for state, lo, hi
-                              in zip(states, bounds, bounds[1:])
-                              for _ in range(lo, hi)])
+                [bounds[:-1], ends, states], dtype=np.int64)))
+            cycles = [None] * end  # None: no interval covers the cycle
+            for state, lo, hi in zip(states, bounds, ends):
+                cycles[lo:hi] = [state] * (hi - lo)
+            per_cycle.append(cycles)
         trace = RunTrace(len(timeline), end, 100, timeline, {})
         # windows may run past end_cycle; widths reach above the span
         start = data.draw(st.integers(0, end - 1), label="start")
@@ -399,9 +407,11 @@ class TestRender:
             edges = [lo + b * (hi - lo) // buckets
                      for b in range(buckets + 1)]
             for cycle in range(lo, min(hi, end)):
+                state = per_cycle[thread][cycle]
                 for b in range(buckets):
-                    if edges[b] <= cycle < edges[b + 1]:
-                        occupancy[b, per_cycle[thread][cycle]] += 1
+                    if edges[b] <= cycle < edges[b + 1] \
+                            and state is not None:
+                        occupancy[b, state] += 1
             return occupancy
 
         def dominant(row):
@@ -434,6 +444,32 @@ class TestRender:
                     runs.append([b, b + 1, state])
             assert _state_runs(trace, thread, buckets) == \
                 [tuple(run) for run in runs if run[2] is not None]
+
+    def test_occupancy_refuses_overlapping_intervals(self):
+        trace = RunTrace(1, 100, 100, [StateColumns(
+            np.array([0, 40]), np.array([60, 100]),
+            np.array([ThreadState.RUNNING, ThreadState.CRITICAL]))], {})
+        with pytest.raises(ValueError, match="thread 0's state intervals "
+                                             "overlap"):
+            state_occupancy(trace, 0, 0, 100, 10)
+
+    @pytest.mark.parametrize("size", [0, 1, 320, 321, 641, 2560, 2561,
+                                      10007, 100003])
+    def test_bucket_means_match_per_slice_means(self, size):
+        """Bit for bit what each slice's own ``.mean()`` gives, for the
+        HTML panels' 320 points and narrower charts: slices of 8 and
+        more points are summed pairwise, and 129 and more recursively."""
+
+        values = 10.0 ** np.random.default_rng(size).uniform(-3, 9, size)
+        for buckets in (320, 100, 7):
+            if size <= buckets:
+                expected = values
+            else:
+                edges = np.linspace(0, size, buckets + 1).astype(int)
+                expected = np.array([values[a:b].mean() if b > a else 0.0
+                                     for a, b in zip(edges[:-1], edges[1:])])
+            assert bucket_means(values, buckets).tobytes() == \
+                expected.tobytes()
 
     def test_render_series(self):
         text = render_series([0, 1, 2, 3, 4], width=5, height=3, label="x")

@@ -323,6 +323,25 @@ class TestBlockFold:
                            match=r"bad\.prv:4: unknown state id 7"):
             reconstruct_run(str(path))
 
+    @pytest.mark.parametrize("block_bytes", [40, "default"])
+    def test_overlapping_states_refused(self, tmp_path, monkeypatch,
+                                        block_bytes):
+        """A thread's states tile its time, so two records that overlap
+        are refused, in one block or across two."""
+
+        if block_bytes != "default":
+            monkeypatch.setattr(prv_parser, "BLOCK_BYTES", block_bytes)
+        path = tmp_path / "overlap.prv"
+        path.write_text(
+            "#Paraver (01/01/2020 at 00:00):100:1(2):1:2(1:1,1:1)\n"
+            "1:1:1:1:1:0:100:1\n"
+            "1:2:1:2:1:0:60:1\n"
+            "1:2:1:2:1:40:100:2\n")
+        with pytest.raises(ParaverParseError,
+                           match="state records of task 2 overlap at "
+                                 "cycle 40"):
+            reconstruct_run(str(path))
+
     def test_state_span_too_wide_for_int64(self, tmp_path):
         """The fold lifts thread t's times by t times their span; a
         span that int64 cannot lift is refused, not wrapped."""

@@ -146,6 +146,42 @@ class TestJsonExporter:
         assert json.loads(path.read_text())["reports"]
 
 
+def test_analysis_path_never_imports_numpy_ma(tmp_path):
+    """Reading a trace back and drawing every view of it stays clear of
+    ``numpy.ma``, whose import alone costs more than a small report
+    (``np.unique`` without return arrays loads it)."""
+
+    import os
+    import subprocess
+    import sys
+
+    import repro
+    script = f"""
+import sys
+from repro.apps import run_gemm
+from repro.paraver import (parse_prv, recover_sampling_period,
+                           render_series, render_state_timeline,
+                           write_trace)
+from repro.report import render_html, report_from_prv, reports_to_json
+result = run_gemm("naive", dim=16).result
+files = write_trace(result.trace, {str(tmp_path / "naive")!r},
+                    clock_mhz=result.clock_mhz)
+report = report_from_prv(files.prv)
+render_html([report])
+reports_to_json([report])
+render_state_timeline(report.trace)
+render_series(report.bandwidth_series)
+parse_prv(files.prv).state_durations()
+recover_sampling_period(files.prv)
+assert "numpy.ma" not in sys.modules
+"""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestHtmlExporter:
     def test_self_contained(self, report):
         html = render_html([report])
