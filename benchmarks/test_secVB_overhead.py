@@ -15,7 +15,10 @@ from repro.apps.gemm import GEMM_VERSIONS, gemm_defines
 from repro.apps.pi import PI_SOURCE, pi_defines
 from repro.hls import compile_source
 
-from _bench_utils import measure_attribution_overhead, report
+from _bench_utils import (
+    ATTRIBUTION_DIM, attribution_cost_lines, measure_attribution_overhead,
+    report,
+)
 
 
 def _compile_all_gemm():
@@ -105,19 +108,23 @@ def test_attribution_overhead(benchmark):
     """Simulator-side cost of cycle accounting (SimConfig.attribution).
 
     The hardware profiling unit costs registers and Fmax (above); the
-    software cycle-accounting layer costs simulator wall time.  This
-    bench publishes that cost as the ``sim.attribution.overhead_pct``
-    gauge so results files track it run over run.  Simulated cycle
-    counts are asserted bit-identical elsewhere (tests/test_attribution)
-    — only wall clock may move.
+    software cycle-accounting layer costs simulator CPU time.  This
+    bench prints that cost per GEMM version and publishes the
+    five-version total as the ``sim.attribution.overhead_pct`` gauge so
+    results files track it run over run.  Simulated cycle counts are
+    asserted bit-identical elsewhere (tests/test_attribution) — only
+    host time may move.
     """
 
     overhead = benchmark.pedantic(measure_attribution_overhead,
                                   rounds=1, iterations=1)
     report("secVB_attribution_overhead", [
         "== SecV-B follow-on: simulator cycle-accounting overhead ==",
+        f"five GEMMs at DIM={ATTRIBUTION_DIM}: simulation CPU time, "
+        "best of 7, compile excluded",
+        *attribution_cost_lines(),
         f"sim.attribution.overhead_pct = {overhead:.1f}%  "
-        "(wall time, attribution on vs off, best-of-3)",
+        "(five-version total, attribution on vs off)",
     ])
     # Generous band: timing noise on shared CI boxes; the guard is
     # against pathological slowdowns, not a perf SLO.

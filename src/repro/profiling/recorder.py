@@ -22,9 +22,10 @@ nest drivers alike) and decoded by ``finalize``.
 Attribution counters are kept as the hardware keeps counters: per
 thread, one ``array('q')`` row of :data:`N_SLOTS` exact integer sums
 per sampling window, indexed ``window * N_SLOTS + slot``.
-:meth:`~ProfilingRecorder.attr_deposit` grows a row array in place, so
-the generated nest drivers hoist it once and add single-window
-deposits into it directly.
+:meth:`~ProfilingRecorder.attr_deposit` grows a row array in place
+(:func:`grow_row`), so the generated nest drivers hoist it once and
+write the sums of each sampling window they keep open into it directly
+when the window closes.
 
 The recorder also models the *cost* of tracing, the source of the
 (small) runtime perturbation the paper measures: the bits of trace data
@@ -205,6 +206,8 @@ class ProfilingRecorder:
                             if config.events and on else 0)
         self._flushed_records = num_threads
         self.flushes = 0
+        #: calls that reached :meth:`attr_deposit`
+        self.attr_deposits = 0
 
     # ------------------------------------------------------------------
     # states
@@ -256,6 +259,7 @@ class ProfilingRecorder:
         (geometrically, in place) to cover the last window touched.
         """
 
+        self.attr_deposits += 1
         table = self.attribution
         if table is None:
             return
@@ -273,7 +277,7 @@ class ProfilingRecorder:
         row = self._attr_bins[thread]
         need = (last_bin + 1) * N_SLOTS
         if need > len(row):
-            row.frombytes(bytes(8 * (max(need, 2 * len(row)) - len(row))))
+            grow_row(row, need)
         if first_bin == last_bin:
             base = first_bin * N_SLOTS
             for slot, amount in enumerate(amounts):
@@ -326,6 +330,7 @@ class ProfilingRecorder:
         telemetry.add("profiling.trace_bits", self.total_bits)
         telemetry.add("profiling.state_records", self._records())
         telemetry.add("profiling.deposits", len(self._log) // _ROW)
+        telemetry.add("profiling.attr_deposits", self.attr_deposits)
         return trace
 
     def _finalize(self, end_cycle: int) -> RunTrace:
@@ -432,6 +437,14 @@ class ProfilingRecorder:
         return {kind: _windows(sums[k].reshape(-1, threads), int(used[k]),
                                n_bins)
                 for k, kind in enumerate(kinds)}
+
+
+def grow_row(row: array, need: int) -> None:
+    """Grow an attribution row array in place to at least ``need``
+    entries, at least doubling it, so growth costs amortised O(1) per
+    window."""
+
+    row.frombytes(bytes(8 * (max(need, 2 * len(row)) - len(row))))
 
 
 def _windows(series: np.ndarray, used: int, n_bins: int) -> np.ndarray:

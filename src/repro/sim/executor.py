@@ -167,7 +167,8 @@ class _RecorderAcct:
     """Accounting sink that deposits straight into the recorder.
 
     ``bins`` is the thread's attribution row array in the recorder; the
-    nest drivers add single-window deposits into it directly.
+    nest drivers write the sums of each sampling window they keep open
+    into it directly.
     """
 
     __slots__ = ("recorder", "tid", "bins")

@@ -28,10 +28,11 @@ A lone pipelined loop is a depth-0 nest: no sequential levels, one
 entry.  Profiling deposits are rows logged in deposit order at the
 reference deposit points, interleaved with concurrently-running loops
 (double buffering) exactly as in the reference, and binned in log order
-at finalize; cycle-accounting deposits are made eagerly at the same
-points, a single-window one added by the driver itself into the table
-cell and the thread's attribution row array, the rest through the
-accounting sink.  A loop without a plan, or whose value kernel raises
+at finalize; cycle-accounting deposits are made at the same points, a
+single-window one summed by the driver itself in locals for the one
+sampling window it keeps open, which reach the table cells and the
+thread's attribution row array once per window and at exit, the rest
+through the accounting sink.  A loop without a plan, or whose value kernel raises
 :class:`~repro.sim.interp.VectorFallback` (always before any functional
 side effect), runs on the scalar reference, so both exec modes produce
 bit-identical cycles, traces, stalls, DRAM counters and attribution
@@ -52,6 +53,7 @@ from ..profiling.attribution import (
     N_SLOTS, REGION_SYNC, loop_region, segment_region,
 )
 from ..profiling.config import ThreadState
+from ..profiling.recorder import grow_row
 from .config import PIPELINE_WINDOW
 from .engine import Event
 from .interp import (
@@ -85,6 +87,24 @@ def _iota(n: int) -> np.ndarray:
     if n > _IOTA.shape[0]:
         _IOTA = np.arange(n, dtype=np.int64)
     return _IOTA[:n]
+
+
+def _flush_window(row, offset: int, slots: tuple, sums: tuple,
+                  opened: tuple) -> tuple:
+    """Add the growth of a driver's per-slot cell sums since a sampling
+    window opened (``sums`` minus ``opened``, for the slots ``slots``)
+    into that window of a thread's attribution row array at ``offset``,
+    growing the row in place as
+    :meth:`~repro.profiling.ProfilingRecorder.attr_deposit` does;
+    returns ``sums``, the totals the next window starts from."""
+
+    if sums != opened:
+        if offset >= len(row):
+            grow_row(row, offset + N_SLOTS)
+        for slot, now, then in zip(slots, sums, opened):
+            if now != then:
+                row[offset + slot] += now - then
+    return sums
 
 
 #: value-producing opcodes whose result is entry-invariant when all
@@ -548,20 +568,46 @@ def _compile_nest_driver(nplan: NestPlan, limit, grant, dram, events, attr):
 
     With ``attr`` the driver also makes the reference's cycle-accounting
     deposits, over the same ``[start, end)`` ranges with the same
-    amounts.  A deposit inside one sampling window whose row the sink's
-    ``bins`` array (the recorder's row array of this thread) already
-    holds is added inline into that row and the region's table cell,
-    which is looked up once per dispatch; window-crossing deposits, row
-    growth and sinks without ``bins`` (a dataflow body's buffer) go
-    through ``acct.deposit``.  The deposits are: per chunk the useful
-    ``batch*rec_ii`` plus the II, BRAM-port and backpressure
-    (row/arb/latency peel) shares; the drain tail; one loop-bubble
-    deposit per sequential-loop invocation; leading and trailing
-    segments with the binding read's peel; and SYNC_WAIT for contended
-    critical acquires.  The per-trip
-    ``(row, arb, latency)`` split of each late response rides in a
-    ``parts`` deque mirroring the in-flight window, exactly as in the
-    reference.
+    amounts.  When the sink has ``bins`` (the recorder's row array of
+    this thread), the driver keeps one open sampling window in locals,
+    as the hardware keeps a counter in a register until the window's
+    flush.  A non-empty deposit inside the open window only adds each
+    non-zero amount to a per-(region, slot) cell sum ``_cR<i>_<slot>``;
+    the open window's per-slot sums are the growth of those cell sums
+    since it opened (``_z<slot>`` holds their total at the opening).  A
+    deposit inside one other window first adds the open window's sums
+    into the row array, growing it in place as
+    :meth:`~repro.profiling.ProfilingRecorder.attr_deposit` does, and
+    then opens that window.  At exit the driver writes the window sums
+    into the row and the cell sums into their table cells, next to the
+    stalls, port state and semaphore counts.  Each region's table cell
+    is still created at the region's first deposit, so the table keeps
+    the reference insertion order; every sum is an exact integer, so the
+    order of the adds changes no cell and no window.  Window-crossing
+    and zero-length deposits, and sinks without ``bins`` (a dataflow
+    body's buffer), go through ``acct.deposit``.  The deposits are: per
+    chunk the useful ``batch*rec_ii`` plus the II, BRAM-port and
+    backpressure (row/arb/latency peel) shares -- the II share is what
+    remains of the chunk's advance, and the latency share what remains
+    of its backpressure; the drain tail; one loop-bubble deposit per
+    sequential-loop invocation; leading and trailing segments with the
+    binding read's peel; and SYNC_WAIT for contended critical acquires.
+
+    The in-flight window of :data:`PIPELINE_WINDOW` trips is held in
+    scalar slots ``_ih<j>``, oldest first, each a trip's retire time
+    minus ``depth``.  A fresh entry fills them with 0, which never
+    stalls an issue, in place of the reference's not-yet-full window.
+    With attribution and pipelined reads, slots ``_irc<j>`` keep each
+    trip's raw binding-read cost, and ``_brc`` that of the trip that
+    retires last: the read's arbitration wait, or its complement
+    ``~wait`` (negative) when the read also paid the row-miss penalty.
+    The ``(row, arb, latency)`` peel is made only where the reference
+    uses it, at backpressure and at the drain tail, against those raw
+    costs: a trip issues no earlier than the one ``PIPELINE_WINDOW``
+    before it, so the backpressure it takes from that trip, like the
+    late part of the drain tail, is at most that trip's ``extra``, and
+    peeling at most ``extra`` cycles against the raw penalty and wait
+    equals peeling against the reference's per-trip split.
     """
 
     levels, trails, pipe, pseg, mem = (nplan.levels, nplan.trails,
@@ -587,6 +633,11 @@ def _compile_nest_driver(nplan: NestPlan, limit, grant, dram, events, attr):
             locks.append(tr.lock)
     lock_ix = {lock: j for j, lock in enumerate(locks)}
     p_parts = attr and p_reads  # per-trip DRAM splits can be non-zero
+    # stands for the flush of the open window's sums into the row array,
+    # written out once every cell sum is known
+    flush_mark = "#flush"
+    # in-flight window slots, oldest first
+    slots = range(PIPELINE_WINDOW)
     drain = max(0, depth - rec_ii)
     p_reg = loop_region(pipe.uid)
     # a body that touches neither external memory nor a BRAM port group,
@@ -609,25 +660,24 @@ def _compile_nest_driver(nplan: NestPlan, limit, grant, dram, events, attr):
         w(1, "_lx = rec._log.extend")
     for li in range(k):
         w(1, f"n{li} = ns[{li}]")
-    if p_reads:
-        w(1, "inflight = _deque()")
-        w(1, "ipop = inflight.popleft")
-        w(1, "ipush = inflight.append")
-        w(1, "iclear = inflight.clear")
     if attr:
         w(1, "_ad = acct.deposit")
         w(1, '_ab = getattr(acct, "bins", None)')
         w(1, "_P = rec.config.sampling_period")
         w(1, "_cset = rec.attribution.cells.setdefault")
-        # one cached table cell per region (the `_cR` locals), declared
-        # here once the body has named its regions
+        # no window open yet: [0, 0) holds no non-empty deposit
+        w(1, "_wl = 0; _wh = 0; _wo = 0")
+        if p_reads or t_reads:
+            w(1, "e_rc = 0")
+        if p_parts:
+            # the in-flight slots' and the binding trip's `_rc`
+            w(1, " = ".join(f"_irc{j}" for j in slots) + " = _brc = 0")
+        # one cached table cell per region (the `_cR` locals), its
+        # per-slot sums and, per slot, the sum of those at the open
+        # window's start (`_z`), declared here once the body named them
         attr_at = len(lines)
         attr_cells: dict[int, str] = {}
-    if p_parts:
-        w(1, "parts = _deque()")
-        w(1, "ppop = parts.popleft")
-        w(1, "ppush = parts.append")
-        w(1, "pclear = parts.clear")
+        cell_slots: dict[str, set] = {}
     w(1, "gap = state._GAP")
     if closed and rec_ii > ii:
         w(1, f"_cp = gap // {rec_ii - ii} + 1")
@@ -697,7 +747,8 @@ def _compile_nest_driver(nplan: NestPlan, limit, grant, dram, events, attr):
         # PortSet.request + ExternalMemory.access_time, inlined over the
         # hoisted deque/clamp locals; expects `at`, `bi`, `row`, `ch`.
         # `track` keeps this request's row penalty and arbitration wait
-        # in `_pen` / `_av` for the binding-read peel
+        # for the binding-read peel as one int `_rc`: the wait, or for a
+        # row miss (penalty ROW_MISS_PENALTY) its complement ~wait < 0
         h = "w" if is_write else "r"
         last = "last_w" if is_write else "last_r"
         w(ind, f"if hl{h} >= {limit}:")
@@ -712,18 +763,14 @@ def _compile_nest_driver(nplan: NestPlan, limit, grant, dram, events, attr):
         w(ind + 1, f"begin += {ROW_MISS_PENALTY}")
         w(ind + 1, "rm += 1")
         w(ind + 1, "if busy > begin: begin = busy")
+        w(ind + 1, f"arb += begin - at - {ROW_MISS_PENALTY}")
         if track:
-            w(ind + 1, f"_pen = {ROW_MISS_PENALTY}")
-            w(ind + 1, f"_av = begin - at - {ROW_MISS_PENALTY}")
-            w(ind + 1, "arb += _av")
-        else:
-            w(ind + 1, f"arb += begin - at - {ROW_MISS_PENALTY}")
+            w(ind + 1, f"_rc = at - begin + {ROW_MISS_PENALTY - 1}")
         w(ind, "else:")
         w(ind + 1, "if busy > begin: begin = busy")
         if track:
-            w(ind + 1, "_pen = 0")
-            w(ind + 1, "_av = begin - at")
-            w(ind + 1, "arb += _av")
+            w(ind + 1, "_rc = begin - at")
+            w(ind + 1, "arb += _rc")
         else:
             w(ind + 1, "arb += begin - at")
         w(ind, f"done = begin + {transfer}")
@@ -765,18 +812,23 @@ def _compile_nest_driver(nplan: NestPlan, limit, grant, dram, events, attr):
         # the latest response binds `extra` (first maximum wins)
         if attr:
             w(ind, "if late > extra:")
-            w(ind + 1, "extra = late; e_pen = _pen; e_arb = _av")
+            w(ind + 1, "extra = late; e_rc = _rc")
         else:
             w(ind, "if late > extra: extra = late")
 
     def emit_extra_init(ind: int) -> None:
-        w(ind, "extra = 0; e_pen = 0; e_arb = 0" if attr else "extra = 0")
+        # a stale e_rc is never peeled into more than `extra` cycles, so
+        # it is harmless when no response is late
+        w(ind, "extra = 0")
 
-    def emit_peel(ind: int, amount: str, pen: str, arbv: str) -> None:
+    def emit_peel(ind: int, amount: str, rc: str) -> None:
         # executor._peel: (row, arb, latency) priority split of `amount`
-        w(ind, f"_r = {pen} if {pen} < {amount} else {amount}")
+        # against a binding read's `_rc` (see emit_booking)
+        w(ind, f"if {rc} < 0: _pn = {ROW_MISS_PENALTY}; _av = ~{rc}")
+        w(ind, f"else: _pn = 0; _av = {rc}")
+        w(ind, f"_r = _pn if _pn < {amount} else {amount}")
         w(ind, f"_rest = {amount} - _r")
-        w(ind, f"_a = {arbv} if {arbv} < _rest else _rest")
+        w(ind, "_a = _av if _av < _rest else _rest")
         w(ind, "_l = _rest - _a")
 
     def emit_bucket(ind: int) -> None:
@@ -788,8 +840,6 @@ def _compile_nest_driver(nplan: NestPlan, limit, grant, dram, events, attr):
         w(ind, "else:")
         w(ind + 1, "issue = cursor if cursor > e_next else e_next")
         w(ind + 1, f"e_next += {ii}")
-        if attr:
-            w(ind + 1, "c_ii += issue - cursor")
         if has_group:
             w(ind, "if g_first < 0 or issue > ge_next + gap:")
             w(ind + 1, f"g_first = issue; ge_next = issue + {group_cost}")
@@ -808,27 +858,37 @@ def _compile_nest_driver(nplan: NestPlan, limit, grant, dram, events, attr):
             w(ind, f"_lx((tid, {start_expr}, {end_expr}, "
                    f"{', '.join(amounts)}))")
 
-    def emit_attr(ind, start, end, region, amounts) -> None:
+    def emit_attr(ind, start, end, region, amounts, nonempty=False) -> None:
         # one cycle-accounting deposit of `amounts` (N_SLOTS expressions)
-        # to (region, tid) over [start, end): inside one window whose row
-        # the thread's array already holds, added straight into the
-        # table cell and that row; otherwise through the accounting sink
+        # to (region, tid) over [start, end): inside the open window, added
+        # to the cell sums (the window's sums are their growth since the
+        # window opened); inside one other window, after flushing the
+        # open one and opening that one; otherwise through the
+        # accounting sink.  `nonempty`: end > start is known
         cell = attr_cells.setdefault(region, f"_cR{len(attr_cells)}")
-        w(ind, f"if _ab is not None and {end} > {start} and "
-               f"(_o := {start} // _P) == ({end} - 1) // _P and "
-               f"(_o := _o * {N_SLOTS}) < len(_ab):")
-        b = ind + 1
-        w(b, f"if {cell} is None:")
-        w(b + 1, f"{cell} = _cset(({region}, tid), [0] * {N_SLOTS})")
+        used = cell_slots.setdefault(cell, set())
+        adds = []
         for slot, amount in enumerate(amounts):
-            if amount == "0":
-                continue
-            if not (amount.isidentifier() or amount.isdigit()):
-                w(b, f"_v = {amount}")
-                amount = "_v"
-            w(b, f"{cell}[{slot}] += {amount}")
-            w(b, f"_ab[_o + {slot}] += {amount}" if slot
-                 else f"_ab[_o] += {amount}")
+            if amount != "0":
+                used.add(slot)
+                adds.append(f"{cell}_{slot} += {amount}")
+
+        def emit_adds(b: int) -> None:
+            w(b, f"if {cell} is None:")
+            w(b + 1, f"{cell} = _cset(({region}, tid), [0] * {N_SLOTS})")
+            for line in adds:
+                w(b, line)
+
+        w(ind, f"if _wl <= {start} and {end} <= _wh:" if nonempty else
+               f"if _wl <= {start} < {end} <= _wh:")
+        emit_adds(ind + 1)
+        one = f"(_o := {start} // _P) == ({end} - 1) // _P"
+        w(ind, f"elif _ab is not None and {one}:" if nonempty else
+               f"elif _ab is not None and {end} > {start} and {one}:")
+        b = ind + 1
+        w(b, flush_mark)
+        w(b, f"_wl = _o * _P; _wh = _wl + _P; _wo = _o * {N_SLOTS}")
+        emit_adds(b)
         w(ind, "else:")
         w(b, f"_ad({start}, {end}, {region}, ({', '.join(amounts)}))")
 
@@ -837,8 +897,8 @@ def _compile_nest_driver(nplan: NestPlan, limit, grant, dram, events, attr):
 
     def emit_trip_loop(b: int) -> None:
         # without pipelined reads every retire is issue + depth and issue
-        # never decreases, so the window cannot stall: the in-flight queue
-        # is not kept and the last trip's retire is the latest
+        # never decreases, so the window cannot stall: no slot is kept
+        # and the last trip's retire is the latest
         emit_bucket(b)
         if not p_reads:
             for i, (start, off, nbytes, is_write, _name) in enumerate(mem):
@@ -846,36 +906,44 @@ def _compile_nest_driver(nplan: NestPlan, limit, grant, dram, events, attr):
             w(b, f"cursor = issue + {rec_ii}")
             w(b, "p += 1")
             return
-        w(b, f"if len(inflight) >= {PIPELINE_WINDOW}:")
-        w(b + 1, f"head = ipop() - {depth}")
+        # the oldest in-flight trip's retire - depth: past this issue, the
+        # stage buffers are full and the pipeline stalls (backpressure)
+        w(b, "if _ih0 > issue:")
         if p_parts:
-            w(b + 1, "_op = ppop()")
-        w(b + 1, "if head > issue:")
-        if p_parts:
-            # backpressure, peeled against the popped iteration's split
-            w(b + 2, "_bp = head - issue")
-            emit_peel(b + 2, "_bp", "_op[0]", "_op[1]")
-            w(b + 2, "c_row += _r; c_arb += _a; c_lat += _l")
-        w(b + 2, "stall += head - issue; issue = head")
+            # backpressure, peeled against the oldest trip's binding row
+            # penalty and arbitration wait; c_bp joins `stall`, and the
+            # latency share is derived from it, at the chunk's end
+            w(b + 1, "_bp = _ih0 - issue")
+            w(b + 1, "c_bp += _bp; issue = _ih0")
+            w(b + 1, "if _irc0 < 0:")
+            w(b + 2, f"if _bp > {ROW_MISS_PENALTY}:")
+            w(b + 3, f"c_row += {ROW_MISS_PENALTY}; "
+                     f"_a = _bp - {ROW_MISS_PENALTY}; _x = ~_irc0")
+            w(b + 3, "c_arb += _x if _x < _a else _a")
+            w(b + 2, "else:")
+            w(b + 3, "c_row += _bp")
+            w(b + 1, "else:")
+            w(b + 2, "c_arb += _irc0 if _irc0 < _bp else _bp")
+        else:
+            w(b + 1, "stall += _ih0 - issue; issue = _ih0")
         emit_extra_init(b)
         for i, (start, off, nbytes, is_write, _name) in enumerate(mem):
             emit_p_memop(b, i, start, off, nbytes, is_write, "p")
-        w(b, f"retire = issue + {depth} + extra")
+        w(b, "_hd = issue + extra")
         w(b, "stall += extra")
-        if p_parts:
-            w(b, "if extra:")
-            emit_peel(b + 1, "extra", "e_pen", "e_arb")
-            w(b + 1, "_ip = (_r, _a, _l)")
-            w(b, "else:")
-            w(b + 1, "_ip = _Z")
-            w(b, "ppush(_ip)")
-        w(b, "ipush(retire)")
+        # the window slides by one: this trip is the newest
+        names = ["_ih"] + (["_irc"] if p_parts else [])
+        news = ["_hd"] + (["e_rc"] if p_parts else [])
+        for name, new in zip(names, news):
+            w(b, "; ".join([f"{name}{j} = {name}{j + 1}"
+                            for j in slots[:-1]]
+                           + [f"{name}{slots[-1]} = {new}"]))
         w(b, f"cursor = issue + {rec_ii}")
         if p_parts:
-            w(b, "if retire > last_retire:")
-            w(b + 1, "last_retire = retire; lp = _ip")
+            w(b, "if _hd > _lh:")
+            w(b + 1, "_lh = _hd; _brc = e_rc")
         else:
-            w(b, "if retire > last_retire: last_retire = retire")
+            w(b, "if _hd > _lh: _lh = _hd")
         w(b, "p += 1")
 
     def emit_closed_trips(ind: int) -> None:
@@ -927,14 +995,13 @@ def _compile_nest_driver(nplan: NestPlan, limit, grant, dram, events, attr):
 
     def emit_pipe(ind: int) -> None:
         # one pipelined entry: T trips, issued in chunks of `chunk`
-        if p_reads:
-            w(ind, "iclear()")
-        if attr:
-            w(ind, "lp = _Z")
-        if p_parts:
-            w(ind, "pclear()")
         w(ind, "cursor = now")
         w(ind, "last_retire = cursor")
+        if p_reads:
+            # an empty window: no slot can stall an issue (issue >= 0)
+            w(ind, " = ".join(f"_ih{j}" for j in slots) + " = 0")
+            # the latest retire - depth; the entry's first trip passes it
+            w(ind, f"_lh = cursor - {depth}")
         w(ind, "remaining = T")
         w(ind, "while remaining > 0:")
         c = ind + 1
@@ -950,15 +1017,21 @@ def _compile_nest_driver(nplan: NestPlan, limit, grant, dram, events, attr):
             w(c, f"ge_next = g_first + group.count * {group_cost}")
         w(c, "stall = 0")
         if attr:
-            w(c, "c_ii = 0; c_port = 0; c_row = 0; c_arb = 0; c_lat = 0")
+            sums = ((["c_port = 0"] if has_group else [])
+                    + (["c_row = 0", "c_arb = 0", "c_bp = 0"] if p_parts
+                       else []))
+            if sums:
+                w(c, "; ".join(sums))
         if closed:
             emit_closed_trips(c)
         else:
             w(c, "_pe = p + batch")
             w(c, "while p < _pe:")
             emit_trip_loop(c + 1)
-            if not p_reads:
-                w(c, f"last_retire = issue + {depth}")
+            w(c, f"last_retire = _lh + {depth}" if p_reads
+                 else f"last_retire = issue + {depth}")
+            if p_parts:
+                w(c, "stall += c_bp")
         w(c, "state.first = s_first")
         w(c, f"state.count = (e_next - s_first) // {ii}")
         if has_group:
@@ -970,11 +1043,20 @@ def _compile_nest_driver(nplan: NestPlan, limit, grant, dram, events, attr):
                       for v in (pseg.flops, pseg.intops, prb, pwb)]
                      + ["stall"])
         if attr:
-            peeled = ["c_lat", "c_arb", "c_row"] if p_parts else ["0"] * 3
+            # the chunk's advance decomposes exactly: rec_ii per trip is
+            # useful spacing, the rest is II, port and backpressure delay
+            delays = ((["c_port"] if has_group else [])
+                      + (["c_bp"] if p_parts else []))
+            c_ii = f"cursor - cs - {rec_ii} * batch" + "".join(
+                f" - {d}" for d in delays)
+            peeled = (["c_bp - c_row - c_arb", "c_arb", "c_row"] if p_parts
+                      else ["0"] * 3)
+            # non-empty: the chunk's first trip retires >= depth >= 1
+            # cycles after cs
             emit_attr(c, "cs", "last_retire", p_reg,
-                      [f"{rec_ii} * batch", "c_ii",
+                      [f"{rec_ii} * batch", c_ii,
                        "c_port" if has_group else "0", *peeled,
-                       "0", "0", "0"])
+                       "0", "0", "0"], nonempty=True)
         w(c, "if stall:")
         w(c + 1, "stall_acc += stall")
         w(c, "advance = cursor - now")
@@ -988,12 +1070,18 @@ def _compile_nest_driver(nplan: NestPlan, limit, grant, dram, events, attr):
             # binding iteration's late response, peeled into its split
             if drain:
                 w(ind + 1, f"_dr = {drain} if {drain} < tail else tail")
-                emit_peel(ind + 1, "tail - _dr", "lp[0]", "lp[1]")
+                late = "tail - _dr"
             else:
-                w(ind + 1, "_dr = 0")
-                emit_peel(ind + 1, "tail", "lp[0]", "lp[1]")
+                late = "tail"
+            if p_parts:
+                emit_peel(ind + 1, late, "_brc")
+                split = ["_l", "_a", "_r"]
+            else:
+                # no pipelined reads: nothing is late, all is latency
+                split = [late, "0", "0"]
             emit_attr(ind + 1, "now", "last_retire", p_reg,
-                      ["0", "0", "0", "_l", "_a", "_r", "0", "_dr", "0"])
+                      ["0", "0", "0", *split, "0",
+                       "_dr" if drain else "0", "0"], nonempty=True)
         w(ind + 1, "yield tail")
         w(ind + 1, "now = last_retire")
 
@@ -1002,7 +1090,8 @@ def _compile_nest_driver(nplan: NestPlan, limit, grant, dram, events, attr):
         if attr:
             emit_attr(ind, "now", f"now + {seg.depth}",
                       segment_region(seg.uid),
-                      [str(seg.depth)] + ["0"] * (N_SLOTS - 1))
+                      [str(seg.depth)] + ["0"] * (N_SLOTS - 1),
+                      nonempty=seg.depth > 0)
 
     def emit_trail(u: int, tr, ind: int, idx: str, fin_idx: str) -> None:
         seg = tr.segment
@@ -1029,7 +1118,7 @@ def _compile_nest_driver(nplan: NestPlan, limit, grant, dram, events, attr):
                 w(ind, "if now > _as:")
                 emit_attr(ind + 1, "_as", "now", REGION_SYNC,
                           ["0", "0", "0", "0", "0", "0", "now - _as", "0",
-                           "0"])
+                           "0"], nonempty=True)
             emit_set_state(ind, "_CRIT")
         if tr.snap_ids or tr.snap_var_ids:
             w(ind, f"_t = tin{u}[{idx}]")
@@ -1067,10 +1156,10 @@ def _compile_nest_driver(nplan: NestPlan, limit, grant, dram, events, attr):
                          [str(seg.flops), str(seg.intops), str(trb),
                           str(twb), "extra"])
             if attr:
-                emit_peel(ind, "extra", "e_pen", "e_arb")
+                emit_peel(ind, "extra", "e_rc")
                 emit_attr(ind, "now", "now + duration", s_reg,
                           [str(seg.depth), "0", "0", "_l", "_a", "_r",
-                           "0", "0", "0"])
+                           "0", "0", "0"], nonempty=seg.depth > 0)
             w(ind, "if extra:")
             w(ind + 1, "stall_acc += extra")
             w(ind, "yield duration")
@@ -1129,7 +1218,7 @@ def _compile_nest_driver(nplan: NestPlan, limit, grant, dram, events, attr):
         if attr:
             # the level's per-trip control bubbles, as one deposit
             emit_attr(ind, f"_ls{li}", "now", loop_region(lvl.uid),
-                      ["0"] * (N_SLOTS - 1) + [f"n{li}"])
+                      ["0"] * (N_SLOTS - 1) + [f"n{li}"], nonempty=True)
 
     if k:
         emit_level(0, 1)
@@ -1137,6 +1226,14 @@ def _compile_nest_driver(nplan: NestPlan, limit, grant, dram, events, attr):
         emit_pipe(1)
     w(1, "if stall_acc:")
     w(2, "rt.stalls[tid] += stall_acc")
+    if attr:
+        # the open window's sums into the row, the cell sums into cells
+        w(1, flush_mark)
+        for cell, used in cell_slots.items():
+            if used:
+                w(1, f"if {cell} is not None:")
+                for slot in sorted(used):
+                    w(2, f"{cell}[{slot}] += {cell}_{slot}")
     if used_r:
         w(1, "lc[_KR] = last_r")
         w(1, "hist_r[:] = _hr")
@@ -1183,9 +1280,30 @@ def _compile_nest_driver(nplan: NestPlan, limit, grant, dram, events, attr):
             w(2, f"_C[_LK{j}] = _C.get(_LK{j}, 0) + _cn{j}")
 
     if attr:
-        lines[attr_at:attr_at] = [f"    {cell} = None"
-                                  for cell in attr_cells.values()]
-    namespace = {"_deque": deque, "_Z": (0, 0, 0)}
+        # per slot, the cell sums that window sums are made of
+        terms = [[f"{cell}_{slot}" for cell, used in cell_slots.items()
+                  if slot in used] for slot in range(N_SLOTS)]
+        live = [slot for slot in range(N_SLOTS) if terms[slot]]
+        # the open window's sums (the growth of the cell sums since it
+        # opened) into its row
+        zs = "".join(f"_z{slot}, " for slot in live)
+        flush = [f"{zs}= _wf(_ab, _wo, {tuple(live)}, ("
+                 + "".join(f"{' + '.join(terms[slot])}, " for slot in live)
+                 + f"), ({zs}))"]
+        expanded = []
+        for line in lines:
+            if line.strip() == flush_mark:
+                pad = line[:len(line) - len(flush_mark)]
+                expanded.extend(pad + text for text in flush)
+            else:
+                expanded.append(line)
+        lines[:] = expanded[:attr_at] + [
+            f"    {cell} = None" + "".join(f"; {cell}_{slot} = 0"
+                                           for slot in sorted(used))
+            for cell, used in cell_slots.items()] + [
+            "    " + " = ".join(f"_z{slot}" for slot in live) + " = 0"
+        ] + expanded[attr_at:]
+    namespace = {"_deque": deque, "_wf": _flush_window}
     if any_crit:
         namespace["_Event"] = Event
         namespace["_SPIN"] = ThreadState.SPINNING

@@ -8,10 +8,12 @@ trailing segment *reads* external memory (binding-read peel of a
 trailing segment), and lone pipelined loops next to a contended
 critical section.
 
-A deposit inside one sampling window that the thread's attribution row
-array already covers is added in the driver itself; every other one
-goes through the recorder.  Small sampling periods make both kinds, and
-mid-run row growth, happen inside the driver.
+A non-empty deposit inside one sampling window is added in the driver
+itself, into locals for the window it keeps open; window-crossing and
+zero-length deposits go through the recorder.  Small sampling periods
+make every kind happen inside the driver, and mid-run row growth; the
+larger ones (61 and 509 cycles, both prime) close the open window
+mid-chunk, mid-entry and across yields.
 """
 
 import numpy as np
@@ -118,8 +120,12 @@ def test_driver_deposits_match_reference(name, tmp_path):
     fast, fast_out, fast_prv, counters = _run(name, "auto", tmp_path)
     assert fast.cycles == ref.cycles
     assert fast.stalls == ref.stalls
-    assert fast.attribution == ref.attribution
+    assert list(fast.attribution.cells.items()) == list(
+        ref.attribution.cells.items())
     assert fast.attribution.check(fast.cycles) == []
+    for kind in ATTRIBUTION_EVENTS:
+        assert (fast.trace.events[kind].tobytes()
+                == ref.trace.events[kind].tobytes()), kind
     assert fast_prv == ref_prv
     assert np.array_equal(fast_out, ref_out)
     # the driver really ran: every nest flattened, nothing fell back
@@ -136,16 +142,18 @@ def _small_windows(period):
                                                 events=()))
 
 
-def _gemm_run(version, mode, tmp_path, options=None):
-    sim = run_gemm(version, dim=16, attribution=True, options=options,
+def _gemm_run(version, mode, tmp_path, options=None, attribution=True,
+              loop_chunk=SimConfig().loop_chunk):
+    sim = run_gemm(version, dim=16, attribution=attribution, options=options,
                    sim_config=SimConfig(thread_start_interval=50,
-                                        exec_mode=mode)).result
+                                        exec_mode=mode,
+                                        loop_chunk=loop_chunk)).result
     files = write_trace(sim.trace, str(tmp_path / f"{version}_{mode}"))
     with open(files.prv, "rb") as handle:
         return sim, handle.read()
 
 
-@pytest.mark.parametrize("period", [1, 7])
+@pytest.mark.parametrize("period", [1, 7, 61, 509])
 @pytest.mark.parametrize("name", sorted(SOURCES) + sorted(GEMM_VERSIONS))
 def test_small_windows_match_reference(name, period, tmp_path):
     options = _small_windows(period)
@@ -158,18 +166,42 @@ def test_small_windows_match_reference(name, period, tmp_path):
             _gemm_run(name, mode, tmp_path, options)
             for mode in ("reference", "auto"))
     assert fast.cycles == ref.cycles
+    assert fast.stalls == ref.stalls
     assert list(fast.attribution.cells.items()) == list(
         ref.attribution.cells.items())
+    assert fast.attribution.check(fast.cycles) == []
     for kind in ATTRIBUTION_EVENTS:
         assert (fast.trace.events[kind].tobytes()
                 == ref.trace.events[kind].tobytes()), kind
     assert fast_prv == ref_prv
 
 
+@pytest.mark.parametrize("attribution", [False, True])
+@pytest.mark.parametrize("chunk", [3, 7])
+def test_odd_chunks_match_reference(chunk, attribution, tmp_path):
+    """Chunks of an odd number of trips end mid-entry: no_critical's
+    16-trip entries read external memory every trip and back up the
+    pipeline, so the in-flight window slots must carry over from chunk
+    to chunk exactly."""
+
+    (ref, ref_prv), (fast, fast_prv) = (
+        _gemm_run("no_critical", mode, tmp_path, _small_windows(61),
+                  attribution=attribution, loop_chunk=chunk)
+        for mode in ("reference", "auto"))
+    assert fast.cycles == ref.cycles
+    assert fast.stalls == ref.stalls
+    assert fast_prv == ref_prv
+    if attribution:
+        assert list(fast.attribution.cells.items()) == list(
+            ref.attribution.cells.items())
+        assert fast.attribution.check(fast.cycles) == []
+
+
 def test_driver_adds_single_window_deposits_itself(monkeypatch):
     """Naive GEMM's nest entries make their deposits without calling
-    the recorder: only window-crossing deposits, row growth and the
-    executor's own deposits reach ``attr_deposit``."""
+    the recorder: only window-crossing deposits and the executor's own
+    deposits reach ``attr_deposit``, and ``profiling.attr_deposits``
+    counts exactly those calls."""
 
     calls = 0
     deposit = ProfilingRecorder.attr_deposit
@@ -185,3 +217,4 @@ def test_driver_adds_single_window_deposits_itself(monkeypatch):
     entries = session.counters["sim.fastpath.entries_batched"]
     assert entries == 2048
     assert calls < entries // 5
+    assert session.counters["profiling.attr_deposits"] == calls
