@@ -114,11 +114,12 @@ class GemmRun:
 
 
 def check_problem_size(name: str, value: int) -> None:
-    """Refuse a GEMM ``DIM`` or a π ``steps`` that is not positive.
+    """Refuse a GEMM ``DIM``, a π ``steps`` or a count that is not positive.
 
-    :func:`run_gemm` and :func:`run_pi` apply it, and so does every
-    sweep :class:`~repro.sweep.JobSpec` when it is made, so a bad size
-    fails before any job is dispatched.
+    :func:`run_gemm` and :func:`run_pi` apply it to the problem size,
+    and every sweep :class:`~repro.sweep.JobSpec` applies it to its size,
+    thread count and knobs when it is made, so a bad job fails before
+    any job is dispatched.
     """
 
     if value <= 0:

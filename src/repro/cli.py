@@ -26,8 +26,7 @@ Mirrors how a user of the paper's flow would drive it:
   timeout and structured failure capture; ``--out`` writes the
   machine-readable ``repro.sweep/1`` result document; ``--progress``
   renders live progress (done/running/failed, cache hit rate, ETA)
-  and ``--events-out`` streams ``repro.events/1`` JSONL records
-  (job lifecycle + worker heartbeats);
+  on stderr;
 * ``explore`` — design-space exploration: enumerate candidate
   configurations (GEMM version × dim × threads × exposed knobs, or π
   steps × threads × blocking), score each with the analytic
@@ -226,14 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--progress", action="store_true",
                          help="render live progress on stderr "
                               "(done/running/failed, cache hit rate, ETA)")
-    p_sweep.add_argument("--events-out", metavar="PATH", default=None,
-                         help="stream repro.events/1 JSONL records "
-                              "(job_started/job_finished/job_failed/"
-                              "heartbeat) to PATH")
-    p_sweep.add_argument("--heartbeat", type=float, default=1.0,
-                         metavar="SECONDS",
-                         help="worker heartbeat interval for --events-out "
-                              "(default: 1.0)")
     add_telemetry_args(p_sweep)
 
     p_explore = sub.add_parser(
@@ -305,12 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "report")
     p_explore.add_argument("--progress", action="store_true",
                            help="render live sweep progress on stderr")
-    p_explore.add_argument("--events-out", metavar="PATH", default=None,
-                           help="stream repro.events/1 JSONL records for "
-                                "the evaluation sweep")
-    p_explore.add_argument("--heartbeat", type=float, default=1.0,
-                           metavar="SECONDS",
-                           help="worker heartbeat interval (default: 1.0)")
     add_telemetry_args(p_explore)
 
     p_timeline = sub.add_parser(
@@ -629,9 +614,7 @@ def _sweep_command(args: argparse.Namespace) -> int:
                        use_cache=not args.no_cache,
                        cache_dir=args.cache_dir, timeout=args.timeout,
                        report_dir=args.report_dir,
-                       progress=progress, events_out=args.events_out,
-                       heartbeat_s=args.heartbeat,
-                       capture_telemetry=True)
+                       progress=progress, capture_telemetry=True)
 
     header = (f"{'job':34s} {'status':8s} {'cycles':>10s} {'GFLOP/s':>8s} "
               f"{'wall':>7s}  cache")
@@ -653,8 +636,6 @@ def _sweep_command(args: argparse.Namespace) -> int:
     if args.out:
         result.to_json(args.out)
         print(f"results written: {args.out}")
-    if args.events_out:
-        print(f"event log written: {args.events_out} (repro.events/1)")
     return 0 if not result.failed else 1
 
 
@@ -702,8 +683,7 @@ def _explore_command(args: argparse.Namespace) -> int:
                      jobs=args.jobs, use_cache=not args.no_cache,
                      cache_dir=args.cache_dir, timeout=args.timeout,
                      report_dir=args.report_dir, progress=progress,
-                     events_out=args.events_out,
-                     heartbeat_s=args.heartbeat, capture_telemetry=True)
+                     capture_telemetry=True)
 
     pruned = len(result.pruned)
     print(f"analytic model scored {len(result.outcomes)} candidates in "
@@ -779,8 +759,6 @@ def _explore_command(args: argparse.Namespace) -> int:
                     os.path.abspath(job.report_path), base)
         write_explore_html(result, args.html, report_links=links or None)
         print(f"HTML report written: {args.html}")
-    if args.events_out:
-        print(f"event log written: {args.events_out} (repro.events/1)")
     return 0 if not failed else 1
 
 

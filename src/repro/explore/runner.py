@@ -5,8 +5,8 @@
 shared content-addressed compile cache) and scored by the analytic
 model, dominated/over-budget points are pruned, and the survivors run
 for real through :func:`repro.sweep.run_sweep` — inheriting its
-process fan-out, per-job timeouts, progress sinks, event streams and
-telemetry snapshots.  Because the scoring compile and the evaluation
+process fan-out, per-job timeouts, live progress and telemetry
+snapshots.  Because the scoring compile and the evaluation
 job share a cache key, the sweep's compiles are guaranteed cache hits:
 the analytic stage costs compile time only, once per unique hardware
 configuration.
@@ -22,7 +22,7 @@ from .. import telemetry
 from ..apps.runners import compile_gemm, compile_pi
 from ..hls.cache import CompileCache
 from ..hls.compiler import Accelerator
-from ..sweep.progress import ProgressSink
+from ..sweep.progress import TTYProgress
 from ..sweep.results import JobResult, SweepResult
 from ..sweep.runner import run_sweep
 from ..sweep.spec import SweepSpec
@@ -189,8 +189,7 @@ def explore(space: ExploreSpace, *, budget: Optional[Budget] = None,
             dominance: bool = True, jobs: int = 1, use_cache: bool = True,
             cache_dir: Optional[str] = None, timeout: Optional[float] = None,
             report_dir: Optional[str] = None, keep_runs: bool = False,
-            progress: Optional[ProgressSink] = None,
-            events_out: Optional[str] = None, heartbeat_s: float = 1.0,
+            progress: Optional[TTYProgress] = None,
             capture_telemetry: Optional[bool] = None) -> ExploreResult:
     """Run the full explore pipeline over ``space``.
 
@@ -225,7 +224,6 @@ def explore(space: ExploreSpace, *, budget: Optional[Budget] = None,
                           use_cache=use_cache, cache_dir=cache_dir,
                           timeout=timeout, report_dir=report_dir,
                           keep_runs=keep_runs, progress=progress,
-                          events_out=events_out, heartbeat_s=heartbeat_s,
                           capture_telemetry=capture_telemetry)
         by_id = {job.job_id: job for job in sweep.jobs}
         for outcome in outcomes:

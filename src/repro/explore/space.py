@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..apps.gemm import EXTRA_VERSIONS, GEMM_VERSIONS
+from ..apps.runners import check_problem_size
 from ..sweep.spec import (
     PI_DEFAULT_START_INTERVAL, PI_DEFAULT_STEPS, JobSpec,
 )
@@ -96,6 +97,8 @@ def gemm_space(dims: Sequence[int] = (64,), threads: Sequence[int] = (8,),
     if unknown:
         raise ValueError(f"unknown GEMM versions {sorted(unknown)}; "
                          f"choose from {sorted(GEMM_KNOBS)}")
+    _check_counts(DIM=dims, threads=threads, vector_len=vector_lens,
+                  block_size=block_sizes)
     candidates: list[Candidate] = []
     for dim in dims:
         for nthreads in threads:
@@ -124,6 +127,15 @@ def gemm_space(dims: Sequence[int] = (64,), threads: Sequence[int] = (8,),
     return ExploreSpace("gemm", candidates, name=name)
 
 
+def _check_counts(**grids: Sequence[int]) -> None:
+    """Refuse a non-positive size or count before the divisibility
+    filters divide by it, in the words a :class:`JobSpec` would use."""
+
+    for name, values in grids.items():
+        for value in values:
+            check_problem_size(name, value)
+
+
 def _gemm_knob_grid(exposed: tuple[str, ...], vector_lens: Sequence[int],
                     block_sizes: Sequence[int]):
     """Valid (vector_len, block_size) pairs for one version."""
@@ -149,6 +161,7 @@ def pi_space(steps: Sequence[int] = PI_DEFAULT_STEPS,
              start_interval: int = PI_DEFAULT_START_INTERVAL) -> ExploreSpace:
     """Enumerate π iteration-count × threads × blocking-factor combos."""
 
+    _check_counts(steps=steps, threads=threads, bs_compute=bs_compute)
     candidates: list[Candidate] = []
     for count in steps:
         for nthreads in threads:

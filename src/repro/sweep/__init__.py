@@ -7,14 +7,11 @@ content-addressed compile cache, and a machine-readable result document
 (schema ``repro.sweep/1``).  See DESIGN.md §8.
 
 Live observability (DESIGN.md §10): pass ``progress=`` a
-:class:`ProgressSink` (e.g. :class:`TTYProgress`) and/or ``events_out=``
-a path to stream ``repro.events/1`` JSONL records; per-job telemetry
+:class:`TTYProgress` for a live progress line; per-job telemetry
 snapshots ride back on each :class:`JobResult` for ``repro timeline``.
 """
 
-from .progress import (EVENTS_SCHEMA, JSONLEventSink, MultiSink,
-                       ProgressSink, TTYProgress, validate_event_records,
-                       validate_events_file)
+from .progress import TTYProgress
 from .results import (JOB_STATUSES, SWEEP_SCHEMA, JobResult, SweepResult,
                       validate_sweep_dict, validate_sweep_file)
 from .runner import JobTimeout, execute_job, run_sweep
@@ -25,7 +22,5 @@ __all__ = [
     "JobSpec", "SweepSpec", "expand_jobs", "gemm_sweep", "pi_sweep",
     "load_spec", "execute_job", "run_sweep", "JobTimeout", "JobResult",
     "SweepResult", "validate_sweep_dict", "validate_sweep_file",
-    "SWEEP_SCHEMA", "JOB_STATUSES",
-    "ProgressSink", "TTYProgress", "JSONLEventSink", "MultiSink",
-    "EVENTS_SCHEMA", "validate_event_records", "validate_events_file",
+    "SWEEP_SCHEMA", "JOB_STATUSES", "TTYProgress",
 ]

@@ -1,115 +1,27 @@
-"""Live sweep progress: sinks, TTY rendering, and the event stream.
+"""Live sweep progress on a terminal.
 
-``run_sweep`` is no longer a black box between submit and return: it
-reports every job transition to a :class:`ProgressSink`.  Two concrete
-sinks ship:
-
-* :class:`TTYProgress` — a live terminal line (jobs done/running/
-  failed, compile-cache hit rate, ETA extrapolated from completed-job
-  durations), degrading to one printed line per job when the stream is
-  not a TTY (CI logs stay readable);
-* :class:`JSONLEventSink` — an append-only JSON-lines stream (schema
-  ``repro.events/1``) of ``job_started`` / ``job_finished`` /
-  ``job_failed`` / ``heartbeat`` records for machine consumers
-  (dashboards, the future trace-analysis service, distributed
-  executors).  :func:`validate_events_file` checks a stream
-  structurally, the same contract CI asserts.
-
-Workers emit **heartbeats** (default every second) while a job runs,
-so a consumer can tell a hung job (heartbeats stopped) from a slow one
-(heartbeats flowing, no ``job_finished`` yet).  The runner guarantees
-every job — including timed-out ones — ends with a final heartbeat
-followed by its terminal ``job_finished``/``job_failed`` record.
+``run_sweep`` reports every job transition to a :class:`TTYProgress`:
+a live terminal line (jobs done/running/failed, compile-cache hit
+rate, ETA extrapolated from completed-job durations), re-rendered
+when a job starts or finishes, degrading to one printed line per job
+when the stream is not a TTY (CI logs stay readable).  Every callback
+comes from the thread that called ``run_sweep`` — in pool mode the
+dispatcher announces a job when it submits it — and workers report
+nothing while a job runs: a hung job is ended by its inline deadline
+or, failing that, by the pool dispatcher's backstop.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 import threading
 import time
-from typing import Any, Optional, TextIO
+from typing import Optional, TextIO
 
-__all__ = [
-    "EVENTS_SCHEMA", "EVENT_KINDS", "ProgressSink", "MultiSink",
-    "TTYProgress", "JSONLEventSink", "validate_event_records",
-    "validate_events_file",
-]
-
-EVENTS_SCHEMA = "repro.events/1"
-
-#: every record kind a ``repro.events/1`` stream may contain
-EVENT_KINDS = ("meta", "job_started", "job_finished", "job_failed",
-               "heartbeat", "sweep_finished")
-
-#: terminal statuses carried by ``job_failed`` records
-FAILED_STATUSES = ("failed", "timeout", "crashed")
+__all__ = ["TTYProgress"]
 
 
-class ProgressSink:
-    """Receiver of sweep progress callbacks; every method is a no-op.
-
-    Subclass and override what you need.  Callbacks may arrive from a
-    heartbeat thread concurrently with the dispatcher thread, so
-    overrides must be thread-safe (both shipped sinks lock internally).
-    """
-
-    def sweep_started(self, name: str, total_jobs: int,
-                      parallel: int) -> None:
-        pass
-
-    def job_started(self, job_id: str, index: Optional[int] = None,
-                    pid: Optional[int] = None) -> None:
-        pass
-
-    def heartbeat(self, job_id: str, pid: Optional[int] = None) -> None:
-        pass
-
-    def job_finished(self, result: Any, index: Optional[int] = None) -> None:
-        """``result`` is a :class:`~repro.sweep.results.JobResult`."""
-
-    def sweep_finished(self, result: Any) -> None:
-        """``result`` is a :class:`~repro.sweep.results.SweepResult`."""
-
-    def close(self) -> None:
-        pass
-
-
-class MultiSink(ProgressSink):
-    """Fan one callback stream out to several sinks."""
-
-    def __init__(self, sinks: list[ProgressSink]):
-        self.sinks = list(sinks)
-
-    def sweep_started(self, name, total_jobs, parallel):
-        for sink in self.sinks:
-            sink.sweep_started(name, total_jobs, parallel)
-
-    def job_started(self, job_id, index=None, pid=None):
-        for sink in self.sinks:
-            sink.job_started(job_id, index=index, pid=pid)
-
-    def heartbeat(self, job_id, pid=None):
-        for sink in self.sinks:
-            sink.heartbeat(job_id, pid=pid)
-
-    def job_finished(self, result, index=None):
-        for sink in self.sinks:
-            sink.job_finished(result, index=index)
-
-    def sweep_finished(self, result):
-        for sink in self.sinks:
-            sink.sweep_finished(result)
-
-    def close(self):
-        for sink in self.sinks:
-            sink.close()
-
-
-# ----------------------------------------------------------------------
-# live terminal display
-# ----------------------------------------------------------------------
-class TTYProgress(ProgressSink):
+class TTYProgress:
     """Single-line live progress for humans watching a sweep run."""
 
     def __init__(self, stream: Optional[TextIO] = None):
@@ -137,16 +49,14 @@ class TTYProgress(ProgressSink):
             self._started_at = time.monotonic()
             self._render_locked()
 
-    def job_started(self, job_id, index=None, pid=None):
+    def job_started(self, job_id, index=None):
         with self._lock:
             self._running[job_id] = time.monotonic()
             self._render_locked()
 
-    def heartbeat(self, job_id, pid=None):
-        with self._lock:
-            self._render_locked()
-
     def job_finished(self, result, index=None):
+        """``result`` is a :class:`~repro.sweep.results.JobResult`."""
+
         with self._lock:
             started = self._running.pop(result.job_id, None)
             if result.status == "ok":
@@ -177,6 +87,8 @@ class TTYProgress(ProgressSink):
                     f"{detail}")
 
     def sweep_finished(self, result):
+        """``result`` is a :class:`~repro.sweep.results.SweepResult`."""
+
         with self._lock:
             totals = result.totals()
             self._clear_locked()
@@ -253,166 +165,3 @@ class TTYProgress(ProgressSink):
             self.stream.flush()
         except (OSError, ValueError):
             pass
-
-
-# ----------------------------------------------------------------------
-# machine-readable event stream
-# ----------------------------------------------------------------------
-class JSONLEventSink(ProgressSink):
-    """Append ``repro.events/1`` records to a JSONL file, flushed per
-    line so tail-following consumers see events as they happen."""
-
-    def __init__(self, path: str):
-        self.path = path
-        self._out: Optional[TextIO] = open(path, "w")
-        self._lock = threading.Lock()
-        self._wall_start = time.time()
-
-    def _emit(self, record: dict) -> None:
-        with self._lock:
-            if self._out is None:
-                return
-            self._out.write(json.dumps(record, sort_keys=True, default=str)
-                            + "\n")
-            self._out.flush()
-
-    def _t(self) -> float:
-        return round(time.time() - self._wall_start, 6)
-
-    # -- callbacks ------------------------------------------------------
-    def sweep_started(self, name, total_jobs, parallel):
-        self._wall_start = time.time()
-        self._emit({"kind": "meta", "schema": EVENTS_SCHEMA, "sweep": name,
-                    "jobs": total_jobs, "parallel": parallel,
-                    "wall_start": self._wall_start})
-
-    def job_started(self, job_id, index=None, pid=None):
-        record = {"kind": "job_started", "job": job_id, "t": self._t()}
-        if index is not None:
-            record["index"] = index
-        if pid is not None:
-            record["pid"] = pid
-        self._emit(record)
-
-    def heartbeat(self, job_id, pid=None):
-        record = {"kind": "heartbeat", "job": job_id, "t": self._t()}
-        if pid is not None:
-            record["pid"] = pid
-        self._emit(record)
-
-    def job_finished(self, result, index=None):
-        if result.status == "ok":
-            record = {"kind": "job_finished", "job": result.job_id,
-                      "status": "ok", "wall_s": round(result.wall_s, 6),
-                      "cache": result.compile_cache, "t": self._t()}
-            if result.cycles is not None:
-                record["cycles"] = result.cycles
-        else:
-            record = {"kind": "job_failed", "job": result.job_id,
-                      "status": result.status,
-                      "error": result.error or "unknown failure",
-                      "wall_s": round(result.wall_s, 6), "t": self._t()}
-        if index is not None:
-            record["index"] = index
-        self._emit(record)
-
-    def sweep_finished(self, result):
-        self._emit({"kind": "sweep_finished", "totals": result.totals(),
-                    "wall_s": round(result.wall_s, 6), "t": self._t()})
-
-    def close(self):
-        with self._lock:
-            if self._out is not None:
-                self._out.close()
-                self._out = None
-
-
-# ----------------------------------------------------------------------
-# validation
-# ----------------------------------------------------------------------
-def _fail(where: str, message: str) -> None:
-    raise ValueError(f"invalid event stream: {where}: {message}")
-
-
-def validate_event_records(records: list[dict]) -> list[dict]:
-    """Structurally validate a ``repro.events/1`` record list.
-
-    Checks the meta header, per-kind required fields, timestamp
-    monotonicity-from-zero, and that every terminal job record follows
-    a ``job_started`` for the same job.  Returns the records.
-    """
-
-    if not records:
-        _fail("records", "empty stream")
-    head = records[0]
-    if not isinstance(head, dict) or head.get("kind") != "meta":
-        _fail("records[0]", "first record must be the 'meta' header")
-    if head.get("schema") != EVENTS_SCHEMA:
-        _fail("records[0]", f"schema is {head.get('schema')!r}, expected "
-                            f"{EVENTS_SCHEMA!r}")
-    if not isinstance(head.get("jobs"), int) or head["jobs"] < 1:
-        _fail("records[0]", "'jobs' must be a positive integer")
-    started: set = set()
-    for number, record in enumerate(records[1:], start=1):
-        where = f"records[{number}]"
-        if not isinstance(record, dict):
-            _fail(where, "not an object")
-        kind = record.get("kind")
-        if kind not in EVENT_KINDS:
-            _fail(where, f"unknown kind {kind!r} (expected one of "
-                         f"{EVENT_KINDS})")
-        if kind == "meta":
-            _fail(where, "duplicate meta header")
-        if kind in ("job_started", "job_finished", "job_failed",
-                    "heartbeat"):
-            job = record.get("job")
-            if not isinstance(job, str) or not job:
-                _fail(where, f"{kind} needs a non-empty string 'job'")
-            t = record.get("t")
-            if not isinstance(t, (int, float)) or t < 0:
-                _fail(where, f"{kind} needs a numeric 't' >= 0")
-            if kind == "job_started":
-                started.add(job)
-            elif job not in started:
-                _fail(where, f"{kind} for {job!r} without a prior "
-                             "job_started")
-        if kind == "job_finished":
-            if record.get("status") != "ok":
-                _fail(where, "job_finished must carry status 'ok' "
-                             "(failures use job_failed)")
-            if not isinstance(record.get("wall_s"), (int, float)):
-                _fail(where, "job_finished needs a numeric 'wall_s'")
-        if kind == "job_failed":
-            if record.get("status") not in FAILED_STATUSES:
-                _fail(where, f"job_failed status {record.get('status')!r} "
-                             f"not in {FAILED_STATUSES}")
-            if not isinstance(record.get("error"), str) \
-                    or not record["error"]:
-                _fail(where, "job_failed needs a non-empty 'error'")
-        if kind == "sweep_finished":
-            if not isinstance(record.get("totals"), dict):
-                _fail(where, "sweep_finished needs a 'totals' object")
-            if number != len(records) - 1:
-                _fail(where, "sweep_finished must be the last record")
-    return records
-
-
-def validate_events_file(path: str) -> list[dict]:
-    """Parse + validate an events JSONL file; returns the records."""
-
-    records: list[dict] = []
-    try:
-        with open(path) as handle:
-            for line_no, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    records.append(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    raise ValueError(
-                        f"{path}:{line_no}: not JSON: {exc}") from exc
-    except OSError as exc:
-        raise ValueError(f"cannot read events file {path!r}: "
-                         f"{exc.strerror or exc}") from exc
-    return validate_event_records(records)

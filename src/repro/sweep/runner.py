@@ -21,19 +21,20 @@ aborted sweep.
 
 The per-job ``timeout`` is enforced *inline in the job itself* (both
 in workers and in ``jobs=1`` mode) via a ``SIGALRM`` deadline: an
-expired job unwinds into a structured ``"timeout"`` record — with a
-final heartbeat, so consumers see it end — without killing its worker
-process.  The dispatcher keeps a coarser backstop (timeout plus a
-grace period) for workers that are truly stuck; those are recycled.
+expired job unwinds into a structured ``"timeout"`` record without
+killing its worker process.  The dispatcher keeps a coarser backstop
+(timeout plus a grace period) for workers that are truly stuck; those
+are recycled.
 
 Observability: every job runs with telemetry captured into an
 isolated per-job registry (:meth:`~repro.telemetry.Telemetry.capture`)
 and ships the lossless snapshot back on the result, tagged with job
 id and pid, so ``repro timeline`` can merge all workers into one
-Perfetto trace.  Live progress flows through
-:class:`~repro.sweep.progress.ProgressSink` callbacks — job start/
-finish plus worker heartbeats — driven inline or through a manager
-queue in pool mode.
+Perfetto trace.  Live progress goes to a
+:class:`~repro.sweep.progress.TTYProgress`, called on job start and
+finish by the thread that runs the sweep: in pool mode the dispatcher
+announces a job when it submits it, since it keeps exactly ``jobs``
+futures in flight.
 
 Simulated results are deterministic by construction — each job seeds
 its own RNG and runs an isolated simulation — so per-job cycle counts
@@ -46,7 +47,6 @@ execution is what produces cycles), and with observability on or off
 from __future__ import annotations
 
 import os
-import queue as queue_module
 import signal
 import threading
 import time
@@ -59,7 +59,7 @@ from .. import telemetry
 from ..apps.runners import run_gemm, run_pi
 from ..hls.cache import CompileCache, default_cache_dir
 from ..sim.config import SimConfig
-from .progress import JSONLEventSink, MultiSink, ProgressSink
+from .progress import TTYProgress
 from .results import JobResult, SweepResult
 from .spec import JobSpec, SweepSpec, expand_jobs
 
@@ -221,37 +221,6 @@ def _write_job_report(run, spec: JobSpec, report_dir: str) -> str:
 
 
 # ----------------------------------------------------------------------
-# heartbeats
-# ----------------------------------------------------------------------
-def _start_heartbeat(emit, interval: Optional[float]):
-    """Run ``emit()`` every ``interval`` s on a daemon thread.
-
-    Returns a zero-arg stopper; cheap no-op when interval is falsy.
-    """
-
-    if not interval or interval <= 0:
-        return lambda: None
-    stop = threading.Event()
-
-    def loop() -> None:
-        while not stop.wait(interval):
-            try:
-                emit()
-            except Exception:
-                return  # a dead channel must never kill the job
-
-    thread = threading.Thread(target=loop, name="sweep-heartbeat",
-                              daemon=True)
-    thread.start()
-
-    def stopper() -> None:
-        stop.set()
-        thread.join(timeout=1.0)
-
-    return stopper
-
-
-# ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
 #: per-process cache handle, reused across the jobs one worker executes
@@ -261,40 +230,18 @@ _WORKER_CACHE: Optional[CompileCache] = None
 def _pool_worker(job_dict: dict, cache_dir: Optional[str], use_cache: bool,
                  keep_run: bool, report_dir: Optional[str],
                  timeout: Optional[float] = None,
-                 capture_telemetry: bool = False,
-                 events=None, heartbeat_s: float = 1.0,
-                 index: Optional[int] = None) -> JobResult:
+                 capture_telemetry: bool = False) -> JobResult:
     global _WORKER_CACHE
     spec = JobSpec.from_dict(job_dict)
-    pid = os.getpid()
-    if events is not None:
-        try:
-            events.put(("started", spec.job_id, index, pid, time.time()))
-        except Exception:
-            events = None  # queue gone (parent shutting down): go silent
-    stop_heartbeat = _start_heartbeat(
-        (lambda: events.put(("heartbeat", spec.job_id, pid, time.time())))
-        if events is not None else None,
-        heartbeat_s if events is not None else None)
     cache = None
     if use_cache:
         wanted = cache_dir or default_cache_dir()
         if _WORKER_CACHE is None or _WORKER_CACHE.directory != wanted:
             _WORKER_CACHE = CompileCache(wanted)
         cache = _WORKER_CACHE
-    try:
-        result = execute_job(spec, cache=cache, keep_run=keep_run,
-                             report_dir=report_dir, timeout=timeout,
-                             capture_telemetry=capture_telemetry)
-    finally:
-        stop_heartbeat()
-        if events is not None:
-            try:
-                # the final heartbeat: every job — timed-out ones
-                # included — is seen ending, never silently hanging
-                events.put(("heartbeat", spec.job_id, pid, time.time()))
-            except Exception:
-                pass
+    result = execute_job(spec, cache=cache, keep_run=keep_run,
+                         report_dir=report_dir, timeout=timeout,
+                         capture_telemetry=capture_telemetry)
     if not keep_run:
         result.run = None  # keep the cross-process pickle small
     return result
@@ -309,9 +256,7 @@ def run_sweep(spec: Union[SweepSpec, Sequence[JobSpec]], *, jobs: int = 1,
               timeout: Optional[float] = None,
               report_dir: Optional[str] = None,
               keep_runs: bool = False,
-              progress: Optional[ProgressSink] = None,
-              events_out: Optional[str] = None,
-              heartbeat_s: float = 1.0,
+              progress: Optional[TTYProgress] = None,
               capture_telemetry: Optional[bool] = None) -> SweepResult:
     """Execute every job of ``spec``; returns results in spec order.
 
@@ -319,10 +264,8 @@ def run_sweep(spec: Union[SweepSpec, Sequence[JobSpec]], *, jobs: int = 1,
     replicates each job with distinct ``repeat_index``; ``timeout`` is
     the per-job wall-clock limit in seconds, enforced inline in the
     job (with a dispatcher backstop in pool mode).  ``progress``
-    receives live :class:`~repro.sweep.progress.ProgressSink`
-    callbacks; ``events_out`` additionally streams ``repro.events/1``
-    JSONL records (job start/finish/failure + worker heartbeats every
-    ``heartbeat_s`` seconds).  ``capture_telemetry`` ships each job's
+    renders live progress as jobs start and finish.
+    ``capture_telemetry`` ships each job's
     telemetry snapshot back on its result (default: whenever the
     session is enabled), ready for ``repro timeline`` merging.
     """
@@ -337,48 +280,35 @@ def run_sweep(spec: Union[SweepSpec, Sequence[JobSpec]], *, jobs: int = 1,
     session = telemetry.get_telemetry()
     capture = session.enabled if capture_telemetry is None \
         else bool(capture_telemetry)
-    sinks: list[ProgressSink] = []
-    if progress is not None:
-        sinks.append(progress)
-    owned_sink: Optional[JSONLEventSink] = None
-    if events_out:
-        owned_sink = JSONLEventSink(events_out)
-        sinks.append(owned_sink)
-    sink = MultiSink(sinks) if sinks else None
     sweep_wall_start = time.time()
     start = time.perf_counter()
-    try:
-        if sink is not None:
-            sink.sweep_started(name, len(job_specs), max(1, jobs))
-        with telemetry.span("sweep", category="sweep", sweep=name,
-                            jobs=len(job_specs), parallel=jobs):
-            if jobs <= 1:
-                results = _run_inline(job_specs, cache_dir, use_cache,
-                                      timeout, report_dir, keep_runs,
-                                      sink, heartbeat_s, capture)
-            else:
-                results = _run_pool(job_specs, jobs, cache_dir, use_cache,
-                                    timeout, report_dir, keep_runs,
-                                    sink, heartbeat_s, capture)
-        outcome = SweepResult(name, results,
-                              wall_s=time.perf_counter() - start,
-                              parallel_jobs=max(1, jobs))
-        totals = outcome.totals()
-        telemetry.add("sweep.jobs", totals["jobs"])
-        telemetry.add("sweep.ok", totals["ok"])
-        telemetry.add("sweep.failures", totals["jobs"] - totals["ok"])
-        telemetry.add("sweep.cache_hits", totals["cache_hits"])
-        telemetry.add("sweep.cache_misses", totals["cache_misses"])
-        if capture:
-            _fold_job_telemetry(session, results, sweep_wall_start,
-                                pool=jobs > 1)
-        if session.enabled:
-            outcome.telemetry = session.snapshot()
-        if sink is not None:
-            sink.sweep_finished(outcome)
-    finally:
-        if owned_sink is not None:
-            owned_sink.close()
+    if progress is not None:
+        progress.sweep_started(name, len(job_specs), max(1, jobs))
+    with telemetry.span("sweep", category="sweep", sweep=name,
+                        jobs=len(job_specs), parallel=jobs):
+        if jobs <= 1:
+            results = _run_inline(job_specs, cache_dir, use_cache, timeout,
+                                  report_dir, keep_runs, progress, capture)
+        else:
+            results = _run_pool(job_specs, jobs, cache_dir, use_cache,
+                                timeout, report_dir, keep_runs, progress,
+                                capture)
+    outcome = SweepResult(name, results,
+                          wall_s=time.perf_counter() - start,
+                          parallel_jobs=max(1, jobs))
+    totals = outcome.totals()
+    telemetry.add("sweep.jobs", totals["jobs"])
+    telemetry.add("sweep.ok", totals["ok"])
+    telemetry.add("sweep.failures", totals["jobs"] - totals["ok"])
+    telemetry.add("sweep.cache_hits", totals["cache_hits"])
+    telemetry.add("sweep.cache_misses", totals["cache_misses"])
+    if capture:
+        _fold_job_telemetry(session, results, sweep_wall_start,
+                            pool=jobs > 1)
+    if session.enabled:
+        outcome.telemetry = session.snapshot()
+    if progress is not None:
+        progress.sweep_finished(outcome)
     return outcome
 
 
@@ -407,28 +337,18 @@ def _fold_job_telemetry(session, results: list[JobResult],
 def _run_inline(job_specs: list[JobSpec], cache_dir: Optional[str],
                 use_cache: bool, timeout: Optional[float],
                 report_dir: Optional[str], keep_runs: bool,
-                sink: Optional[ProgressSink], heartbeat_s: float,
+                progress: Optional[TTYProgress],
                 capture: bool) -> list[JobResult]:
     cache = CompileCache(cache_dir) if use_cache else None
-    pid = os.getpid()
     results = []
     for index, job in enumerate(job_specs):
-        if sink is not None:
-            sink.job_started(job.job_id, index=index, pid=pid)
-        stop_heartbeat = _start_heartbeat(
-            (lambda job_id=job.job_id: sink.heartbeat(job_id, pid=pid))
-            if sink is not None else None,
-            heartbeat_s if sink is not None else None)
-        try:
-            result = execute_job(job, cache=cache, keep_run=keep_runs,
-                                 report_dir=report_dir, timeout=timeout,
-                                 capture_telemetry=capture)
-        finally:
-            stop_heartbeat()
-        if sink is not None:
-            # final heartbeat + terminal record, timeouts included
-            sink.heartbeat(job.job_id, pid=pid)
-            sink.job_finished(result, index=index)
+        if progress is not None:
+            progress.job_started(job.job_id, index=index)
+        result = execute_job(job, cache=cache, keep_run=keep_runs,
+                             report_dir=report_dir, timeout=timeout,
+                             capture_telemetry=capture)
+        if progress is not None:
+            progress.job_finished(result, index=index)
         results.append(result)
     return results
 
@@ -442,8 +362,7 @@ def _crash_result(spec: JobSpec, attempts: int, status: str,
 def _terminate_pool(executor) -> None:
     """Shut a pool down hard, reclaiming hung or poisoned workers."""
 
-    processes = list(getattr(executor, "_processes", None or {}).values()) \
-        if getattr(executor, "_processes", None) else []
+    processes = list((getattr(executor, "_processes", None) or {}).values())
     executor.shutdown(wait=False, cancel_futures=True)
     for process in processes:
         try:
@@ -455,10 +374,8 @@ def _terminate_pool(executor) -> None:
 def _run_pool(job_specs: list[JobSpec], workers: int,
               cache_dir: Optional[str], use_cache: bool,
               timeout: Optional[float], report_dir: Optional[str],
-              keep_runs: bool, sink: Optional[ProgressSink] = None,
-              heartbeat_s: float = 1.0,
+              keep_runs: bool, progress: Optional[TTYProgress] = None,
               capture: bool = False) -> list[JobResult]:
-    import multiprocessing
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
     from concurrent.futures.process import BrokenProcessPool
 
@@ -469,49 +386,21 @@ def _run_pool(job_specs: list[JobSpec], workers: int,
         (index, 0) for index in range(len(job_specs)))
     in_flight: dict = {}  # future -> (index, attempt, started_at)
     executor = ProcessPoolExecutor(max_workers=workers)
-    # Workers report job starts + heartbeats through a manager queue (a
-    # picklable proxy that survives both fork and spawn); created only
-    # when someone is listening.
-    manager = multiprocessing.Manager() if sink is not None else None
-    events_queue = manager.Queue() if manager is not None else None
-    announced: set[str] = set()  # job ids whose start reached the sink
-
-    def drain_events() -> None:
-        if events_queue is None or sink is None:
-            return
-        while True:
-            try:
-                message = events_queue.get_nowait()
-            except queue_module.Empty:
-                return
-            except Exception:
-                return  # manager torn down mid-drain
-            kind = message[0]
-            if kind == "started":
-                _kind, job_id, index, pid, _ts = message
-                announced.add(job_id)
-                sink.job_started(job_id, index=index, pid=pid)
-            elif kind == "heartbeat":
-                _kind, job_id, pid, _ts = message
-                sink.heartbeat(job_id, pid=pid)
 
     def finish(result: JobResult, index: int) -> None:
         results[index] = result
-        if sink is None:
-            return
-        drain_events()  # the job's "started" must land before its finish
-        if result.job_id not in announced:
-            # pool broke before the worker ever reported in
-            announced.add(result.job_id)
-            sink.job_started(result.job_id, index=index)
-        sink.job_finished(result, index=index)
+        if progress is not None:
+            progress.job_finished(result, index=index)
 
     def submit(index: int, attempt: int) -> None:
         future = executor.submit(_pool_worker, job_specs[index].to_dict(),
                                  cache_dir, use_cache, keep_runs, report_dir,
-                                 timeout, capture, events_queue, heartbeat_s,
-                                 index)
+                                 timeout, capture)
         in_flight[future] = (index, attempt, time.monotonic())
+        if progress is not None:
+            # exactly ``workers`` futures are in flight, so a submitted
+            # job is a running one (a retry re-announces the same job)
+            progress.job_started(job_specs[index].job_id, index=index)
 
     def recycle_pool() -> None:
         """Replace the pool; requeue surviving in-flight jobs as-is."""
@@ -529,7 +418,6 @@ def _run_pool(job_specs: list[JobSpec], workers: int,
                 submit(*pending.popleft())
             done, _ = wait(set(in_flight), timeout=_POLL_S,
                            return_when=FIRST_COMPLETED)
-            drain_events()
             pool_broken = False
             for future in done:
                 index, attempt, _started = in_flight.pop(future)
@@ -576,9 +464,6 @@ def _run_pool(job_specs: list[JobSpec], workers: int,
                     # hung workers still hold pool slots: recycle, keeping
                     # the surviving in-flight jobs queued for resubmission
                     recycle_pool()
-        drain_events()  # final heartbeats queued after the last finish
     finally:
         _terminate_pool(executor)
-        if manager is not None:
-            manager.shutdown()
     return [results[index] for index in range(len(job_specs))]

@@ -66,6 +66,11 @@ class JobSpec:
             check_problem_size("DIM", self.dim)
         else:
             check_problem_size("steps", self.steps)
+        for name in ("threads", "vector_len", "block_size", "bs_compute"):
+            check_problem_size(name, getattr(self, name))
+        if self.start_interval is not None and self.start_interval < 0:
+            raise ValueError(f"start_interval={self.start_interval} must "
+                             "not be negative")
 
     @property
     def job_id(self) -> str:

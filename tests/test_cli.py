@@ -367,12 +367,27 @@ class TestSweep:
         with pytest.raises(SystemExit, match="cannot read sweep spec"):
             main(["sweep", "/nonexistent.json"])
 
-    @pytest.mark.parametrize("spec", [
-        ["gemm", "--dim", "0"], ["gemm", "--dim", "-8"],
-        {"app": "gemm", "version": "naive", "dim": 0},
-        {"app": "pi", "steps": -6400}],
-        ids=["gemm-dim-0", "gemm-dim--8", "json-dim-0", "json-steps--6400"])
-    def test_bad_sweep_size_exits_before_dispatch(self, spec, tmp_path):
+    @pytest.mark.parametrize("spec, message", [
+        (["gemm", "--dim", "0"], "DIM=0 must be positive"),
+        (["gemm", "--dim", "-8"], "DIM=-8 must be positive"),
+        ({"app": "gemm", "version": "naive", "dim": 0},
+         "DIM=0 must be positive"),
+        ({"app": "pi", "steps": -6400}, "steps=-6400 must be positive"),
+        (["gemm", "--dim", "16", "--threads", "0"],
+         "threads=0 must be positive"),
+        ({"app": "gemm", "version": "vectorized", "dim": 16,
+          "vector_len": 0}, "vector_len=0 must be positive"),
+        ({"app": "gemm", "version": "blocked", "dim": 16, "block_size": 0},
+         "block_size=0 must be positive"),
+        ({"app": "pi", "steps": 6400, "bs_compute": 0},
+         "bs_compute=0 must be positive"),
+        ({"app": "pi", "steps": 6400, "start_interval": -100000},
+         "start_interval=-100000 must not be negative")],
+        ids=["gemm-dim-0", "gemm-dim--8", "json-dim-0", "json-steps--6400",
+             "gemm-threads-0", "json-vector-len-0", "json-block-size-0",
+             "json-bs-compute-0", "json-start-interval-negative"])
+    def test_bad_sweep_size_exits_before_dispatch(self, spec, message,
+                                                   tmp_path):
         import json
         import os
         import subprocess
@@ -393,7 +408,7 @@ class TestSweep:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
-        assert "must be positive" in proc.stderr
+        assert message in proc.stderr
         assert proc.stdout == ""  # no job ran
         assert not out.exists()
 
@@ -448,7 +463,6 @@ class TestSweep:
         import json
         import os
         out = str(tmp_path / "BENCH_cli.json")
-        events = str(tmp_path / "events.jsonl")
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"jobs": [
             {"app": "gemm", "version": "naive", "dim": 16, "threads": 4,
@@ -456,16 +470,13 @@ class TestSweep:
             {"app": "pi", "steps": 6400},
         ]}))
         assert main(["sweep", str(spec), "--no-cache", "--out", out,
-                     "--progress", "--events-out", events,
-                     "--heartbeat", "0.01"]) == 0
+                     "--progress"]) == 0
         captured = capsys.readouterr()
-        assert "event log written" in captured.out
         # --progress renders to stderr, one line per job + summary
-        assert "sweep " in captured.err
-        from repro.sweep import validate_events_file
-        records = validate_events_file(events)
-        assert records[0]["schema"] == "repro.events/1"
-        assert sum(r["kind"] == "job_finished" for r in records) == 2
+        lines = captured.err.splitlines()
+        assert len(lines) == 3, lines
+        assert all(" ok " in line for line in lines[:2])
+        assert lines[-1].startswith("sweep ")
 
         trace = str(tmp_path / "merged.json")
         assert main(["timeline", out, "-o", trace]) == 0

@@ -90,6 +90,21 @@ class TestSpace:
         with pytest.raises(ValueError, match="duplicate candidate id"):
             ExploreSpace("gemm", [candidate, candidate])
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: gemm_space(dims=(16,), threads=(0,)), "threads=0"),
+        (lambda: gemm_space(dims=(0,)), "DIM=0"),
+        (lambda: gemm_space(dims=(16,), threads=(4,), vector_lens=(0,)),
+         "vector_len=0"),
+        (lambda: gemm_space(dims=(16,), threads=(4,), block_sizes=(-4,)),
+         "block_size=-4"),
+        (lambda: pi_space(threads=(0,)), "threads=0"),
+        (lambda: pi_space(bs_compute=(0,)), "bs_compute=0")],
+        ids=["gemm-threads", "gemm-dim", "gemm-vector-len",
+             "gemm-block-size", "pi-threads", "pi-bs-compute"])
+    def test_non_positive_counts_rejected(self, build, message):
+        with pytest.raises(ValueError, match=f"{message} must be positive"):
+            build()
+
     def test_pi_space_filters_indivisible_step_counts(self):
         space = pi_space(steps=(6400, 1000), threads=(8,), bs_compute=(8,))
         # 1000 % (8*8) != 0 -> filtered; 6400 % 64 == 0 -> kept

@@ -2,9 +2,9 @@
 
 Covers the snapshot wire format and its lossless inverse, per-job
 telemetry isolation, the merged Chrome-trace timeline (pid/tid track
-assignment), the ``repro.events/1`` JSONL event stream, live progress
-rendering including failures, the inline per-job timeout, and the
-determinism contract (cycles identical with observability on or off).
+assignment), live progress rendering including failures, the inline
+per-job timeout, and the determinism contract (cycles identical with
+observability on or off).
 """
 
 import io
@@ -20,11 +20,7 @@ from repro.telemetry import (
     merged_chrome_events, merged_chrome_payload, render_job_breakdown,
     render_summary, snapshots_from_sweep_doc,
 )
-from repro.sweep import (
-    EVENTS_SCHEMA, JobSpec, JSONLEventSink, TTYProgress, execute_job,
-    run_sweep, validate_event_records, validate_events_file,
-)
-from repro.sweep.progress import EVENT_KINDS
+from repro.sweep import JobSpec, TTYProgress, execute_job, run_sweep
 from repro.sweep.runner import JobTimeout, _inline_deadline
 
 
@@ -235,6 +231,14 @@ class TestMergedTimeline:
                       if e["ph"] == "X"}
         assert {"frontend", "sim"} <= span_names
 
+    def test_pool_sweep_tracks_each_worker_pid(self):
+        result = run_sweep([tiny_job(), tiny_job(version="blocked")],
+                           jobs=2, use_cache=False, capture_telemetry=True)
+        payload = merge_sweep_doc(json.loads(result.to_json()))
+        pids = {job.telemetry["pid"] for job in result.jobs}
+        assert os.getpid() not in pids
+        assert payload["otherData"]["worker_pids"] == sorted(pids)
+
     def test_sweep_doc_without_telemetry_is_rejected(self):
         result = run_sweep([tiny_job()], jobs=1, use_cache=False,
                            capture_telemetry=False)
@@ -250,97 +254,23 @@ class TestMergedTimeline:
 
 
 # ----------------------------------------------------------------------
-# events JSONL stream
-# ----------------------------------------------------------------------
-def _minimal_stream():
-    return [
-        {"kind": "meta", "schema": EVENTS_SCHEMA, "sweep": "s", "jobs": 1,
-         "parallel": 1, "wall_start": 0.0},
-        {"kind": "job_started", "job": "j1", "t": 0.0},
-        {"kind": "heartbeat", "job": "j1", "t": 0.5},
-        {"kind": "job_finished", "job": "j1", "status": "ok",
-         "wall_s": 1.0, "cache": "hit", "t": 1.0},
-        {"kind": "sweep_finished", "totals": {"jobs": 1}, "t": 1.0},
-    ]
-
-
-class TestEventValidation:
-    def test_minimal_stream_is_valid(self):
-        assert validate_event_records(_minimal_stream())
-
-    def test_meta_must_come_first(self):
-        stream = _minimal_stream()[1:]
-        with pytest.raises(ValueError, match="meta"):
-            validate_event_records(stream)
-
-    def test_wrong_schema_rejected(self):
-        stream = _minimal_stream()
-        stream[0]["schema"] = "repro.events/99"
-        with pytest.raises(ValueError, match="schema"):
-            validate_event_records(stream)
-
-    def test_unknown_kind_rejected(self):
-        stream = _minimal_stream()
-        stream.insert(1, {"kind": "job_teleported", "job": "j1", "t": 0.0})
-        with pytest.raises(ValueError, match="unknown kind"):
-            validate_event_records(stream)
-
-    def test_finish_without_start_rejected(self):
-        stream = _minimal_stream()
-        del stream[1]  # drop job_started
-        with pytest.raises(ValueError, match="without a prior"):
-            validate_event_records(stream)
-
-    def test_job_failed_requires_error(self):
-        stream = _minimal_stream()
-        stream[3] = {"kind": "job_failed", "job": "j1", "status": "timeout",
-                     "wall_s": 1.0, "t": 1.0}
-        with pytest.raises(ValueError, match="error"):
-            validate_event_records(stream)
-
-    def test_every_emitted_kind_is_known(self):
-        assert set(EVENT_KINDS) == {
-            "meta", "job_started", "job_finished", "job_failed",
-            "heartbeat", "sweep_finished"}
-
-    def test_events_file_round_trip(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        sink = JSONLEventSink(str(path))
-        result = run_sweep([tiny_job()], jobs=1, use_cache=False,
-                           progress=sink)
-        sink.close()
-        records = validate_events_file(str(path))
-        kinds = [r["kind"] for r in records]
-        assert kinds[0] == "meta"
-        assert kinds[-1] == "sweep_finished"
-        assert "job_started" in kinds and "job_finished" in kinds
-        finished = [r for r in records if r["kind"] == "job_finished"]
-        assert finished[0]["job"] == result.jobs[0].job_id
-        assert finished[0]["cycles"] == result.jobs[0].cycles
-
-
-# ----------------------------------------------------------------------
 # live progress, failures included
 # ----------------------------------------------------------------------
 class TestSweepProgress:
-    def test_failed_job_reaches_tty_and_event_log(self, tmp_path):
-        events_path = tmp_path / "events.jsonl"
+    def test_failed_job_reaches_tty_and_event_log(self):
+        # the non-TTY progress stream is the sweep's line-per-job log
         stream = io.StringIO()
         result = run_sweep([failing_job(), tiny_job()], jobs=1,
                            use_cache=False,
-                           progress=TTYProgress(stream=stream),
-                           events_out=str(events_path),
-                           heartbeat_s=0.01)
+                           progress=TTYProgress(stream=stream))
         assert [j.status for j in result.jobs] == ["failed", "ok"]
-        text = stream.getvalue()
-        assert "failed" in text
-        assert "1/2 ok, 1 failed" in text
-        records = validate_events_file(str(events_path))
-        failed = [r for r in records if r["kind"] == "job_failed"]
-        assert len(failed) == 1
-        assert failed[0]["job"] == result.jobs[0].job_id
-        assert failed[0]["status"] == "failed"
-        assert "multiple of" in failed[0]["error"]
+        failed_line, ok_line, summary = stream.getvalue().splitlines()
+        assert result.jobs[0].job_id in failed_line
+        assert " failed " in failed_line
+        assert "! ValueError" in failed_line
+        assert "multiple of" in failed_line
+        assert result.jobs[1].job_id in ok_line and "!" not in ok_line
+        assert "1/2 ok, 1 failed" in summary
 
     def test_nontty_stream_gets_one_line_per_job(self):
         stream = io.StringIO()
@@ -397,24 +327,6 @@ class TestSweepProgress:
         sink.sweep_started("empty", 0, 4)
         assert sink._rate_s() is None   # started, still nothing done
 
-    def test_heartbeats_flow_while_jobs_run(self, tmp_path):
-        events_path = tmp_path / "events.jsonl"
-        run_sweep([tiny_job()], jobs=1, use_cache=False,
-                  events_out=str(events_path), heartbeat_s=0.01)
-        records = validate_events_file(str(events_path))
-        beats = [r for r in records if r["kind"] == "heartbeat"]
-        assert beats, "expected at least the final heartbeat"
-        assert all(r["job"] == records[1]["job"] for r in beats)
-
-    def test_pool_events_carry_worker_pids(self, tmp_path):
-        events_path = tmp_path / "events.jsonl"
-        run_sweep([tiny_job(), tiny_job(version="blocked")], jobs=2,
-                  use_cache=False, events_out=str(events_path),
-                  heartbeat_s=0.05)
-        records = validate_events_file(str(events_path))
-        pids = {r["pid"] for r in records if r["kind"] == "job_started"}
-        assert pids and os.getpid() not in pids
-
 
 # ----------------------------------------------------------------------
 # inline per-job timeout
@@ -427,17 +339,16 @@ class TestInlineTimeout:
         assert "0.01s per-job timeout" in result.error
         assert result.wall_s < 5.0
 
-    def test_timeout_in_sweep_emits_job_failed_event(self, tmp_path):
-        events_path = tmp_path / "events.jsonl"
+    def test_timeout_in_sweep_emits_job_failed_event(self):
+        stream = io.StringIO()
         result = run_sweep([tiny_job(dim=48)],
                            jobs=1, use_cache=False, timeout=0.01,
-                           events_out=str(events_path), heartbeat_s=0.005)
+                           progress=TTYProgress(stream=stream))
         assert result.jobs[0].status == "timeout"
-        records = validate_events_file(str(events_path))
-        failed = [r for r in records if r["kind"] == "job_failed"]
-        assert failed and failed[0]["status"] == "timeout"
-        beats = [r for r in records if r["kind"] == "heartbeat"]
-        assert beats, "timed-out job must still end with a heartbeat"
+        job_line, summary = stream.getvalue().splitlines()
+        assert " timeout " in job_line
+        assert "! job exceeded the 0.01s per-job timeout" in job_line
+        assert "(1 timeout, 0 crashed)" in summary
 
     def test_generous_timeout_does_not_fire(self):
         result = execute_job(tiny_job(), timeout=300.0)
@@ -463,7 +374,7 @@ class TestInlineTimeout:
 # determinism: observability must never perturb results
 # ----------------------------------------------------------------------
 class TestObservabilityDeterminism:
-    def test_cycles_identical_with_and_without_observability(self, tmp_path):
+    def test_cycles_identical_with_and_without_observability(self):
         jobs = [tiny_job(), tiny_job(version="blocked")]
         plain = run_sweep(jobs, jobs=1, use_cache=False,
                           capture_telemetry=False)
@@ -471,9 +382,7 @@ class TestObservabilityDeterminism:
         telemetry.configure(enabled=True)
         observed = run_sweep(jobs, jobs=1, use_cache=False,
                              capture_telemetry=True,
-                             progress=TTYProgress(stream=stream),
-                             events_out=str(tmp_path / "e.jsonl"),
-                             heartbeat_s=0.01)
+                             progress=TTYProgress(stream=stream))
         telemetry.configure(enabled=False)
         assert [j.cycles for j in plain.jobs] == \
             [j.cycles for j in observed.jobs]

@@ -6,8 +6,13 @@ determinism across worker counts, cache transparency, structured
 failure capture — do not depend on problem size.
 """
 
+import io
 import json
+import multiprocessing
+import os
 import pickle
+import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -16,9 +21,11 @@ from repro import telemetry
 from repro.apps.runners import run_gemm
 from repro.hls.cache import CompileCache
 from repro.sweep import (
-    SWEEP_SCHEMA, JobSpec, SweepSpec, execute_job, expand_jobs, gemm_sweep,
-    load_spec, pi_sweep, run_sweep, validate_sweep_dict, validate_sweep_file,
+    SWEEP_SCHEMA, JobResult, JobSpec, SweepSpec, TTYProgress, execute_job,
+    expand_jobs, gemm_sweep, load_spec, pi_sweep, run_sweep,
+    validate_sweep_dict, validate_sweep_file,
 )
+from repro.sweep import runner
 from repro.sweep.spec import parse_spec_dict
 
 
@@ -212,6 +219,105 @@ class TestRunSweep:
                            use_cache=False)
         assert len(result.jobs) == 2
         assert result.jobs[0].cycles == result.jobs[1].cycles
+
+
+# ----------------------------------------------------------------------
+# the pool dispatcher: crash retry, hung-worker backstop, progress
+# ----------------------------------------------------------------------
+# The workers are forked, so they inherit a monkeypatched
+# ``runner.execute_job``: each stand-in below decides from the job id
+# (and a marker file) whether its worker dies, hangs or succeeds.
+def pool_jobs(count=3):
+    return [JobSpec(app="pi", steps=6400, label=f"job{index}")
+            for index in range(count)]
+
+
+def _ok_result(spec):
+    return JobResult(job_id=spec.job_id, spec=spec.to_dict(), cycles=1)
+
+
+class TestPoolDispatcher:
+    def _crash_first_attempt(self, monkeypatch, tmp_path, victim):
+        def fake_execute_job(spec, **kwargs):
+            marker = tmp_path / f"{spec.job_id}.crashed"
+            if spec.job_id == victim and not marker.exists():
+                marker.touch()
+                os._exit(1)
+            return _ok_result(spec)
+
+        monkeypatch.setattr(runner, "execute_job", fake_execute_job)
+
+    def test_worker_crash_is_retried_once(self, monkeypatch, tmp_path):
+        self._crash_first_attempt(monkeypatch, tmp_path, "job1-r0")
+        result = run_sweep(pool_jobs(), jobs=2, use_cache=False)
+        assert [job.status for job in result.jobs] == ["ok"] * 3
+        assert result.jobs[1].attempts == 2
+
+    def test_worker_dying_twice_is_recorded_crashed(self, monkeypatch):
+        def fake_execute_job(spec, **kwargs):
+            if spec.job_id == "job0-r0":
+                os._exit(1)
+            return _ok_result(spec)
+
+        monkeypatch.setattr(runner, "execute_job", fake_execute_job)
+        result = run_sweep(pool_jobs(2), jobs=2, use_cache=False)
+        crashed = result.jobs[0]
+        assert crashed.status == "crashed"
+        assert crashed.attempts == 2
+        assert "died twice" in crashed.error
+
+    def test_backstop_reclaims_a_hung_worker(self, monkeypatch):
+        @contextmanager
+        def no_deadline(seconds):
+            yield
+
+        def fake_execute_job(spec, *, timeout=None, **kwargs):
+            if spec.job_id == "job0-r0":
+                with runner._inline_deadline(timeout):
+                    time.sleep(30)  # wedged past its alarm
+            return _ok_result(spec)
+
+        monkeypatch.setattr(runner, "_inline_deadline", no_deadline)
+        monkeypatch.setattr(runner, "_TIMEOUT_GRACE_S", 1.0)
+        monkeypatch.setattr(runner, "execute_job", fake_execute_job)
+        start = time.monotonic()
+        result = run_sweep(pool_jobs(2), jobs=2, use_cache=False,
+                           timeout=0.2)
+        assert time.monotonic() - start < 15.0
+        hung, sibling = result.jobs
+        assert hung.status == "timeout"
+        assert "stopped responding" in hung.error
+        assert sibling.status == "ok"
+
+    def test_pool_progress_prints_one_line_per_job(self, monkeypatch,
+                                                   tmp_path):
+        self._crash_first_attempt(monkeypatch, tmp_path, "job1-r0")
+        stream = io.StringIO()
+        run_sweep(pool_jobs(), jobs=2, use_cache=False,
+                  progress=TTYProgress(stream=stream))
+        lines = stream.getvalue().splitlines()
+        assert len(lines) == 4, lines  # three job lines + the summary
+        assert sorted(line.split()[2] for line in lines[:3]) == \
+            ["job0-r0", "job1-r0", "job2-r0"]
+        assert lines[-1].startswith("sweep ")
+
+    def test_pool_progress_starts_no_process_beyond_workers(self,
+                                                            monkeypatch):
+        monkeypatch.setattr(runner, "execute_job",
+                            lambda spec, **kwargs: _ok_result(spec))
+        before = {child.pid for child in multiprocessing.active_children()}
+        seen = []
+
+        class CountingProgress(TTYProgress):
+            def job_finished(self, result, index=None):
+                seen.append({child.pid for child in
+                             multiprocessing.active_children()} - before)
+                super().job_finished(result, index=index)
+
+        run_sweep(pool_jobs(4), jobs=2, use_cache=False,
+                  progress=CountingProgress(stream=io.StringIO()))
+        assert len(seen) == 4
+        assert max(len(children) for children in seen) <= 2
 
 
 class TestCompileCacheInSweeps:
