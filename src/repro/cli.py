@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--cache-dir", metavar="DIR", default=None,
                          help="compile cache directory (default: "
                               "~/.cache/repro or $REPRO_CACHE_DIR)")
-    p_sweep.add_argument("--timeout", type=float, default=None,
+    p_sweep.add_argument("--timeout", type=_positive_seconds, default=None,
                          metavar="SECONDS",
                          help="per-job wall-clock limit, enforced inline "
                               "in the job (timed-out jobs become "
@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "reports model error per candidate")
     p_explore.add_argument("--jobs", type=int, default=1, metavar="N",
                            help="worker processes for the evaluation sweep")
-    p_explore.add_argument("--timeout", type=float, default=None,
+    p_explore.add_argument("--timeout", type=_positive_seconds, default=None,
                            metavar="SECONDS", help="per-job wall-clock "
                            "limit for the evaluation sweep")
     p_explore.add_argument("--no-cache", action="store_true",
@@ -315,6 +315,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _positive_seconds(text: str) -> float:
+    """argparse type of ``--timeout``: a positive number of seconds."""
+
+    try:
+        seconds = float(text)
+    except ValueError:
+        seconds = float("nan")
+    if not seconds > 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number of seconds, got {text!r}")
+    return seconds
+
+
 def _parse_kv(pairs: list[str], what: str) -> dict[str, object]:
     out: dict[str, object] = {}
     for pair in pairs:
@@ -345,7 +358,12 @@ def _load_program(args: argparse.Namespace, profiling_off: bool = False,
         raise SystemExit(f"{args.source!r} is not a text file: {exc}") \
             from exc
     defines = _parse_kv(args.define, "--define")
-    const_env = {k: int(v) for k, v in _parse_kv(args.const, "--const").items()}
+    const_env: dict[str, int] = {}
+    for name, value in _parse_kv(args.const, "--const").items():
+        if not isinstance(value, int):
+            raise SystemExit(f"error: --const {name}={value} is not an "
+                             "integer")
+        const_env[name] = value
     options = None
     if profiling_off:
         from .hls import HLSOptions

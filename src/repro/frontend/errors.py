@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["SourceLocation", "FrontendError", "LexError", "ParseError", "SemaError"]
 
 
-@dataclass(frozen=True)
-class SourceLocation:
-    """A position in the input source (1-based line and column)."""
+class SourceLocation(NamedTuple):
+    """A position in the input source (1-based line and column).
+
+    A named tuple: the lexer builds one per token, and a tuple is the
+    cheapest immutable record Python builds.
+    """
 
     line: int
     column: int

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 from .. import telemetry
 from .errors import LexError, SourceLocation
@@ -56,21 +55,30 @@ _PUNCTS = [
     "(", ")", "[", "]", "{", "}", ",", ";", "?", ":", ".",
 ]
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>//[^\n]*|/\*.*?\*/)
+# The tokens of a line.  Blanks and comments match no named group, so
+# they build nothing; a comment ends with its line, as the dialect has no
+# multi-line comments; ``bad`` is any other character.  Identifiers come
+# first as the commonest token, and no other token starts like one.
+_LINE_PATTERN = r"""
+    (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+  | [ \t\r]+ | //[^\n]* | /\*[^\n]*?\*/
   | (?P<float>(\d+\.\d*|\.\d+)([eE][+-]?\d+)?[fF]?|\d+[eE][+-]?\d+[fF]?|\d+[fF])
   | (?P<int>0[xX][0-9a-fA-F]+|\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<punct>""" + "|".join(re.escape(p) for p in _PUNCTS) + r""")
-    """,
-    re.VERBOSE | re.DOTALL,
-)
+  | (?P<newline>\n)
+  | (?P<bad>[\s\S])"""
+#: a line-free text: a ``#define`` body, a pragma payload, a define value
+_TEXT_RE = re.compile(_LINE_PATTERN, re.VERBOSE)
+#: a whole source, where a line whose first non-blank is ``#`` is a directive
+_SOURCE_RE = re.compile(r"(?P<directive>^[^\S\n]*\#[^\n]*) |" + _LINE_PATTERN,
+                        re.VERBOSE | re.MULTILINE)
+_DEFINE_RE = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)(\(?)\s*(.*)")
+
+#: how deep macro bodies may nest (a recursive ``#define`` never ends)
+_MAX_EXPANSION_DEPTH = 16
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token."""
 
     kind: TokenKind
@@ -80,9 +88,6 @@ class Token:
 
     def is_punct(self, text: str) -> bool:
         return self.kind is TokenKind.PUNCT and self.text == text
-
-    def is_keyword(self, text: str) -> bool:
-        return self.kind is TokenKind.KEYWORD and self.text == text
 
     def __repr__(self) -> str:
         return f"Token({self.kind.value}, {self.text!r})"
@@ -105,100 +110,160 @@ def tokenize(source: str, filename: str = "<source>",
         source = source.replace("\\\n", " ")
         forced = {name: str(value) for name, value in (defines or {}).items()}
         macros: dict[str, list[Token]] = {}
-
-        tokens: list[Token] = []
-        for line_no, line in enumerate(source.split("\n"), start=1):
-            stripped = line.lstrip()
-            if stripped.startswith("#"):
-                _handle_directive(stripped, line_no, filename, macros,
-                                  forced, tokens)
-                continue
-            tokens.extend(_lex_line(line, line_no, filename))
-
-        # Expand macros (iteratively, so macros may reference other macros).
+        tokens = _lex(_SOURCE_RE, source, 1, filename, macros, forced)
         for name, text in forced.items():
-            macros[name] = _lex_line(text, 0, f"<define:{name}>")
-        expanded = _expand(tokens, macros)
-        expanded = [_expand_pragma(t, macros) for t in expanded]
-        eof_loc = SourceLocation(source.count("\n") + 1, 1, filename)
-        expanded.append(Token(TokenKind.EOF, "", eof_loc))
+            macros[name] = _lex(_TEXT_RE, text, 0, f"<define:{name}>")
+        expand = _Expander(macros).expand
+        expanded = expand(tokens)
+        # A pragma payload is lexed, and its macros (``#pragma unroll BS``)
+        # expanded, only after the code's, so that an error in the code is
+        # reported before one in a payload.
+        for index, token in enumerate(expanded):
+            if token.kind is TokenKind.PRAGMA:
+                payload = _lex(_TEXT_RE, token.text, token.location.line,
+                               filename)
+                expanded[index] = Token(
+                    TokenKind.PRAGMA, " ".join(t.text for t in expand(payload)),
+                    token.location)
+        expanded.append(Token(TokenKind.EOF, "", SourceLocation(
+            source.count("\n") + 1, 1, filename)))
         telemetry.add("frontend.tokens", len(expanded))
         return expanded
 
 
-def _expand_pragma(token: Token, macros: Mapping[str, list["Token"]]) -> Token:
-    """Expand macros inside a pragma payload (e.g. ``#pragma unroll BS``)."""
+def _lex(pattern: re.Pattern, text: str, line: int, filename: str,
+         macros: Optional[dict[str, list[Token]]] = None,
+         forced: Optional[Mapping[str, str]] = None) -> list[Token]:
+    """The tokens of ``text``, in one scan.
 
-    if token.kind is not TokenKind.PRAGMA:
-        return token
-    payload_tokens = _expand(_lex_line(token.text, token.location.line,
-                                       token.location.filename), macros)
-    text = " ".join(t.text for t in payload_tokens)
-    return Token(TokenKind.PRAGMA, text, token.location)
+    ``line`` numbers the first line, and columns count from the start of
+    each line.  A whole source (``_SOURCE_RE``) also runs its directives:
+    ``#define`` lines fill ``macros`` unless ``forced`` names the macro.
+    """
+
+    tokens: list[Token] = []
+    new = tuple.__new__  # skips the named tuples' Python-level __new__
+    ident, keyword, punct = TokenKind.IDENT, TokenKind.KEYWORD, TokenKind.PUNCT
+    append = tokens.append
+    line_start = 0
+    for match in pattern.finditer(text):
+        group = match.lastgroup
+        if group is None:
+            continue
+        if group == "ident":
+            word = match.group()
+            append(new(Token, (keyword if word in KEYWORDS else ident, word,
+                               new(SourceLocation, (line, match.start()
+                                                    - line_start + 1, filename)),
+                               None)))
+        elif group == "punct":
+            append(new(Token, (punct, match.group(),
+                               new(SourceLocation, (line, match.start()
+                                                    - line_start + 1, filename)),
+                               None)))
+        elif group == "newline":
+            line += 1
+            line_start = match.end()
+        else:
+            word = match.group()
+            location = SourceLocation(line, match.start() - line_start + 1,
+                                      filename)
+            if group == "int":
+                append(Token(TokenKind.INT_LIT, word, location,
+                             _int_value(word, location)))
+            elif group == "float":
+                append(Token(TokenKind.FLOAT_LIT, word, location,
+                             float(word.rstrip("fF"))))
+            elif group == "directive":
+                _directive(word.lstrip(), SourceLocation(line, 1, filename),
+                           macros, forced, tokens)
+            else:
+                raise LexError(f"unexpected character {word!r}", location)
+    return tokens
 
 
-def _handle_directive(stripped: str, line_no: int, filename: str,
-                      macros: dict[str, list[Token]], forced: Mapping[str, str],
-                      tokens: list[Token]) -> None:
-    location = SourceLocation(line_no, 1, filename)
+def _int_value(text: str, location: SourceLocation) -> int:
+    """The value of an integer literal; a leading ``0`` makes it octal, as in C."""
+
+    octal = len(text) > 1 and text[0] == "0" and text[1] not in "xX"
+    try:
+        return int(text, 8 if octal else 0)
+    except ValueError:  # an 8 or 9 in an octal literal, or too many digits
+        raise LexError(f"invalid {'octal' if octal else 'integer'} literal "
+                       f"{text!r}", location) from None
+
+
+def _directive(stripped: str, location: SourceLocation,
+               macros: dict[str, list[Token]], forced: Mapping[str, str],
+               tokens: list[Token]) -> None:
     body = stripped[1:].strip()
     if body.startswith("pragma"):
-        payload = body[len("pragma"):].strip()
-        tokens.append(Token(TokenKind.PRAGMA, payload, location))
+        tokens.append(Token(TokenKind.PRAGMA, body[len("pragma"):].strip(),
+                            location))
     elif body.startswith("define"):
         rest = body[len("define"):].strip()
-        match = re.match(r"([A-Za-z_][A-Za-z_0-9]*)(\(?)\s*(.*)", rest)
+        match = _DEFINE_RE.match(rest)
         if not match:
             raise LexError(f"malformed #define: {stripped!r}", location)
         name, paren, replacement = match.groups()
         if paren:
             raise LexError("function-like macros are not supported", location)
         if name not in forced:
-            macros[name] = _lex_line(replacement, line_no, filename)
+            macros[name] = _lex(_TEXT_RE, replacement, location.line,
+                                location.filename)
     elif body.startswith("include"):
         pass  # kernels are self-contained; includes are documentation only
     else:
         raise LexError(f"unsupported preprocessor directive: {stripped!r}", location)
 
 
-def _lex_line(line: str, line_no: int, filename: str) -> list[Token]:
-    tokens: list[Token] = []
-    pos = 0
-    while pos < len(line):
-        match = _TOKEN_RE.match(line, pos)
-        location = SourceLocation(line_no, pos + 1, filename)
-        if match is None:
-            raise LexError(f"unexpected character {line[pos]!r}", location)
-        pos = match.end()
-        if match.lastgroup in ("ws", "comment"):
-            continue
-        text = match.group()
-        if match.lastgroup == "float":
-            literal = text.rstrip("fF")
-            tokens.append(Token(TokenKind.FLOAT_LIT, text, location, float(literal)))
-        elif match.lastgroup == "int":
-            tokens.append(Token(TokenKind.INT_LIT, text, location, int(text, 0)))
-        elif match.lastgroup == "ident":
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-            tokens.append(Token(kind, text, location))
-        else:
-            tokens.append(Token(TokenKind.PUNCT, text, location))
-    return tokens
+class _Expander:
+    """Object-like macro expansion, each macro's body expanded once.
 
+    A token naming a macro becomes that body, each replacement token
+    carrying the name's location; every other token is kept as it is.
+    """
 
-def _expand(tokens: Iterable[Token], macros: Mapping[str, list[Token]],
-            depth: int = 0) -> list[Token]:
-    if depth > 16:
-        raise LexError("macro expansion too deep (recursive #define?)")
-    out: list[Token] = []
-    changed = False
-    for token in tokens:
-        if token.kind is TokenKind.IDENT and token.text in macros:
-            changed = True
-            for rep in macros[token.text]:
-                out.append(Token(rep.kind, rep.text, token.location, rep.value))
-        else:
-            out.append(token)
-    if changed:
-        return _expand(out, macros, depth + 1)
-    return out
+    def __init__(self, macros: Mapping[str, list[Token]]):
+        self.macros = macros
+        #: name -> (fully expanded body, nesting depth)
+        self.bodies: dict[str, tuple[list[Token], int]] = {}
+        self.active: set[str] = set()
+
+    def expand(self, tokens: list[Token]) -> list[Token]:
+        macros = self.macros
+        ident = TokenKind.IDENT
+        out: list[Token] = []
+        done = 0
+        for index in [i for i, t in enumerate(tokens)
+                      if t.kind is ident and t.text in macros]:
+            out += tokens[done:index]
+            location = tokens[index].location
+            out += [Token(rep.kind, rep.text, location, rep.value)
+                    for rep in self._body(tokens[index].text)[0]]
+            done = index + 1
+        out += tokens[done:]
+        return out
+
+    def _body(self, name: str) -> tuple[list[Token], int]:
+        known = self.bodies.get(name)
+        if known is not None:
+            return known
+        if name in self.active:
+            raise LexError("macro expansion too deep (recursive #define?)")
+        self.active.add(name)
+        body: list[Token] = []
+        depth = 0
+        for rep in self.macros[name]:
+            if rep.kind is TokenKind.IDENT and rep.text in self.macros:
+                inner, inner_depth = self._body(rep.text)
+                body.extend(inner)
+                depth = max(depth, inner_depth)
+            else:
+                body.append(rep)
+        self.active.discard(name)
+        depth += 1
+        if depth > _MAX_EXPANSION_DEPTH:
+            raise LexError("macro expansion too deep (recursive #define?)")
+        self.bodies[name] = (body, depth)
+        return body, depth

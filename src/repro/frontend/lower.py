@@ -88,7 +88,8 @@ def lower_to_kernel(sema: SemaResult,
 
     with telemetry.span("frontend.lower", category="frontend"):
         kernel = _Lowerer(sema, const_env or {}).run()
-    telemetry.add("frontend.ops_lowered", sum(1 for _ in kernel.walk()))
+    if telemetry.telemetry_enabled():
+        telemetry.add("frontend.ops_lowered", kernel.count_ops())
     return kernel
 
 

@@ -18,7 +18,7 @@ from .ast_nodes import (
     Unary,
 )
 from .. import telemetry
-from .errors import ParseError, SourceLocation
+from .errors import ParseError
 from .lexer import Token, TokenKind, tokenize
 from .pragmas import parse_pragma
 
@@ -44,8 +44,31 @@ def is_type_name(text: str) -> bool:
     return text in _TYPE_KEYWORDS or bool(_VECTOR_NAME.match(text))
 
 
+_PUNCT, _KEYWORD, _IDENT = TokenKind.PUNCT, TokenKind.KEYWORD, TokenKind.IDENT
+_PRAGMA, _EOF = TokenKind.PRAGMA, TokenKind.EOF
+
+#: binary operator -> precedence level; a higher level binds tighter
+_BINARY_LEVEL = {
+    op: level
+    for level, ops in enumerate([
+        ["||"], ["&&"], ["|"], ["^"], ["&"],
+        ["==", "!="], ["<", "<=", ">", ">="],
+        ["<<", ">>"], ["+", "-"], ["*", "/", "%"],
+    ])
+    for op in ops
+}
+#: assignment punctuator -> the operator it compounds ("" for plain ``=``)
+_ASSIGN_OPS = {"=": "", "+=": "+", "-=": "-", "*=": "*", "/=": "/", "%=": "%"}
+_PREFIX_OPS = frozenset({"-", "!", "~", "*", "&"})
+
+
 class Parser:
-    """Hand-written recursive-descent parser (no backtracking beyond one token)."""
+    """Hand-written recursive-descent parser (no backtracking beyond one token).
+
+    The current token is ``self.tokens[self.pos]``, read into a local
+    wherever it is tested more than once; the position never moves past
+    the final EOF token.
+    """
 
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
@@ -54,61 +77,62 @@ class Parser:
     # ------------------------------------------------------------------
     # token plumbing
     # ------------------------------------------------------------------
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
+    def _next_token(self) -> Token:
+        """The token after the current one (EOF at the end)."""
 
-    def peek(self, offset: int = 1) -> Token:
-        idx = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[idx]
+        return self.tokens[min(self.pos + 1, len(self.tokens) - 1)]
 
-    @property
-    def loc(self) -> SourceLocation:
-        return self.current.location
+    def _at(self, text: str) -> bool:
+        """Is the current token the punctuator or keyword ``text``?"""
 
-    def advance(self) -> Token:
-        token = self.current
-        if token.kind is not TokenKind.EOF:
-            self.pos += 1
-        return token
+        token = self.tokens[self.pos]
+        return token.text == text and (token.kind is _PUNCT
+                                       or token.kind is _KEYWORD)
 
     def accept(self, text: str) -> bool:
-        if self.current.is_punct(text) or self.current.is_keyword(text):
-            self.advance()
+        if self._at(text):
+            self.pos += 1
             return True
         return False
 
-    def expect(self, text: str) -> Token:
-        if not (self.current.is_punct(text) or self.current.is_keyword(text)):
-            raise ParseError(f"expected {text!r}, got {self.current.text!r}", self.loc)
-        return self.tokens[self.pos - 1] if self.advance() else self.current
+    def expect(self, text: str) -> None:
+        if not self._at(text):
+            token = self.tokens[self.pos]
+            raise ParseError(f"expected {text!r}, got {token.text!r}",
+                             token.location)
+        self.pos += 1
 
     def expect_ident(self) -> Token:
-        if self.current.kind is not TokenKind.IDENT:
-            raise ParseError(f"expected identifier, got {self.current.text!r}", self.loc)
-        return self.advance()
+        token = self.tokens[self.pos]
+        if token.kind is not _IDENT:
+            raise ParseError(f"expected identifier, got {token.text!r}",
+                             token.location)
+        self.pos += 1
+        return token
 
     # ------------------------------------------------------------------
     # top level
     # ------------------------------------------------------------------
     def parse_translation_unit(self) -> TranslationUnit:
-        location = self.loc
+        location = self.tokens[self.pos].location
         functions: list[FunctionDef] = []
-        while self.current.kind is not TokenKind.EOF:
-            if self.current.kind is TokenKind.PRAGMA:
+        while True:
+            kind = self.tokens[self.pos].kind
+            if kind is _EOF:
+                return TranslationUnit(location, functions)
+            if kind is _PRAGMA:
                 # stray file-level pragma: ignore, as C compilers do
-                self.advance()
+                self.pos += 1
                 continue
             functions.append(self.parse_function())
-        return TranslationUnit(location, functions)
 
     def parse_function(self) -> FunctionDef:
-        location = self.loc
+        location = self.tokens[self.pos].location
         return_type = self._parse_type_name()
         name = self.expect_ident().text
         self.expect("(")
         params: list[ParamDecl] = []
-        if not self.current.is_punct(")"):
+        if not self._at(")"):
             while True:
                 params.append(self._parse_param())
                 if not self.accept(","):
@@ -121,18 +145,21 @@ class Parser:
         self.accept("const")
         self.accept("static")
         self.accept("inline")
-        token = self.current
-        if not (token.kind is TokenKind.KEYWORD and token.text in _TYPE_KEYWORDS) and \
-           not (token.kind is TokenKind.IDENT and is_type_name(token.text)):
-            raise ParseError(f"expected type name, got {token.text!r}", self.loc)
-        self.advance()
+        tokens = self.tokens
+        token = tokens[self.pos]
+        if not (token.kind is _KEYWORD and token.text in _TYPE_KEYWORDS) and \
+           not (token.kind is _IDENT and is_type_name(token.text)):
+            raise ParseError(f"expected type name, got {token.text!r}",
+                             token.location)
+        self.pos += 1
         # "unsigned int", "long long" etc. collapse to the first keyword.
-        while self.current.kind is TokenKind.KEYWORD and self.current.text in _TYPE_KEYWORDS:
-            self.advance()
+        while tokens[self.pos].kind is _KEYWORD \
+                and tokens[self.pos].text in _TYPE_KEYWORDS:
+            self.pos += 1
         return token.text
 
     def _parse_param(self) -> ParamDecl:
-        location = self.loc
+        location = self.tokens[self.pos].location
         type_name = self._parse_type_name()
         pointer = False
         while self.accept("*"):
@@ -145,64 +172,71 @@ class Parser:
     # statements
     # ------------------------------------------------------------------
     def parse_compound(self) -> CompoundStmt:
-        location = self.loc
+        location = self.tokens[self.pos].location
         self.expect("{")
         stmts: list[Stmt] = []
-        while not self.current.is_punct("}"):
-            if self.current.kind is TokenKind.EOF:
-                raise ParseError("unexpected end of input inside block", self.loc)
+        while not self._at("}"):
+            token = self.tokens[self.pos]
+            if token.kind is _EOF:
+                raise ParseError("unexpected end of input inside block",
+                                 token.location)
             stmts.append(self.parse_statement())
-        self.expect("}")
+        self.pos += 1
         return CompoundStmt(location, stmts)
 
     def parse_statement(self) -> Stmt:
         pragmas = []
-        while self.current.kind is TokenKind.PRAGMA:
-            token = self.advance()
+        while (token := self.tokens[self.pos]).kind is _PRAGMA:
+            self.pos += 1
             parsed = parse_pragma(token.text, token.location)
             if parsed is not None:
                 pragmas.append(parsed)
         stmt = self._parse_statement_inner()
-        stmt.pragmas = pragmas + stmt.pragmas
+        if pragmas:
+            stmt.pragmas = pragmas + stmt.pragmas
         return stmt
 
     def _parse_statement_inner(self) -> Stmt:
-        location = self.loc
-        if self.current.is_punct("{"):
-            return self.parse_compound()
-        if self.current.is_keyword("for"):
-            return self._parse_for()
-        if self.current.is_keyword("if"):
-            return self._parse_if()
-        if self.current.is_keyword("return"):
-            self.advance()
-            value = None if self.current.is_punct(";") else self.parse_expr()
-            self.expect(";")
-            return ReturnStmt(location, value)
-        if self.current.is_keyword("while"):
-            raise ParseError("while loops are not supported by the HLS dialect "
-                             "(use a counted for loop)", location)
+        token = self.tokens[self.pos]
+        location, text = token.location, token.text
+        if token.kind is _PUNCT:
+            if text == "{":
+                return self.parse_compound()
+            if text == ";":
+                self.pos += 1
+                return CompoundStmt(location, [])
+        elif token.kind is _KEYWORD:
+            if text == "for":
+                return self._parse_for()
+            if text == "if":
+                return self._parse_if()
+            if text == "return":
+                self.pos += 1
+                value = None if self._at(";") else self.parse_expr()
+                self.expect(";")
+                return ReturnStmt(location, value)
+            if text == "while":
+                raise ParseError("while loops are not supported by the HLS "
+                                 "dialect (use a counted for loop)", location)
         if self._at_declaration():
             stmt = self._parse_declaration()
             self.expect(";")
             return stmt
-        if self.accept(";"):
-            return CompoundStmt(location, [])
         expr = self.parse_expr()
         self.expect(";")
         return ExprStmt(location, expr)
 
     def _at_declaration(self) -> bool:
-        token = self.current
-        if token.kind is TokenKind.KEYWORD and token.text in _TYPE_KEYWORDS:
-            return True
-        return (token.kind is TokenKind.IDENT and is_type_name(token.text)
-                and self.peek().kind in (TokenKind.IDENT,)
-                or (token.kind is TokenKind.IDENT and is_type_name(token.text)
-                    and self.peek().is_punct("*")))
+        token = self.tokens[self.pos]
+        if token.kind is _KEYWORD:
+            return token.text in _TYPE_KEYWORDS
+        if token.kind is _IDENT and is_type_name(token.text):
+            after = self._next_token()
+            return after.kind is _IDENT or after.is_punct("*")
+        return False
 
     def _parse_declaration(self) -> DeclStmt:
-        location = self.loc
+        location = self.tokens[self.pos].location
         type_name = self._parse_type_name()
         pointer = False
         while self.accept("*"):
@@ -214,18 +248,18 @@ class Parser:
             self.expect("]")
         init: Optional[Expr] = None
         if self.accept("="):
-            if self.current.is_punct("{"):
+            if self._at("{"):
                 init = self._parse_brace_init()
             else:
-                init = self.parse_assignment()
+                init = self.parse_expr()
         return DeclStmt(location, type_name, pointer, name, dims, init)
 
     def _parse_brace_init(self) -> Expr:
         """``{0.0f}``-style initializer: only the broadcast form is supported."""
 
-        location = self.loc
+        location = self.tokens[self.pos].location
         self.expect("{")
-        value = self.parse_assignment()
+        value = self.parse_expr()
         if self.accept(","):
             raise ParseError("only single-element brace initializers are supported "
                              "(value is broadcast)", location)
@@ -233,18 +267,19 @@ class Parser:
         return value
 
     def _parse_for(self) -> ForStmt:
-        location = self.loc
+        location = self.tokens[self.pos].location
         self.expect("for")
         self.expect("(")
         if self._at_declaration():
             init: Stmt = self._parse_declaration()
-        elif self.current.is_punct(";"):
+            if self._at(","):
+                raise ParseError("multiple declarators in for-init are not "
+                                 "supported; hoist extra variables out of the "
+                                 "loop header", self.tokens[self.pos].location)
+        elif self._at(";"):
             raise ParseError("for loop must bind an induction variable", location)
         else:
-            init = ExprStmt(self.loc, self.parse_expr())
-        if isinstance(init, DeclStmt) and self.current.is_punct(","):
-            raise ParseError("multiple declarators in for-init are not supported; "
-                             "hoist extra variables out of the loop header", self.loc)
+            init = ExprStmt(self.tokens[self.pos].location, self.parse_expr())
         self.expect(";")
         cond = self.parse_expr()
         self.expect(";")
@@ -254,7 +289,7 @@ class Parser:
         return ForStmt(location, init, cond, inc, body)
 
     def _parse_if(self) -> IfStmt:
-        location = self.loc
+        location = self.tokens[self.pos].location
         self.expect("if")
         self.expect("(")
         cond = self.parse_expr()
@@ -264,24 +299,23 @@ class Parser:
         return IfStmt(location, cond, then, other)
 
     # ------------------------------------------------------------------
-    # expressions (precedence climbing)
+    # expressions
     # ------------------------------------------------------------------
     def parse_expr(self) -> Expr:
-        return self.parse_assignment()
+        """An assignment expression (right-associative), or a ternary."""
 
-    def parse_assignment(self) -> Expr:
-        location = self.loc
+        location = self.tokens[self.pos].location
         target = self._parse_ternary()
-        for punct, op in (("=", ""), ("+=", "+"), ("-=", "-"), ("*=", "*"),
-                          ("/=", "/"), ("%=", "%")):
-            if self.current.is_punct(punct):
-                self.advance()
-                value = self.parse_assignment()
-                return Assign(location, op, target, value)
+        token = self.tokens[self.pos]
+        if token.kind is _PUNCT:
+            op = _ASSIGN_OPS.get(token.text)
+            if op is not None:
+                self.pos += 1
+                return Assign(location, op, target, self.parse_expr())
         return target
 
     def _parse_ternary(self) -> Expr:
-        location = self.loc
+        location = self.tokens[self.pos].location
         cond = self._parse_binary(0)
         if self.accept("?"):
             then = self.parse_expr()
@@ -290,46 +324,49 @@ class Parser:
             return Ternary(location, cond, then, other)
         return cond
 
-    _PRECEDENCE: list[list[str]] = [
-        ["||"], ["&&"], ["|"], ["^"], ["&"],
-        ["==", "!="], ["<", "<=", ">", ">="],
-        ["<<", ">>"], ["+", "-"], ["*", "/", "%"],
-    ]
+    def _parse_binary(self, min_level: int) -> Expr:
+        """Precedence climbing: operators of ``min_level`` and tighter.
 
-    def _parse_binary(self, level: int) -> Expr:
-        if level >= len(self._PRECEDENCE):
-            return self._parse_unary()
-        location = self.loc
-        left = self._parse_binary(level + 1)
-        ops = self._PRECEDENCE[level]
-        while self.current.kind is TokenKind.PUNCT and self.current.text in ops:
-            op = self.advance().text
-            right = self._parse_binary(level + 1)
-            left = Binary(location, op, left, right)
-        return left
+        Operators of one level associate to the left; every
+        :class:`Binary` carries the location of its left operand.
+        """
+
+        tokens = self.tokens
+        location = tokens[self.pos].location
+        left = self._parse_unary()
+        while True:
+            token = tokens[self.pos]
+            if token.kind is not _PUNCT:
+                return left
+            level = _BINARY_LEVEL.get(token.text)
+            if level is None or level < min_level:
+                return left
+            self.pos += 1
+            left = Binary(location, token.text, left,
+                          self._parse_binary(level + 1))
 
     def _parse_unary(self) -> Expr:
-        location = self.loc
-        for op in ("-", "!", "~", "*", "&"):
-            if self.current.is_punct(op):
-                # distinguish binary usage handled by caller; here it's prefix
-                self.advance()
-                return Unary(location, op, self._parse_unary())
-        if self.current.is_punct("++") or self.current.is_punct("--"):
-            op = self.advance().text
-            return Unary(location, "pre" + op, self._parse_unary())
-        if self.current.is_punct("(") and self._looks_like_cast():
-            return self._parse_cast()
+        token = self.tokens[self.pos]
+        if token.kind is _PUNCT:
+            text = token.text
+            if text in _PREFIX_OPS:
+                self.pos += 1
+                return Unary(token.location, text, self._parse_unary())
+            if text == "++" or text == "--":
+                self.pos += 1
+                return Unary(token.location, "pre" + text, self._parse_unary())
+            if text == "(" and self._looks_like_cast():
+                return self._parse_cast()
         return self._parse_postfix()
 
     def _looks_like_cast(self) -> bool:
-        token = self.peek(1)
-        if token.kind is TokenKind.KEYWORD and token.text in _TYPE_KEYWORDS:
+        token = self._next_token()
+        if token.kind is _KEYWORD and token.text in _TYPE_KEYWORDS:
             return True
-        return token.kind is TokenKind.IDENT and is_type_name(token.text)
+        return token.kind is _IDENT and is_type_name(token.text)
 
     def _parse_cast(self) -> Expr:
-        location = self.loc
+        location = self.tokens[self.pos].location
         self.expect("(")
         type_tokens = [self._parse_type_name()]
         while self.accept("*"):
@@ -339,45 +376,49 @@ class Parser:
         return Cast(location, type_tokens, operand)
 
     def _parse_postfix(self) -> Expr:
-        expr = self._parse_primary()
+        """A primary expression and the subscripts, calls and ``++``/``--``
+        that follow it."""
+
+        tokens = self.tokens
+        token = tokens[self.pos]
+        kind = token.kind
+        if kind is _IDENT:
+            self.pos += 1
+            expr: Expr = Identifier(token.location, token.text)
+        elif kind is TokenKind.INT_LIT:
+            self.pos += 1
+            expr = IntLiteral(token.location, token.value)
+        elif kind is TokenKind.FLOAT_LIT:
+            self.pos += 1
+            expr = FloatLiteral(token.location, token.value)
+        elif kind is _PUNCT and token.text == "(":
+            self.pos += 1
+            expr = self.parse_expr()
+            self.expect(")")
+        else:
+            raise ParseError(f"unexpected token {token.text!r}", token.location)
         while True:
-            location = self.loc
-            if self.accept("["):
+            token = tokens[self.pos]
+            if token.kind is not _PUNCT:
+                return expr
+            text, location = token.text, token.location
+            if text == "[":
+                self.pos += 1
                 index = self.parse_expr()
                 self.expect("]")
                 expr = Index(location, expr, index)
-            elif self.current.is_punct("(") and isinstance(expr, Identifier):
-                self.advance()
+            elif text == "(" and isinstance(expr, Identifier):
+                self.pos += 1
                 args: list[Expr] = []
-                if not self.current.is_punct(")"):
+                if not self._at(")"):
                     while True:
-                        args.append(self.parse_assignment())
+                        args.append(self.parse_expr())
                         if not self.accept(","):
                             break
                 self.expect(")")
                 expr = Call(location, expr.name, args)
-            elif self.current.is_punct("++") or self.current.is_punct("--"):
-                op = self.advance().text
-                expr = Unary(location, "post" + op, expr)
+            elif text == "++" or text == "--":
+                self.pos += 1
+                expr = Unary(location, "post" + text, expr)
             else:
                 return expr
-
-    def _parse_primary(self) -> Expr:
-        location = self.loc
-        token = self.current
-        if token.kind is TokenKind.INT_LIT:
-            self.advance()
-            assert isinstance(token.value, int)
-            return IntLiteral(location, token.value)
-        if token.kind is TokenKind.FLOAT_LIT:
-            self.advance()
-            assert isinstance(token.value, float)
-            return FloatLiteral(location, token.value)
-        if token.kind is TokenKind.IDENT:
-            self.advance()
-            return Identifier(location, token.text)
-        if self.accept("("):
-            expr = self.parse_expr()
-            self.expect(")")
-            return expr
-        raise ParseError(f"unexpected token {token.text!r}", location)

@@ -71,6 +71,9 @@ class _AbstractInterp:
         self.var_versions: dict[int, int] = {}
         self.accesses: AccessMap = {}
         self.tid_sym = Sym("tid", ("tid",), Interval(0, kernel.num_threads - 1))
+        #: id(block) -> ids of the vars written anywhere inside the block
+        self.written: dict[int, set[int]] = {}
+        _written_vars(kernel.body, self.written)
 
     # ------------------------------------------------------------------
     def value_of(self, value: Value) -> Affine:
@@ -94,74 +97,84 @@ class _AbstractInterp:
             self.run_op(op)
 
     def run_op(self, op: Operation) -> None:
-        code = op.opcode
-        if code is Opcode.CONST:
-            value = op.attrs["value"]
-            if isinstance(value, int):
-                self._set(op, Affine.constant(value))
-            else:
-                self._set(op, Affine.symbol(fresh_opaque()))
-        elif code is Opcode.THREAD_ID:
-            self._set(op, Affine.symbol(self.tid_sym))
-        elif code is Opcode.NUM_THREADS:
-            self._set(op, Affine.constant(self.kernel.num_threads))
-        elif code in (Opcode.ADD, Opcode.SUB):
-            a = self.value_of(op.operands[0])
-            b = self.value_of(op.operands[1])
-            self._set(op, a + b if code is Opcode.ADD else a - b)
-        elif code is Opcode.MUL:
-            a = self.value_of(op.operands[0])
-            b = self.value_of(op.operands[1])
-            if b.is_constant:
-                self._set(op, a.scale(b.const))
-            elif a.is_constant:
-                self._set(op, b.scale(a.const))
-            else:
-                self._set(op, Affine.symbol(fresh_opaque()))
-        elif code is Opcode.DIV:
-            a = self.value_of(op.operands[0])
-            b = self.value_of(op.operands[1])
-            self._set(op, a.div(b.const) if b.is_constant
-                      else Affine.symbol(fresh_opaque()))
-        elif code is Opcode.REM:
-            a = self.value_of(op.operands[0])
-            b = self.value_of(op.operands[1])
-            self._set(op, a.mod(b.const) if b.is_constant
-                      else Affine.symbol(fresh_opaque()))
-        elif code is Opcode.SHL:
-            a = self.value_of(op.operands[0])
-            b = self.value_of(op.operands[1])
-            self._set(op, a.scale(2 ** b.const)
-                      if b.is_constant and 0 <= b.const < 31
-                      else Affine.symbol(fresh_opaque()))
-        elif code is Opcode.CAST:
-            self._set(op, self.value_of(op.operands[0]))
-        elif code is Opcode.READ_VAR:
-            var_id = op.operands[0].id
-            affine = self.vars.get(var_id)
-            if affine is None:
-                affine = self._var_symbol(var_id)
-                self.vars[var_id] = affine
-            self._set(op, affine)
-        elif code is Opcode.WRITE_VAR:
-            var_id = op.operands[0].id
-            self.var_versions[var_id] = self.var_versions.get(var_id, 0) + 1
-            self.vars[var_id] = self.value_of(op.operands[1])
-        elif code in (Opcode.LOAD, Opcode.STORE):
-            self._record_access(op)
-        elif code is Opcode.PRELOAD:
-            self._record_preload(op)
-        elif code is Opcode.FOR:
-            self._run_for(op)
-        elif code is Opcode.IF:
-            self._run_if(op)
-        elif code is Opcode.CRITICAL:
-            written = _written_vars(op.regions[0])
-            self.run_block(op.regions[0])
-            for var_id in written:
-                self.invalidate_var(var_id)
+        rule = _RULES.get(op.opcode)
+        if rule is not None:
+            rule(self, op)
         elif op.result is not None:
             self._set(op, Affine.symbol(fresh_opaque()))
+
+    # -- one rule per opcode the analysis understands (see _RULES) -----
+    def _const(self, op: Operation) -> None:
+        value = op.attrs["value"]
+        if isinstance(value, int):
+            self._set(op, Affine.constant(value))
+        else:
+            self._set(op, Affine.symbol(fresh_opaque()))
+
+    def _thread_id(self, op: Operation) -> None:
+        self._set(op, Affine.symbol(self.tid_sym))
+
+    def _num_threads(self, op: Operation) -> None:
+        self._set(op, Affine.constant(self.kernel.num_threads))
+
+    def _add(self, op: Operation) -> None:
+        self._set(op, self.value_of(op.operands[0])
+                  + self.value_of(op.operands[1]))
+
+    def _sub(self, op: Operation) -> None:
+        self._set(op, self.value_of(op.operands[0])
+                  - self.value_of(op.operands[1]))
+
+    def _mul(self, op: Operation) -> None:
+        a = self.value_of(op.operands[0])
+        b = self.value_of(op.operands[1])
+        if b.is_constant:
+            self._set(op, a.scale(b.const))
+        elif a.is_constant:
+            self._set(op, b.scale(a.const))
+        else:
+            self._set(op, Affine.symbol(fresh_opaque()))
+
+    def _div(self, op: Operation) -> None:
+        a = self.value_of(op.operands[0])
+        b = self.value_of(op.operands[1])
+        self._set(op, a.div(b.const) if b.is_constant
+                  else Affine.symbol(fresh_opaque()))
+
+    def _rem(self, op: Operation) -> None:
+        a = self.value_of(op.operands[0])
+        b = self.value_of(op.operands[1])
+        self._set(op, a.mod(b.const) if b.is_constant
+                  else Affine.symbol(fresh_opaque()))
+
+    def _shl(self, op: Operation) -> None:
+        a = self.value_of(op.operands[0])
+        b = self.value_of(op.operands[1])
+        self._set(op, a.scale(2 ** b.const)
+                  if b.is_constant and 0 <= b.const < 31
+                  else Affine.symbol(fresh_opaque()))
+
+    def _cast(self, op: Operation) -> None:
+        self._set(op, self.value_of(op.operands[0]))
+
+    def _read_var(self, op: Operation) -> None:
+        var_id = op.operands[0].id
+        affine = self.vars.get(var_id)
+        if affine is None:
+            affine = self._var_symbol(var_id)
+            self.vars[var_id] = affine
+        self._set(op, affine)
+
+    def _write_var(self, op: Operation) -> None:
+        var_id = op.operands[0].id
+        self.var_versions[var_id] = self.var_versions.get(var_id, 0) + 1
+        self.vars[var_id] = self.value_of(op.operands[1])
+
+    def _run_critical(self, op: Operation) -> None:
+        written = self.written[id(op.regions[0])]
+        self.run_block(op.regions[0])
+        for var_id in written:
+            self.invalidate_var(var_id)
 
     def _set(self, op: Operation, affine: Affine) -> None:
         if op.result is not None:
@@ -208,7 +221,7 @@ class _AbstractInterp:
         iv = op.defined[0]
         self.values[iv.id] = Affine.symbol(iv_sym)
         # Loop-carried register values are unknown inside and after the body.
-        written = _written_vars(op.regions[0])
+        written = self.written[id(op.regions[0])]
         for var_id in written:
             self.invalidate_var(var_id)
         self.run_block(op.regions[0])
@@ -219,7 +232,7 @@ class _AbstractInterp:
     def _run_if(self, op: Operation) -> None:
         written: set[int] = set()
         for region in op.regions:
-            written |= _written_vars(region)
+            written |= self.written[id(region)]
             snapshot = dict(self.vars)
             self.run_block(region)
             self.vars = snapshot
@@ -227,9 +240,41 @@ class _AbstractInterp:
             self.invalidate_var(var_id)
 
 
-def _written_vars(block: Block) -> set[int]:
-    return {op.operands[0].id for op in block.walk()
-            if op.opcode is Opcode.WRITE_VAR}
+#: opcode -> its rule; any other op with a result yields an opaque value
+_RULES = {
+    Opcode.CONST: _AbstractInterp._const,
+    Opcode.THREAD_ID: _AbstractInterp._thread_id,
+    Opcode.NUM_THREADS: _AbstractInterp._num_threads,
+    Opcode.ADD: _AbstractInterp._add,
+    Opcode.SUB: _AbstractInterp._sub,
+    Opcode.MUL: _AbstractInterp._mul,
+    Opcode.DIV: _AbstractInterp._div,
+    Opcode.REM: _AbstractInterp._rem,
+    Opcode.SHL: _AbstractInterp._shl,
+    Opcode.CAST: _AbstractInterp._cast,
+    Opcode.READ_VAR: _AbstractInterp._read_var,
+    Opcode.WRITE_VAR: _AbstractInterp._write_var,
+    Opcode.LOAD: _AbstractInterp._record_access,
+    Opcode.STORE: _AbstractInterp._record_access,
+    Opcode.PRELOAD: _AbstractInterp._record_preload,
+    Opcode.FOR: _AbstractInterp._run_for,
+    Opcode.IF: _AbstractInterp._run_if,
+    Opcode.CRITICAL: _AbstractInterp._run_critical,
+}
+
+
+def _written_vars(block: Block, out: dict[int, set[int]]) -> set[int]:
+    """Ids of the vars written anywhere in ``block``; records the same for
+    ``block`` and every block nested in it into ``out`` (by ``id``)."""
+
+    written = set()
+    for op in block.ops:
+        if op.opcode is Opcode.WRITE_VAR:
+            written.add(op.operands[0].id)
+        for region in op.regions:
+            written |= _written_vars(region, out)
+    out[id(block)] = written
+    return written
 
 
 # ----------------------------------------------------------------------

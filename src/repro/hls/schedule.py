@@ -25,6 +25,7 @@ static regions.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -239,7 +240,7 @@ def schedule_kernel(kernel: Kernel) -> KernelSchedule:
         accesses = collect_accesses(kernel)
     scheduler = _Scheduler(kernel, accesses)
     with telemetry.span("hls.schedule.pipeline", category="hls"):
-        body = scheduler.schedule_block(kernel.body)
+        body, _ = scheduler.schedule_block(kernel.body)
     schedule = KernelSchedule(kernel, body, accesses)
     with telemetry.span("hls.schedule.local_groups", category="hls"):
         _assign_local_groups(schedule)
@@ -309,58 +310,124 @@ def _assign_local_groups(schedule: KernelSchedule) -> None:
 _STRUCTURED = {Opcode.FOR, Opcode.IF, Opcode.CRITICAL, Opcode.BARRIER}
 
 
+class _Summary:
+    """What an item's ops (nested regions included) define and touch.
+
+    Value ids defined and used, register (variable) ids read and
+    written, critical-section locks and memory accesses: the facts the
+    item dependence DAG compares.  Built once per item, bottom-up: a
+    segment's in the pass that schedules it, a structured item's from
+    its own op and its body's summary.
+    """
+
+    __slots__ = ("defined", "used", "vars_read", "vars_written", "locks",
+                 "accesses")
+
+    def __init__(self) -> None:
+        self.defined: set[int] = set()
+        self.used: set[int] = set()
+        self.vars_read: set[int] = set()
+        self.vars_written: set[int] = set()
+        self.locks: set[int] = set()
+        self.accesses: list[Access] = []
+
+    def add_structured(self, op: Operation) -> None:
+        """Add a structured ``op`` itself (its regions are summarised
+        already): the values it defines and uses, and a critical
+        section's lock."""
+
+        if op.result is not None:
+            self.defined.add(op.result.id)
+        for value in op.defined:
+            self.defined.add(value.id)
+        for operand in op.operands:
+            self.used.add(operand.id)
+        if op.opcode is Opcode.CRITICAL:
+            self.locks.add(op.attrs.get("lock", 0))
+
+    def merge(self, other: "_Summary") -> None:
+        self.defined |= other.defined
+        self.used |= other.used
+        self.vars_read |= other.vars_read
+        self.vars_written |= other.vars_written
+        self.locks |= other.locks
+        self.accesses += other.accesses
+
+
 class _Scheduler:
     def __init__(self, kernel: Kernel, accesses: AccessMap):
         self.kernel = kernel
         self.accesses = accesses
 
     # ------------------------------------------------------------------
-    def schedule_block(self, block: Block) -> BodySchedule:
+    def schedule_block(self, block: Block) -> tuple[BodySchedule, _Summary]:
+        """The block's schedule, and the summary of all its ops."""
+
         items: list[Item] = []
+        summaries: list[_Summary] = []
         run: list[Operation] = []
         for op in block.ops:
             if op.opcode in _STRUCTURED:
                 if run:
-                    items.append(self._schedule_segment(run))
+                    self._add_segment(run, items, summaries)
                     run = []
-                items.append(self._schedule_structured(op))
+                item, summary = self._schedule_structured(op)
+                summary.add_structured(op)
+                items.append(item)
+                summaries.append(summary)
             else:
                 run.append(op)
         if run:
-            items.append(self._schedule_segment(run))
-        deps = self._item_deps(items)
-        return BodySchedule(items, deps)
+            self._add_segment(run, items, summaries)
+        body = BodySchedule(items, _item_deps(items, summaries))
+        if not summaries:
+            return body, _Summary()
+        for summary in summaries[1:]:
+            summaries[0].merge(summary)
+        return body, summaries[0]
 
-    def _schedule_structured(self, op: Operation) -> Item:
+    def _add_segment(self, ops: list[Operation], items: list[Item],
+                     summaries: list[_Summary]) -> None:
+        segment, summary = self._schedule_segment(ops)
+        items.append(segment)
+        summaries.append(summary)
+
+    def _schedule_structured(self, op: Operation) -> tuple[Item, _Summary]:
+        """The item for ``op`` and the summary of its regions' ops."""
+
         if op.opcode is Opcode.FOR:
             return self._schedule_loop(op)
         if op.opcode is Opcode.IF:
-            return IfNode(op, [self.schedule_block(r) for r in op.regions])
+            branches = [self.schedule_block(r) for r in op.regions]
+            summary = branches[0][1]
+            for _, other in branches[1:]:
+                summary.merge(other)
+            return IfNode(op, [body for body, _ in branches]), summary
         if op.opcode is Opcode.CRITICAL:
-            return CriticalNode(op, op.attrs.get("lock", 0),
-                                self.schedule_block(op.regions[0]))
+            body, summary = self.schedule_block(op.regions[0])
+            return CriticalNode(op, op.attrs.get("lock", 0), body), summary
         if op.opcode is Opcode.BARRIER:
-            return BarrierNode(op)
+            return BarrierNode(op), _Summary()
         raise AssertionError(op.opcode)
 
     # ------------------------------------------------------------------
     # loops
     # ------------------------------------------------------------------
-    def _schedule_loop(self, op: Operation) -> LoopNode:
+    def _schedule_loop(self, op: Operation) -> tuple[LoopNode, _Summary]:
         body_block = op.regions[0]
         leaf = all(inner.opcode not in _STRUCTURED for inner in body_block.ops)
-        body = self.schedule_block(body_block)
+        body, summary = self.schedule_block(body_block)
         if not leaf:
-            return LoopNode(op, body, pipelined=False)
+            return LoopNode(op, body, pipelined=False), summary
         assert len(body.items) <= 1
         if not body.items:
-            return LoopNode(op, body, pipelined=True, ii=1, depth=1)
+            return LoopNode(op, body, pipelined=True, ii=1, depth=1), summary
         segment = body.items[0]
         assert isinstance(segment, Segment)
         ii = self._resource_ii(segment)
         rec_ii = self._recurrence_ii(segment)
         return LoopNode(op, body, pipelined=True, ii=ii, rec_ii=rec_ii,
-                        depth=max(1, segment.depth))
+                        depth=max(1, segment.depth)), summary
 
     def _resource_ii(self, segment: Segment) -> int:
         ext_reads = sum(1 for m in segment.mem_ops if not m.is_write)
@@ -387,40 +454,45 @@ class _Scheduler:
         write of the same variable (cycle length of the loop-carried
         recurrence; the distance is always 1 iteration)."""
 
+        sched_ops = segment.sched_ops
         first_touch: dict[int, Opcode] = {}
-        for sched in segment.sched_ops:
+        for sched in sched_ops:
             code = sched.op.opcode
-            if code in (Opcode.READ_VAR, Opcode.WRITE_VAR):
+            if code is Opcode.READ_VAR or code is Opcode.WRITE_VAR:
                 first_touch.setdefault(sched.op.operands[0].id, code)
         carried = {var_id for var_id, code in first_touch.items()
                    if code is Opcode.READ_VAR}
         if not carried:
             return 1
 
+        # One longest-path DP for all carried vars, in program order:
+        # reach[k] maps each var with a path from one of its reads to op
+        # k's start to the cycles of the longest such path.
         ii = 1
-        producers: dict[int, ScheduledOp] = {}
-        for sched in segment.sched_ops:
-            if sched.op.result is not None:
-                producers[sched.op.result.id] = sched
-        for var_id in carried:
-            # longest-path DP from every read of this var, in program order
-            dist: dict[int, int] = {}  # id(op) -> path cycles up to op start
-            for sched in segment.sched_ops:
-                op = sched.op
-                if op.opcode is Opcode.READ_VAR and op.operands[0].id == var_id:
-                    dist[id(op)] = 0
+        producer_of: dict[int, int] = {}  # value id -> op index
+        reach: list[dict[int, int]] = []
+        for index, sched in enumerate(sched_ops):
+            op = sched.op
+            here: dict[int, int] = {}
+            for operand in op.operands:
+                pred = producer_of.get(operand.id)
+                if pred is None or not reach[pred]:
                     continue
-                best = None
-                for operand in op.operands:
-                    producer = producers.get(operand.id)
-                    if producer is not None and id(producer.op) in dist:
-                        cand = dist[id(producer.op)] + producer.latency
-                        best = cand if best is None else max(best, cand)
-                if best is not None:
-                    dist[id(op)] = best
-                if op.opcode is Opcode.WRITE_VAR and op.operands[0].id == var_id \
-                        and id(op) in dist:
-                    ii = max(ii, dist[id(op)] + sched.latency)
+                latency = sched_ops[pred].latency
+                for var_id, cycles in reach[pred].items():
+                    if here.get(var_id, -1) < cycles + latency:
+                        here[var_id] = cycles + latency
+            code = op.opcode
+            if code is Opcode.READ_VAR or code is Opcode.WRITE_VAR:
+                var_id = op.operands[0].id
+                if code is Opcode.READ_VAR:
+                    if var_id in carried:
+                        here[var_id] = 0
+                elif var_id in here:
+                    ii = max(ii, here[var_id] + sched.latency)
+            reach.append(here)
+            if op.result is not None:
+                producer_of[op.result.id] = index
         return ii
 
     # ------------------------------------------------------------------
@@ -446,200 +518,178 @@ class _Scheduler:
             return info.int_latency
         return info.latency
 
-    def _schedule_segment(self, ops: list[Operation]) -> Segment:
-        starts: dict[int, int] = {}  # id(op) -> start cycle
-        by_value: dict[int, Operation] = {}
-        last_var_touch: dict[int, list[Operation]] = {}
-        mem_order: dict[int, list[Operation]] = {}  # base id -> prior mem ops
-        sched_ops: list[ScheduledOp] = []
+    def _schedule_segment(self, ops: list[Operation]) -> tuple[Segment, _Summary]:
+        """Schedule a run of simple ops, in one pass over them.
+
+        Each op starts ASAP: after its operands' producers finish, after
+        earlier register accesses it must not overtake, and after earlier
+        accesses to the same memory unless provably disjoint.  The same
+        pass tallies the segment's figures and the ops' summary.
+        """
+
+        accesses_of = self.accesses
+        segment = Segment([])
+        sched_ops = segment.sched_ops
+        summary = _Summary()
+        defined, used = summary.defined, summary.used
+        #: value id -> cycle its producer's result is ready
+        ready_at: dict[int, int] = {}
+        #: var id -> cycle the last write to it completes
+        written_at: dict[int, int] = {}
+        #: var id -> cycle a write may follow every earlier access
+        touched_at: dict[int, int] = {}
+        #: base id -> (op, finish cycle) of each earlier memory op
+        mem_order: dict[int, list[tuple[Operation, int]]] = {}
+        last_use: dict[int, int] = {}  # value id -> start of its last use
+        vlo_stage_set: set[int] = set()
+        depth = 0
 
         for op in ops:
+            latency = self.op_latency(op)
             ready = 0
             for operand in op.operands:
-                producer = by_value.get(operand.id)
-                if producer is not None:
-                    ready = max(ready, starts[id(producer)]
-                                + self.op_latency(producer))
+                at = ready_at.get(operand.id)
+                if at is not None and at > ready:
+                    ready = at
+            code = op.opcode
             # register access ordering (RAW/WAR/WAW)
-            if op.opcode in (Opcode.READ_VAR, Opcode.WRITE_VAR):
+            if code is Opcode.READ_VAR:
                 var_id = op.operands[0].id
-                for prior in last_var_touch.get(var_id, []):
-                    if op.opcode is Opcode.READ_VAR \
-                            and prior.opcode is Opcode.READ_VAR:
-                        continue
-                    extra = self.op_latency(prior) if \
-                        prior.opcode is Opcode.WRITE_VAR else 0
-                    ready = max(ready, starts[id(prior)] + extra)
-                last_var_touch.setdefault(var_id, []).append(op)
+                ready = max(ready, written_at.get(var_id, 0))
+                touched_at[var_id] = max(touched_at.get(var_id, 0), ready)
+                summary.vars_read.add(var_id)
+            elif code is Opcode.WRITE_VAR:
+                var_id = op.operands[0].id
+                ready = max(ready, touched_at.get(var_id, 0))
+                written_at[var_id] = max(written_at.get(var_id, 0),
+                                         ready + latency)
+                touched_at[var_id] = max(touched_at.get(var_id, 0),
+                                         ready + latency)
+                summary.vars_written.add(var_id)
             # memory ordering on the same base unless provably disjoint
-            if op.opcode in (Opcode.LOAD, Opcode.STORE, Opcode.PRELOAD):
+            elif code is Opcode.LOAD or code is Opcode.STORE \
+                    or code is Opcode.PRELOAD:
                 bases = [op.operands[0].id]
-                if op.opcode is Opcode.PRELOAD:
+                if code is Opcode.PRELOAD:
                     bases.append(op.operands[2].id)
-                accesses = self.accesses.get(id(op), ())
+                accesses = accesses_of.get(id(op), ())
                 for base_id in bases:
-                    for prior in mem_order.get(base_id, []):
-                        prior_accesses = self.accesses.get(id(prior), ())
+                    for prior, finish in mem_order.get(base_id, ()):
+                        if finish <= ready:
+                            continue
+                        prior_accesses = accesses_of.get(id(prior), ())
                         if accesses and prior_accesses and not any(
                                 (a.is_write or p.is_write) and a.base == p.base
                                 and a.overlaps(p)
                                 for a in accesses for p in prior_accesses):
                             continue
-                        ready = max(ready, starts[id(prior)]
-                                    + self.op_latency(prior))
-                    mem_order.setdefault(base_id, []).append(op)
+                        ready = finish
+                # ready is final now: later ops see this one's finish
+                for base_id in bases:
+                    mem_order.setdefault(base_id, []).append(
+                        (op, ready + latency))
+                summary.accesses.extend(accesses)
+            sched_ops.append(ScheduledOp(op, ready, latency))
 
-            starts[id(op)] = ready
+            if ready + latency > depth:
+                depth = ready + latency
             if op.result is not None:
-                by_value[op.result.id] = op
-            sched_ops.append(ScheduledOp(op, ready, self.op_latency(op)))
-
-        return self._finalize_segment(sched_ops)
-
-    def _finalize_segment(self, sched_ops: list[ScheduledOp]) -> Segment:
-        segment = Segment(sched_ops)
-        depth = 0
-        vlo_stage_set: set[int] = set()
-        uses: dict[int, int] = {}  # value id -> last use start
-        for sched in sched_ops:
-            depth = max(depth, sched.end)
-            for operand in sched.op.operands:
-                uses[operand.id] = max(uses.get(operand.id, 0), sched.start)
-            op = sched.op
-            info = op.info
-            lanes = _lanes_of(op)
-            if info.flops and _is_float(op):
-                segment.flops += info.flops * lanes
-            elif info.flops or info.intops:
-                segment.intops += max(info.flops, info.intops) * lanes
-            if op.opcode in (Opcode.LOAD, Opcode.STORE):
+                ready_at[op.result.id] = ready + latency
+                defined.add(op.result.id)
+            for value in op.defined:
+                defined.add(value.id)
+            for operand in op.operands:
+                used.add(operand.id)
+                last = last_use.get(operand.id)
+                if last is None or last < ready:
+                    last_use[operand.id] = ready
+            info = code.info
+            if info.flops or info.intops:
+                ty = _value_type(op)
+                lanes = ty.lanes if isinstance(ty, VectorType) else 1
+                if info.flops and ty is not None and ty.is_float:
+                    segment.flops += info.flops * lanes
+                else:
+                    segment.intops += max(info.flops, info.intops) * lanes
+            if code is Opcode.LOAD or code is Opcode.STORE:
                 base = op.operands[0]
                 assert isinstance(base.type, PointerType)
-                is_write = op.opcode is Opcode.STORE
+                is_write = code is Opcode.STORE
                 if base.type.space is MemorySpace.EXTERNAL:
-                    nbytes = _access_bytes(op)
-                    segment.mem_ops.append(MemOp(op, sched.start, sched.latency,
-                                                 is_write, nbytes))
-                    vlo_stage_set.add(sched.start)
+                    segment.mem_ops.append(MemOp(op, ready, latency, is_write,
+                                                 _access_bytes(op)))
+                    vlo_stage_set.add(ready)
+                elif is_write:
+                    segment.bram_writes += 1
                 else:
-                    if is_write:
-                        segment.bram_writes += 1
-                    else:
-                        segment.bram_reads += 1
-            elif op.opcode is Opcode.PRELOAD:
+                    segment.bram_reads += 1
+            elif code is Opcode.PRELOAD:
                 # the preloader issues one DMA burst (read from external);
                 # actual byte counts come from the functional trace
-                segment.mem_ops.append(MemOp(op, sched.start, sched.latency,
-                                             False, 0))
+                segment.mem_ops.append(MemOp(op, ready, latency, False, 0))
                 segment.bram_writes += 1
-                vlo_stage_set.add(sched.start)
-            elif op.is_vlo:
-                vlo_stage_set.add(sched.start)
+                vlo_stage_set.add(ready)
+            elif info.is_vlo:
+                vlo_stage_set.add(ready)
+
         segment.depth = max(depth, 1)
         segment.vlo_stages = len(vlo_stage_set)
         # pipeline register estimate: value bits held from producing stage
         # to last consuming stage
+        vlo_stages = sorted(vlo_stage_set)
         live_bits = 0
         context_bits = 0
         for sched in sched_ops:
             result = sched.op.result
             if result is None:
                 continue
-            last_use = uses.get(result.id)
-            if last_use is None:
+            last = last_use.get(result.id)
+            if last is None:
                 continue
-            lifetime = max(0, last_use - sched.end)
+            end = sched.start + sched.latency
             bits = max(1, result.type.bits())
-            live_bits += bits * max(1, lifetime)
-            if any(sched.end <= stage < last_use for stage in vlo_stage_set):
+            live_bits += bits * max(1, last - end)
+            # a VLO stage in [end, last): the value crosses it
+            first = bisect.bisect_left(vlo_stages, end)
+            if first < len(vlo_stages) and vlo_stages[first] < last:
                 context_bits += bits
         segment.live_bits = live_bits
         segment.context_bits = context_bits
-        return segment
-
-    # ------------------------------------------------------------------
-    # item-level dependence DAG
-    # ------------------------------------------------------------------
-    def _item_deps(self, items: list[Item]) -> list[list[int]]:
-        n = len(items)
-        defined: list[set[int]] = []
-        used: list[set[int]] = []
-        vars_read: list[set[int]] = []
-        vars_written: list[set[int]] = []
-        accesses: list[list[Access]] = []
-        locks: list[set[int]] = []
-
-        for item in items:
-            d: set[int] = set()
-            u: set[int] = set()
-            vr: set[int] = set()
-            vw: set[int] = set()
-            acc: list[Access] = []
-            lk: set[int] = set()
-            for op in _item_ops(item):
-                for inner in op.walk():
-                    if inner.result is not None:
-                        d.add(inner.result.id)
-                    for value in inner.defined:
-                        d.add(value.id)
-                    for operand in inner.operands:
-                        u.add(operand.id)
-                    if inner.opcode is Opcode.READ_VAR:
-                        vr.add(inner.operands[0].id)
-                    elif inner.opcode is Opcode.WRITE_VAR:
-                        vw.add(inner.operands[0].id)
-                    elif inner.opcode is Opcode.CRITICAL:
-                        lk.add(inner.attrs.get("lock", 0))
-                    acc.extend(self.accesses.get(id(inner), ()))
-            defined.append(d)
-            used.append(u)
-            vars_read.append(vr)
-            vars_written.append(vw)
-            accesses.append(acc)
-            locks.append(lk)
-
-        deps: list[list[int]] = [[] for _ in range(n)]
-        for j in range(n):
-            for i in range(j):
-                if isinstance(items[i], BarrierNode) or \
-                        isinstance(items[j], BarrierNode):
-                    deps[j].append(i)
-                    continue
-                if used[j] & defined[i]:
-                    deps[j].append(i)
-                    continue
-                if (vars_written[i] & (vars_read[j] | vars_written[j])) or \
-                        (vars_read[i] & vars_written[j]):
-                    deps[j].append(i)
-                    continue
-                if locks[i] & locks[j]:
-                    deps[j].append(i)
-                    continue
-                if conflicts(accesses[i], accesses[j]):
-                    deps[j].append(i)
-                    continue
-        return deps
+        return segment, summary
 
 
-def _item_ops(item: Item) -> list[Operation]:
-    if isinstance(item, Segment):
-        return item.ops
-    return [item.op]
+def _item_deps(items: list[Item], summaries: list[_Summary]) -> list[list[int]]:
+    """The item dependence DAG: ``deps[j]`` lists each earlier item that
+    item ``j`` must wait for.
+
+    A barrier orders everything; otherwise an item waits for an earlier
+    one whose values it uses, whose registers it reads or writes out of
+    order, whose lock it shares, or whose memory accesses may conflict
+    with its own.
+    """
+
+    barrier = [isinstance(item, BarrierNode) for item in items]
+    deps: list[list[int]] = [[] for _ in items]
+    for j, later in enumerate(summaries):
+        for i in range(j):
+            early = summaries[i]
+            if barrier[i] or barrier[j] \
+                    or not later.used.isdisjoint(early.defined) \
+                    or not early.vars_written.isdisjoint(later.vars_read) \
+                    or not early.vars_written.isdisjoint(later.vars_written) \
+                    or not early.vars_read.isdisjoint(later.vars_written) \
+                    or not early.locks.isdisjoint(later.locks) \
+                    or conflicts(early.accesses, later.accesses):
+                deps[j].append(i)
+    return deps
 
 
-def _lanes_of(op: Operation) -> int:
-    ty: Optional[Type] = None
+def _value_type(op: Operation) -> Optional[Type]:
+    """The type an op computes in: its result's, else its last operand's."""
+
     if op.result is not None:
-        ty = op.result.type
-    elif op.operands:
-        ty = op.operands[-1].type
-    return ty.lanes if isinstance(ty, VectorType) else 1
-
-
-def _is_float(op: Operation) -> bool:
-    ty = op.result.type if op.result is not None else (
-        op.operands[-1].type if op.operands else None)
-    return bool(ty is not None and ty.is_float)
+        return op.result.type
+    return op.operands[-1].type if op.operands else None
 
 
 def _all_integer(op: Operation) -> bool:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 __all__ = ["Sym", "Affine", "Interval", "difference_excludes"]
@@ -66,8 +67,15 @@ class Sym:
     inner: Optional["Affine"] = field(default=None, compare=False)
     modulus: Optional[int] = field(default=None, compare=False)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         return f"{self.kind}{self.key}"
+
+    @cached_property
+    def order(self) -> str:
+        """Sort key of the symbol within an :class:`Affine` (its repr,
+        built once: a ``mod``/``div`` key nests whole expressions)."""
+
+        return repr(self)
 
 
 _opaque_counter = itertools.count()
@@ -105,7 +113,7 @@ class Affine:
     @staticmethod
     def build(const: int, terms: dict[Sym, int]) -> "Affine":
         cleaned = tuple(sorted(((s, c) for s, c in terms.items() if c != 0),
-                               key=lambda item: repr(item[0])))
+                               key=lambda item: item[0].order))
         return Affine(const, cleaned)
 
     # -- algebra ----------------------------------------------------------

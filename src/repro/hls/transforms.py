@@ -42,10 +42,8 @@ def clone_block(block: Block, value_map: dict[int, Value]) -> Block:
     accumulator semantics across replicas.
     """
 
-    new_block = Block(label=block.label)
-    for op in block.ops:
-        new_block.append(_clone_op(op, value_map))
-    return new_block
+    return Block([_clone_op(op, value_map) for op in block.ops],
+                 label=block.label)
 
 
 def _clone_op(op: Operation, value_map: dict[int, Value]) -> Operation:
@@ -254,11 +252,13 @@ def _simplify_block(block: Block, replacements: dict[int, Value]) -> int:
         return value
 
     for op in block.ops:
-        new_operands = [resolve(v) for v in op.operands]
-        for old, new in zip(op.operands, new_operands):
-            if old is not new:
-                changed += 1
-        op.operands = new_operands
+        operands = op.operands
+        for index, value in enumerate(operands):
+            if value.id in replacements:
+                new = resolve(value)
+                if new is not value:
+                    operands[index] = new
+                    changed += 1
         code = op.opcode
         if op.regions:
             for region in op.regions:

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
-from .ops import Opcode, op_info
+from .ops import Opcode
 from .types import MemorySpace, PointerType, Type
 
 __all__ = ["Value", "Param", "Operation", "Block", "Kernel"]
@@ -100,13 +100,12 @@ class Operation:
     def __post_init__(self) -> None:
         if self.result is not None:
             self.result.producer = self
-        info = op_info(self.opcode)
-        if info.has_region and not self.regions:
+        if self.opcode.info.has_region and not self.regions:
             raise ValueError(f"{self.opcode} requires at least one region")
 
     @property
     def info(self):
-        return op_info(self.opcode)
+        return self.opcode.info
 
     @property
     def is_vlo(self) -> bool:
@@ -122,10 +121,7 @@ class Operation:
     def walk(self) -> Iterator["Operation"]:
         """Yield this operation and all operations in nested regions (pre-order)."""
 
-        yield self
-        for region in self.regions:
-            for op in region.walk():
-                yield op
+        return _preorder([iter((self,))])
 
     def __repr__(self) -> str:
         res = f"{self.result!r} = " if self.result is not None else ""
@@ -148,14 +144,28 @@ class Block:
     def walk(self) -> Iterator[Operation]:
         """Yield all operations in this block and nested regions (pre-order)."""
 
-        for op in self.ops:
-            yield from op.walk()
+        return _preorder([iter(self.ops)])
 
     def __iter__(self) -> Iterator[Operation]:
         return iter(self.ops)
 
     def __len__(self) -> int:
         return len(self.ops)
+
+
+def _preorder(stack: list[Iterator[Operation]]) -> Iterator[Operation]:
+    """Pre-order walk with an explicit stack of op iterators, so an op
+    nested ``d`` regions deep costs one step, not ``d`` generator hops."""
+
+    while stack:
+        for op in stack[-1]:
+            yield op
+            if op.regions:
+                stack.extend([iter(region.ops)
+                              for region in reversed(op.regions)])
+                break
+        else:
+            stack.pop()
 
 
 @dataclass(eq=False)

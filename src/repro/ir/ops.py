@@ -35,7 +35,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-__all__ = ["Opcode", "OpInfo", "OP_INFO", "op_info"]
+__all__ = ["Opcode", "OpInfo", "OP_INFO"]
 
 
 class Opcode(enum.Enum):
@@ -94,6 +94,14 @@ class Opcode(enum.Enum):
     # --- structured control flow ------------------------------------------
     FOR = "for"
     IF = "if"
+
+    #: the opcode's :class:`OpInfo`, attached once :data:`OP_INFO` is built
+    info: "OpInfo"
+
+    # Members are singletons, so identity hashes them; the inherited
+    # ``Enum.__hash__`` hashes the name in Python code, on every set or
+    # dict lookup the compiler makes.
+    __hash__ = object.__hash__
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
@@ -174,8 +182,5 @@ OP_INFO: dict[Opcode, OpInfo] = {
                       has_region=True),
 }
 
-
-def op_info(opcode: Opcode) -> OpInfo:
-    """Look up the :class:`OpInfo` for ``opcode``."""
-
-    return OP_INFO[opcode]
+for _opcode, _info in OP_INFO.items():
+    _opcode.info = _info

@@ -57,8 +57,16 @@ def validate_kernel(kernel: Kernel) -> None:
     _validate_block(kernel.body, defined, var_handles, path=kernel.name)
 
 
-def _err(path: str, op: Operation, message: str) -> IRValidationError:
-    return IRValidationError(f"{path}: {op.opcode}: {message}")
+def _err(where: tuple[str, str, int], op: Operation,
+         message: str) -> IRValidationError:
+    return IRValidationError(f"{_where(where)}: {op.opcode}: {message}")
+
+
+def _where(where: tuple[str, str, int]) -> str:
+    """``path/label[index]`` of an op (formatted only when needed)."""
+
+    path, label, index = where
+    return f"{path}/{label}[{index}]"
 
 
 def _validate_block(block: Block, defined: set[int], var_handles: set[int],
@@ -66,8 +74,9 @@ def _validate_block(block: Block, defined: set[int], var_handles: set[int],
     # Copy so sibling blocks cannot see each other's definitions.
     local_defined = set(defined)
     local_vars = set(var_handles)
+    label = block.label or "block"
     for i, op in enumerate(block.ops):
-        where = f"{path}/{block.label or 'block'}[{i}]"
+        where = (path, label, i)
         _validate_op(op, local_defined, local_vars, where)
         if op.result is not None:
             local_defined.add(op.result.id)
@@ -76,18 +85,19 @@ def _validate_block(block: Block, defined: set[int], var_handles: set[int],
             if op.opcode is Opcode.DECL_VAR:
                 local_vars.add(value.id)
         for region in op.regions:
-            _validate_block(region, local_defined, local_vars, where)
+            _validate_block(region, local_defined, local_vars, _where(where))
 
 
 def _validate_op(op: Operation, defined: set[int], var_handles: set[int],
-                 where: str) -> None:
-    arity = _ARITY.get(op.opcode)
+                 where: tuple[str, str, int]) -> None:
+    code = op.opcode
+    arity = _ARITY.get(code)
     if arity is None:
         raise _err(where, op, "unknown opcode")
     if len(op.operands) != arity:
         raise _err(where, op, f"expected {arity} operands, got {len(op.operands)}")
 
-    lo, hi = _REGION_COUNTS.get(op.opcode, (0, 0))
+    lo, hi = _REGION_COUNTS.get(code, (0, 0))
     if not (lo <= len(op.regions) <= hi):
         raise _err(where, op, f"expected {lo}..{hi} regions, got {len(op.regions)}")
 
@@ -95,7 +105,7 @@ def _validate_op(op: Operation, defined: set[int], var_handles: set[int],
         if operand.id not in defined:
             raise _err(where, op, f"operand {operand!r} used before definition")
 
-    if op.opcode in (Opcode.READ_VAR, Opcode.WRITE_VAR):
+    if code is Opcode.READ_VAR or code is Opcode.WRITE_VAR:
         handle = op.operands[0]
         if handle.id not in var_handles:
             raise _err(where, op, f"{handle!r} is not a declared variable handle")
@@ -105,47 +115,72 @@ def _validate_op(op: Operation, defined: set[int], var_handles: set[int],
                 raise _err(where, op,
                            f"variable handle {operand!r} used outside read/write_var")
 
-    if op.opcode in (Opcode.LOAD, Opcode.STORE):
-        base, idx = op.operands[0], op.operands[1]
+    check = _OPCODE_CHECKS.get(code)
+    if check is not None:
+        check(op, where)
+
+
+def _check_access(op: Operation, where: tuple[str, str, int]) -> None:
+    base, idx = op.operands[0], op.operands[1]
+    if not isinstance(base.type, PointerType):
+        raise _err(where, op, f"base must be a pointer, got {base.type}")
+    if not (isinstance(idx.type, ScalarType) and idx.type.is_integer):
+        raise _err(where, op, f"index must be an integer, got {idx.type}")
+
+
+def _check_preload(op: Operation, where: tuple[str, str, int]) -> None:
+    dst, src = op.operands[0], op.operands[2]
+    for base, what in ((dst, "destination"), (src, "source")):
         if not isinstance(base.type, PointerType):
-            raise _err(where, op, f"base must be a pointer, got {base.type}")
-        if not (isinstance(idx.type, ScalarType) and idx.type.is_integer):
-            raise _err(where, op, f"index must be an integer, got {idx.type}")
+            raise _err(where, op, f"{what} must be a pointer, got "
+                       f"{base.type}")
+    if dst.type.space.value != "local":
+        raise _err(where, op, "preload destination must be local memory")
+    if src.type.space.value != "external":
+        raise _err(where, op, "preload source must be external memory")
+    for operand in (op.operands[1], op.operands[3], op.operands[4]):
+        if not (isinstance(operand.type, ScalarType)
+                and operand.type.is_integer):
+            raise _err(where, op, "preload offsets/count must be integers")
 
-    if op.opcode is Opcode.PRELOAD:
-        dst, src = op.operands[0], op.operands[2]
-        for base, what in ((dst, "destination"), (src, "source")):
-            if not isinstance(base.type, PointerType):
-                raise _err(where, op, f"{what} must be a pointer, got "
-                           f"{base.type}")
-        if dst.type.space.value != "local":
-            raise _err(where, op, "preload destination must be local memory")
-        if src.type.space.value != "external":
-            raise _err(where, op, "preload source must be external memory")
-        for operand in (op.operands[1], op.operands[3], op.operands[4]):
-            if not (isinstance(operand.type, ScalarType)
-                    and operand.type.is_integer):
-                raise _err(where, op, "preload offsets/count must be integers")
 
-    if op.opcode is Opcode.FOR:
-        for bound in op.operands:
-            if not (isinstance(bound.type, ScalarType) and bound.type.is_integer):
-                raise _err(where, op, f"loop bound must be integer, got {bound.type}")
-        if not op.defined:
-            raise _err(where, op, "loop must define its induction variable")
-        if op.attrs.get("unroll", 1) < 1:
-            raise _err(where, op, "unroll factor must be >= 1")
+def _check_for(op: Operation, where: tuple[str, str, int]) -> None:
+    for bound in op.operands:
+        if not (isinstance(bound.type, ScalarType) and bound.type.is_integer):
+            raise _err(where, op, f"loop bound must be integer, got {bound.type}")
+    if not op.defined:
+        raise _err(where, op, "loop must define its induction variable")
+    if op.attrs.get("unroll", 1) < 1:
+        raise _err(where, op, "unroll factor must be >= 1")
 
-    if op.opcode is Opcode.IF and op.operands[0].type != BOOL:
+
+def _check_if(op: Operation, where: tuple[str, str, int]) -> None:
+    if op.operands[0].type != BOOL:
         raise _err(where, op, f"condition must be i1, got {op.operands[0].type}")
 
-    if op.opcode is Opcode.CONST and "value" not in op.attrs:
+
+def _check_const(op: Operation, where: tuple[str, str, int]) -> None:
+    if "value" not in op.attrs:
         raise _err(where, op, "missing 'value' attribute")
 
-    if op.opcode in (Opcode.EQ, Opcode.NE, Opcode.LT, Opcode.LE, Opcode.GT,
-                     Opcode.GE) and op.result is not None and op.result.type != BOOL:
+
+def _check_compare(op: Operation, where: tuple[str, str, int]) -> None:
+    if op.result is not None and op.result.type != BOOL:
         raise _err(where, op, "comparison must produce i1")
 
-    if op.opcode is Opcode.BROADCAST and op.result is not None:
-        if not isinstance(op.result.type, VectorType):
-            raise _err(where, op, "broadcast must produce a vector")
+
+def _check_broadcast(op: Operation, where: tuple[str, str, int]) -> None:
+    if op.result is not None and not isinstance(op.result.type, VectorType):
+        raise _err(where, op, "broadcast must produce a vector")
+
+
+#: the checks particular to an opcode, after the common ones
+_OPCODE_CHECKS = {
+    Opcode.LOAD: _check_access, Opcode.STORE: _check_access,
+    Opcode.PRELOAD: _check_preload, Opcode.FOR: _check_for,
+    Opcode.IF: _check_if, Opcode.CONST: _check_const,
+    Opcode.EQ: _check_compare, Opcode.NE: _check_compare,
+    Opcode.LT: _check_compare, Opcode.LE: _check_compare,
+    Opcode.GT: _check_compare, Opcode.GE: _check_compare,
+    Opcode.BROADCAST: _check_broadcast,
+}

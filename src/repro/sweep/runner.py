@@ -262,14 +262,18 @@ def run_sweep(spec: Union[SweepSpec, Sequence[JobSpec]], *, jobs: int = 1,
 
     ``jobs`` is the process fan-out (``<= 1`` runs inline); ``repeat``
     replicates each job with distinct ``repeat_index``; ``timeout`` is
-    the per-job wall-clock limit in seconds, enforced inline in the
-    job (with a dispatcher backstop in pool mode).  ``progress``
+    the per-job wall-clock limit in seconds (positive, else
+    :class:`ValueError`), enforced inline in the job (with a dispatcher
+    backstop in pool mode).  ``progress``
     renders live progress as jobs start and finish.
     ``capture_telemetry`` ships each job's
     telemetry snapshot back on its result (default: whenever the
     session is enabled), ready for ``repro timeline`` merging.
     """
 
+    if timeout is not None and not timeout > 0:
+        raise ValueError(f"timeout must be a positive number of seconds, "
+                         f"got {timeout!r}")
     if isinstance(spec, SweepSpec):
         job_specs = spec.expanded(repeat)
         name = spec.name

@@ -107,6 +107,40 @@ class TestCompile:
         assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("value", ["abc", "1.5", ""])
+    def test_non_integer_const_clean_error(self, tmp_path, value):
+        path = tmp_path / "k.c"
+        path.write_text("""
+void f(float* a, int n) {
+  #pragma omp target parallel map(tofrom:a[0:n]) num_threads(T)
+  { a[0] = 1.0f; }
+}
+""")
+        with pytest.raises(SystemExit,
+                           match=f"error: --const T={value} is not an integer"):
+            main(["compile", str(path), "--const", f"T={value}"])
+
+    def test_integer_const_sets_threads(self, tmp_path, capsys):
+        path = tmp_path / "k.c"
+        path.write_text("""
+void f(float* a, int n) {
+  #pragma omp target parallel map(tofrom:a[0:n]) num_threads(T)
+  { a[0] = 1.0f; }
+}
+""")
+        assert main(["compile", str(path), "--const", "T=3"]) == 0
+        assert "hardware threads : 3" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [["sweep", "gemm"], ["explore"]],
+                             ids=" ".join)
+    @pytest.mark.parametrize("seconds", ["-4.8", "0", "nan", "soon"])
+    def test_non_positive_timeout_rejected(self, argv, seconds, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--timeout", seconds])
+        assert excinfo.value.code == 2
+        assert "must be a positive number of seconds" in \
+            capsys.readouterr().err
+
     def test_defines_forwarded(self, tmp_path, capsys):
         path = tmp_path / "k.c"
         path.write_text("""

@@ -61,6 +61,18 @@ def test_lexer_error_location():
     assert "unexpected character" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("literal", ["08", "09"])
+def test_bad_octal_literal_is_a_lex_error_at_the_literal(literal):
+    with pytest.raises(LexError, match=f"octal literal '{literal}'") as excinfo:
+        compile_kernel_body(f"int x = {literal};")
+    assert (excinfo.value.location.line, excinfo.value.location.column) \
+        == (5, 9)
+
+
+def test_octal_literal_compiles():
+    assert compile_kernel_body("int x = 07;") is not None
+
+
 def test_parse_error_names_token():
     with pytest.raises(ParseError) as excinfo:
         compile_to_kernel("void f( { }")

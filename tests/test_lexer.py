@@ -26,6 +26,21 @@ class TestBasicTokens:
         tokens = tokenize("42 0x1F 0")
         assert [t.value for t in tokens[:-1]] == [42, 31, 0]
 
+    def test_leading_zero_is_octal(self):
+        tokens = tokenize("07 010 00 0 0x10")
+        assert [t.value for t in tokens[:-1]] == [7, 8, 0, 0, 16]
+        assert all(t.kind is TokenKind.INT_LIT for t in tokens[:-1])
+
+    @pytest.mark.parametrize("literal", ["08", "09", "0128"])
+    def test_non_octal_digit_after_leading_zero(self, literal):
+        with pytest.raises(LexError, match="octal literal") as excinfo:
+            tokenize(f"int x =\n  {literal};", filename="k.c")
+        assert str(excinfo.value.location) == "k.c:2:3"
+
+    def test_overlong_integer_literal(self):
+        with pytest.raises(LexError, match="invalid integer literal"):
+            tokenize("1" * 5000)
+
     def test_float_literals(self):
         tokens = tokenize("1.5 .5 2. 1e3 1.5f 2E-2")
         values = [t.value for t in tokens[:-1]]

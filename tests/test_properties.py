@@ -169,3 +169,47 @@ def test_trace_invariants(threads, per_thread):
     for series in trace.events.values():
         assert np.isfinite(series).all()
         assert (series >= 0).all()
+
+
+# ----------------------------------------------------------------------
+# frontend robustness: malformed mini-C fails with a structured error
+# ----------------------------------------------------------------------
+#: characters a typo or a truncated edit puts into C source
+_C_ALPHABET = "abxyzNDIM_0189 \t\n#/*+-=<>!&|^%~()[]{},;?:.\\@\"'"
+
+
+@st.composite
+def _mutated_stock_source(draw):
+    """A stock kernel with 1-3 characters inserted, deleted or replaced."""
+
+    from .compile_golden import stock_kernels
+
+    kernels = stock_kernels()
+    name = draw(st.sampled_from(sorted(kernels)))
+    source, defines, const_env = kernels[name]
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(source)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        char = draw(st.sampled_from(_C_ALPHABET))
+        keep = at + 1 if edit != "insert" else at
+        source = source[:at] + ("" if edit == "delete" else char) \
+            + source[keep:]
+    return source, defines, const_env
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(_mutated_stock_source())
+def test_mutated_source_compiles_or_raises_frontend_error(case):
+    """Any edit of a stock kernel either still compiles to an accelerator
+    or is reported as a FrontendError (with a location), never as another
+    exception such as the ValueError a literal ``08`` once raised."""
+
+    from repro.frontend import FrontendError
+    from repro.hls.compiler import HLSCompiler
+
+    source, defines, const_env = case
+    try:
+        HLSCompiler().compile_source(source, defines=defines,
+                                     const_env=const_env, filename="k.c")
+    except FrontendError:
+        pass

@@ -236,6 +236,20 @@ def _ok_result(spec):
     return JobResult(job_id=spec.job_id, spec=spec.to_dict(), cycles=1)
 
 
+@pytest.mark.parametrize("jobs", [1, 2], ids=["inline", "pool"])
+@pytest.mark.parametrize("timeout", [-4.8, 0, 0.0, float("nan")])
+def test_non_positive_timeout_refused(jobs, timeout, monkeypatch):
+    """Inline, a non-positive timeout used to mean no deadline; in a pool
+    it timed out every job: neither runs now."""
+
+    def never(spec, **kwargs):
+        raise AssertionError("no job may run")
+
+    monkeypatch.setattr(runner, "execute_job", never)
+    with pytest.raises(ValueError, match="timeout must be a positive"):
+        run_sweep(pool_jobs(2), jobs=jobs, use_cache=False, timeout=timeout)
+
+
 class TestPoolDispatcher:
     def _crash_first_attempt(self, monkeypatch, tmp_path, victim):
         def fake_execute_job(spec, **kwargs):
