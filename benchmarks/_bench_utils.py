@@ -17,7 +17,6 @@ from __future__ import annotations
 import os
 
 from repro.apps import GemmRun, PiRun
-from repro.hls.cache import CompileCache
 from repro.sweep import JobSpec, execute_job
 from repro.sweep.spec import PI_DEFAULT_START_INTERVAL, PI_DEFAULT_STEPS
 
@@ -34,10 +33,6 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 _GEMM_CACHE: dict[str, GemmRun] = {}
 _PI_CACHE: dict[int, PiRun] = {}
-
-#: shared compile cache for all bench runs (memory + the default
-#: on-disk directory, so repeated bench sessions skip the HLS flow)
-_COMPILE_CACHE = CompileCache()
 
 #: run key -> per-job ``repro.telemetry/1`` snapshot captured around
 #: the run (per-phase wall ms + counters); report() attaches these so
@@ -56,8 +51,7 @@ def _execute_instrumented(key: str, spec: JobSpec):
     run's spans and counters, not the session's accumulation.
     """
 
-    result = execute_job(spec, cache=_COMPILE_CACHE, keep_run=True,
-                         capture_telemetry=True)
+    result = execute_job(spec, keep_run=True, capture_telemetry=True)
     if result.status != "ok":
         raise RuntimeError(f"bench job {result.job_id} failed: "
                            f"{result.error}\n{result.traceback or ''}")
@@ -101,8 +95,7 @@ def measure_attribution_overhead(dim: int = ATTRIBUTION_DIM,
 
     Simulates each GEMM version at ``dim`` with ``SimConfig.attribution``
     off and on.  Compile stays outside the timed region: one untimed run
-    per setting compiles the design (served from the shared cache) and
-    generates its segment kernels and nest drivers.  Each timed run is
+    per setting compiles the design and generates its segment kernels and nest drivers.  Each timed run is
     the simulation alone, measured in process CPU time, alternating off
     and on so host drift hits both; the best of ``repeats`` counts.
     The per-version pairs land in :data:`ATTRIBUTION_CPU_S`, and the
@@ -138,8 +131,7 @@ def measure_attribution_overhead(dim: int = ATTRIBUTION_DIM,
         programs = [
             Program(gemm_source(version), defines=gemm_defines(version),
                     sim_config=SimConfig(thread_start_interval=50,
-                                         attribution=attribution),
-                    compile_cache=_COMPILE_CACHE)
+                                         attribution=attribution))
             for attribution in (False, True)]
         for program in programs:
             simulate(program)  # compile and generate code, untimed

@@ -1,12 +1,12 @@
 """Per-pass compile time of the stock kernels, mini-C source to accelerator.
 
 Times each pass of the flow on its own — lexer, parser, sema, lower,
-the transform pipeline, validation, the scheduler and the two area
-estimates (with and without the profiling unit) — and then the whole
-:class:`repro.core.program.Program` constructor with the compile cache
-off, as the end-to-end benchmark builds it.  Each figure is the median
-over ``--reps`` runs of the sum over the group's kernels: ``pi`` is the
-π kernel, ``gemm5`` the paper's five GEMM versions.
+the transform pipeline, validation, the scheduler and the area estimate
+(with and without the profiling unit, from one walk) — and then the
+whole :class:`repro.core.program.Program` constructor, as the
+end-to-end benchmark builds it.  Each figure is the median over
+``--reps`` runs of the sum over the group's kernels: ``pi`` is the π
+kernel, ``gemm5`` the paper's five GEMM versions.
 
 Run it from a checkout (opt-in; not part of the test suite)::
 
@@ -27,7 +27,7 @@ from repro.core.program import Program
 from repro.frontend import (analyze_function, find_kernel_function,
                             lower_to_kernel, tokenize)
 from repro.frontend.parser import Parser
-from repro.hls.area import estimate_area
+from repro.hls.area import estimate_areas
 from repro.hls.schedule import schedule_kernel
 from repro.hls.transforms import run_pipeline
 from repro.ir.validate import validate_kernel
@@ -70,11 +70,10 @@ def time_passes(source: str, defines: dict, const_env: dict) -> dict[str, float]
     schedule = schedule_kernel(kernel)
     took["schedule"] = clock() - start
     start = clock()
-    estimate_area(schedule, ProfilingConfig())
-    estimate_area(schedule, ProfilingConfig.disabled())
+    estimate_areas(schedule, ProfilingConfig())
     took["area"] = clock() - start
     start = clock()
-    Program(source, defines=defines, const_env=const_env, compile_cache=False)
+    Program(source, defines=defines, const_env=const_env)
     took["Program()"] = clock() - start
     return took
 

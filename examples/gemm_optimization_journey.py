@@ -13,9 +13,9 @@ the paper's screenshots) plus the naive version's Paraver trace, which
 Run:  python examples/gemm_optimization_journey.py [DIM] [--jobs N]
 
 The five versions are executed through :func:`repro.sweep.run_sweep`,
-so passing ``--jobs 4`` simulates them in parallel worker processes
-(with the shared compile cache) — the rendering below is unchanged
-because simulated cycle counts are identical at any worker count.
+so passing ``--jobs 4`` compiles and simulates them in parallel worker
+processes — the rendering below is unchanged because simulated cycle
+counts are identical at any worker count.
 """
 
 import sys
@@ -52,8 +52,7 @@ def main(dim: int = 64, jobs: int = 1) -> None:
               f"{run.result.bandwidth_gbs():6.2f} {str(run.correct):>8s}")
     totals = sweep.totals()
     print(f"\n(sweep: {totals['jobs']} jobs in {sweep.wall_s:.1f}s wall, "
-          f"compile cache {totals['cache_hits']} hits / "
-          f"{totals['cache_misses']} misses)")
+          f"{totals['ok']} ok)")
 
     # ------------------------------------------------------------------
     naive = runs["naive"].result

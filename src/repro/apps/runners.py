@@ -13,7 +13,6 @@ from typing import Optional
 import numpy as np
 
 from ..core.program import Program, ProgramResult
-from ..hls.cache import CompileCache
 from ..hls.compiler import Accelerator, HLSOptions
 from ..sim.config import SimConfig
 from ..sim.executor import SimResult
@@ -25,33 +24,29 @@ __all__ = ["GemmRun", "PiRun", "compile_gemm", "compile_pi", "run_gemm",
 
 
 def compile_gemm(version: str, num_threads: int = 8, vector_len: int = 4,
-                 block_size: int = 8, options: Optional[HLSOptions] = None,
-                 compile_cache: Optional[CompileCache] = None) -> Accelerator:
+                 block_size: int = 8,
+                 options: Optional[HLSOptions] = None) -> Accelerator:
     """Compile one GEMM version without simulating it.
 
     Builds the exact same :class:`~repro.core.program.Program` as
     :func:`run_gemm` (DIM is a runtime argument, so the compile does not
-    depend on it), which means the compile-cache key is identical: an
-    accelerator compiled here for analytic scoring is a guaranteed cache
-    hit when the same configuration is later simulated for real.
+    depend on it): an accelerator compiled here for analytic scoring is
+    the one the same configuration later simulates.
     """
 
     defines = gemm_defines(version, num_threads=num_threads,
                            vector_len=vector_len, block_size=block_size)
-    program = Program(gemm_source(version), defines=defines,
-                      options=options, compile_cache=compile_cache)
+    program = Program(gemm_source(version), defines=defines, options=options)
     return program.accelerator
 
 
 def compile_pi(num_threads: int = 8, bs_compute: int = 8,
-               options: Optional[HLSOptions] = None,
-               compile_cache: Optional[CompileCache] = None) -> Accelerator:
-    """Compile the π kernel without simulating it (cache-key-identical
-    to :func:`run_pi` for the same thread count and blocking factor)."""
+               options: Optional[HLSOptions] = None) -> Accelerator:
+    """Compile the π kernel without simulating it (the same compile as
+    :func:`run_pi` for the same thread count and blocking factor)."""
 
     program = Program(PI_SOURCE, defines=pi_defines(bs_compute),
-                      const_env={"threads": num_threads},
-                      options=options, compile_cache=compile_cache)
+                      const_env={"threads": num_threads}, options=options)
     return program.accelerator
 
 
@@ -130,7 +125,6 @@ def run_gemm(version: str, dim: int = 64, num_threads: int = 8,
              seed: int = 42, options: Optional[HLSOptions] = None,
              sim_config: Optional[SimConfig] = None,
              vector_len: int = 4, block_size: int = 8,
-             compile_cache: Optional[CompileCache] = None,
              attribution: bool = False) -> GemmRun:
     """Compile and simulate one GEMM version on random matrices.
 
@@ -157,8 +151,7 @@ def run_gemm(version: str, dim: int = 64, num_threads: int = 8,
     if attribution and not cfg.attribution:
         cfg = replace(cfg, attribution=True)
     program = Program(gemm_source(version), defines=defines,
-                      options=options, sim_config=cfg,
-                      compile_cache=compile_cache)
+                      options=options, sim_config=cfg)
     outcome: ProgramResult = program.run(A=A, B=B, C=C, DIM=dim)
     return GemmRun(version, dim, outcome.sim, C, reference,
                    program.accelerator, A=A, B=B, num_threads=num_threads)
@@ -196,7 +189,6 @@ class PiRun:
 def run_pi(steps: int, num_threads: int = 8, bs_compute: int = 8,
            options: Optional[HLSOptions] = None,
            sim_config: Optional[SimConfig] = None,
-           compile_cache: Optional[CompileCache] = None,
            attribution: bool = False) -> PiRun:
     """Compile and simulate the π series for ``steps`` iterations."""
 
@@ -209,8 +201,7 @@ def run_pi(steps: int, num_threads: int = 8, bs_compute: int = 8,
         cfg = replace(cfg or SimConfig(), attribution=True)
     program = Program(PI_SOURCE, defines=pi_defines(bs_compute),
                       const_env={"threads": num_threads},
-                      options=options, sim_config=cfg,
-                      compile_cache=compile_cache)
+                      options=options, sim_config=cfg)
     outcome = program.run(steps=steps, threads=num_threads)
     return PiRun(steps, float(outcome.value), outcome.sim,
                  program.accelerator)

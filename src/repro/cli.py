@@ -22,11 +22,10 @@ Mirrors how a user of the paper's flow would drive it:
   comparison report;
 * ``sweep``    — batch-run a list of jobs from a JSON spec (or the
   ``gemm``/``pi`` shorthands), optionally fanned out over worker
-  processes (``--jobs N``) with a shared compile cache, per-job
-  timeout and structured failure capture; ``--out`` writes the
-  machine-readable ``repro.sweep/1`` result document; ``--progress``
-  renders live progress (done/running/failed, cache hit rate, ETA)
-  on stderr;
+  processes (``--jobs N``) with per-job timeout and structured
+  failure capture; ``--out`` writes the machine-readable
+  ``repro.sweep/1`` result document; ``--progress`` renders live
+  progress (done/running/failed, job rate, ETA) on stderr;
 * ``explore`` — design-space exploration: enumerate candidate
   configurations (GEMM version × dim × threads × exposed knobs, or π
   steps × threads × blocking), score each with the analytic
@@ -38,7 +37,7 @@ Mirrors how a user of the paper's flow would drive it:
 * ``timeline`` — merge the per-job telemetry snapshots embedded in a
   sweep result into one Chrome-trace/Perfetto file, one process track
   per worker and one thread lane per job, plus a per-job breakdown
-  table (compile vs cache-hit vs simulate vs trace-write time);
+  table (compile vs simulate vs trace-write time);
 * ``stats``    — pretty-print a telemetry JSONL metrics file.
 
 Synthetic arguments: scalar kernel parameters can be set with
@@ -206,11 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", metavar="PATH", default=None,
                          help="write results as JSON (schema repro.sweep/1),"
                               " e.g. BENCH_gemm.json")
-    p_sweep.add_argument("--no-cache", action="store_true",
-                         help="bypass the compile cache entirely")
-    p_sweep.add_argument("--cache-dir", metavar="DIR", default=None,
-                         help="compile cache directory (default: "
-                              "~/.cache/repro or $REPRO_CACHE_DIR)")
     p_sweep.add_argument("--timeout", type=_positive_seconds, default=None,
                          metavar="SECONDS",
                          help="per-job wall-clock limit, enforced inline "
@@ -224,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="hardware threads for the shorthands")
     p_sweep.add_argument("--progress", action="store_true",
                          help="render live progress on stderr "
-                              "(done/running/failed, cache hit rate, ETA)")
+                              "(done/running/failed, job rate, ETA)")
     add_telemetry_args(p_sweep)
 
     p_explore = sub.add_parser(
@@ -280,11 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_explore.add_argument("--timeout", type=_positive_seconds, default=None,
                            metavar="SECONDS", help="per-job wall-clock "
                            "limit for the evaluation sweep")
-    p_explore.add_argument("--no-cache", action="store_true",
-                           help="bypass the compile cache entirely")
-    p_explore.add_argument("--cache-dir", metavar="DIR", default=None,
-                           help="compile cache directory (shared between "
-                                "the analytic stage and the sweep)")
     p_explore.add_argument("--report-dir", metavar="DIR", default=None,
                            help="write each evaluated job's trace report "
                                 "JSON into DIR (linked from --html)")
@@ -629,27 +618,25 @@ def _sweep_command(args: argparse.Namespace) -> int:
     # always capture per-job telemetry so a written --out document can
     # be merged by `repro timeline` later (snapshots are a few KB/job)
     result = run_sweep(spec, jobs=args.jobs, repeat=args.repeat,
-                       use_cache=not args.no_cache,
-                       cache_dir=args.cache_dir, timeout=args.timeout,
+                       timeout=args.timeout,
                        report_dir=args.report_dir,
                        progress=progress, capture_telemetry=True)
 
     header = (f"{'job':34s} {'status':8s} {'cycles':>10s} {'GFLOP/s':>8s} "
-              f"{'wall':>7s}  cache")
+              f"{'wall':>7s}")
     print(header)
     print("-" * len(header))
     for job in result.jobs:
         cycles = f"{job.cycles}" if job.cycles is not None else "-"
         gflops = f"{job.gflops:.3f}" if job.gflops is not None else "-"
         print(f"{job.job_id:34s} {job.status:8s} {cycles:>10s} {gflops:>8s} "
-              f"{job.wall_s:6.2f}s  {job.compile_cache}")
+              f"{job.wall_s:6.2f}s")
         if job.status != "ok" and job.error:
             print(f"  ! {job.error}")
     totals = result.totals()
     print(f"\n{totals['jobs']} jobs: {totals['ok']} ok, "
           f"{totals['failed']} failed, {totals['timeout']} timeout, "
-          f"{totals['crashed']} crashed; cache {totals['cache_hits']} hits / "
-          f"{totals['cache_misses']} misses; "
+          f"{totals['crashed']} crashed; "
           f"{result.wall_s:.2f}s wall at --jobs {result.parallel_jobs}")
     if args.out:
         result.to_json(args.out)
@@ -698,8 +685,7 @@ def _explore_command(args: argparse.Namespace) -> int:
           f"({args.app})")
     progress = TTYProgress() if args.progress else None
     result = explore(space, budget=budget, dominance=not args.no_prune,
-                     jobs=args.jobs, use_cache=not args.no_cache,
-                     cache_dir=args.cache_dir, timeout=args.timeout,
+                     jobs=args.jobs, timeout=args.timeout,
                      report_dir=args.report_dir, progress=progress,
                      capture_telemetry=True)
 

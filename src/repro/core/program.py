@@ -31,7 +31,6 @@ from ..frontend.errors import SemaError
 from ..frontend.pragmas import OmpTargetParallel
 from ..frontend.sema import analyze_function, resolve_type_name
 from ..frontend.lower import lower_to_kernel
-from ..hls.cache import CompileCache, resolve_cache
 from ..hls.compiler import Accelerator, HLSCompiler, HLSOptions
 from ..ir.types import PointerType, ScalarType
 from ..sim.config import SimConfig
@@ -58,41 +57,26 @@ class Program:
                  options: Optional[HLSOptions] = None,
                  sim_config: Optional[SimConfig] = None,
                  filename: str = "<source>",
-                 compile_cache: Union[CompileCache, None, bool] = None):
-        """``compile_cache`` routes the HLS flow through a
-        content-addressed :class:`~repro.hls.cache.CompileCache`:
-        pass a cache to share compiled accelerators within and across
-        processes, ``False`` to force it off, or leave ``None`` for the
-        process default (disabled unless configured).  Parsing and
-        semantic analysis always run — the host-side statements need
-        the AST — but lowering, transforms, scheduling and the area
-        model are skipped on a hit.  ``self.cache_status`` records
-        ``"hit"``/``"miss"``/``"off"``.
+                 compile_cache: Optional[bool] = None):
+        """Compile ``source``: parse, analyze, lower and run the HLS flow.
+
+        There is no compile cache: every construction compiles.  The
+        ``compile_cache`` keyword is kept only until the benchmark
+        harness stops passing ``compile_cache=False``; it accepts
+        ``False`` or ``None`` and raises :class:`TypeError` otherwise.
         """
 
-        cache = resolve_cache(compile_cache)
-        cached: Optional[Accelerator] = None
-        key: Optional[str] = None
+        if compile_cache is not None and compile_cache is not False:
+            raise TypeError(f"compile_cache={compile_cache!r}: there is no "
+                            "compile cache; pass nothing (or False)")
         with telemetry.span("frontend", category="frontend",
                             filename=filename):
             self.unit = parse_source(source, filename=filename,
                                      defines=defines)
             self.function: FunctionDef = find_kernel_function(self.unit)
             self.sema = analyze_function(self.function)
-            if cache is not None:
-                key = cache.key(source, defines=defines, const_env=const_env,
-                                options=options)
-                cached = cache.load(key)
-            kernel = None if cached is not None \
-                else lower_to_kernel(self.sema, const_env=const_env)
-        if cached is not None:
-            self.accelerator: Accelerator = cached
-            self.cache_status = "hit"
-        else:
-            self.accelerator = HLSCompiler(options).compile(kernel)
-            if cache is not None:
-                cache.store(key, self.accelerator)
-            self.cache_status = "miss" if cache is not None else "off"
+            kernel = lower_to_kernel(self.sema, const_env=const_env)
+        self.accelerator: Accelerator = HLSCompiler(options).compile(kernel)
         self.sim_config = sim_config or SimConfig()
         self._simulation = Simulation(self.accelerator, self.sim_config)
 

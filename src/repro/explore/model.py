@@ -1,9 +1,8 @@
 """Cheap analytic performance + area model for pruning candidates.
 
-Each candidate is *compiled* (sub-hundred-millisecond, and shared with
-the later real evaluation through the content-addressed compile cache —
-the problem size is a runtime argument, so one compile covers every
-dim) but **never simulated**.  From the compiled schedule we read the
+Each candidate is *compiled* (a few milliseconds; the problem size is
+a runtime argument, so one compile covers every dim) but **never
+simulated**.  From the compiled schedule we read the
 facts that govern throughput — initiation intervals, per-iteration
 FLOP/memory-op counts, critical sections, and whether the tile-load
 and compute phases occupy disjoint BRAM conflict groups (ping-pong
@@ -28,7 +27,7 @@ simulator, so model error can cost an extra evaluation but never a
 wrong frontier point — with the caveat that a point the model wrongly
 dominates is never measured (disable pruning to audit the model).
 
-Area comes from :func:`repro.hls.area.estimate_area` via the compiled
+Area comes from :func:`repro.hls.area.estimate_areas` via the compiled
 accelerator, so the ALM/register/Fmax axes of the Pareto frontier are
 the calibrated §V-B model, not a guess.
 """

@@ -1,15 +1,14 @@
 """The explore pipeline: score → prune → evaluate → frontier.
 
 ``explore(space, budget=...)`` is the programmatic API behind
-``repro explore``: every candidate is compiled once (through the
-shared content-addressed compile cache) and scored by the analytic
-model, dominated/over-budget points are pruned, and the survivors run
-for real through :func:`repro.sweep.run_sweep` — inheriting its
-process fan-out, per-job timeouts, live progress and telemetry
-snapshots.  Because the scoring compile and the evaluation
-job share a cache key, the sweep's compiles are guaranteed cache hits:
-the analytic stage costs compile time only, once per unique hardware
-configuration.
+``repro explore``: every candidate is compiled once per unique
+hardware configuration and scored by the analytic model,
+dominated/over-budget points are pruned, and the survivors run for
+real through :func:`repro.sweep.run_sweep` — inheriting its process
+fan-out, per-job timeouts, live progress and telemetry snapshots.
+Each evaluation job compiles its survivor again (a few milliseconds,
+small next to its simulation) rather than reusing the scoring
+compile.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from typing import Optional
 
 from .. import telemetry
 from ..apps.runners import compile_gemm, compile_pi
-from ..hls.cache import CompileCache
 from ..hls.compiler import Accelerator
 from ..sweep.progress import TTYProgress
 from ..sweep.results import JobResult, SweepResult
@@ -158,10 +156,8 @@ def _journey_rank(outcome: CandidateOutcome) -> tuple[int, int]:
     return (0 if outcome.measured_cycles is not None else 1, outcome.cycles)
 
 
-def _score(space: ExploreSpace,
-           cache: Optional[CompileCache]) -> list[tuple[Candidate,
-                                                        Prediction]]:
-    """Compile (cache-shared) + analytically score every candidate."""
+def _score(space: ExploreSpace) -> list[tuple[Candidate, Prediction]]:
+    """Compile + analytically score every candidate."""
 
     compiled: dict[tuple, Accelerator] = {}
     scored = []
@@ -173,21 +169,19 @@ def _score(space: ExploreSpace,
             if key not in compiled:
                 compiled[key] = compile_gemm(
                     spec.version, num_threads=spec.threads,
-                    vector_len=spec.vector_len, block_size=spec.block_size,
-                    compile_cache=cache)
+                    vector_len=spec.vector_len, block_size=spec.block_size)
         else:
             key = ("pi", spec.threads, spec.bs_compute)
             if key not in compiled:
                 compiled[key] = compile_pi(num_threads=spec.threads,
-                                           bs_compute=spec.bs_compute,
-                                           compile_cache=cache)
+                                           bs_compute=spec.bs_compute)
         scored.append((candidate, predict(candidate, compiled[key])))
     return scored
 
 
 def explore(space: ExploreSpace, *, budget: Optional[Budget] = None,
-            dominance: bool = True, jobs: int = 1, use_cache: bool = True,
-            cache_dir: Optional[str] = None, timeout: Optional[float] = None,
+            dominance: bool = True, jobs: int = 1,
+            timeout: Optional[float] = None,
             report_dir: Optional[str] = None, keep_runs: bool = False,
             progress: Optional[TTYProgress] = None,
             capture_telemetry: Optional[bool] = None) -> ExploreResult:
@@ -201,11 +195,10 @@ def explore(space: ExploreSpace, *, budget: Optional[Budget] = None,
     """
 
     start = time.perf_counter()
-    cache = CompileCache(cache_dir) if use_cache else None
 
     with telemetry.span("explore.model", category="explore",
                         candidates=len(space.candidates)):
-        scored = _score(space, cache)
+        scored = _score(space)
     model_wall = time.perf_counter() - start
 
     decisions = prune_candidates(scored, budget, dominance=dominance)
@@ -221,7 +214,6 @@ def explore(space: ExploreSpace, *, budget: Optional[Budget] = None,
     sweep = None
     if survivors:
         sweep = run_sweep(SweepSpec(survivors, name=space.name), jobs=jobs,
-                          use_cache=use_cache, cache_dir=cache_dir,
                           timeout=timeout, report_dir=report_dir,
                           keep_runs=keep_runs, progress=progress,
                           capture_telemetry=capture_telemetry)

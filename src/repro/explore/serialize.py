@@ -37,7 +37,6 @@ def explore_to_dict(result) -> dict:
             measured = {"job_id": job.job_id, "status": job.status,
                         "cycles": job.cycles, "gflops": job.gflops,
                         "wall_s": job.wall_s,
-                        "compile_cache": job.compile_cache,
                         "report_path": job.report_path}
         candidates.append({
             "id": outcome.id,

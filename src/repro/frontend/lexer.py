@@ -55,13 +55,16 @@ _PUNCTS = [
     "(", ")", "[", "]", "{", "}", ",", ";", "?", ":", ".",
 ]
 
-# The tokens of a line.  Blanks and comments match no named group, so
-# they build nothing; a comment ends with its line, as the dialect has no
-# multi-line comments; ``bad`` is any other character.  Identifiers come
-# first as the commonest token, and no other token starts like one.
+# The tokens of a source.  Blanks and one-line comments match no named
+# group, so they build nothing; a ``/* */`` comment that spans lines is a
+# ``block`` (the lexer counts its newlines), and a ``/*`` with no ``*/``
+# after it is ``unterminated``; ``bad`` is any other character.
+# Identifiers come first as the commonest token, and no other token
+# starts like one.
 _LINE_PATTERN = r"""
     (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
   | [ \t\r]+ | //[^\n]* | /\*[^\n]*?\*/
+  | (?P<block>/\*[\s\S]*?\*/) | (?P<unterminated>/\*)
   | (?P<float>(\d+\.\d*|\.\d+)([eE][+-]?\d+)?[fF]?|\d+[eE][+-]?\d+[fF]?|\d+[fF])
   | (?P<int>0[xX][0-9a-fA-F]+|\d+)
   | (?P<punct>""" + "|".join(re.escape(p) for p in _PUNCTS) + r""")
@@ -177,6 +180,11 @@ def _lex(pattern: re.Pattern, text: str, line: int, filename: str,
             elif group == "directive":
                 _directive(word.lstrip(), SourceLocation(line, 1, filename),
                            macros, forced, tokens)
+            elif group == "block":
+                line += word.count("\n")
+                line_start = match.start() + word.rindex("\n") + 1
+            elif group == "unterminated":
+                raise LexError("unterminated /* comment", location)
             else:
                 raise LexError(f"unexpected character {word!r}", location)
     return tokens

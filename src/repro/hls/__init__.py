@@ -1,8 +1,7 @@
 """Nymble-like HLS core: transforms, scheduling, dependence analysis,
 area/timing modeling and the compiler driver.  See DESIGN.md §3."""
 
-from .area import AreaBreakdown, AreaReport, estimate_area
-from .cache import CompileCache, get_default_cache
+from .area import AreaBreakdown, AreaReport, estimate_areas
 from .compiler import Accelerator, HLSCompiler, HLSOptions, compile_source
 from .report import compile_report, schedule_tree
 from .depanalysis import Access, AccessMap, collect_accesses, conflicts
@@ -17,8 +16,7 @@ from .transforms import (
 )
 
 __all__ = [
-    "AreaBreakdown", "AreaReport", "estimate_area",
-    "CompileCache", "get_default_cache",
+    "AreaBreakdown", "AreaReport", "estimate_areas",
     "Accelerator", "HLSCompiler", "HLSOptions", "compile_source",
     "compile_report", "schedule_tree",
     "Access", "AccessMap", "collect_accesses", "conflicts",

@@ -27,7 +27,7 @@ a small extra penalty — calibrated to the paper's reported bands
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..ir.graph import Operation
 from ..ir.ops import Opcode
@@ -35,7 +35,7 @@ from ..ir.types import ScalarType, VectorType
 from ..profiling.config import COUNTER_WIDTH, EventKind, ProfilingConfig
 from .schedule import KernelSchedule, Segment
 
-__all__ = ["AreaBreakdown", "AreaReport", "estimate_area"]
+__all__ = ["AreaBreakdown", "AreaReport", "estimate_areas"]
 
 
 # -- infrastructure constants (ALMs / registers), Stratix-10-flavoured ----
@@ -146,9 +146,15 @@ def _integer_op(op: Operation) -> bool:
     return bool(op.operands)
 
 
-def estimate_area(schedule: KernelSchedule,
-                  profiling: ProfilingConfig) -> AreaReport:
-    """Estimate post-P&R resources for the scheduled kernel."""
+def estimate_areas(schedule: KernelSchedule, profiling: ProfilingConfig
+                   ) -> tuple[AreaReport, AreaReport]:
+    """Estimate post-P&R resources for the scheduled kernel.
+
+    Returns ``(area, baseline)``: the design with the profiling unit
+    ``profiling`` describes, and the same design without one.  The
+    operator, pipeline-register and infrastructure sums do not depend
+    on profiling, so they are computed once and shared by both.
+    """
 
     kernel = schedule.kernel
     threads = kernel.num_threads
@@ -181,22 +187,21 @@ def estimate_area(schedule: KernelSchedule,
                   + reorder_stages * _HTS_PER_REORDER_STAGE[1]
                   + n_local_arrays * _LOCAL_MEM_GLUE[1])
 
-    prof_regs = prof_alms = 0
-    if profiling.enabled:
-        prof_alms, prof_regs = _profiling_area(schedule, profiling)
-
-    breakdown = AreaBreakdown(
+    base = AreaBreakdown(
         operator_registers=op_regs,
         operator_alms=op_alms,
         pipeline_registers=pipeline_regs,
         context_registers=context_regs,
         infra_registers=infra_regs,
         infra_alms=infra_alms,
-        profiling_registers=prof_regs,
-        profiling_alms=prof_alms,
     )
-    fmax = _fmax(breakdown)
-    return AreaReport(breakdown, fmax)
+    baseline = AreaReport(base, _fmax(base))
+    if not profiling.enabled:
+        return baseline, baseline
+    prof_alms, prof_regs = _profiling_area(schedule, profiling)
+    full = replace(base, profiling_registers=prof_regs,
+                   profiling_alms=prof_alms)
+    return AreaReport(full, _fmax(full)), baseline
 
 
 def _profiling_area(schedule: KernelSchedule,

@@ -16,7 +16,7 @@ from ..frontend import compile_to_kernel
 from ..ir.graph import Kernel
 from ..ir.validate import validate_kernel
 from ..profiling.config import ProfilingConfig
-from .area import AreaReport, estimate_area
+from .area import AreaReport, estimate_areas
 from .schedule import KernelSchedule, schedule_kernel
 from .transforms import run_pipeline
 
@@ -85,9 +85,8 @@ class HLSCompiler:
                 schedule = schedule_kernel(kernel)
             self._record_schedule_telemetry(schedule)
             with telemetry.span("hls.area", category="hls"):
-                area = estimate_area(schedule, self.options.profiling)
-                baseline = estimate_area(schedule,
-                                         ProfilingConfig.disabled())
+                area, baseline = estimate_areas(schedule,
+                                                self.options.profiling)
             telemetry.set_gauge("hls.fmax_mhz", area.fmax_mhz)
             return Accelerator(kernel, schedule, self.options, area,
                                baseline, stats)

@@ -2,8 +2,8 @@
 
 ``repro sweep`` (and :func:`run_sweep` programmatically) executes a
 list of compile→simulate jobs — serially or fanned out over a process
-pool — with per-job timeout, retry-once-on-crash, a shared
-content-addressed compile cache, and a machine-readable result document
+pool — with per-job timeout, retry-once-on-crash, and a
+machine-readable result document
 (schema ``repro.sweep/1``).  See DESIGN.md §8.
 
 Live observability (DESIGN.md §10): pass ``progress=`` a

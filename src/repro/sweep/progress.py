@@ -1,8 +1,8 @@
 """Live sweep progress on a terminal.
 
 ``run_sweep`` reports every job transition to a :class:`TTYProgress`:
-a live terminal line (jobs done/running/failed, compile-cache hit
-rate, ETA extrapolated from completed-job durations), re-rendered
+a live terminal line (jobs done/running/failed, throughput, ETA
+extrapolated from completed-job durations), re-rendered
 when a job starts or finishes, degrading to one printed line per job
 when the stream is not a TTY (CI logs stay readable).  Every callback
 comes from the thread that called ``run_sweep`` — in pool mode the
@@ -33,8 +33,6 @@ class TTYProgress:
         self._parallel = 1
         self._ok = 0
         self._failed = 0
-        self._hits = 0
-        self._misses = 0
         self._running: dict[str, float] = {}  # job id -> start monotonic
         self._durations: list[float] = []
         self._started_at: Optional[float] = None
@@ -63,12 +61,8 @@ class TTYProgress:
                 self._ok += 1
             else:
                 self._failed += 1
-            if result.compile_cache == "hit":
-                self._hits += 1
-            elif result.compile_cache == "miss":
-                self._misses += 1
-            # wall_s may be 0.0 (cache-hit job finishing within one clock
-            # tick) or None (hand-built results); both must stay out of
+            # wall_s may be 0.0 (a job finishing within one clock tick)
+            # or None (hand-built results); both must stay out of
             # the duration average rather than crash or skew the ETA.
             wall = result.wall_s or 0.0
             duration = wall if wall > 0.0 else (
@@ -83,8 +77,7 @@ class TTYProgress:
                 self._write_line(
                     f"[{self._ok + self._failed:3d}/{self._total}] "
                     f"{result.job_id:34s} {result.status:8s} "
-                    f"{wall:6.2f}s  {result.compile_cache}"
-                    f"{detail}")
+                    f"{wall:6.2f}s{detail}")
 
     def sweep_finished(self, result):
         """``result`` is a :class:`~repro.sweep.results.SweepResult`."""
@@ -96,21 +89,13 @@ class TTYProgress:
                 f"sweep {self._name}: {totals['ok']}/{totals['jobs']} ok, "
                 f"{totals['jobs'] - totals['ok']} failed "
                 f"({totals['timeout']} timeout, {totals['crashed']} "
-                f"crashed); cache {self._cache_pct()} hit; "
-                f"{result.wall_s or 0.0:.2f}s wall")
+                f"crashed); {result.wall_s or 0.0:.2f}s wall")
 
     # -- rendering ------------------------------------------------------
     # Every quotient below is guarded: a sweep whose first job finishes
-    # within the same clock tick (zero elapsed), an all-cache-hit sweep
-    # where every wall_s is ~0, and a zero-job sweep are all legal and
-    # must render "n/a" rather than divide by zero — long explore runs
-    # route hundreds of cache-hit jobs through this sink.
-    def _cache_pct(self) -> str:
-        seen = self._hits + self._misses
-        if seen <= 0:
-            return "n/a"
-        return f"{100.0 * self._hits / seen:.0f}%"
-
+    # within the same clock tick (zero elapsed), a sweep of jobs whose
+    # every wall_s is ~0, and a zero-job sweep are all legal and must
+    # render no rate or ETA rather than divide by zero.
     def _rate_s(self) -> Optional[float]:
         done = self._ok + self._failed
         if done <= 0 or self._started_at is None:
@@ -141,8 +126,8 @@ class TTYProgress:
         rate_text = f"  {rate:.1f} job/s" if rate is not None else ""
         failed_text = f" failed:{self._failed}" if self._failed else ""
         line = (f"sweep {self._name}: {done}/{self._total} done "
-                f"({len(self._running)} running{failed_text})  "
-                f"cache {self._cache_pct()} hit{rate_text}{eta_text}")
+                f"({len(self._running)} running{failed_text})"
+                f"{rate_text}{eta_text}")
         padded = line.ljust(self._last_line_len)
         self._last_line_len = len(line)
         try:

@@ -35,7 +35,6 @@ class JobResult:
     value: Optional[float] = None    # pi return value
     value_error: Optional[float] = None  # |pi - value|
     wall_s: float = 0.0              # worker wall-clock for this job
-    compile_cache: str = "off"       # "hit" | "miss" | "off"
     attempts: int = 1
     error: Optional[str] = None      # failure summary ("Type: message")
     traceback: Optional[str] = None  # full traceback for failures
@@ -53,7 +52,6 @@ class JobResult:
             "spec": dict(self.spec),
             "status": self.status,
             "wall_s": round(self.wall_s, 6),
-            "compile_cache": self.compile_cache,
             "attempts": self.attempts,
         }
         for key in ("cycles", "gflops", "bandwidth_gbs", "correct", "value",
@@ -73,7 +71,6 @@ class JobResult:
                    correct=doc.get("correct"), value=doc.get("value"),
                    value_error=doc.get("value_error"),
                    wall_s=doc.get("wall_s", 0.0),
-                   compile_cache=doc.get("compile_cache", "off"),
                    attempts=doc.get("attempts", 1),
                    error=doc.get("error"), traceback=doc.get("traceback"),
                    report_path=doc.get("report_path"),
@@ -101,18 +98,11 @@ class SweepResult:
 
     def totals(self) -> dict:
         by_status = {status: 0 for status in JOB_STATUSES}
-        hits = misses = 0
         for job in self.jobs:
             by_status[job.status] = by_status.get(job.status, 0) + 1
-            if job.compile_cache == "hit":
-                hits += 1
-            elif job.compile_cache == "miss":
-                misses += 1
         return {
             "jobs": len(self.jobs),
             **by_status,
-            "cache_hits": hits,
-            "cache_misses": misses,
             "wall_s": round(self.wall_s or 0.0, 6),
             "parallel_jobs": self.parallel_jobs,
         }
@@ -173,8 +163,6 @@ def validate_sweep_dict(doc: Any) -> dict:
                 _fail(f"{where} is ok but has no positive integer 'cycles'")
         elif not job.get("error"):
             _fail(f"{where} is {status} but carries no 'error'")
-        if job.get("compile_cache") not in ("hit", "miss", "off"):
-            _fail(f"{where} compile_cache must be hit/miss/off")
         if not isinstance(job.get("wall_s"), (int, float)):
             _fail(f"{where} needs a numeric 'wall_s'")
     totals = doc.get("totals")

@@ -12,8 +12,8 @@ aborted sweep.
 * ``jobs <= 1`` — inline in this process (deterministic, debuggable,
   telemetry-visible);
 * ``jobs > 1`` — a ``ProcessPoolExecutor`` fan-out.  Workers receive
-  plain job dicts (never compiled objects) and re-derive + compile
-  through the shared on-disk :class:`~repro.hls.cache.CompileCache`.
+  plain job dicts (never compiled objects: object identity does not
+  cross processes) and re-derive and compile each job themselves.
   The dispatcher keeps exactly ``jobs`` futures in flight so a
   submitted job is known to be *running*; a crashed
   worker poisons the pool, so every in-flight job is retried **once**
@@ -38,10 +38,8 @@ futures in flight.
 
 Simulated results are deterministic by construction — each job seeds
 its own RNG and runs an isolated simulation — so per-job cycle counts
-are identical across ``jobs=1`` and ``jobs=N``, across cache-cold
-and cache-warm runs (the cache stores *compiled accelerators*, whose
-execution is what produces cycles), and with observability on or off
-(telemetry measures wall time only).
+are identical across ``jobs=1`` and ``jobs=N`` and with observability
+on or off (telemetry measures wall time only).
 """
 
 from __future__ import annotations
@@ -57,7 +55,6 @@ from typing import Optional, Sequence, Union
 
 from .. import telemetry
 from ..apps.runners import run_gemm, run_pi
-from ..hls.cache import CompileCache, default_cache_dir
 from ..sim.config import SimConfig
 from .progress import TTYProgress
 from .results import JobResult, SweepResult
@@ -117,19 +114,7 @@ def _inline_deadline(seconds: Optional[float]):
 # ----------------------------------------------------------------------
 # one job
 # ----------------------------------------------------------------------
-def _cache_status(cache: Optional[CompileCache],
-                  before: Optional[dict]) -> str:
-    if cache is None or before is None:
-        return "off"
-    if cache.hits > before["hits"]:
-        return "hit"
-    if cache.misses > before["misses"]:
-        return "miss"
-    return "off"
-
-
-def execute_job(spec: JobSpec, *, cache: Optional[CompileCache] = None,
-                keep_run: bool = False,
+def execute_job(spec: JobSpec, *, keep_run: bool = False,
                 report_dir: Optional[str] = None,
                 timeout: Optional[float] = None,
                 capture_telemetry: Optional[bool] = None) -> JobResult:
@@ -138,8 +123,8 @@ def execute_job(spec: JobSpec, *, cache: Optional[CompileCache] = None,
     ``timeout`` arms an inline ``SIGALRM`` deadline: an expired job
     becomes a structured ``"timeout"`` record.  ``capture_telemetry``
     runs the job inside an isolated telemetry registry and attaches
-    the lossless snapshot (tagged with job id, pid, status, cache
-    state and wall time) to ``result.telemetry``; the default
+    the lossless snapshot (tagged with job id, pid, status and wall
+    time) to ``result.telemetry``; the default
     (``None``) captures whenever the process-wide session is enabled,
     keeping per-job counters attributable instead of accumulated.
     """
@@ -148,14 +133,12 @@ def execute_job(spec: JobSpec, *, cache: Optional[CompileCache] = None,
     capture = session.enabled if capture_telemetry is None \
         else bool(capture_telemetry)
     if not capture:
-        return _execute_job_body(spec, cache, keep_run, report_dir, timeout)
+        return _execute_job_body(spec, keep_run, report_dir, timeout)
     with session.capture(enabled=True):
-        result = _execute_job_body(spec, cache, keep_run, report_dir,
-                                   timeout)
+        result = _execute_job_body(spec, keep_run, report_dir, timeout)
         snap = session.snapshot()
     snap["job"] = result.job_id
     snap["status"] = result.status
-    snap["cache"] = result.compile_cache
     snap["wall_s"] = round(result.wall_s, 6)
     result.telemetry = snap
     if session.enabled:
@@ -163,11 +146,10 @@ def execute_job(spec: JobSpec, *, cache: Optional[CompileCache] = None,
     return result
 
 
-def _execute_job_body(spec: JobSpec, cache: Optional[CompileCache],
-                      keep_run: bool, report_dir: Optional[str],
+def _execute_job_body(spec: JobSpec, keep_run: bool,
+                      report_dir: Optional[str],
                       timeout: Optional[float]) -> JobResult:
     result = JobResult(job_id=spec.job_id, spec=spec.to_dict())
-    before = cache.stats() if cache is not None else None
     start = time.perf_counter()
     # no telemetry span here: wrapping the run would reparent the
     # frontend/hls/sim root spans and collapse per-phase breakdowns;
@@ -181,12 +163,12 @@ def _execute_job_body(spec: JobSpec, cache: Optional[CompileCache],
                                num_threads=spec.threads, seed=spec.seed,
                                vector_len=spec.vector_len,
                                block_size=spec.block_size,
-                               sim_config=sim_config, compile_cache=cache)
+                               sim_config=sim_config)
                 result.correct = bool(run.correct)
             else:
                 run = run_pi(spec.steps, num_threads=spec.threads,
                              bs_compute=spec.bs_compute,
-                             sim_config=sim_config, compile_cache=cache)
+                             sim_config=sim_config)
                 result.value = run.value
                 result.value_error = run.error
             result.cycles = int(run.cycles)
@@ -206,7 +188,6 @@ def _execute_job_body(spec: JobSpec, cache: Optional[CompileCache],
         result.error = f"{type(exc).__name__}: {exc}"
         result.traceback = traceback.format_exc()
     result.wall_s = time.perf_counter() - start
-    result.compile_cache = _cache_status(cache, before)
     return result
 
 
@@ -223,23 +204,11 @@ def _write_job_report(run, spec: JobSpec, report_dir: str) -> str:
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-#: per-process cache handle, reused across the jobs one worker executes
-_WORKER_CACHE: Optional[CompileCache] = None
-
-
-def _pool_worker(job_dict: dict, cache_dir: Optional[str], use_cache: bool,
-                 keep_run: bool, report_dir: Optional[str],
+def _pool_worker(job_dict: dict, keep_run: bool, report_dir: Optional[str],
                  timeout: Optional[float] = None,
                  capture_telemetry: bool = False) -> JobResult:
-    global _WORKER_CACHE
     spec = JobSpec.from_dict(job_dict)
-    cache = None
-    if use_cache:
-        wanted = cache_dir or default_cache_dir()
-        if _WORKER_CACHE is None or _WORKER_CACHE.directory != wanted:
-            _WORKER_CACHE = CompileCache(wanted)
-        cache = _WORKER_CACHE
-    result = execute_job(spec, cache=cache, keep_run=keep_run,
+    result = execute_job(spec, keep_run=keep_run,
                          report_dir=report_dir, timeout=timeout,
                          capture_telemetry=capture_telemetry)
     if not keep_run:
@@ -251,8 +220,7 @@ def _pool_worker(job_dict: dict, cache_dir: Optional[str], use_cache: bool,
 # the sweep
 # ----------------------------------------------------------------------
 def run_sweep(spec: Union[SweepSpec, Sequence[JobSpec]], *, jobs: int = 1,
-              repeat: Optional[int] = None, use_cache: bool = True,
-              cache_dir: Optional[str] = None,
+              repeat: Optional[int] = None,
               timeout: Optional[float] = None,
               report_dir: Optional[str] = None,
               keep_runs: bool = False,
@@ -291,12 +259,11 @@ def run_sweep(spec: Union[SweepSpec, Sequence[JobSpec]], *, jobs: int = 1,
     with telemetry.span("sweep", category="sweep", sweep=name,
                         jobs=len(job_specs), parallel=jobs):
         if jobs <= 1:
-            results = _run_inline(job_specs, cache_dir, use_cache, timeout,
-                                  report_dir, keep_runs, progress, capture)
+            results = _run_inline(job_specs, timeout, report_dir, keep_runs,
+                                  progress, capture)
         else:
-            results = _run_pool(job_specs, jobs, cache_dir, use_cache,
-                                timeout, report_dir, keep_runs, progress,
-                                capture)
+            results = _run_pool(job_specs, jobs, timeout, report_dir,
+                                keep_runs, progress, capture)
     outcome = SweepResult(name, results,
                           wall_s=time.perf_counter() - start,
                           parallel_jobs=max(1, jobs))
@@ -304,8 +271,6 @@ def run_sweep(spec: Union[SweepSpec, Sequence[JobSpec]], *, jobs: int = 1,
     telemetry.add("sweep.jobs", totals["jobs"])
     telemetry.add("sweep.ok", totals["ok"])
     telemetry.add("sweep.failures", totals["jobs"] - totals["ok"])
-    telemetry.add("sweep.cache_hits", totals["cache_hits"])
-    telemetry.add("sweep.cache_misses", totals["cache_misses"])
     if capture:
         _fold_job_telemetry(session, results, sweep_wall_start,
                             pool=jobs > 1)
@@ -338,17 +303,15 @@ def _fold_job_telemetry(session, results: list[JobResult],
             session.job_snapshots.append(snap)
 
 
-def _run_inline(job_specs: list[JobSpec], cache_dir: Optional[str],
-                use_cache: bool, timeout: Optional[float],
+def _run_inline(job_specs: list[JobSpec], timeout: Optional[float],
                 report_dir: Optional[str], keep_runs: bool,
                 progress: Optional[TTYProgress],
                 capture: bool) -> list[JobResult]:
-    cache = CompileCache(cache_dir) if use_cache else None
     results = []
     for index, job in enumerate(job_specs):
         if progress is not None:
             progress.job_started(job.job_id, index=index)
-        result = execute_job(job, cache=cache, keep_run=keep_runs,
+        result = execute_job(job, keep_run=keep_runs,
                              report_dir=report_dir, timeout=timeout,
                              capture_telemetry=capture)
         if progress is not None:
@@ -376,7 +339,6 @@ def _terminate_pool(executor) -> None:
 
 
 def _run_pool(job_specs: list[JobSpec], workers: int,
-              cache_dir: Optional[str], use_cache: bool,
               timeout: Optional[float], report_dir: Optional[str],
               keep_runs: bool, progress: Optional[TTYProgress] = None,
               capture: bool = False) -> list[JobResult]:
@@ -398,8 +360,7 @@ def _run_pool(job_specs: list[JobSpec], workers: int,
 
     def submit(index: int, attempt: int) -> None:
         future = executor.submit(_pool_worker, job_specs[index].to_dict(),
-                                 cache_dir, use_cache, keep_runs, report_dir,
-                                 timeout, capture)
+                                 keep_runs, report_dir, timeout, capture)
         in_flight[future] = (index, attempt, time.monotonic())
         if progress is not None:
             # exactly ``workers`` futures are in flight, so a submitted

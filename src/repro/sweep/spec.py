@@ -4,9 +4,9 @@ A sweep is a list of :class:`JobSpec` — fully value-typed descriptions
 of one compile→simulate job (app, version, problem size, thread count,
 seeds and knobs).  Workers receive *specs*, never compiled objects:
 each worker re-derives source + macro set from its spec and compiles
-through the shared :class:`~repro.hls.cache.CompileCache`, which keeps
-the executor's pickles tiny and sidesteps shipping `Accelerator`
-object graphs across process boundaries (see DESIGN.md §8).
+it, which keeps the executor's pickles tiny and sidesteps shipping
+`Accelerator` object graphs across process boundaries, where object
+identity does not survive (see DESIGN.md §8).
 
 Specs come from three places:
 

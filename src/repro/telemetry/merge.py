@@ -55,8 +55,7 @@ def merged_chrome_events(snapshots: Iterable[dict],
     """Chrome trace events for N worker snapshots (+ parent session).
 
     ``snapshots`` are :meth:`Telemetry.snapshot` dicts, each optionally
-    tagged with ``job`` (job id), ``status`` and ``cache`` by the sweep
-    runner.  ``parent`` is the dispatching session's own snapshot; its
+    tagged with ``job`` (job id) and ``status`` by the sweep runner.  ``parent`` is the dispatching session's own snapshot; its
     spans (the ``sweep`` umbrella, spec loading, result writing) land
     on a dedicated thread track.  Chrome ``pid`` is the snapshot's real
     OS pid; jobs that shared one process get consecutive ``tid``s.
@@ -90,7 +89,7 @@ def merged_chrome_events(snapshots: Iterable[dict],
             start = min(s["start_ns"] for s in spans)
             end = max(s["end_ns"] for s in spans)
             args = {"job": umbrella, "pid": pid}
-            for key in ("status", "cache", "wall_s"):
+            for key in ("status", "wall_s"):
                 if snap.get(key) is not None:
                     args[key] = snap[key]
             events.append({"ph": "X", "name": umbrella, "cat": "sweep.job",
@@ -180,7 +179,6 @@ def snapshots_from_sweep_doc(doc: dict) -> tuple[list[dict],
         snap = _check_snapshot(snap, f"jobs[{index}].telemetry")
         snap.setdefault("job", job.get("id", f"job-{index}"))
         snap.setdefault("status", job.get("status"))
-        snap.setdefault("cache", job.get("compile_cache"))
         snapshots.append(snap)
     if not snapshots:
         raise ValueError(
@@ -222,16 +220,15 @@ def job_phase_breakdown(snap: dict) -> dict[str, float]:
 def render_job_breakdown(snapshots: Iterable[dict]) -> str:
     """Per-job toolchain breakdown table + the five slowest jobs.
 
-    Columns separate compile time (frontend + HLS; near zero on a
-    compile-cache hit) from simulate and trace-write time, so one look
+    Columns separate compile time (frontend + HLS) from simulate and trace-write time, so one look
     answers "where did this sweep's wall clock go, per job".
     """
 
     snapshots = list(snapshots)
     lines = ["per-job toolchain breakdown (wall ms)",
-             f"{'job':34} {'status':>7} {'cache':>5} {'total':>9} "
+             f"{'job':34} {'status':>7} {'total':>9} "
              f"{'compile':>9} {'sim':>9} {'trace':>7}",
-             "-" * 86]
+             "-" * 80]
     if not snapshots:
         # A sweep where every job failed still renders a stable table:
         # downstream log scrapers key on this line, not on its absence.
@@ -241,9 +238,8 @@ def render_job_breakdown(snapshots: Iterable[dict]) -> str:
         parts = job_phase_breakdown(snap)
         job = str(snap.get("job", "?"))
         status = str(snap.get("status") or "?")
-        cache = str(snap.get("cache") or "?")
         lines.append(
-            f"{job:34} {status:>7} {cache:>5} {parts['total_ms']:9.1f} "
+            f"{job:34} {status:>7} {parts['total_ms']:9.1f} "
             f"{parts['compile_ms']:9.1f} {parts['sim_ms']:9.1f} "
             f"{parts['trace_ms']:7.1f}")
     ranked = sorted(snapshots,

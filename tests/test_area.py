@@ -169,3 +169,52 @@ class TestProfilingConfigKnobs:
         config = ProfilingConfig()
         expected = 64 * len(config.events) * 8 + 32
         assert config.event_record_bits(8) == expected
+
+
+#: kernel -> (area breakdown, area Fmax, baseline breakdown, baseline
+#: Fmax, profiling_overhead() as (registers %, ALMs %, Fmax delta)) of
+#: the accelerators the apps compile; a breakdown is the tuple of
+#: AreaBreakdown fields in declaration order
+AREA_PINS = {
+    "naive": ((1350, 734, 1957, 256, 35975, 17270, 1901, 622), 143.2,
+              (1350, 734, 1957, 256, 35975, 17270, 0, 0), 149.5,
+              (4.808032778592747, 3.4547878249277937, 6.300000000000011)),
+    "no_critical": ((1286, 686, 1957, 256, 35975, 17270, 1901, 622), 143.2,
+                    (1286, 686, 1957, 256, 35975, 17270, 0, 0), 149.5,
+                    (4.815828140041546, 3.4640231677433726,
+                     6.300000000000011)),
+    "vectorized": ((3258, 1744, 7141, 1280, 36805, 17740, 1922, 636), 143.6,
+                   (3258, 1744, 7141, 1280, 36805, 17740, 0, 0), 149.2,
+                   (3.9641943734015346, 3.26421679326627,
+                    5.599999999999994)),
+    "blocked": ((11064, 6272, 20907, 512, 38820, 18875, 1964, 664), 144.5,
+                (11064, 6272, 20907, 512, 38820, 18875, 0, 0), 148.3,
+                (2.754442309580242, 2.640474012804708, 3.8000000000000114)),
+    "double_buffered": ((27690, 16914, 178385, 1536, 42835, 21065, 2027, 706),
+                        142.5,
+                        (27690, 16914, 178385, 1536, 42835, 21065, 0, 0),
+                        144.4,
+                        (0.8093561087020755, 1.8589220358619236,
+                         1.9000000000000057)),
+    "pi": ((12260, 7020, 79027, 512, 38230, 18500, 1922, 636), 144.1,
+           (12260, 7020, 79027, 512, 38230, 18500, 0, 0), 147.4,
+           (1.4781318013673872, 2.4921630094043885, 3.3000000000000114)),
+}
+
+
+@pytest.mark.parametrize("kernel", list(AREA_PINS))
+def test_area_pins(kernel):
+    from dataclasses import astuple
+
+    from repro.apps.runners import compile_gemm as compile_app_gemm
+    from repro.apps.runners import compile_pi
+
+    acc = compile_pi() if kernel == "pi" else compile_app_gemm(kernel)
+    area, fmax, baseline, baseline_fmax, overhead = AREA_PINS[kernel]
+    assert astuple(acc.area.breakdown) == area
+    assert acc.area.fmax_mhz == fmax
+    assert astuple(acc.baseline_area.breakdown) == baseline
+    assert acc.baseline_area.fmax_mhz == baseline_fmax
+    ov = acc.profiling_overhead()
+    assert (ov["registers_pct"], ov["alms_pct"], ov["fmax_delta_mhz"]) \
+        == overhead

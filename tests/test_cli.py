@@ -377,7 +377,6 @@ class TestSweep:
     def test_shorthand_sweep_with_out(self, tmp_path, capsys):
         out = str(tmp_path / "BENCH_cli.json")
         assert main(["sweep", "gemm", "--dim", "16", "--threads", "4",
-                     "--cache-dir", str(tmp_path / "cache"),
                      "--out", out]) == 0
         text = capsys.readouterr().out
         assert "5 jobs: 5 ok" in text
@@ -392,10 +391,31 @@ class TestSweep:
             {"app": "pi", "steps": 6400},
             {"app": "gemm", "version": "naive", "dim": 16, "threads": 3},
         ]}))
-        assert main(["sweep", str(spec), "--no-cache"]) == 1
+        assert main(["sweep", str(spec)]) == 1
         text = capsys.readouterr().out
         assert "1 failed" in text
         assert "multiple of" in text
+
+    def test_sweep_and_explore_write_nothing_under_user_cache(
+            self, tmp_path, monkeypatch, capsys):
+        """Every compile runs in memory: a default sweep or explore
+        leaves no ``repro/`` directory under the user's cache home."""
+
+        import json
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / ".cache"))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"jobs": [
+            {"app": "gemm", "version": "naive", "dim": 16, "threads": 4,
+             "block_size": 4},
+            {"app": "pi", "steps": 6400}]}))
+        assert main(["sweep", str(spec)]) == 0
+        assert main(["explore", "--app", "gemm", "--dim", "16",
+                     "--threads", "4", "--versions", "naive,no_critical",
+                     "--no-prune"]) == 0
+        text = capsys.readouterr().out
+        assert "2 candidates" in text and "2 measured" in text
+        assert [p.name for p in tmp_path.rglob("repro")] == []
 
     def test_bad_spec_argument_clean_error(self):
         with pytest.raises(SystemExit, match="cannot read sweep spec"):
@@ -453,7 +473,6 @@ class TestSweep:
         assert main(["explore", "--app", "gemm", "--dim", "16",
                      "--threads", "4", "--vector-len", "4",
                      "--block-size", "4",
-                     "--cache-dir", str(tmp_path / "cache"),
                      "--out", out, "--html", html]) == 0
         text = capsys.readouterr().out
         assert "7 candidates" in text
@@ -473,7 +492,7 @@ class TestSweep:
         html = str(tmp_path / "explore.html")
         assert main(["explore", "--app", "gemm", "--dim", "16",
                      "--threads", "4", "--vector-len", "4",
-                     "--block-size", "4", "--no-cache", "--max-evals", "2",
+                     "--block-size", "4", "--max-evals", "2",
                      "--report-dir", str(tmp_path / "reports"),
                      "--html", html]) == 0
         capsys.readouterr()
@@ -483,8 +502,7 @@ class TestSweep:
 
     def test_explore_pi_space(self, tmp_path, capsys):
         assert main(["explore", "--app", "pi", "--steps", "6400",
-                     "--threads", "4", "--bs-compute", "8",
-                     "--no-cache"]) == 0
+                     "--threads", "4", "--bs-compute", "8"]) == 0
         text = capsys.readouterr().out
         assert "pi-6400-t4-bs8" in text
 
@@ -503,7 +521,7 @@ class TestSweep:
              "block_size": 4},
             {"app": "pi", "steps": 6400},
         ]}))
-        assert main(["sweep", str(spec), "--no-cache", "--out", out,
+        assert main(["sweep", str(spec), "--out", out,
                      "--progress"]) == 0
         captured = capsys.readouterr()
         # --progress renders to stderr, one line per job + summary

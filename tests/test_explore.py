@@ -29,7 +29,7 @@ def _telemetry_off():
 def _scored(dims=(64,), **kwargs):
     """Compile + analytically score a GEMM space (no simulation)."""
 
-    return _score(gemm_space(dims=dims, **kwargs), cache=None)
+    return _score(gemm_space(dims=dims, **kwargs))
 
 
 def _fake(cid, cycles, alms=1000, registers=2000):
@@ -227,7 +227,7 @@ class TestExploreEndToEnd:
     def result(self):
         space = gemm_space(dims=(16,), threads=(4,), vector_lens=(4,),
                            block_sizes=(4,))
-        return explore(space, use_cache=False)
+        return explore(space)
 
     def test_every_candidate_gets_exactly_one_outcome(self, result):
         assert len(result.outcomes) == 7
@@ -297,8 +297,7 @@ class TestExploreEndToEnd:
     def test_eval_budget_limits_simulations(self):
         space = gemm_space(dims=(16,), threads=(4,), vector_lens=(4,),
                            block_sizes=(4,))
-        result = explore(space, budget=Budget(max_evals=2),
-                         use_cache=False)
+        result = explore(space, budget=Budget(max_evals=2))
         assert len(result.evaluated) <= 2
         assert any(o.pruned is not None
                    and o.pruned.reason == "eval_budget"

@@ -61,6 +61,33 @@ def test_lexer_error_location():
     assert "unexpected character" in str(excinfo.value)
 
 
+def test_multiline_header_comment_compiles():
+    kernel = compile_to_kernel("""/* a kernel
+   with a two-line header comment */
+void f(float* a, int n) {
+  #pragma omp target parallel map(tofrom:a[0:n]) num_threads(4)
+  {
+    a[0] = 1.0f;
+  }
+}
+""")
+    assert kernel is not None
+
+
+def test_error_after_multiline_comment_keeps_its_line():
+    with pytest.raises(SemaError) as excinfo:
+        compile_kernel_body("/* first\n   second */ float x = missing;")
+    location = excinfo.value.location
+    assert (location.line, location.column) == (6, 24)
+
+
+def test_unterminated_comment_is_a_lex_error_at_its_opening():
+    with pytest.raises(LexError, match="unterminated") as excinfo:
+        compile_kernel_body("int x = 0; /* never closed")
+    assert (excinfo.value.location.line, excinfo.value.location.column) \
+        == (5, 12)
+
+
 @pytest.mark.parametrize("literal", ["08", "09"])
 def test_bad_octal_literal_is_a_lex_error_at_the_literal(literal):
     with pytest.raises(LexError, match=f"octal literal '{literal}'") as excinfo:

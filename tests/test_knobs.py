@@ -1,8 +1,8 @@
 """Every configuration field is set somewhere to a value other than its
 default.
 
-A field nobody sets is a constant with extra steps: it widens the
-compile-cache key and invites a test matrix nobody runs.  For each
+A field nobody sets is a constant with extra steps: it widens every
+configuration's surface and invites a test matrix nobody runs.  For each
 field of every configuration class under ``src/repro`` (a class named
 ``*Config`` or ``*Options``) this scan looks for a call that
 passes it by keyword with a value other than the field's default

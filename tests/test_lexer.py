@@ -67,6 +67,28 @@ class TestBasicTokens:
         tokens = tokenize("a // line comment\nb /* block */ c")
         assert texts(tokens) == ["a", "b", "c"]
 
+    def test_block_comment_spans_lines(self):
+        tokens = tokenize("a /* one\n two\n three */ b\nc")
+        assert texts(tokens) == ["a", "b", "c"]
+        locations = [(t.location.line, t.location.column) for t in tokens]
+        assert locations[:3] == [(1, 1), (3, 11), (4, 1)]
+
+    def test_block_comment_ends_at_first_close(self):
+        tokens = tokenize("a /* x\n */ b /* y\n */ c")
+        assert texts(tokens) == ["a", "b", "c"]
+        assert tokens[2].location.line == 3
+
+    def test_block_comment_hides_directives_and_line_comments(self):
+        tokens = tokenize("/*\n#define X 1\n// */ X")
+        assert texts(tokens) == ["X"]
+        assert (tokens[0].location.line, tokens[0].location.column) == (3, 7)
+
+    def test_unterminated_block_comment(self):
+        with pytest.raises(LexError, match="unterminated") as excinfo:
+            tokenize("a\n  b /* open\n c")
+        location = excinfo.value.location
+        assert (location.line, location.column) == (2, 5)
+
     def test_locations(self):
         tokens = tokenize("a\n  b")
         assert tokens[0].location.line == 1

@@ -49,7 +49,7 @@ def record_some_activity(session):
     with session.span("sim", category="sim"):
         pass
     session.add("sim.cycles", 1234)
-    session.add("compile_cache.hits", 1)
+    session.add("dram.requests", 1)
     session.set_gauge("sim.cycles_per_sec", 1e6)
 
 
@@ -123,7 +123,7 @@ class TestCaptureIsolation:
     def test_session_collects_tagged_job_snapshots(self, tmp_path):
         session = telemetry.configure(enabled=True)
         result = run_sweep([tiny_job(), tiny_job(version="blocked")],
-                           jobs=1, use_cache=False)
+                           jobs=1)
         assert len(session.job_snapshots) == 2
         tags = [(s["job"], s["status"]) for s in session.job_snapshots]
         assert tags == [(j.job_id, "ok") for j in result.jobs]
@@ -162,7 +162,7 @@ def _tagged_snapshot(job, pid, wall_start):
     record_some_activity(session)
     snap = session.snapshot()
     snap.update(job=job, pid=pid, wall_start=wall_start, status="ok",
-                cache="hit", wall_s=0.25)
+                wall_s=0.25)
     return snap
 
 
@@ -220,7 +220,7 @@ class TestMergedTimeline:
 
     def test_merge_real_sweep_document(self, tmp_path):
         result = run_sweep([tiny_job(), tiny_job(version="blocked")],
-                           jobs=1, use_cache=False, capture_telemetry=True)
+                           jobs=1, capture_telemetry=True)
         doc = json.loads(result.to_json())
         snapshots, parent = snapshots_from_sweep_doc(doc)
         assert [s["job"] for s in snapshots] == \
@@ -233,14 +233,14 @@ class TestMergedTimeline:
 
     def test_pool_sweep_tracks_each_worker_pid(self):
         result = run_sweep([tiny_job(), tiny_job(version="blocked")],
-                           jobs=2, use_cache=False, capture_telemetry=True)
+                           jobs=2, capture_telemetry=True)
         payload = merge_sweep_doc(json.loads(result.to_json()))
         pids = {job.telemetry["pid"] for job in result.jobs}
         assert os.getpid() not in pids
         assert payload["otherData"]["worker_pids"] == sorted(pids)
 
     def test_sweep_doc_without_telemetry_is_rejected(self):
-        result = run_sweep([tiny_job()], jobs=1, use_cache=False,
+        result = run_sweep([tiny_job()], jobs=1,
                            capture_telemetry=False)
         doc = json.loads(result.to_json())
         with pytest.raises(ValueError, match="no per-job telemetry"):
@@ -261,7 +261,6 @@ class TestSweepProgress:
         # the non-TTY progress stream is the sweep's line-per-job log
         stream = io.StringIO()
         result = run_sweep([failing_job(), tiny_job()], jobs=1,
-                           use_cache=False,
                            progress=TTYProgress(stream=stream))
         assert [j.status for j in result.jobs] == ["failed", "ok"]
         failed_line, ok_line, summary = stream.getvalue().splitlines()
@@ -275,15 +274,15 @@ class TestSweepProgress:
     def test_nontty_stream_gets_one_line_per_job(self):
         stream = io.StringIO()
         run_sweep([tiny_job(), tiny_job(version="blocked")], jobs=1,
-                  use_cache=False, progress=TTYProgress(stream=stream))
+                  progress=TTYProgress(stream=stream))
         lines = [l for l in stream.getvalue().splitlines() if l]
         assert len(lines) == 3  # two job lines + final summary
         assert lines[0].startswith("[  1/2]")
         assert lines[-1].startswith("sweep ")
 
     def test_zero_duration_jobs_do_not_divide_by_zero(self):
-        """All-cache-hit sweeps finish jobs with wall_s == 0.0; the
-        rate/ETA/cache arithmetic must render, not crash or skew."""
+        """Jobs can finish with wall_s == 0.0; the rate/ETA arithmetic
+        must render, not crash or skew."""
 
         from repro.sweep.results import JobResult, SweepResult
 
@@ -291,15 +290,13 @@ class TestSweepProgress:
         sink._isatty = True  # force the live-line path with its math
         sink.sweep_started("instant", 2, 1)
         spec = tiny_job().to_dict()
-        instant = JobResult("a", spec, wall_s=0.0, compile_cache="hit")
+        instant = JobResult("a", spec, wall_s=0.0)
         sink.job_started("a")
         sink.job_finished(instant)
         assert sink._eta_s() is None or sink._eta_s() >= 0.0
         rate = sink._rate_s()
         assert rate is None or rate > 0.0
-        assert sink._cache_pct() == "100%"
-        sink.job_finished(JobResult("b", spec, wall_s=0.0,
-                                    compile_cache="hit"))
+        sink.job_finished(JobResult("b", spec, wall_s=0.0))
         sink.sweep_finished(SweepResult("instant", [instant], wall_s=0.0))
 
     def test_handbuilt_results_without_wall_clock_render(self):
@@ -311,19 +308,17 @@ class TestSweepProgress:
         stream = io.StringIO()
         sink = TTYProgress(stream=stream)
         sink.sweep_started("manual", 1, 1)
-        job = JobResult("only", tiny_job().to_dict(), wall_s=None,
-                        compile_cache="off")
+        job = JobResult("only", tiny_job().to_dict(), wall_s=None)
         sink.job_finished(job)
         sink.sweep_finished(SweepResult("manual", [job], wall_s=None))
         text = stream.getvalue()
         assert "only" in text
-        assert "cache n/a hit" in text  # no hits or misses seen
+        assert "cache" not in text
 
     def test_rate_and_eta_none_before_any_completion(self):
         sink = TTYProgress(stream=io.StringIO())
         assert sink._rate_s() is None   # nothing finished, not started
         assert sink._eta_s() is None    # no duration samples
-        assert sink._cache_pct() == "n/a"
         sink.sweep_started("empty", 0, 4)
         assert sink._rate_s() is None   # started, still nothing done
 
@@ -342,7 +337,7 @@ class TestInlineTimeout:
     def test_timeout_in_sweep_emits_job_failed_event(self):
         stream = io.StringIO()
         result = run_sweep([tiny_job(dim=48)],
-                           jobs=1, use_cache=False, timeout=0.01,
+                           jobs=1, timeout=0.01,
                            progress=TTYProgress(stream=stream))
         assert result.jobs[0].status == "timeout"
         job_line, summary = stream.getvalue().splitlines()
@@ -376,11 +371,11 @@ class TestInlineTimeout:
 class TestObservabilityDeterminism:
     def test_cycles_identical_with_and_without_observability(self):
         jobs = [tiny_job(), tiny_job(version="blocked")]
-        plain = run_sweep(jobs, jobs=1, use_cache=False,
+        plain = run_sweep(jobs, jobs=1,
                           capture_telemetry=False)
         stream = io.StringIO()
         telemetry.configure(enabled=True)
-        observed = run_sweep(jobs, jobs=1, use_cache=False,
+        observed = run_sweep(jobs, jobs=1,
                              capture_telemetry=True,
                              progress=TTYProgress(stream=stream))
         telemetry.configure(enabled=False)

@@ -124,3 +124,13 @@ class TestHostExecution:
 
     def test_name(self):
         assert Program(SCALE_AND_SUM, sim_config=FAST).name == "scale_sum"
+
+    @pytest.mark.parametrize("value", [True, 0, "~/.cache/repro"])
+    def test_compile_cache_keyword_accepts_only_off(self, value):
+        """There is no compile cache: the keyword remains only so callers
+        that pass ``compile_cache=False`` keep working."""
+
+        assert Program(SCALE_AND_SUM, compile_cache=False).name == \
+            "scale_sum"
+        with pytest.raises(TypeError, match="no compile cache"):
+            Program(SCALE_AND_SUM, compile_cache=value)

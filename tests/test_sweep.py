@@ -1,16 +1,15 @@
-"""Tests for the sweep subsystem: specs, runner, cache, results.
+"""Tests for the sweep subsystem: specs, runner, results.
 
 Small problem sizes throughout (dim-16 GEMM, 6400-step π) so the whole
 module stays in tier-1 time budgets; the properties under test —
-determinism across worker counts, cache transparency, structured
-failure capture — do not depend on problem size.
+determinism across worker counts, structured failure capture — do not
+depend on problem size.
 """
 
 import io
 import json
 import multiprocessing
 import os
-import pickle
 import time
 from contextlib import contextmanager
 
@@ -19,7 +18,6 @@ import pytest
 
 from repro import telemetry
 from repro.apps.runners import run_gemm
-from repro.hls.cache import CompileCache
 from repro.sweep import (
     SWEEP_SCHEMA, JobResult, JobSpec, SweepSpec, TTYProgress, execute_job,
     expand_jobs, gemm_sweep, load_spec, pi_sweep, run_sweep,
@@ -158,19 +156,16 @@ class TestSweepSpecs:
 # the runner
 # ----------------------------------------------------------------------
 class TestExecuteJob:
-    def test_gemm_job_produces_metrics(self, tmp_path):
-        result = execute_job(small_jobs()[0],
-                             cache=CompileCache(str(tmp_path)))
+    def test_gemm_job_produces_metrics(self):
+        result = execute_job(small_jobs()[0])
         assert result.status == "ok"
         assert result.cycles > 0 and result.gflops > 0
         assert result.correct is True
-        assert result.compile_cache == "miss"
 
     def test_pi_job_produces_value(self):
         result = execute_job(small_jobs()[2])
         assert result.status == "ok"
         assert result.value == pytest.approx(np.pi, abs=1e-3)
-        assert result.compile_cache == "off"
 
     def test_failure_is_captured_not_raised(self):
         bad = JobSpec(app="gemm", version="naive", dim=16, threads=3)
@@ -190,35 +185,58 @@ class TestExecuteJob:
 
 
 class TestRunSweep:
-    def test_failed_job_does_not_sink_siblings(self, tmp_path):
+    def test_failed_job_does_not_sink_siblings(self):
         jobs = [JobSpec(app="gemm", version="naive", dim=16, threads=3),
                 *small_jobs()]
-        result = run_sweep(jobs, jobs=2, cache_dir=str(tmp_path))
+        result = run_sweep(jobs, jobs=2)
         assert [job.status for job in result.jobs] == \
             ["failed", "ok", "ok", "ok"]
         totals = result.totals()
         assert totals["failed"] == 1 and totals["ok"] == 3
 
-    def test_parallel_cycles_match_serial_exactly(self, tmp_path):
+    def test_parallel_cycles_match_serial_exactly(self):
         jobs = small_jobs()
-        serial = run_sweep(jobs, jobs=1, cache_dir=str(tmp_path / "a"))
-        parallel = run_sweep(jobs, jobs=4, cache_dir=str(tmp_path / "b"))
+        serial = run_sweep(jobs, jobs=1)
+        parallel = run_sweep(jobs, jobs=4)
         assert [job.cycles for job in serial.jobs] == \
             [job.cycles for job in parallel.jobs]
         assert [job.gflops for job in serial.jobs] == \
             [job.gflops for job in parallel.jobs]
 
-    def test_results_keep_spec_order(self, tmp_path):
+    def test_results_keep_spec_order(self):
         jobs = small_jobs()
-        result = run_sweep(jobs, jobs=2, cache_dir=str(tmp_path))
+        result = run_sweep(jobs, jobs=2)
         assert [job.job_id for job in result.jobs] == \
             [job.job_id for job in jobs]
 
     def test_repeat_expands_jobs(self):
-        result = run_sweep([JobSpec(app="pi", steps=6400)], repeat=2,
-                           use_cache=False)
+        result = run_sweep([JobSpec(app="pi", steps=6400)], repeat=2)
         assert len(result.jobs) == 2
         assert result.jobs[0].cycles == result.jobs[1].cycles
+
+    def test_pickled_accelerator_simulates_identically(self):
+        """Regression: local_groups/local_costs were keyed by id(segment),
+        so a pickled accelerator silently lost BRAM-port serialization
+        and simulated *faster* than a fresh compile.  A pool sweep with
+        keep_runs pickles each run, accelerator included, back to the
+        parent: the returned accelerator must re-simulate identically."""
+
+        from repro.sim.config import SimConfig
+        from repro.sim.executor import Simulation
+
+        blocked = small_jobs()[1]
+        result = run_sweep([blocked, small_jobs()[0]], jobs=2,
+                           keep_runs=True)
+        run = result.jobs[0].run
+        assert result.jobs[0].status == "ok" and run is not None
+        acc = run.accelerator
+        assert acc.schedule.local_groups  # the kernel does use local BRAM
+        fresh = run_gemm("blocked", dim=16, num_threads=4, block_size=4)
+        assert run.cycles == fresh.cycles
+        C = np.zeros(16 * 16, dtype=np.float32)
+        replay = Simulation(acc, SimConfig(thread_start_interval=50)).run(
+            {"A": run.A, "B": run.B, "C": C, "DIM": 16})
+        assert replay.cycles == fresh.cycles
 
 
 # ----------------------------------------------------------------------
@@ -247,7 +265,7 @@ def test_non_positive_timeout_refused(jobs, timeout, monkeypatch):
 
     monkeypatch.setattr(runner, "execute_job", never)
     with pytest.raises(ValueError, match="timeout must be a positive"):
-        run_sweep(pool_jobs(2), jobs=jobs, use_cache=False, timeout=timeout)
+        run_sweep(pool_jobs(2), jobs=jobs, timeout=timeout)
 
 
 class TestPoolDispatcher:
@@ -263,7 +281,7 @@ class TestPoolDispatcher:
 
     def test_worker_crash_is_retried_once(self, monkeypatch, tmp_path):
         self._crash_first_attempt(monkeypatch, tmp_path, "job1-r0")
-        result = run_sweep(pool_jobs(), jobs=2, use_cache=False)
+        result = run_sweep(pool_jobs(), jobs=2)
         assert [job.status for job in result.jobs] == ["ok"] * 3
         assert result.jobs[1].attempts == 2
 
@@ -274,7 +292,7 @@ class TestPoolDispatcher:
             return _ok_result(spec)
 
         monkeypatch.setattr(runner, "execute_job", fake_execute_job)
-        result = run_sweep(pool_jobs(2), jobs=2, use_cache=False)
+        result = run_sweep(pool_jobs(2), jobs=2)
         crashed = result.jobs[0]
         assert crashed.status == "crashed"
         assert crashed.attempts == 2
@@ -295,7 +313,7 @@ class TestPoolDispatcher:
         monkeypatch.setattr(runner, "_TIMEOUT_GRACE_S", 1.0)
         monkeypatch.setattr(runner, "execute_job", fake_execute_job)
         start = time.monotonic()
-        result = run_sweep(pool_jobs(2), jobs=2, use_cache=False,
+        result = run_sweep(pool_jobs(2), jobs=2,
                            timeout=0.2)
         assert time.monotonic() - start < 15.0
         hung, sibling = result.jobs
@@ -307,7 +325,7 @@ class TestPoolDispatcher:
                                                    tmp_path):
         self._crash_first_attempt(monkeypatch, tmp_path, "job1-r0")
         stream = io.StringIO()
-        run_sweep(pool_jobs(), jobs=2, use_cache=False,
+        run_sweep(pool_jobs(), jobs=2,
                   progress=TTYProgress(stream=stream))
         lines = stream.getvalue().splitlines()
         assert len(lines) == 4, lines  # three job lines + the summary
@@ -328,66 +346,10 @@ class TestPoolDispatcher:
                              multiprocessing.active_children()} - before)
                 super().job_finished(result, index=index)
 
-        run_sweep(pool_jobs(4), jobs=2, use_cache=False,
+        run_sweep(pool_jobs(4), jobs=2,
                   progress=CountingProgress(stream=io.StringIO()))
         assert len(seen) == 4
         assert max(len(children) for children in seen) <= 2
-
-
-class TestCompileCacheInSweeps:
-    def test_second_identical_job_compiles_zero_times(self, tmp_path):
-        """On a warm cache the HLS flow never runs: zero hls spans.
-
-        Each job's counters/spans now live on its own captured
-        telemetry snapshot (``result.telemetry``) rather than
-        accumulating on the session registry, so the warm job is
-        inspected in isolation even though a cold job ran just before.
-        """
-
-        spec = small_jobs()[0]
-        cache = CompileCache(str(tmp_path), memory=False)
-        execute_job(spec, cache=cache,
-                    capture_telemetry=True)  # cold: compiles + stores
-
-        result = execute_job(spec, cache=cache, capture_telemetry=True)
-        assert result.compile_cache == "hit"
-        counters = result.telemetry["counters"]
-        span_names = [s["name"] for s in result.telemetry["spans"]]
-        assert counters.get("compile_cache.hits") == 1
-        assert "compile_cache.misses" not in counters
-        assert [n for n in span_names if n.startswith("hls")] == []
-
-    def test_cold_then_warm_cycles_identical(self, tmp_path):
-        jobs = small_jobs()
-        cold = run_sweep(jobs, jobs=1, cache_dir=str(tmp_path))
-        warm = run_sweep(jobs, jobs=1, cache_dir=str(tmp_path))
-        assert all(job.compile_cache == "miss" for job in cold.jobs)
-        assert all(job.compile_cache == "hit" for job in warm.jobs)
-        assert [job.cycles for job in cold.jobs] == \
-            [job.cycles for job in warm.jobs]
-
-    def test_no_cache_leaves_cache_dir_untouched(self, tmp_path):
-        run_sweep(small_jobs()[:1], jobs=1, use_cache=False,
-                  cache_dir=str(tmp_path / "cache"))
-        assert not (tmp_path / "cache").exists()
-
-    def test_pickled_accelerator_simulates_identically(self):
-        """Regression: local_groups/local_costs were keyed by id(segment),
-        so a cache-loaded (pickled) accelerator silently lost BRAM-port
-        serialization and simulated *faster* than a fresh compile."""
-
-        fresh = run_gemm("blocked", dim=16, num_threads=4, block_size=4)
-        acc = pickle.loads(pickle.dumps(fresh.accelerator))
-        assert acc.schedule.local_groups  # the kernel does use local BRAM
-        from repro.sim.config import SimConfig
-        from repro.sim.executor import Simulation
-        rng = np.random.default_rng(42)
-        A = rng.random(16 * 16, dtype=np.float32)
-        B = rng.random(16 * 16, dtype=np.float32)
-        C = np.zeros(16 * 16, dtype=np.float32)
-        replay = Simulation(acc, SimConfig(thread_start_interval=50)).run(
-            {"A": A, "B": B, "C": C, "DIM": 16})
-        assert replay.cycles == fresh.cycles
 
 
 # ----------------------------------------------------------------------
@@ -395,7 +357,7 @@ class TestCompileCacheInSweeps:
 # ----------------------------------------------------------------------
 class TestResultsDocument:
     def test_produced_document_validates(self, tmp_path):
-        result = run_sweep(small_jobs(), jobs=1, cache_dir=str(tmp_path))
+        result = run_sweep(small_jobs(), jobs=1)
         doc = validate_sweep_dict(result.to_dict())
         assert doc["schema"] == SWEEP_SCHEMA
         path = tmp_path / "BENCH_test.json"
@@ -403,7 +365,7 @@ class TestResultsDocument:
         assert validate_sweep_file(str(path))["totals"]["ok"] == 3
 
     def test_validation_rejects_corruption(self, tmp_path):
-        result = run_sweep(small_jobs()[:1], jobs=1, use_cache=False)
+        result = run_sweep(small_jobs()[:1], jobs=1)
         doc = result.to_dict()
 
         bad = json.loads(json.dumps(doc))
@@ -435,7 +397,19 @@ class TestResultsDocument:
     def test_failed_jobs_keep_error_in_document(self):
         result = run_sweep(
             [JobSpec(app="gemm", version="naive", dim=16, threads=3)],
-            jobs=1, use_cache=False)
+            jobs=1)
         doc = validate_sweep_dict(result.to_dict())
         assert doc["jobs"][0]["status"] == "failed"
         assert "multiple of" in doc["jobs"][0]["error"]
+
+    def test_checked_in_document_with_cache_keys_validates(self):
+        """BENCH_gemm.json predates the removal of the compile cache and
+        still carries its per-job ``compile_cache`` keys and the
+        ``cache_hits``/``cache_misses`` totals: unknown keys are
+        ignored, so it stays a valid ``repro.sweep/1`` document."""
+
+        path = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "BENCH_gemm.json")
+        doc = validate_sweep_file(path)
+        assert "compile_cache" in doc["jobs"][0]
+        assert "cache_hits" in doc["totals"]
